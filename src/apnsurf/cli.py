@@ -8,6 +8,7 @@ error, 3 budget exceeded.
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -232,7 +233,10 @@ def _add_field_flags(sp):
                     help="bind a placeholder letter to a field value")
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process; parse_args keeps no
+    state between calls, so it is safe to reuse."""
     parser = argparse.ArgumentParser(
         prog="apnsurf",
         description="analysis of almost perfectly nonlinear maps over "

@@ -115,47 +115,6 @@ def _walsh_hist_py(pmf_perm, par, q):
     return hist
 
 
-def _count_affine_py(cube, ext, log, q):
-    d1 = cube.shape[0]
-    total = 0
-    on_locus = 0
-    bmat = np.zeros((d1, d1), dtype=np.int64)
-    avec = np.zeros(d1, dtype=np.int64)
-    pw = np.zeros(d1, dtype=np.int64)
-    for x0 in range(q):
-        pw[0] = 1
-        for i in range(1, d1):
-            pw[i] = ext[log[pw[i - 1]] + log[x0]]
-        for j in range(d1):
-            for k in range(d1):
-                acc = 0
-                for i in range(d1):
-                    v = cube[i, j, k]
-                    if v:
-                        acc ^= ext[log[v] + log[pw[i]]]
-                bmat[j, k] = acc
-        for x1 in range(q):
-            pw[0] = 1
-            for j in range(1, d1):
-                pw[j] = ext[log[pw[j - 1]] + log[x1]]
-            for k in range(d1):
-                acc = 0
-                for j in range(d1):
-                    v = bmat[j, k]
-                    if v:
-                        acc ^= ext[log[v] + log[pw[j]]]
-                avec[k] = acc
-            for x2 in range(q):
-                acc = 0
-                for k in range(d1 - 1, -1, -1):
-                    acc = ext[log[acc] + log[x2]] ^ avec[k]
-                if acc == 0:
-                    total += 1
-                    if x0 == x1 or x1 == x2 or x0 == x2:
-                        on_locus += 1
-    return total, on_locus
-
-
 def _scan_py(fixed_table, mono_tables, q, nfree, start, stop, ext, log,
              hits_out):
     cap = hits_out.shape[0]
@@ -200,7 +159,6 @@ if BACKEND == "numba":
     _spectrum_hist_fast = _jit(_spectrum_hist_py)
     _is_apn_fast = _jit(_is_apn_py)
     _walsh_hist_fast = _jit(_walsh_hist_py)
-    _count_affine_fast = _jit(_count_affine_py)
     _scan_fast = _jit(_scan_py)
 
 
@@ -243,41 +201,6 @@ def _walsh_hist_np(pmf_perm, par, q):
             h *= 2
         hist += np.bincount((t + q).ravel(), minlength=2 * q + 1)
     return hist
-
-
-def _count_affine_np(cube, ext, log, q):
-    d1 = cube.shape[0]
-    total = 0
-    on_locus = 0
-    xs = np.arange(q, dtype=np.int64)
-    # x^j power columns for every element, once
-    powcols = np.zeros((q, d1), dtype=np.int64)
-    powcols[:, 0] = 1
-    for j in range(1, d1):
-        powcols[:, j] = ext[log[powcols[:, j - 1]] + log[xs]]
-    for x0 in range(q):
-        pw0 = powcols[x0]
-        bmat = np.zeros((d1, d1), dtype=np.int64)
-        for i in range(d1):
-            if pw0[i] or i == 0:
-                row = ext[log[cube[i]] + log[pw0[i]]]
-                bmat ^= row
-        for x1 in range(q):
-            pw1 = powcols[x1]
-            avec = np.zeros(d1, dtype=np.int64)
-            for j in range(d1):
-                avec ^= ext[log[bmat[j]] + log[pw1[j]]]
-            vals = np.zeros(q, dtype=np.int64)
-            for k in range(d1):
-                vals ^= ext[log[np.full(q, avec[k], dtype=np.int64)] +
-                            log[powcols[:, k]]]
-            zero = vals == 0
-            total += int(zero.sum())
-            if x0 == x1:
-                on_locus += int(zero.sum())
-            else:
-                on_locus += int(zero[x0]) + int(zero[x1])
-    return total, on_locus
 
 
 def _scan_np(fixed_table, mono_tables, q, nfree, start, stop, ext, log,
@@ -342,16 +265,23 @@ def walsh_hist(pmf_perm, q):
     return _walsh_hist_np(pmf_perm, par, q)
 
 
-def count_affine(cube, field):
-    """Affine zero count of a trivariate polynomial given as a dense
-    coefficient cube; returns (total, on_triple_locus)."""
-    ext, log, _ = field.tables()
-    cube = np.ascontiguousarray(cube, dtype=np.int64)
-    if BACKEND == "numba":
-        total, on_locus = _count_affine_fast(cube, ext, log, field.q)
-    else:
-        total, on_locus = _count_affine_np(cube, ext, log, field.q)
-    return int(total), int(on_locus)
+def count_affine(terms, field):
+    """Affine zero count of the quotient surface of the normalized map
+    sum of c*x^e over terms; returns (total, on_triple_locus).
+
+    Works from the derivative histogram and two univariate value tables
+    (the identities are stated in the surface module), so the cost is
+    that of one spectrum_hist call, O(q^2).
+    """
+    q = field.q
+    hist = spectrum_hist(value_table(field, terms), q)
+    cs = np.arange(q + 1, dtype=np.int64)
+    off_locus = int((hist * cs * (cs - 2)).sum())
+    deriv = value_table(field, [(e - 1, c) for e, c in terms if e % 2])
+    n = np.bincount(deriv, minlength=q)
+    diag = value_table(field, [(e - 3, c) for e, c in terms if e % 4 == 3])
+    on_locus = 3 * int((n * (n - 1)).sum()) + int((diag == 0).sum())
+    return off_locus + on_locus, on_locus
 
 
 def scan_range(fixed_table, mono_tables, field, start, stop, cap=4096):

@@ -10,6 +10,7 @@ TriPoly supported on two variables as a polynomial in a main variable with
 univariate coefficients in the other.
 """
 
+import heapq
 import itertools
 import random
 
@@ -450,6 +451,11 @@ def _grlex_key(e):
     return (e[0] + e[1] + e[2] + e[3], e)
 
 
+def _heap_key(e):
+    """Negated grlex key: the smallest heap key is the largest term."""
+    return (-(e[0] + e[1] + e[2] + e[3]), -e[0], -e[1], -e[2], -e[3])
+
+
 class TriPoly:
     """Sparse polynomial in x0, x1, x2 and a homogenizing variable z.
 
@@ -666,8 +672,13 @@ class TriPoly:
         mul = f._mul
         rem = dict(self.terms)
         quo = {}
+        # max-heap on grlex; entries whose term has cancelled are skipped
+        heap = [(_heap_key(e), e) for e in rem]
+        heapq.heapify(heap)
         while rem:
-            e = max(rem, key=_grlex_key)
+            e = heapq.heappop(heap)[1]
+            if e not in rem:
+                continue
             v = rem[e]
             t = (e[0] - de[0], e[1] - de[1], e[2] - de[2], e[3] - de[3])
             if min(t) < 0:
@@ -677,9 +688,12 @@ class TriPoly:
             quo[t] = cv
             for e2, v2 in den.terms.items():
                 ne = (t[0] + e2[0], t[1] + e2[1], t[2] + e2[2], t[3] + e2[3])
-                w = rem.get(ne, 0) ^ mul(cv, v2)
+                prev = rem.get(ne, 0)
+                w = prev ^ mul(cv, v2)
                 if w:
                     rem[ne] = w
+                    if not prev:
+                        heapq.heappush(heap, (_heap_key(ne), ne))
                 else:
                     del rem[ne]
         return TriPoly(f, quo)

@@ -5,13 +5,33 @@ the three planes x0=x1, x1=x2, x0=x2; dividing by the product of those
 linear forms leaves a surface of degree deg(f)-3 whose affine rational
 points away from that triple locus are exactly the witnesses against
 differential uniformity two.
+
+The affine points are counted without evaluating the surface (see
+kernels.count_affine).  With g the normalized map, three identities
+give the count:
+
+- Off the locus: a point with x0, x1, x2 pairwise distinct is, with
+  a = x0+x1 and b = D_a g(x0), an ordered pair (x0, x2) of solutions of
+  D_a g(x) = b with x2 not in {x0, x0+a}.  So there are
+  sum over c of hist[c]*c*(c-2) of them, where hist is the derivative
+  histogram of g (kernels.spectrum_hist).
+- On the plane x0 = x1 the surface is (g'(x)+g'(z))/(x+z)^2, with
+  g' = sum over odd e of c_e*x^(e-1); its zeros with x != z number
+  sum over v of n_v*(n_v-1), where n_v counts the x with g'(x) = v.
+- On the diagonal x0 = x1 = x2 the surface is
+  sum over e = 3 mod 4 of c_e*x^(e-3).
+
+The surface is symmetric and any two of the three planes meet exactly on
+the diagonal, so the on-locus count is three times the plane count off
+the diagonal plus the diagonal zeros.
 """
 
 import numpy as np
 
 from . import kernels
-from .errors import (BudgetExceeded, DegreeOutOfRange, DegreeTooSmall,
-                     DiagonalNotConstant, NotDivisible, QAffineInput)
+from .errors import (ApnToolError, BudgetExceeded, DegreeOutOfRange,
+                     DegreeTooSmall, DiagonalNotConstant, NotDivisible,
+                     QAffineInput)
 from .gf2m import Field
 from .mvpoly import TriPoly, UniPoly, uni_roots
 from .polyfunc import PolyFunc, is_q_affine, normalize
@@ -98,7 +118,9 @@ def build_surface(f):
     if num.is_zero:
         raise QAffineInput("four-point sum vanished after reduction")
     phi = num.exact_divide(triple_locus_product(f.field))
-    assert phi.total_degree == d - 3
+    if phi.total_degree != d - 3:
+        raise ApnToolError(f"quotient form has degree {phi.total_degree}, "
+                           f"expected {d - 3}")
     return Surface(f.field, phi, g, d)
 
 
@@ -189,7 +211,9 @@ def diagonal_infinity_singular(surface):
         k = e[3]
         coll[k] = coll.get(k, 0) ^ v
     coll = {k: v for k, v in coll.items() if v}
-    assert coll == ({d - 3: a0} if a0 else {})
+    if coll != ({d - 3: a0} if a0 else {}):
+        raise ApnToolError("closure does not collapse to a0*z^(d-3) on the "
+                           "diagonal line")
     point = (1, 1, 1, 0)
     if homog.eval_at(point) != 0:
         return False
@@ -220,16 +244,6 @@ class PointCount:
                 f"on_locus={self.affine_on_locus}, infinity={self.infinity})")
 
 
-def _dense_cube(poly):
-    d1 = max((max(e[0], e[1], e[2]) for e in poly.terms), default=0) + 1
-    cube = np.zeros((d1, d1, d1), dtype=np.int64)
-    for e, v in poly.terms.items():
-        if e[3]:
-            raise ValueError("affine form expected")
-        cube[e[0], e[1], e[2]] = v
-    return cube
-
-
 def projective_plane_zeros(curve, field):
     """Number of zeros of a homogeneous form in x0, x1, x2 over the
     projective plane of the given field; GF(2) coefficients are mapped up
@@ -250,10 +264,11 @@ def projective_plane_zeros(curve, field):
         scaled = ext[log[col] + log[np.int64(v)]]
         acc ^= ext[log[scaled[:, None]] + log[row[None, :]]]
     count = int((acc == 0).sum())
-    # line x0 = 0, x1 = 1, then the point (0:0:1)
-    for w in range(q):
-        if curve.eval_at((0, 1, w, 0)) == 0:
-            count += 1
+    # line x0 = 0, x1 = 1: the form reads sum of v*w^e2 there
+    line = kernels.value_table(
+        field, [(e[2], v) for e, v in curve.terms.items() if e[0] == 0])
+    count += int((line == 0).sum())
+    # the point (0:0:1)
     if curve.eval_at((0, 0, 1, 0)) == 0:
         count += 1
     return count
@@ -265,8 +280,7 @@ def count_points(surface):
     if field.m > COUNT_M_MAX:
         raise BudgetExceeded(
             f"point count over m={field.m} exceeds the m <= {COUNT_M_MAX} budget")
-    cube = _dense_cube(surface.poly)
-    affine, on_locus = kernels.count_affine(cube, field)
+    affine, on_locus = kernels.count_affine(surface.source.terms(), field)
     infinity = projective_plane_zeros(surface.infinity_part(), field)
     return PointCount(field.q, affine, on_locus, infinity)
 

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from apnsurf.cli import main
+from apnsurf.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -49,6 +49,19 @@ def test_bad_binding(capsys):
     code, _, err = run(capsys, "apn-test", "--m", "3", "--poly", "x^5",
                        "--bind", "A=zz")
     assert code == 2
+
+
+def test_parser_reuse_keeps_calls_apart(capsys):
+    # one parser serves every call in a process; neither --bind appends
+    # nor --format may carry over from one call to the next
+    assert build_parser() is build_parser()
+    argv = ["apn-test", "--m", "3", "--poly", "x^5+A*x^3"]
+    code, out, _ = run(capsys, "--format", "json", *argv, "--bind", "A=0")
+    assert code == 0 and json.loads(out)["apn"] is True
+    code, _, err = run(capsys, *argv)
+    assert code == 2 and "unbound" in err
+    code, out, _ = run(capsys, *argv, "--bind", "A=1")
+    assert code == 1 and out.startswith("delta = 4")
 
 
 def test_sigma_build_cube(capsys):

@@ -118,41 +118,37 @@ def test_scan_range_dispatch():
     assert n == len(got)
 
 
-def test_count_affine_backends_agree():
+def test_count_affine_closed_forms():
+    for m in (3, 4, 5):
+        field = Field(m)
+        q = field.q
+        # Gold x^3: the surface is the constant 1
+        assert kernels.count_affine([(3, 1)], field) == (0, 0)
+        # x^6 = (x^3)^2 has no odd exponent: every plane of the locus lies
+        # on the surface, and nothing off it
+        on = 3 * q * (q - 1) + q
+        assert kernels.count_affine([(6, 1)], field) == (on, on)
+    # x^5 on GF(8): uniformity two, g' = x^4 is a permutation and the
+    # diagonal restriction vanishes, so exactly the diagonal is on it
+    assert kernels.count_affine([(5, 1)], Field(3)) == (8, 8)
+
+
+def test_count_affine_off_locus_is_four_point_count():
+    # off the locus the surface is the four-point sum over the locus
+    # product, which is nonzero there
     rng = random.Random(17)
-    field = Field(3)
-    q = field.q
-    ext, log, _ = field.tables()
-    for _ in range(6):
-        d1 = rng.randrange(1, 5)
-        cube = np.zeros((d1, d1, d1), dtype=np.int64)
-        for _ in range(7):
-            cube[rng.randrange(d1), rng.randrange(d1),
-                 rng.randrange(d1)] = rng.randrange(q)
-        ref = kernels._count_affine_py(cube, ext, log, q)
-        alt = kernels._count_affine_np(cube, ext, log, q)
-        assert tuple(int(v) for v in ref) == tuple(int(v) for v in alt)
-
-
-def test_count_affine_oracle():
-    # x0*x1 + x2 : zeros are exactly the q^2 pairs (x0, x1) with x2 = x0*x1
-    field = Field(3)
-    q = field.q
-    cube = np.zeros((2, 2, 2), dtype=np.int64)
-    cube[1, 1, 0] = 1
-    cube[0, 0, 1] = 1
-    total, on_locus = kernels.count_affine(cube, field)
-    assert total == q * q
-    brute = 0
-    brute_locus = 0
-    for x0 in range(q):
-        for x1 in range(q):
-            x2 = field.mul(x0, x1)
-            brute += 1
-            if x0 == x1 or x1 == x2 or x0 == x2:
-                brute_locus += 1
-    assert total == brute
-    assert on_locus == brute_locus
+    for field in (Field(3), F16):
+        q = field.q
+        xs = np.arange(q)
+        x0, x1, x2 = xs[:, None, None], xs[None, :, None], xs[None, None, :]
+        off = (x0 != x1) & (x1 != x2) & (x0 != x2)
+        for _ in range(6):
+            f = PolyFunc(field, [(rng.randrange(3, q), rng.randrange(1, q))
+                                 for _ in range(rng.randrange(1, 4))])
+            tab = kernels.value_table(field, f.terms())
+            fps = tab[x0] ^ tab[x1] ^ tab[x2] ^ tab[x0 ^ x1 ^ x2]
+            total, on_locus = kernels.count_affine(f.terms(), field)
+            assert total - on_locus == int(((fps == 0) & off).sum())
 
 
 def test_backend_name_reported():

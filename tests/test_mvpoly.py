@@ -325,6 +325,55 @@ def test_tri_exact_divide_roundtrip():
     assert ei.value.remainder is not None
 
 
+def reference_divide(num, den):
+    """Division by repeated search for the grlex-largest remainder term:
+    (quotient, None) when exact, else (None, remainder at the failure)."""
+    def grlex(e):
+        return (sum(e), e)
+    f = num.field
+    de = max(den.terms, key=grlex)
+    dinv = f.inv(den.terms[de])
+    rem = dict(num.terms)
+    quo = {}
+    while rem:
+        e = max(rem, key=grlex)
+        t = tuple(a - b for a, b in zip(e, de))
+        if min(t) < 0:
+            return None, TriPoly(f, rem)
+        cv = f.mul(rem[e], dinv)
+        quo[t] = cv
+        for e2, v2 in den.terms.items():
+            ne = tuple(a + b for a, b in zip(t, e2))
+            w = rem.get(ne, 0) ^ f.mul(cv, v2)
+            if w:
+                rem[ne] = w
+            else:
+                del rem[ne]
+    return TriPoly(f, quo), None
+
+
+def test_tri_exact_divide_matches_reference():
+    rng = random.Random(31)
+    failed = 0
+    for _ in range(40):
+        a = rand_tri(F16, 4, rng, nvars=3)
+        b = rand_tri(F16, 3, rng, nvars=3)
+        if a.is_zero or b.is_zero:
+            continue
+        assert (a * b).exact_divide(b) == a
+        # a non-multiple fails with the remainder the reference reaches
+        num = a * b + rand_tri(F16, 3, rng, nvars=3)
+        quo, rem = reference_divide(num, b)
+        if quo is not None:
+            assert num.exact_divide(b) == quo
+            continue
+        with pytest.raises(NotDivisible) as ei:
+            num.exact_divide(b)
+        assert ei.value.remainder == rem
+        failed += 1
+    assert failed > 10
+
+
 def test_tri_partial_product_rule():
     rng = random.Random(37)
     for _ in range(20):

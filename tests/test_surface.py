@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from oracles import brute_count
 
 from apnsurf.differential import is_apn
 from apnsurf.errors import (BudgetExceeded, DegreeOutOfRange, DegreeTooSmall,
@@ -171,6 +172,50 @@ def test_count_points_brute_force():
     inf += h.eval_at((0, 0, 1, 0)) == 0
     assert pc.infinity == inf
     assert pc.projective == affine + inf
+
+
+def random_map_terms(field, rng, shape):
+    """Terms of a map whose normalization has exponents below min(q, 16), drawn
+    by shape: "cubic" (degree 3), "no3mod4" (no exponent = 3 mod 4) or
+    "any".  Each exponent may be written shifted up by a multiple of
+    q - 1, which folds back to it, and an affine part is added that
+    normalization strips."""
+    q = field.q
+    lows = [e for e in range(3, min(q, 16)) if e & (e - 1)]
+    if shape == "cubic":
+        exps = [3]
+    else:
+        if shape == "no3mod4":
+            lows = [e for e in lows if e % 4 != 3]
+        exps = rng.sample(lows, rng.randrange(1, min(4, len(lows)) + 1))
+    terms = [(e + (q - 1) * rng.randrange(3), rng.randrange(1, q))
+             for e in exps]
+    terms += [(rng.choice((0, 1, 2, 4)), rng.randrange(q))
+              for _ in range(rng.randrange(3))]
+    return terms
+
+
+def test_count_points_matches_brute_force_oracle():
+    rng = random.Random(59)
+    seen = {"apn": 0, "not": 0, "folded": 0}
+    for m in (2, 3, 4, 5):
+        field = Field(m)
+        shapes = ("cubic", "any") if m == 2 else ("cubic", "no3mod4", "any")
+        for shape in shapes:
+            for _ in range(10):
+                terms = random_map_terms(field, rng, shape)
+                s = build_surface(PolyFunc(field, terms))
+                exps = [e for e, _ in s.source.terms()]
+                if shape == "cubic":
+                    assert exps == [3]
+                if shape == "no3mod4":
+                    assert all(e % 4 != 3 for e in exps)
+                pc = count_points(s)
+                assert (pc.affine, pc.affine_on_locus) == brute_count(s), \
+                    (m, terms)
+                seen["apn" if pc.affine_off_locus == 0 else "not"] += 1
+                seen["folded"] += max(e for e, _ in terms) >= field.q
+    assert min(seen.values()) > 0, seen
 
 
 def test_count_points_constant_surface():
