@@ -31,9 +31,9 @@ def main(argv=None):
             if degree == 6:
                 rep = classify_degree6(m, workers=args.workers)
             elif degree == 7:
-                rep = classify_degree7(m)
+                rep = classify_degree7(m, workers=args.workers)
             else:
-                rep = classify_degree9(m)
+                rep = classify_degree9(m, workers=args.workers)
             elapsed = time.perf_counter() - t0
             path = os.path.join(args.out_dir,
                                 "classify_d%d_m%d.json" % (degree, m))

@@ -28,7 +28,7 @@ def main(argv=None):
             print("  discrepancy: d=%d published %d, computed %d"
                   % (row.d, row.published, row.exact))
     if not clean:
-        print("see the decisions ledger for the discrepancy record")
+        print("see docs/decisions.md for the discrepancy record")
     return 0
 
 

@@ -21,7 +21,7 @@ P + S*sqrt(q) is decided by squaring with sign analysis.
 import math
 from fractions import Fraction
 
-from .errors import InvalidParameters
+from .errors import ApnToolError, InvalidParameters
 
 IRREDUCIBLE = "irreducible"
 ISOLATED = "isolated"
@@ -184,7 +184,9 @@ def mmax(d, kind=IRREDUCIBLE, form="exact", cap=M_CAP):
     if best == cap:
         return None
     for m in range(best + 1, cap + 1):
-        assert excl(d, m, form), (d, m, kind, form)
+        if not excl(d, m, form):
+            raise ApnToolError("d=%d, m=%d not excluded above m_max %d "
+                               "(%s, %s)" % (d, m, best, kind, form))
     return best
 
 
@@ -267,7 +269,9 @@ def mmax_table(kind=IRREDUCIBLE):
                             mmax(d, kind, "sufficient"),
                             mmax(d, kind, "quarter")))
     for a, b in zip(rows, rows[1:]):
-        assert a.published <= b.published and a.m_max <= b.m_max
+        if a.published > b.published or a.m_max > b.m_max:
+            raise ApnToolError("m_max decreases from d=%d to d=%d"
+                               % (a.d, b.d))
     return MmaxTable(kind, rows)
 
 

@@ -9,10 +9,10 @@ found, unknown means the criterion simply does not decide the case.
 import math
 
 from .errors import DegreeCapExceeded, InvalidParameters, NoGoodEvaluationPoint
-from .gf2m import Field
-from .mvpoly import (Embedding, TriPoly, UniPoly, bi_factor, bi_gcd,
-                     bi_resultant, bi_squarefree, uni_factor, uni_gcd_many,
-                     uni_roots)
+from .gf2m import Field, _is_pow2, _prime_factors
+from .mvpoly import (FACTOR_DEGREE_CAP, Embedding, TriPoly, bi_factor, bi_gcd,
+                     bi_resultant, bi_squarefree, bi_to_tri, tri_to_bi,
+                     uni_factor, uni_gcd_many, uni_roots)
 from .surface import infinity_curve
 
 ESTABLISHED = "established"
@@ -20,7 +20,6 @@ REFUTED = "refuted"
 UNKNOWN = "unknown"
 
 EXT_M_CAP = 32
-FACTOR_CAP = 32
 
 
 class CriterionVerdict:
@@ -50,10 +49,6 @@ class CriterionVerdict:
         return f"CriterionVerdict({'; '.join(bits)})"
 
 
-def _is_pow2(n):
-    return n >= 1 and (n & (n - 1)) == 0
-
-
 def _is_prime(n):
     if n < 2:
         return False
@@ -67,20 +62,6 @@ def _is_prime(n):
             return False
         i += 2
     return True
-
-def _prime_divisors(n):
-    out = []
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            out.append(p)
-            while n % p == 0:
-                n //= p
-        p += 1
-    if n > 1:
-        out.append(n)
-    return out
-
 
 def _order_mod(a, n):
     """Multiplicative order of a modulo n (gcd(a, n) = 1)."""
@@ -131,50 +112,33 @@ def congruence_smooth(d):
 
 # ---------------------------------------------------- direct factorization
 
-def _tri_single_var_to_uni(p, var):
-    f = p.field
-    deg = p.degree_in(var)
-    c = [0] * (deg + 1)
-    for e, v in p.terms.items():
-        if sum(e) != e[var]:
-            raise InvalidParameters("polynomial is not univariate")
-        c[e[var]] = v
-    return UniPoly(f, c)
-
-
-def _uni_to_tri(p, var):
-    t = {}
-    for i, v in enumerate(p.c):
-        if v:
-            e = [0, 0, 0, 0]
-            e[var] = i
-            t[tuple(e)] = v
-    return TriPoly(p.field, t)
+def _univariate(p, var):
+    """A TriPoly in the single variable var (0 or 1) as a UniPoly."""
+    return tri_to_bi(p, 1 - var, var)[0]
 
 
 def _chart_factors(chart, seed=0):
-    """Irreducible factors of a squarefree two-variable chart over its own
-    coefficient field, as a flat list."""
-    if chart.degree_in(1) == 0:
-        p = _tri_single_var_to_uni(chart, 0)
-        _, facs = uni_factor(p, seed=seed)
-        return [_uni_to_tri(fp, 0) for fp, _ in facs]
-    if chart.degree_in(0) == 0:
-        p = _tri_single_var_to_uni(chart, 1)
-        _, facs = uni_factor(p, seed=seed)
-        return [_uni_to_tri(fp, 1) for fp, _ in facs]
-    try:
-        _, facs = bi_factor(chart, 0, 1, seed=seed)
-    except NoGoodEvaluationPoint:
-        # too few evaluation points in the base field: factor over a
-        # quadratic extension instead; splitting there still refutes
-        # irreducibility over the algebraic closure
-        fld = chart.field
-        if fld.m * 2 > EXT_M_CAP:
-            raise
-        emb = Embedding(fld, Field(fld.m * 2))
-        _, facs = bi_factor(emb.map_tri(chart), 0, 1, seed=seed)
-    return facs
+    """Irreducible factors of a squarefree two-variable chart, as a flat
+    list over the coefficient field, or over the smallest extension
+    GF(2^(m*k)) with enough evaluation points when the field has too few;
+    splitting there still refutes irreducibility over the algebraic
+    closure."""
+    for var in (0, 1):
+        if chart.degree_in(1 - var) == 0:
+            _, facs = uni_factor(_univariate(chart, var), seed=seed)
+            return [bi_to_tri([fp], 1 - var, var, chart.field)
+                    for fp, _ in facs]
+    base = chart.field
+    work = chart
+    k = 1
+    while True:
+        try:
+            return bi_factor(work, 0, 1, seed=seed)[1]
+        except NoGoodEvaluationPoint:
+            k += 1
+            if base.m * k > EXT_M_CAP:
+                raise
+            work = Embedding(base, Field(base.m * k)).map_tri(chart)
 
 
 def absolutely_irreducible(curve, seed=0):
@@ -189,8 +153,8 @@ def absolutely_irreducible(curve, seed=0):
     deg = curve.total_degree
     if deg == 0:
         return CriterionVerdict(REFUTED, name, note="constant form, empty curve")
-    if deg > FACTOR_CAP:
-        raise DegreeCapExceeded(f"degree {deg} above cap {FACTOR_CAP}")
+    if deg > FACTOR_DEGREE_CAP:
+        raise DegreeCapExceeded(f"degree {deg} above cap {FACTOR_DEGREE_CAP}")
     # powers of x2 split off by the chart substitution
     k2 = min(e[2] for e in curve.terms)
     chart = curve.substitute_const(2, 1)
@@ -216,7 +180,7 @@ def absolutely_irreducible(curve, seed=0):
             REFUTED, name,
             note=f"splits over GF(2^{facs[0].field.m})", witness=w)
     base = curve.field
-    for t in _prime_divisors(deg):
+    for t in _prime_factors(deg):
         if base.m * t > EXT_M_CAP:
             return CriterionVerdict(
                 UNKNOWN, name,
@@ -302,8 +266,8 @@ def curve_singular_points(curve, seed=0):
     if any(e[3] for e in curve.terms) or not curve.is_homogeneous():
         raise InvalidParameters("need a homogeneous form in x0, x1, x2")
     deg = curve.total_degree
-    if deg > FACTOR_CAP:
-        raise DegreeCapExceeded(f"degree {deg} above cap {FACTOR_CAP}")
+    if deg > FACTOR_DEGREE_CAP:
+        raise DegreeCapExceeded(f"degree {deg} above cap {FACTOR_DEGREE_CAP}")
     base = curve.field
     found = {}
 
@@ -319,7 +283,7 @@ def curve_singular_points(curve, seed=0):
         raise InvalidParameters("every chart point is singular; curve not reduced")
     if c.degree_in(1) == 0 or c.degree_in(0) == 0:
         var = 0 if c.degree_in(1) == 0 else 1
-        p = _tri_single_var_to_uni(c, var)
+        p = _univariate(c, var)
         dp = p.derivative()
         g = uni_gcd_many([q for q in (p, dp) if not q.is_zero])
         if g.degree > 0:
@@ -340,11 +304,8 @@ def curve_singular_points(curve, seed=0):
                 cve = emb.map_tri(cv) if emb else cv
                 gpe = emb.map_uni(gp) if emb else gp
                 for u0 in uni_roots(gpe):
-                    specs = []
-                    for poly in (ce, cue, cve):
-                        s = poly.substitute_const(0, u0)
-                        specs.append(_tri_single_var_to_uni(s, 1)
-                                     if not s.is_zero else UniPoly.zero(ext))
+                    specs = [_univariate(poly.substitute_const(0, u0), 1)
+                             for poly in (ce, cue, cve)]
                     gv = _v_candidates(specs)
                     if gv is None:
                         raise InvalidParameters(
@@ -365,7 +326,7 @@ def curve_singular_points(curve, seed=0):
     partials = [curve.partial(i) for i in range(3)]
     w = curve.substitute_const(1, 1).substitute_const(2, 0)
     if not w.is_zero and w.total_degree > 0:
-        wp = _tri_single_var_to_uni(w, 0)
+        wp = _univariate(w, 0)
         _, wfacs = uni_factor(wp, seed=seed)
         for fp, _mult in wfacs:
             if fp.degree == 0:

@@ -54,6 +54,10 @@ def _pmulmod(a, b, mod):
     return r
 
 
+def _is_pow2(n):
+    return n >= 1 and (n & (n - 1)) == 0
+
+
 def _prime_factors(n):
     out = []
     p = 2
@@ -241,10 +245,6 @@ class Field:
         """The unique square root (squaring is a bijection here)."""
         a = self.check(a)
         return self.pow_(a, 1 << (self.m - 1)) if self.m > 1 else a
-
-    def frobenius(self, a):
-        a = self.check(a)
-        return self._mul(a, a)
 
     def trace(self, a):
         """Absolute trace down to GF(2), returned as 0 or 1."""

@@ -14,6 +14,8 @@ import os
 
 import numpy as np
 
+from .gf2m import _parity_table
+
 _choice = os.environ.get("APNSURF_BACKEND", "auto").lower()
 if _choice not in ("auto", "numba", "numpy"):
     raise RuntimeError(f"APNSURF_BACKEND must be auto, numba or numpy, not {_choice!r}")
@@ -28,15 +30,6 @@ if _choice in ("auto", "numba"):
         _numba = None
 
 BACKEND = "numba" if _numba is not None else "numpy"
-
-
-def _parity_table(q):
-    xs = np.arange(q, dtype=np.int64)
-    p = np.zeros(q, dtype=np.uint8)
-    while xs.max(initial=0) > 0:
-        p ^= (xs & 1).astype(np.uint8)
-        xs >>= 1
-    return p
 
 
 def power_table(field, e):

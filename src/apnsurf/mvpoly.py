@@ -698,9 +698,6 @@ class TriPoly:
                     del rem[ne]
         return TriPoly(f, quo)
 
-    def map_coeffs(self, fn, new_field):
-        return TriPoly(new_field, {e: fn(v) for e, v in self.terms.items()})
-
     def support_vars(self):
         used = [False] * 4
         for e in self.terms:
@@ -788,19 +785,6 @@ def _bl_scale(rows, u):
 
 def _bl_shift(rows, k, field):
     return [UniPoly.zero(field)] * k + rows
-
-
-def _bl_mul(a, b, field):
-    if not a or not b:
-        return []
-    out = [UniPoly.zero(field) for _ in range(len(a) + len(b) - 1)]
-    for i, pa in enumerate(a):
-        if pa.is_zero:
-            continue
-        for j, pb in enumerate(b):
-            if not pb.is_zero:
-                out[i + j] = out[i + j] + pa * pb
-    return _bl_strip(out)
 
 
 def _bl_content(rows):
@@ -1167,7 +1151,7 @@ def bi_factor(p, main=0, aux=1, seed=0):
     graded-lex-normalized TriPolys whose product scaled by the unit
     reconstructs p.  Raises NoGoodEvaluationPoint when no specialization
     of the aux variable inside the base field is usable; callers may retry
-    after embedding the polynomial into a quadratic extension.
+    after embedding the polynomial into an extension field.
     """
     f = p.field
     if p.is_zero:
@@ -1302,12 +1286,3 @@ def _try_combo(cur, lifted, combo, f, n):
     if quo is None:
         return None
     return cand, _bl_strip(quo)
-
-
-def bi_is_absolutely_irreducible_step(p, main=0, aux=1, seed=0):
-    """One field-level irreducibility check: (irreducible?, witness factor)."""
-    unit, facs = bi_factor(p, main, aux, seed=seed)
-    if len(facs) == 1:
-        return True, None
-    nontrivial = [t for t in facs if t.total_degree > 0]
-    return False, (nontrivial[0] if nontrivial else None)

@@ -7,10 +7,11 @@ that never affect differential behaviour: the constant term and every
 linearized monomial (exponent a power of two).
 """
 
-import numpy as np
+import math
 
+from . import kernels
 from .errors import BecameZero, InvalidParameters, ParseError, ZeroScalar
-from .gf2m import Field, common_field
+from .gf2m import _is_pow2, common_field
 from .mvpoly import UniPoly
 
 
@@ -38,10 +39,6 @@ class PolyFunc:
         self.poly = UniPoly.from_terms(field, folded.items())
 
     @classmethod
-    def from_poly(cls, field, poly):
-        return cls(field, [(i, v) for i, v in enumerate(poly.c) if v])
-
-    @classmethod
     def monomial(cls, field, e, c=1):
         return cls(field, [(e, c)])
 
@@ -59,17 +56,9 @@ class PolyFunc:
     def evaluate(self, x):
         return self.poly.eval_at(x)
 
-    def coeff_array(self):
-        """Dense ascending coefficient vector as int64."""
-        return np.array(self.poly.c, dtype=np.int64)
-
     def value_table(self):
         """f(x) for every x, as an int64 array indexed by x."""
-        f = self.field
-        out = np.zeros(f.q, dtype=np.int64)
-        for x in f.elements():
-            out[x] = self.poly.eval_at(x)
-        return out
+        return kernels.value_table(self.field, self.terms())
 
     def frobenius_twist(self):
         """The map x -> f(x)^2 expressed again as a PolyFunc."""
@@ -99,7 +88,7 @@ class PolyFunc:
 def is_q_affine(f):
     """True when every term is constant or has a power-of-two exponent,
     i.e. the map is additive up to a constant."""
-    return all(e == 0 or (e & (e - 1)) == 0 for e, _ in f.terms())
+    return all(e == 0 or _is_pow2(e) for e, _ in f.terms())
 
 
 def normalize(f):
@@ -108,7 +97,7 @@ def normalize(f):
     Raises BecameZero when nothing remains; the result is what the surface
     construction and the scans operate on.
     """
-    keep = [(e, c) for e, c in f.terms() if e != 0 and (e & (e - 1)) != 0]
+    keep = [(e, c) for e, c in f.terms() if e != 0 and not _is_pow2(e)]
     if not keep:
         raise BecameZero("no terms left after stripping the additive part")
     return PolyFunc(f.field, keep)
@@ -116,7 +105,7 @@ def normalize(f):
 
 def is_normalized(f):
     return (not f.is_zero
-            and all(e != 0 and (e & (e - 1)) != 0 for e, _ in f.terms()))
+            and all(e != 0 and not _is_pow2(e) for e, _ in f.terms()))
 
 
 def affine_transform(f, a, b, c):
@@ -171,11 +160,11 @@ def known_apn_exponent(family, m, h=None):
     if m < 2:
         raise InvalidParameters("need m >= 2")
     if family == "gold":
-        if h is None or not 1 <= h < m or _gcd(h, m) != 1:
+        if h is None or not 1 <= h < m or math.gcd(h, m) != 1:
             raise InvalidParameters(f"gold needs h coprime to m in 1..m-1, got {h!r}")
         return (1 << h) + 1
     if family == "kasami":
-        if h is None or not 1 <= h < m or _gcd(h, m) != 1:
+        if h is None or not 1 <= h < m or math.gcd(h, m) != 1:
             raise InvalidParameters(f"kasami needs h coprime to m in 1..m-1, got {h!r}")
         return (1 << (2 * h)) - (1 << h) + 1
     if h is not None:
@@ -206,10 +195,10 @@ def catalogue(m):
     """Every valid (family, h, exponent) triple at extension degree m."""
     out = []
     for h in range(1, m):
-        if _gcd(h, m) == 1:
+        if math.gcd(h, m) == 1:
             out.append(("gold", h, known_apn_exponent("gold", m, h)))
     for h in range(1, m):
-        if _gcd(h, m) == 1:
+        if math.gcd(h, m) == 1:
             out.append(("kasami", h, known_apn_exponent("kasami", m, h)))
     for family in ("welch", "niho", "inverse", "dobbertin"):
         try:
@@ -217,12 +206,6 @@ def catalogue(m):
         except InvalidParameters:
             pass
     return out
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 # ------------------------------------------------------------------- parsing

@@ -14,8 +14,10 @@ changes differential behaviour, so scanning over its coefficient would
 multiply the work by q for nothing.
 """
 
+import contextlib
 import hashlib
 import json
+import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 
@@ -23,17 +25,14 @@ import numpy as np
 
 from .differential import (differential_spectrum, fingerprint_digest,
                            walsh_fingerprint)
-from .errors import (BudgetExceeded, CorruptCheckpoint, InvalidParameters)
-from .gf2m import Field
+from .errors import (ApnToolError, BudgetExceeded, CorruptCheckpoint,
+                     InvalidParameters)
+from .gf2m import Field, _is_pow2
 from .kernels import power_table, scan_range, value_table
 from .polyfunc import PolyFunc, affine_transform, is_q_affine, normalize
 
 DEFAULT_BUDGET = 1 << 30
 SHARD = 4096
-
-
-def _is_pow2(n):
-    return n >= 1 and (n & (n - 1)) == 0
 
 
 class SearchJob:
@@ -169,7 +168,9 @@ def _verify_hit(job, index):
     if f.is_zero or is_q_affine(f):
         return None
     spec = differential_spectrum(f)
-    assert spec.delta == 2, (index, spec.delta)
+    if spec.delta != 2:
+        raise ApnToolError("scan survivor %d has differential uniformity %d"
+                           % (index, spec.delta))
     digest = fingerprint_digest(walsh_fingerprint(f))
     return Hit(index, job.coeff_vector(index), spec.delta, digest)
 
@@ -209,7 +210,9 @@ def scan(job, start=0, stop=None, workers=1):
             lo, hi = bounds
             hits, nh = scan_range(fixed_table, mono_tables, field,
                                   lo, hi, cap=hi - lo)
-            assert nh <= hi - lo
+            if nh > hi - lo:
+                raise ApnToolError("shard [%d, %d) reported %d survivors"
+                                   % (lo, hi, nh))
             return hits
         if workers == 1 or len(shards) == 1:
             parts = [run(b) for b in shards]
@@ -236,9 +239,23 @@ def scan(job, start=0, stop=None, workers=1):
 # ------------------------------------------------------------- checkpoints
 
 def checkpoint_save(path, job, cursor):
-    """Write the family hash and cursor as one line of plain text."""
-    with open(path, "w") as fh:
-        fh.write("%s %d\n" % (job.family_hash(), cursor))
+    """Write the family hash and cursor as one line of plain text.
+
+    The line goes to a temporary file next to path, is synced to disk and
+    then renamed over path, so a failed or killed write leaves the
+    previous checkpoint intact.
+    """
+    tmp = "%s.tmp" % os.fspath(path)
+    try:
+        with open(tmp, "w") as fh:
+            fh.write("%s %d\n" % (job.family_hash(), cursor))
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
 
 
 def checkpoint_resume(path, job):

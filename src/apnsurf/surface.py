@@ -26,6 +26,8 @@ the diagonal, so the on-locus count is three times the plane count off
 the diagonal plus the diagonal zeros.
 """
 
+import functools
+
 import numpy as np
 
 from . import kernels
@@ -33,11 +35,10 @@ from .errors import (ApnToolError, BudgetExceeded, DegreeOutOfRange,
                      DegreeTooSmall, DiagonalNotConstant, NotDivisible,
                      QAffineInput)
 from .gf2m import Field
-from .mvpoly import TriPoly, UniPoly, uni_roots
-from .polyfunc import PolyFunc, is_q_affine, normalize
+from .mvpoly import NEG_INF, TriPoly, UniPoly, uni_roots
+from .polyfunc import is_q_affine, normalize
 
 COUNT_M_MAX = 10
-NEG_DEG = float("-inf")
 
 
 def _sum_of_vars(field, slots):
@@ -63,12 +64,6 @@ def _compose(f, slots):
 
 def _linear_form(field, i, j):
     return TriPoly.var(field, i) + TriPoly.var(field, j)
-
-
-def four_point_sum(f):
-    """f(x0)+f(x1)+f(x2)+f(x0+x1+x2)."""
-    return (_compose(f, (0,)) + _compose(f, (1,))
-            + _compose(f, (2,)) + _compose(f, (0, 1, 2)))
 
 
 def triple_locus_product(field):
@@ -97,9 +92,6 @@ class Surface:
         projective closure."""
         return self.poly.homogeneous_component(self.degree)
 
-    def homogenized(self):
-        return self.poly.homogenize(self.degree)
-
     def __repr__(self):
         return (f"Surface(m={self.field.m}, source_degree={self.source_degree}, "
                 f"terms={len(self.poly.terms)})")
@@ -114,14 +106,27 @@ def build_surface(f):
     d = g.degree
     if d < 3:
         raise DegreeOutOfRange(f"normalized degree {d} below 3")
-    num = four_point_sum(g)
-    if num.is_zero:
-        raise QAffineInput("four-point sum vanished after reduction")
-    phi = num.exact_divide(triple_locus_product(f.field))
+    # the quotient is linear in the map, and the quotient of x^e is
+    # homogeneous of degree e - 3, so the terms of distinct e never meet
+    phi = TriPoly(f.field, {x: c for e, c in g.terms()
+                            for x in _monomial_quotient(e)})
     if phi.total_degree != d - 3:
         raise ApnToolError(f"quotient form has degree {phi.total_degree}, "
                            f"expected {d - 3}")
     return Surface(f.field, phi, g, d)
+
+
+@functools.cache
+def _monomial_quotient(d):
+    """Exponents of the quotient of x^d's four-point sum by the triple
+    locus product.  Over GF(2) every coefficient is 1, and the same
+    polynomial serves every field; cached, so it is returned immutable."""
+    fld = Field(1)
+    num = (TriPoly.var(fld, 0).pow_(d) + TriPoly.var(fld, 1).pow_(d)
+           + TriPoly.var(fld, 2).pow_(d) + _sum_of_vars(fld, (0, 1, 2)).pow_(d))
+    if num.is_zero:
+        raise QAffineInput(f"x^{d} is linearized; no curve at infinity")
+    return tuple(num.exact_divide(triple_locus_product(fld)).terms)
 
 
 def infinity_curve(d):
@@ -129,12 +134,7 @@ def infinity_curve(d):
     source degree, so it is returned with coefficients in GF(2)."""
     if d < 3:
         raise DegreeOutOfRange(f"degree {d} below 3")
-    fld = Field(1)
-    num = (TriPoly.var(fld, 0).pow_(d) + TriPoly.var(fld, 1).pow_(d)
-           + TriPoly.var(fld, 2).pow_(d) + _sum_of_vars(fld, (0, 1, 2)).pow_(d))
-    if num.is_zero:
-        raise QAffineInput(f"x^{d} is linearized; no curve at infinity")
-    return num.exact_divide(triple_locus_product(fld))
+    return TriPoly(Field(1), dict.fromkeys(_monomial_quotient(d), 1))
 
 
 def section_at(surface, a):
@@ -198,7 +198,7 @@ def diagonal_infinity_singular(surface):
     if d < 5:
         raise DegreeTooSmall(f"closure has degree {d - 3}; need source degree >= 5")
     diag = _diagonal(surface.poly)
-    if diag.degree not in (NEG_DEG, 0):
+    if diag.degree not in (NEG_INF, 0):
         pts = [(r, r, r) for r in uni_roots(diag)]
         raise DiagonalNotConstant(
             f"diagonal restriction has degree {diag.degree}", points=pts)

@@ -3,11 +3,12 @@
 import mpmath
 import pytest
 
+import apnsurf.bounds as bounds
 from apnsurf.bounds import (IRREDUCIBLE, ISOLATED, BoundReport, bound_report,
                             curve_exclusion, excludes_irreducible,
                             excludes_isolated, hasse_weil_min, mmax,
                             mmax_table, serre_bound)
-from apnsurf.errors import InvalidParameters
+from apnsurf.errors import ApnToolError, InvalidParameters
 
 # frozen (d, published, exact, sufficient, quarter) per regime; None
 # marks a form that excludes nothing in range
@@ -39,6 +40,26 @@ def test_mmax_frozen_isolated():
         assert mmax(d, ISOLATED, "exact") == exact
         assert mmax(d, ISOLATED, "sufficient") == suff
         assert mmax(d, ISOLATED, "quarter") == quarter
+
+
+def test_mmax_recheck_raises(monkeypatch):
+    # an excluder whose answer changes when the range above m_max is rechecked
+    seen = set()
+
+    def flaky(d, m, form):
+        if m in seen:
+            return False
+        seen.add(m)
+        return m > 10
+    monkeypatch.setitem(bounds._EXCLUDERS, IRREDUCIBLE, flaky)
+    with pytest.raises(ApnToolError, match="above m_max 10"):
+        mmax(7, IRREDUCIBLE)
+
+
+def test_table_decreasing_mmax_raises(monkeypatch):
+    monkeypatch.setattr(bounds, "mmax", lambda d, kind, form: 100 - d)
+    with pytest.raises(ApnToolError, match="decreases"):
+        mmax_table(IRREDUCIBLE)
 
 
 def test_table_irreducible_single_discrepancy():

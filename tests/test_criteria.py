@@ -64,6 +64,15 @@ def test_absolutely_irreducible_refutations():
     # degenerate constant
     v3 = absolutely_irreducible(infinity_curve(3))
     assert v3.refuted and "constant" in v3.note
+    # GF(2) and GF(4) have too few evaluation points for the d = 13 chart;
+    # it stays irreducible over GF(8) and splits into quintics over GF(16)
+    v13 = absolutely_irreducible(infinity_curve(13))
+    assert v13.refuted and "GF(2^4)" in v13.note
+    w = v13.witness.dehomogenize()
+    assert w.field.m == 4 and w.total_degree == 5
+    chart = infinity_curve(13).substitute_const(2, 1)
+    quotient = TriPoly(w.field, dict(chart.terms)).exact_divide(w)
+    assert quotient.total_degree == 5
 
 
 def test_absolutely_irreducible_univariate_chart():
@@ -82,13 +91,13 @@ def test_absolutely_irreducible_strange_conic():
 
 def test_chart_factor_counts_and_reconstruction():
     from apnsurf.criteria import _chart_factors
-    expected = {5: 1, 6: 3, 7: 1, 9: 2, 11: 1}
+    expected = {5: 1, 6: 3, 7: 1, 9: 2, 11: 1, 13: 1}
     for d, n in expected.items():
         chart = infinity_curve(d).substitute_const(2, 1)
         facs = _chart_factors(chart)
         assert len(facs) == n, d
-        # factors may come back over a quadratic extension when the base
-        # field runs out of good evaluation points
+        # factors may come back over an extension when the base field
+        # runs out of good evaluation points (d = 13: over GF(8))
         fld = facs[0].field
         target = chart if fld.m == 1 else TriPoly(fld, dict(chart.terms))
         prod = TriPoly.const(fld, 1)

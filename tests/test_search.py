@@ -7,7 +7,7 @@ import pytest
 import apnsurf.search as search
 from apnsurf.differential import (differential_spectrum, fingerprint_digest,
                                   is_apn, walsh_fingerprint)
-from apnsurf.errors import (BudgetExceeded, CorruptCheckpoint,
+from apnsurf.errors import (ApnToolError, BudgetExceeded, CorruptCheckpoint,
                             InvalidParameters)
 from apnsurf.gf2m import Field
 from apnsurf.polyfunc import PolyFunc
@@ -95,6 +95,20 @@ def test_checkpoint_roundtrip(tmp_path):
     assert checkpoint_resume(path, job) == 100
 
 
+def test_checkpoint_failed_write_keeps_previous(tmp_path, monkeypatch):
+    job = SearchJob(F16, [(6, 1)], (3, 5))
+    path = tmp_path / "ck"
+    checkpoint_save(path, job, 100)
+
+    def fail(fd):
+        raise OSError("disk full")
+    monkeypatch.setattr(search.os, "fsync", fail)
+    with pytest.raises(OSError):
+        checkpoint_save(path, job, 200)
+    assert checkpoint_resume(path, job) == 100
+    assert [p.name for p in tmp_path.iterdir()] == ["ck"]
+
+
 def test_checkpoint_rejects_garbage(tmp_path):
     job = SearchJob(F16, [(6, 1)], (3, 5))
     path = tmp_path / "ck"
@@ -113,6 +127,22 @@ def test_checkpoint_rejects_garbage(tmp_path):
         checkpoint_resume(path, job)
     with pytest.raises(CorruptCheckpoint):
         checkpoint_resume(tmp_path / "missing", job)
+
+
+def test_non_apn_survivor_raises(monkeypatch):
+    class Spectrum:
+        delta = 4
+    monkeypatch.setattr(search, "differential_spectrum", lambda f: Spectrum)
+    with pytest.raises(ApnToolError, match="uniformity 4"):
+        scan(SearchJob(F16, [(6, 1)], (3, 5)))
+
+
+def test_shard_survivor_overflow_raises(monkeypatch):
+    monkeypatch.setattr(search, "scan_range",
+                        lambda fixed, monos, field, lo, hi, cap:
+                        ([], hi - lo + 1))
+    with pytest.raises(ApnToolError, match="survivors"):
+        scan(SearchJob(F16, [(6, 1)], (3, 5)))
 
 
 def test_budget_exceeded_carries_partial_and_resumes():

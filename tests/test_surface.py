@@ -3,17 +3,17 @@
 import random
 
 import pytest
-from oracles import brute_count
+from oracles import brute_count, four_point_sum
 
 from apnsurf.differential import is_apn
 from apnsurf.errors import (BudgetExceeded, DegreeOutOfRange, DegreeTooSmall,
                             DiagonalNotConstant, QAffineInput)
 from apnsurf.gf2m import Field
 from apnsurf.mvpoly import TriPoly
-from apnsurf.polyfunc import PolyFunc, normalize
+from apnsurf.polyfunc import PolyFunc, is_q_affine, normalize
 from apnsurf.surface import (apn_via_surface, build_surface,
                              count_points, derivative_divisibility,
-                             diagonal_infinity_singular, four_point_sum,
+                             diagonal_infinity_singular,
                              infinity_curve, pencil_curve,
                              projective_plane_zeros, section_at,
                              triple_locus_product)
@@ -33,13 +33,34 @@ def rand_map(field, rng, dmin=3):
 
 
 def test_reconstruction_identity():
+    # exponents up to 3q fold back below q before the quotient is taken
     rng = random.Random(41)
-    for field in (F8, F16):
-        for _ in range(8):
-            f = rand_map(field, rng)
+    for m in range(1, 7):
+        field = Field(m)
+        for _ in range(10):
+            f = PolyFunc(field, [(rng.randrange(3, 3 * field.q + 1),
+                                  rng.randrange(1, field.q))
+                                 for _ in range(rng.randrange(1, 5))])
+            if f.is_zero or is_q_affine(f):
+                with pytest.raises(QAffineInput):
+                    build_surface(f)
+                continue
             s = build_surface(f)
+            assert s.source == normalize(f)
             assert s.poly * triple_locus_product(field) == four_point_sum(s.source)
             assert s.poly.total_degree == s.source.degree - 3
+
+
+def test_returned_polys_do_not_share_cached_terms():
+    f = PolyFunc(F16, [(9, 1), (6, 3), (5, 7)])
+    curve = dict(infinity_curve(9).terms)
+    poly = dict(build_surface(f).poly.terms)
+    infinity_curve(9).terms.clear()
+    build_surface(PolyFunc(F16, [(9, 1)])).poly.terms.clear()
+    build_surface(f).poly.terms[(0, 0, 0, 0)] = 5
+    assert infinity_curve(9).terms == curve
+    assert build_surface(f).poly.terms == poly
+    assert build_surface(PolyFunc(F16, [(9, 1)])).poly.terms == curve
 
 
 def test_cube_map_gives_constant_one():
