@@ -1,4 +1,30 @@
-"""Differential spectra, the uniformity-two test, and Walsh fingerprints."""
+"""Differential spectra, the uniformity-two test, and Walsh fingerprints.
+
+The kernels walk one row per coset of the map's scaling group and count
+it once per coset element.  For f = sum of c_e*x^e, let
+
+    G = {lambda != 0 : lambda^e is the same for every e in the support},
+
+of order g = gcd(q - 1, e - e0 over the support), where e0 is any
+exponent of the support.  Exponent 0 counts: a constant term is in the
+support, and then G only holds the lambda with lambda^e = 1 for all e.
+A map with no terms or a single term has g = q - 1.  For lambda in G,
+f(lambda*x) = lambda^e0 * f(x), and two identities follow:
+
+- N(lambda*a, lambda^e0*b) = N(a, b), where N(a, b) counts the x with
+  f(x + a) + f(x) = b; so derivative row lambda*a is a permutation of
+  row a, and one row per coset of G suffices (weight g).
+- W(b*lambda^e0, a*lambda) = W(b, a), where W(b, a) is the sum over x
+  of (-1)^tr(b*f(x) + a*x); so Walsh row b*mu is a permutation of row b
+  for mu in H = {lambda^e0 : lambda in G}, of order g / gcd(g, e0), and
+  one row b per coset of H suffices (weight |H|).
+
+Leaving exponent 0 out of the gcd would be wrong: c + x^e is not scaled
+by lambda^e, and its Walsh rows b and b*lambda^e differ in sign wherever
+tr(c*b) and tr(c*b*lambda^e) differ.  kernels.scaling_rows computes G
+and H; the row sets are the powers alpha^i of the field generator below
+(q - 1)/g and (q - 1)/|H|.
+"""
 
 import hashlib
 import json
@@ -44,8 +70,10 @@ def _gate(field):
 def differential_spectrum(f):
     """Full spectrum of the map; table-driven, m <= 16."""
     _gate(f.field)
-    table = kernels.value_table(f.field, f.terms())
-    hist = kernels.spectrum_hist(table, f.field.q)
+    terms = f.terms()
+    table = kernels.value_table(f.field, terms)
+    rows, _ = kernels.scaling_rows(f.field, terms)
+    hist = kernels.spectrum_hist(table, f.field.q, rows)
     counts = {c: int(n) for c, n in enumerate(hist) if n}
     return DifferentialSpectrum(f.field.m, counts)
 
@@ -54,8 +82,10 @@ def is_apn(f):
     """True when the differential uniformity is exactly two; aborts a
     candidate at the first solution count that reaches four."""
     _gate(f.field)
-    table = kernels.value_table(f.field, f.terms())
-    return kernels.is_apn_table(table, f.field.q)
+    terms = f.terms()
+    table = kernels.value_table(f.field, terms)
+    rows, _ = kernels.scaling_rows(f.field, terms)
+    return kernels.is_apn_table(table, f.field.q, rows)
 
 
 def uniformity(f):
@@ -68,12 +98,14 @@ def walsh_fingerprint(f):
     _gate(f.field)
     fld = f.field
     q = fld.q
-    table = kernels.value_table(fld, f.terms())
+    terms = f.terms()
+    table = kernels.value_table(fld, terms)
     pm = fld.pair_table()
     inv = np.zeros(q, dtype=np.int64)
     inv[pm] = np.arange(q, dtype=np.int64)
     pmf_perm = pm[table[inv]]
-    hist = kernels.walsh_hist(pmf_perm, q)
+    _, rows = kernels.scaling_rows(fld, terms)
+    hist = kernels.walsh_hist(pmf_perm, q, rows)
     return {v - q: int(n) for v, n in enumerate(hist) if n}
 
 

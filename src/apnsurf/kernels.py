@@ -10,6 +10,7 @@ All kernels take the padded antilog/log tables produced by Field.tables(),
 in which log[0] is a sentinel index whose antilog reads as zero.
 """
 
+import math
 import os
 
 import numpy as np
@@ -61,10 +62,10 @@ def value_table(field, terms):
 # ------------------------------------------------------------- scalar loops
 # Written once in plain Python; compiled with numba when that backend is on.
 
-def _spectrum_hist_py(table, q):
+def _spectrum_hist_py(table, q, avals):
     hist = np.zeros(q + 1, dtype=np.int64)
     counts = np.zeros(q, dtype=np.int64)
-    for a in range(1, q):
+    for a in avals:
         for b in range(q):
             counts[b] = 0
         for x in range(q):
@@ -74,9 +75,9 @@ def _spectrum_hist_py(table, q):
     return hist
 
 
-def _is_apn_py(table, q):
+def _is_apn_py(table, q, avals):
     counts = np.zeros(q, dtype=np.int64)
-    for a in range(1, q):
+    for a in avals:
         for b in range(q):
             counts[b] = 0
         for x in range(q):
@@ -88,10 +89,10 @@ def _is_apn_py(table, q):
     return True
 
 
-def _walsh_hist_py(pmf_perm, par, q):
+def _walsh_hist_py(pmf_perm, par, q, bvals):
     hist = np.zeros(2 * q + 1, dtype=np.int64)
     t = np.zeros(q, dtype=np.int64)
-    for b in range(1, q):
+    for b in bvals:
         for u in range(q):
             t[u] = 1 - 2 * par[pmf_perm[u] & b]
         h = 1
@@ -157,31 +158,30 @@ if BACKEND == "numba":
 
 # ------------------------------------------------------------ numpy variants
 
-def _spectrum_hist_np(table, q):
+def _spectrum_hist_np(table, q, avals):
     hist = np.zeros(q + 1, dtype=np.int64)
     xs = np.arange(q, dtype=np.int64)
-    for a in range(1, q):
+    for a in avals:
         diffs = table[xs ^ a] ^ table
         counts = np.bincount(diffs, minlength=q)
         hist += np.bincount(counts, minlength=q + 1)
     return hist
 
 
-def _is_apn_np(table, q):
+def _is_apn_np(table, q, avals):
     xs = np.arange(q, dtype=np.int64)
-    for a in range(1, q):
+    for a in avals:
         diffs = table[xs ^ a] ^ table
         if np.bincount(diffs, minlength=q).max() >= 4:
             return False
     return True
 
 
-def _walsh_hist_np(pmf_perm, par, q):
+def _walsh_hist_np(pmf_perm, par, q, bvals):
     hist = np.zeros(2 * q + 1, dtype=np.int64)
     chunk = max(1, (1 << 22) // q)
-    bs = np.arange(1, q, dtype=np.int64)
-    for lo in range(0, q - 1, chunk):
-        blk = bs[lo:lo + chunk]
+    for lo in range(0, bvals.shape[0], chunk):
+        blk = bvals[lo:lo + chunk]
         t = 1 - 2 * par[pmf_perm[None, :] & blk[:, None]].astype(np.int64)
         h = 1
         while h < q:
@@ -232,30 +232,68 @@ def _scan_np(fixed_table, mono_tables, q, nfree, start, stop, ext, log,
 
 # ---------------------------------------------------------------- dispatch
 
-def spectrum_hist(table, q):
+def scaling_rows(field, terms):
+    """Row sets for the kernels below, from the scaling group of the map
+    sum of c*x^e over terms (see the differential module).
+
+    G = {lambda != 0 : lambda^e equal for every exponent e in the
+    support, 0 included} has order g = gcd(q - 1, e - e0 over the
+    support); H = {lambda^e0 : lambda in G} has order g / gcd(g, e0).
+    Returns (derivative_rows, walsh_rows): each is an (elements, weight)
+    pair of coset representatives alpha^i, alpha the field generator,
+    and the coset size, for G and H respectively.
+    """
+    n = field.q - 1
+    exps = [e for e, c in terms if c]
+    e0 = exps[0] if exps else 0
+    g = n
+    for e in exps:
+        g = math.gcd(g, e - e0)
+    h = g // math.gcd(g, e0)
+    return (field._exp[:n // g], g), (field._exp[:n // h], h)
+
+
+def _rows(q, rows):
+    if rows is None:
+        return np.arange(1, q, dtype=np.int64), 1
+    elements, weight = rows
+    return np.ascontiguousarray(elements, dtype=np.int64), weight
+
+
+def spectrum_hist(table, q, rows=None):
     """Histogram over solution counts: hist[c] = number of (a, b) pairs,
-    a nonzero, whose derivative equation has exactly c solutions."""
+    a nonzero, whose derivative equation has exactly c solutions.
+
+    rows is an (elements, weight) pair: only the rows a in elements are
+    walked, each counted weight times.  The default, every nonzero a with
+    weight 1, fits any map; scaling_rows gives the reduced set."""
     table = np.ascontiguousarray(table, dtype=np.int64)
+    avals, weight = _rows(q, rows)
     if BACKEND == "numba":
-        return _spectrum_hist_fast(table, q)
-    return _spectrum_hist_np(table, q)
+        return _spectrum_hist_fast(table, q, avals) * weight
+    return _spectrum_hist_np(table, q, avals) * weight
 
 
-def is_apn_table(table, q):
+def is_apn_table(table, q, rows=None):
+    """Whether no derivative row a in rows (default: every nonzero a)
+    has a solution count of four or more; the weight is not needed."""
     table = np.ascontiguousarray(table, dtype=np.int64)
+    avals, _ = _rows(q, rows)
     if BACKEND == "numba":
-        return bool(_is_apn_fast(table, q))
-    return bool(_is_apn_np(table, q))
+        return bool(_is_apn_fast(table, q, avals))
+    return bool(_is_apn_np(table, q, avals))
 
 
-def walsh_hist(pmf_perm, q):
+def walsh_hist(pmf_perm, q, rows=None):
     """Histogram of Walsh transform values over all (a, b != 0); index
-    v + q holds the multiplicity of value v."""
+    v + q holds the multiplicity of value v.  rows selects and weights
+    the b rows as in spectrum_hist."""
     pmf_perm = np.ascontiguousarray(pmf_perm, dtype=np.int64)
     par = _parity_table(q).astype(np.int64)
+    bvals, weight = _rows(q, rows)
     if BACKEND == "numba":
-        return _walsh_hist_fast(pmf_perm, par, q)
-    return _walsh_hist_np(pmf_perm, par, q)
+        return _walsh_hist_fast(pmf_perm, par, q, bvals) * weight
+    return _walsh_hist_np(pmf_perm, par, q, bvals) * weight
 
 
 def count_affine(terms, field):
@@ -264,10 +302,13 @@ def count_affine(terms, field):
 
     Works from the derivative histogram and two univariate value tables
     (the identities are stated in the surface module), so the cost is
-    that of one spectrum_hist call, O(q^2).
+    that of one spectrum_hist call over the rows of the map's scaling
+    group G: O(q^2/g) with g = |G|, so O(q) for a monomial.
     """
     q = field.q
-    hist = spectrum_hist(value_table(field, terms), q)
+    table = value_table(field, terms)
+    rows, _ = scaling_rows(field, terms)
+    hist = spectrum_hist(table, q, rows)
     cs = np.arange(q + 1, dtype=np.int64)
     off_locus = int((hist * cs * (cs - 2)).sum())
     deriv = value_table(field, [(e - 1, c) for e, c in terms if e % 2])

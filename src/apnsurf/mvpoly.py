@@ -15,6 +15,7 @@ import itertools
 import random
 
 from .errors import (
+    ApnToolError,
     DegreeCapExceeded,
     DivisionByZero,
     FieldMismatch,
@@ -366,7 +367,9 @@ def uni_factor(p, seed=0):
             rest = q
             mult += 1
         out.append((f_, mult))
-    assert rest.degree == 0
+    if rest.degree != 0:
+        raise ApnToolError(
+            f"factors leave a cofactor of degree {rest.degree}")
     return unit, out
 
 
@@ -409,7 +412,9 @@ class Embedding:
             return
         mod = UniPoly(big, [(small.poly >> i) & 1 for i in range(small.m + 1)])
         roots = uni_roots(mod)
-        assert roots, "modulus must split in the extension"
+        if not roots:
+            raise ApnToolError(
+                f"modulus {small.poly:#x} has no root in GF(2^{big.m})")
         self.root = roots[0]
         pows = [1]
         for _ in range(small.m - 1):
@@ -1076,7 +1081,9 @@ def _uni_bezout(a, b):
         r0, r1 = r1, r
         s0, s1 = s1, s0 + q * s1
         t0, t1 = t1, t0 + q * t1
-    assert r0.degree == 0, "inputs were not coprime"
+    if r0.degree != 0:
+        raise ApnToolError(
+            f"Bezout inputs share a factor of degree {r0.degree}")
     inv = f.inv(r0.c[0])
     return s0.scale(inv), t0.scale(inv)
 
@@ -1224,7 +1231,8 @@ def _bi_factor_primitive(rows, main, aux, f, seed):
     work = [p.taylor_shift(a) for p in rows]
     spec = UniPoly(f, [p.c[0] if p.c else 0 for p in work])
     _, sfacs = uni_factor(spec, seed=seed)
-    assert all(mult == 1 for _, mult in sfacs)
+    if any(mult != 1 for _, mult in sfacs):
+        raise ApnToolError("specialization at the chosen point is not squarefree")
     local = sorted((fac for fac, _ in sfacs), key=UniPoly.key)
     if len(local) == 1:
         out = _grlex_normalize(bi_to_tri(rows, main, aux, f))

@@ -24,6 +24,10 @@ give the count:
 The surface is symmetric and any two of the three planes meet exactly on
 the diagonal, so the on-locus count is three times the plane count off
 the diagonal plus the diagonal zeros.
+
+The histogram walks one derivative row per coset of the scaling group G
+of g (see the differential module), so a count costs O(q^2/|G|) time
+and O(q) memory: O(q) time for a monomial.
 """
 
 import functools

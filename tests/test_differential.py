@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from apnsurf import kernels
 from apnsurf.differential import (
     DifferentialSpectrum,
     differential_spectrum,
@@ -148,6 +149,90 @@ def test_walsh_invariance_under_equivalence():
         lin = PolyFunc(F16, [(1, rng.randrange(16)), (2, rng.randrange(16)),
                              (4, rng.randrange(16))])
         assert walsh_fingerprint(add_maps(f, lin)) == fp
+
+
+def scaling_maps(field, rng, reps):
+    """The zero map plus reps maps of each shape whose scaling group G
+    the row reduction depends on: monomials, exponents in a common
+    progression (nontrivial G at composite q - 1), the same with a
+    constant term, and random maps; exponents run up to 3q."""
+    q = field.q
+    n = q - 1
+    divisors = [d for d in range(1, n + 1) if n % d == 0]
+    yield PolyFunc(field, [])
+    for _ in range(reps):
+        yield PolyFunc.monomial(field, rng.randrange(1, 3 * q),
+                                rng.randrange(1, q))
+        d = rng.choice(divisors)
+        e0 = rng.randrange(1, 3 * q)
+        prog = [(e0 + j * d, rng.randrange(1, q))
+                for j in range(rng.randrange(1, 4))]
+        yield PolyFunc(field, prog)
+        yield PolyFunc(field, [(0, rng.randrange(1, q))] + prog)
+        yield PolyFunc(field, [(rng.randrange(3 * q), rng.randrange(q))
+                               for _ in range(rng.randrange(1, 5))])
+
+
+def test_scaling_rows_match_full_rows(monkeypatch):
+    # the kernels on the coset representatives of G (or H) against the
+    # same kernels walking every nonzero row
+    def full(fn, f):
+        with monkeypatch.context() as mp:
+            mp.setattr(kernels, "scaling_rows", lambda field, terms: (None, None))
+            return fn(f)
+
+    def count(f):
+        return kernels.count_affine(f.terms(), f.field)
+
+    rng = random.Random(41)
+    reduced = constants = 0
+    for m in range(1, 8):
+        field = Field(m)
+        for f in scaling_maps(field, rng, 8):
+            for fn in (differential_spectrum, is_apn, walsh_fingerprint, count):
+                assert fn(f) == full(fn, f), (fn.__name__, f)
+            (avals, g), (bvals, h) = kernels.scaling_rows(field, f.terms())
+            assert len(avals) * g == len(bvals) * h == field.q - 1
+            reduced += g > 1 and field.q > 2
+            constants += any(e == 0 for e, _ in f.terms())
+    assert reduced > 100 and constants > 40
+
+
+def test_scaling_group_orders():
+    field = F16
+    powers = [field.pow_(field.generator, i) for i in range(15)]
+    cases = [
+        ([], 15, 1),
+        ([(3, 1)], 15, 5),            # x^3: G = F*, H = cubes
+        ([(7, 2)], 15, 15),           # gcd(7, 15) = 1: H = F*
+        ([(0, 1), (3, 1)], 3, 1),     # the constant keeps 0 in the gcd
+        ([(3, 1), (9, 5)], 3, 1),     # difference 6: g = gcd(15, 6)
+        ([(1, 1), (6, 1), (11, 1)], 5, 5),
+        ([(3, 1), (5, 1)], 1, 1),
+    ]
+    for terms, g, h in cases:
+        (avals, wg), (bvals, wh) = kernels.scaling_rows(field, terms)
+        assert (wg, wh) == (g, h), terms
+        assert list(avals) == powers[:15 // g]
+        assert list(bvals) == powers[:15 // h]
+    assert [list(r) for r, _ in kernels.scaling_rows(Field(1), [(3, 1)])] \
+        == [[1], [1]]
+
+
+def test_power_map_closed_forms():
+    # Gold x^3 has uniformity two at every m; the inverse map at even m
+    # has counts 0, 2 and 4 (one 4 per derivative).  m = 15, 16 take one
+    # derivative row each.
+    for m in (4, 6, 8, 15, 16):
+        field = Field(m)
+        q = field.q
+        half = q * (q - 1) // 2
+        assert differential_spectrum(PolyFunc.monomial(field, 3)).counts \
+            == {0: half, 2: half}
+        if m % 2 == 0:
+            spec = differential_spectrum(PolyFunc.monomial(field, q - 2))
+            assert spec.counts == {0: (q - 1) * (q + 2) // 2,
+                                   2: (q - 1) * (q - 4) // 2, 4: q - 1}
 
 
 def test_fingerprint_digest_stable():

@@ -35,13 +35,20 @@ def test_value_table_matches_scalar():
         assert np.array_equal(f.value_table(), tab)
 
 
+# every nonzero row, the coset representatives of the subgroups of order
+# 3 and 5, and an arbitrary subset in arbitrary order
+ROW_SETS = [np.arange(1, 16, dtype=np.int64), F16._exp[:5], F16._exp[:3],
+            np.array([9, 2, 14], dtype=np.int64)]
+
+
 def test_spectrum_backends_agree():
     rng = random.Random(5)
     for _ in range(10):
         tab = rand_table(F16, rng)
-        ref = kernels._spectrum_hist_py(tab, 16)
-        alt = kernels._spectrum_hist_np(tab, 16)
-        assert np.array_equal(np.asarray(ref), np.asarray(alt))
+        for rows in ROW_SETS:
+            ref = kernels._spectrum_hist_py(tab, 16, rows)
+            alt = kernels._spectrum_hist_np(tab, 16, rows)
+            assert np.array_equal(np.asarray(ref), np.asarray(alt))
 
 
 def test_is_apn_backends_agree():
@@ -49,9 +56,10 @@ def test_is_apn_backends_agree():
     seen = {True: 0, False: 0}
     for _ in range(40):
         tab = rand_table(F16, rng)
-        r = bool(kernels._is_apn_py(tab, 16))
-        assert r == bool(kernels._is_apn_np(tab, 16))
-        seen[r] += 1
+        for rows in ROW_SETS:
+            r = bool(kernels._is_apn_py(tab, 16, rows))
+            assert r == bool(kernels._is_apn_np(tab, 16, rows))
+            seen[r] += 1
     assert seen[False] > 0
 
 
@@ -60,9 +68,10 @@ def test_walsh_backends_agree():
     par = kernels._parity_table(16).astype(np.int64)
     for _ in range(8):
         perm = np.array(rng.sample(range(16), 16), dtype=np.int64)
-        ref = kernels._walsh_hist_py(perm, par, 16)
-        alt = kernels._walsh_hist_np(perm, par, 16)
-        assert np.array_equal(np.asarray(ref), np.asarray(alt))
+        for rows in ROW_SETS:
+            ref = kernels._walsh_hist_py(perm, par, 16, rows)
+            alt = kernels._walsh_hist_np(perm, par, 16, rows)
+            assert np.array_equal(np.asarray(ref), np.asarray(alt))
 
 
 def test_scan_backends_agree_and_hits_verify():
@@ -85,11 +94,11 @@ def test_scan_backends_agree_and_hits_verify():
         a6 = idx // q
         f = PolyFunc(field, [(3, 1), (5, a5), (6, a6)])
         tab = kernels.value_table(field, f.terms())
-        assert bool(kernels._is_apn_py(tab, q)) == (idx in hit_set)
+        assert bool(kernels._is_apn_py(tab, q, np.arange(1, q))) == (idx in hit_set)
     for idx in list(hits_a[:4]):
         f = PolyFunc(field, [(3, 1), (5, int(idx) % q), (6, int(idx) // q)])
         tab = kernels.value_table(field, f.terms())
-        assert kernels._is_apn_py(tab, q)
+        assert kernels._is_apn_py(tab, q, np.arange(1, q))
 
 
 def test_scan_cap_reports_true_count():
@@ -115,7 +124,7 @@ def test_scan_range_dispatch():
     for c in range(q):
         f = PolyFunc(field, [(5, 1), (3, c)])
         tab = kernels.value_table(field, f.terms())
-        assert bool(kernels._is_apn_py(tab, q)) == (c in got)
+        assert bool(kernels._is_apn_py(tab, q, np.arange(1, q))) == (c in got)
     assert n == len(got)
 
 

@@ -4,7 +4,9 @@ import random
 
 import pytest
 
+from apnsurf import mvpoly
 from apnsurf.errors import (
+    ApnToolError,
     DegreeCapExceeded,
     DivisionByZero,
     InvalidParameters,
@@ -253,6 +255,12 @@ def test_embedding_is_ring_homomorphism():
                 assert emb.map(small.mul(a, b)) == big.mul(emb.map(a), emb.map(b))
         for a in small.elements():
             assert emb.unmap(emb.map(a)) == a
+
+
+def test_embedding_without_root_raises(monkeypatch):
+    monkeypatch.setattr(mvpoly, "uni_roots", lambda p: [])
+    with pytest.raises(ApnToolError, match="no root"):
+        Embedding(F4, F16)
 
 
 def test_embedding_rejects_bad_pairs():
@@ -614,3 +622,35 @@ def test_bi_factor_univariate_content():
         acc = acc * t
     assert acc == p
     assert len(facs) == 3  # v, v + 1, u + v
+
+
+# ---------------------------------------------------------- guarded results
+
+def test_uni_factor_lost_factor_raises(monkeypatch):
+    # an equal-degree split that drops its factors leaves a cofactor
+    monkeypatch.setattr(mvpoly, "_edf", lambda block, i, rng: [])
+    with pytest.raises(ApnToolError, match="cofactor of degree 2"):
+        uni_factor(UniPoly(F2, [1, 1, 1]))
+
+
+def test_uni_bezout_common_factor_raises():
+    x = UniPoly(F2, [0, 1])
+    y = x + UniPoly.one(F2)
+    with pytest.raises(ApnToolError, match="share a factor of degree 1"):
+        mvpoly._uni_bezout(x * y, y * y * y)
+
+
+def test_bi_factor_repeated_specialization_raises(monkeypatch):
+    # a univariate factorization that reports a square at the evaluation
+    # point contradicts the squarefree check that chose the point
+    real = mvpoly.uni_factor
+
+    def doubled(p, seed=0):
+        unit, facs = real(p, seed=seed)
+        return unit, [(f, 2) for f, _ in facs]
+    monkeypatch.setattr(mvpoly, "uni_factor", doubled)
+    x0 = TriPoly.var(F2, 0)
+    x1 = TriPoly.var(F2, 1)
+    one = TriPoly.const(F2, 1)
+    with pytest.raises(ApnToolError, match="not squarefree"):
+        bi_factor((x0 + x1) * (x0 + x1 + one))
