@@ -169,25 +169,20 @@ def bound_report(d, m, form="exact"):
 def mmax(d, kind=IRREDUCIBLE, form="exact", cap=M_CAP):
     """Largest m in 1..cap for which (d, m) is not excluded.
 
-    Also verifies that every m above the returned value is excluded, so
-    a single number faithfully summarizes the whole range.  Returns
+    The scan runs down from cap and stops at the first m not excluded,
+    so every m above the returned value has been checked as excluded
+    and a single number faithfully summarizes the whole range.  Returns
     None when even m = cap is not excluded, i.e. the chosen condition
-    form establishes no bound below the cap.
+    form establishes no bound below the cap, and 0 when every m is
+    excluded.
     """
     if kind not in KINDS:
         raise InvalidParameters("unknown kind %r" % (kind,))
     excl = _EXCLUDERS[kind]
-    best = 0
-    for m in range(1, cap + 1):
+    for m in range(cap, 0, -1):
         if not excl(d, m, form):
-            best = m
-    if best == cap:
-        return None
-    for m in range(best + 1, cap + 1):
-        if not excl(d, m, form):
-            raise ApnToolError("d=%d, m=%d not excluded above m_max %d "
-                               "(%s, %s)" % (d, m, best, kind, form))
-    return best
+            return None if m == cap else m
+    return 0
 
 
 class MmaxRow:

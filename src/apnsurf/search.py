@@ -29,10 +29,19 @@ from .errors import (ApnToolError, BudgetExceeded, CorruptCheckpoint,
                      InvalidParameters)
 from .gf2m import Field, _is_pow2
 from .kernels import power_table, scan_range, value_table
-from .polyfunc import PolyFunc, affine_transform, is_q_affine, normalize
+from .polyfunc import PolyFunc, is_q_affine
 
 DEFAULT_BUDGET = 1 << 30
 SHARD = 4096
+
+
+def _base_q_index(digits, q):
+    """Little-endian base-q number with the given digits; the digits may
+    be ints or int64 arrays of equal shape."""
+    index = 0
+    for c in reversed(digits):
+        index = index * q + c
+    return index
 
 
 class SearchJob:
@@ -88,11 +97,7 @@ class SearchJob:
         return tuple(out)
 
     def index_of(self, coeffs):
-        q = self.field.q
-        index = 0
-        for c in reversed(coeffs):
-            index = index * q + c
-        return index
+        return _base_q_index(coeffs, self.field.q)
 
     def candidate(self, index):
         terms = list(self.fixed_terms)
@@ -376,32 +381,68 @@ def classify_degree7(m, workers=1):
         7, m, [FamilyScan("x^7+a6*x^6+a5*x^5+a3*x^3", result)], refs, notes)
 
 
+def _orbit_coefficients(f, d):
+    """Coefficients of a^-d * f(a*x + b) for every a != 0 and every b.
+
+    Returns {k: grid} for each exponent k that normalize keeps (not 0,
+    not a power of two) and some term of f reaches; grid[a - 1, b] is
+    the coefficient of x^k, an int64 array of shape (q - 1, q).  As in
+    affine_transform, (a*x + b)^e expands over the bit-submasks k of e
+    into (a*x)^k * b^(e - k), so the coefficient of x^k is the row
+    factor a^(k - d) times the column sum of f_e * b^(e - k) over the
+    terms e containing k.
+    """
+    field = f.field
+    q = field.q
+    cols = {}
+    for e, coeff in f.terms():
+        k = e
+        while k:
+            if not _is_pow2(k):
+                cols.setdefault(k, []).append((e - k, coeff))
+            k = (k - 1) & e
+    scale = power_table(field, (-d) % (q - 1))[1:]
+    return {k: field.mul_vec(
+                field.mul_vec(power_table(field, k)[1:], scale)[:, None],
+                value_table(field, terms)[None, :])
+            for k, terms in cols.items()}
+
+
 def _degree9_reduction_note(field, full_hits, reduced_hit_sets):
     """Check every full-family hit lands in a reduced family under some
     substitution x -> a*x + b with the output rescaled monic, and
-    report the outcome."""
+    report the outcome.
+
+    Each hit is swept over the whole (a, b) grid at once: a family
+    accepts a cell when every coefficient outside its shape is 0, every
+    pinned coefficient is 1 and the free coefficients, read as the
+    little-endian base-q index of SearchJob.index_of, name one of its
+    hits.
+    """
     q = field.q
+    families = []
+    for degs, ones, hitset in reduced_hit_sets:
+        table = np.zeros(q ** len(degs), dtype=bool)
+        for coeffs in hitset:
+            table[_base_q_index(coeffs, q)] = True
+        families.append(({9} | set(degs) | set(ones), degs, ones, table))
+    zero = np.zeros((q - 1, q), dtype=np.int64)
     escapees = []
     for h in full_hits:
         f = PolyFunc(field, [(9, 1), (7, h.coeffs[3]), (6, h.coeffs[2]),
                              (5, h.coeffs[1]), (3, h.coeffs[0])])
-        found = False
-        for a in range(1, q):
-            if found:
+        grids = _orbit_coefficients(f, 9)
+        for shape, degs, ones, table in families:
+            mask = table[_base_q_index([grids.get(e, zero) for e in degs],
+                                       q)]
+            for k, grid in grids.items():
+                if k not in shape:
+                    mask = mask & (grid == 0)
+            for e in ones:
+                mask = mask & (grids.get(e, zero) == 1)
+            if np.any(mask):
                 break
-            c = field.pow_(field.inv(a), 9)
-            for b in range(q):
-                new = dict(normalize(affine_transform(f, a, b, c)).terms())
-                key = set(new)
-                for degs, ones, hitset in reduced_hit_sets:
-                    shape = {9} | set(degs) | set(ones)
-                    if key <= shape and all(new.get(e) == 1 for e in ones):
-                        if tuple(new.get(e, 0) for e in degs) in hitset:
-                            found = True
-                            break
-                if found:
-                    break
-        if not found:
+        else:
             escapees.append(h.coeffs)
     if escapees:
         return ("full-family hits escaping the reduced families: %r"
@@ -412,7 +453,12 @@ def _degree9_reduction_note(field, full_hits, reduced_hit_sets):
 
 def classify_degree9(m, workers=1):
     """Scan the reduced degree-9 families; at m <= 5 also scan the full
-    family to confirm the reduction loses no hit."""
+    family to confirm the reduction loses no hit.
+
+    The confirming note tries every full-family hit under every
+    substitution x -> a*x + b with a != 0, output rescaled monic,
+    against the four reduced families, and lists the escapees.
+    """
     if not 4 <= m <= 6:
         raise InvalidParameters("degree-9 classification needs 4 <= m <= 6")
     field = Field(m)

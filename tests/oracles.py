@@ -8,12 +8,17 @@ beyond the field tables.
 surface.build_surface sums cached quotients of monomials; four_point_sum
 expands the numerator of the whole map term by term instead, without
 polynomial powers or division.
+
+search._degree9_reduction_note sweeps each hit's whole (a, b) grid with
+array arithmetic; reduction_note_brute_force substitutes one (a, b) at
+a time through affine_transform and normalize.
 """
 
 import numpy as np
 
 from apnsurf import kernels
 from apnsurf.mvpoly import TriPoly
+from apnsurf.polyfunc import PolyFunc, affine_transform, normalize
 
 
 def four_point_sum(f):
@@ -72,3 +77,37 @@ def brute_count(surface):
     zero = vals == 0
     locus = (x0 == x1) | (x1 == x2) | (x0 == x2)
     return int(zero.sum()), int((zero & locus).sum())
+
+
+def reduction_note_brute_force(field, full_hits, reduced_hit_sets):
+    """Check every full-family hit lands in a reduced family under some
+    substitution x -> a*x + b with the output rescaled monic, and
+    report the outcome."""
+    q = field.q
+    escapees = []
+    for h in full_hits:
+        f = PolyFunc(field, [(9, 1), (7, h.coeffs[3]), (6, h.coeffs[2]),
+                             (5, h.coeffs[1]), (3, h.coeffs[0])])
+        found = False
+        for a in range(1, q):
+            if found:
+                break
+            c = field.pow_(field.inv(a), 9)
+            for b in range(q):
+                new = dict(normalize(affine_transform(f, a, b, c)).terms())
+                key = set(new)
+                for degs, ones, hitset in reduced_hit_sets:
+                    shape = {9} | set(degs) | set(ones)
+                    if key <= shape and all(new.get(e) == 1 for e in ones):
+                        if tuple(new.get(e, 0) for e in degs) in hitset:
+                            found = True
+                            break
+                if found:
+                    break
+        if not found:
+            escapees.append(h.coeffs)
+    if escapees:
+        return ("full-family hits escaping the reduced families: %r"
+                % (escapees,))
+    return ("every full-family hit maps into a reduced family under "
+            "affine substitution")

@@ -4,10 +4,10 @@ import mpmath
 import pytest
 
 import apnsurf.bounds as bounds
-from apnsurf.bounds import (IRREDUCIBLE, ISOLATED, BoundReport, bound_report,
-                            curve_exclusion, excludes_irreducible,
-                            excludes_isolated, hasse_weil_min, mmax,
-                            mmax_table, serre_bound)
+from apnsurf.bounds import (IRREDUCIBLE, ISOLATED, M_CAP, BoundReport,
+                            bound_report, curve_exclusion,
+                            excludes_irreducible, excludes_isolated,
+                            hasse_weil_min, mmax, mmax_table, serre_bound)
 from apnsurf.errors import ApnToolError, InvalidParameters
 
 # frozen (d, published, exact, sufficient, quarter) per regime; None
@@ -42,18 +42,25 @@ def test_mmax_frozen_isolated():
         assert mmax(d, ISOLATED, "quarter") == quarter
 
 
-def test_mmax_recheck_raises(monkeypatch):
-    # an excluder whose answer changes when the range above m_max is rechecked
-    seen = set()
+def test_mmax_scans_down_once(monkeypatch):
+    # each m is asked once, from the cap down to the first m not excluded
+    calls = []
+    threshold = [10]
 
-    def flaky(d, m, form):
-        if m in seen:
-            return False
-        seen.add(m)
-        return m > 10
-    monkeypatch.setitem(bounds._EXCLUDERS, IRREDUCIBLE, flaky)
-    with pytest.raises(ApnToolError, match="above m_max 10"):
-        mmax(7, IRREDUCIBLE)
+    def counting(d, m, form):
+        calls.append(m)
+        return m > threshold[0]
+    monkeypatch.setitem(bounds._EXCLUDERS, IRREDUCIBLE, counting)
+    assert mmax(7, IRREDUCIBLE) == 10
+    assert calls == list(range(M_CAP, 9, -1))
+    assert len(calls) == M_CAP - 10 + 1
+    calls.clear()
+    assert mmax(7, IRREDUCIBLE, cap=8) is None
+    assert calls == [8]
+    calls.clear()
+    threshold[0] = 0
+    assert mmax(7, IRREDUCIBLE, cap=5) == 0
+    assert calls == [5, 4, 3, 2, 1]
 
 
 def test_table_decreasing_mmax_raises(monkeypatch):

@@ -1,19 +1,21 @@
 """Family scans, checkpointing, and the fixed-degree classifications."""
 
 import json
+import random
 
 import pytest
 
 import apnsurf.search as search
 from apnsurf.differential import (differential_spectrum, fingerprint_digest,
                                   is_apn, walsh_fingerprint)
-from apnsurf.errors import (ApnToolError, BudgetExceeded, CorruptCheckpoint,
-                            InvalidParameters)
+from apnsurf.errors import (ApnToolError, BecameZero, BudgetExceeded,
+                            CorruptCheckpoint, InvalidParameters)
 from apnsurf.gf2m import Field
-from apnsurf.polyfunc import PolyFunc
+from apnsurf.polyfunc import PolyFunc, affine_transform, normalize
 from apnsurf.search import (Hit, SearchJob, SearchResult, checkpoint_resume,
                             checkpoint_save, classify_degree6,
                             classify_degree7, classify_degree9, scan)
+from oracles import reduction_note_brute_force
 
 F8 = Field(3)
 F16 = Field(4)
@@ -244,3 +246,67 @@ def test_classify_report_dict_roundtrip():
     assert d["degree"] == 6 and d["m"] == 4
     assert d["scans"][0]["hits"][0]["coeffs"] == {"a3": 0, "a5": 0}
     json.loads(json.dumps(d))
+
+
+def test_orbit_coefficients_match_affine_transform():
+    rng = random.Random(11)
+    for m in range(2, 7):
+        field = Field(m)
+        q = field.q
+        for _ in range(4 if m < 6 else 2):
+            f = PolyFunc(field, [(e, rng.randrange(q) if rng.random() < 0.7
+                                  else 0) for e in range(10)])
+            grids = search._orbit_coefficients(f, 9)
+            for a in range(1, q):
+                c = field.pow_(field.inv(a), 9)
+                for b in range(q):
+                    try:
+                        want = dict(normalize(
+                            affine_transform(f, a, b, c)).terms())
+                    except BecameZero:
+                        want = {}
+                    got = {k: int(g[a - 1, b]) for k, g in grids.items()
+                           if g[a - 1, b]}
+                    assert got == want, (m, f, a, b)
+
+
+def test_reduction_note_matches_brute_force(monkeypatch):
+    captured = []
+    note = search._degree9_reduction_note
+
+    def capture(field, full_hits, reduced_hit_sets):
+        captured.append((field, full_hits, reduced_hit_sets))
+        return note(field, full_hits, reduced_hit_sets)
+    monkeypatch.setattr(search, "_degree9_reduction_note", capture)
+    for m in (4, 5):
+        classify_degree9(m)
+    escaped = 0
+    for field, full_hits, reduced in captured:
+        # every other hit of x^9+a6*x^6+a3*x^3, none of x^9+a6*x^6+x^5+a3*x^3
+        thinned = list(reduced)
+        degs, ones, hitset = thinned[2]
+        thinned[2] = (degs, ones, set(sorted(hitset)[::2]))
+        degs, ones, _ = thinned[1]
+        thinned[1] = (degs, ones, set())
+        for sets in (reduced, thinned):
+            got = note(field, full_hits, sets)
+            assert got == reduction_note_brute_force(field, full_hits, sets)
+            escaped += "escaping" in got
+    assert escaped == 2
+
+
+def test_reduction_note_random_hit_sets():
+    # dense random hit sets, so the shape and pinned-coefficient tests
+    # decide most cells instead of the lookup alone
+    rng = random.Random(13)
+    q = F16.q
+    pairs = [(x, y) for x in range(q) for y in range(q)]
+    for _ in range(4):
+        full_hits = [Hit(0, tuple(rng.choice((0, rng.randrange(q)))
+                                  for _ in range(4)), 2, "")
+                     for _ in range(6)]
+        reduced = [(degs, ones, set(rng.sample(pairs, q * q // 2)))
+                   for degs, ones in (((3, 5), (7,)), ((3, 6), (5,)),
+                                      ((3, 6), ()), ((3, 5), ()))]
+        got = search._degree9_reduction_note(F16, full_hits, reduced)
+        assert got == reduction_note_brute_force(F16, full_hits, reduced)
