@@ -33,7 +33,6 @@ import numpy as np
 
 from . import kernels
 from .errors import FieldTooLarge
-from .gf2m import Field
 
 _SIZE_GATE = 16
 

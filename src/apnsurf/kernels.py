@@ -1,36 +1,20 @@
-"""Numeric hot loops with two interchangeable backends.
+"""Numeric hot loops, vectorized with numpy.
 
-The default backend compiles the scalar loops with numba; setting the
-environment variable APNSURF_BACKEND=numpy forces the vectorized numpy
-fallback (APNSURF_BACKEND=numba insists on numba and fails loudly when it
-is unavailable).  Both backends produce identical outputs; the benchmark
-script under benchmarks/ times one against the other.
-
-All kernels take the padded antilog/log tables produced by Field.tables(),
-in which log[0] is a sentinel index whose antilog reads as zero.
+Field products go through the padded antilog/log tables of Field.tables(),
+in which log[0] is a sentinel index whose antilog reads as zero.  Each
+public kernel is checked against a plain scalar loop in tests/oracles.py.
 """
 
 import math
-import os
 
 import numpy as np
 
 from .gf2m import _parity_table
 
-_choice = os.environ.get("APNSURF_BACKEND", "auto").lower()
-if _choice not in ("auto", "numba", "numpy"):
-    raise RuntimeError(f"APNSURF_BACKEND must be auto, numba or numpy, not {_choice!r}")
+BACKEND = "numpy"
 
-_numba = None
-if _choice in ("auto", "numba"):
-    try:
-        import numba as _numba
-    except ImportError:
-        if _choice == "numba":
-            raise RuntimeError("APNSURF_BACKEND=numba but numba is not importable")
-        _numba = None
-
-BACKEND = "numba" if _numba is not None else "numpy"
+# table cells (candidates times q) that scan_range builds per batch
+_BATCH_CELLS = 1 << 20
 
 
 def power_table(field, e):
@@ -59,178 +43,30 @@ def value_table(field, terms):
     return acc
 
 
-# ------------------------------------------------------------- scalar loops
-# Written once in plain Python; compiled with numba when that backend is on.
-
-def _spectrum_hist_py(table, q, avals):
-    hist = np.zeros(q + 1, dtype=np.int64)
-    counts = np.zeros(q, dtype=np.int64)
-    for a in avals:
-        for b in range(q):
-            counts[b] = 0
-        for x in range(q):
-            counts[table[x ^ a] ^ table[x]] += 1
-        for b in range(q):
-            hist[counts[b]] += 1
-    return hist
-
-
-def _is_apn_py(table, q, avals):
-    counts = np.zeros(q, dtype=np.int64)
-    for a in avals:
-        for b in range(q):
-            counts[b] = 0
-        for x in range(q):
-            bb = table[x ^ a] ^ table[x]
-            c = counts[bb] + 1
-            counts[bb] = c
-            if c >= 4:
-                return False
-    return True
-
-
-def _walsh_hist_py(pmf_perm, par, q, bvals):
-    hist = np.zeros(2 * q + 1, dtype=np.int64)
-    t = np.zeros(q, dtype=np.int64)
-    for b in bvals:
-        for u in range(q):
-            t[u] = 1 - 2 * par[pmf_perm[u] & b]
-        h = 1
-        while h < q:
-            for i in range(0, q, 2 * h):
-                for j in range(i, i + h):
-                    x = t[j]
-                    y = t[j + h]
-                    t[j] = x + y
-                    t[j + h] = x - y
-            h *= 2
-        for u in range(q):
-            hist[t[u] + q] += 1
-    return hist
-
-
-def _scan_py(fixed_table, mono_tables, q, nfree, start, stop, ext, log,
-             hits_out):
-    cap = hits_out.shape[0]
-    nh = 0
-    table = np.zeros(q, dtype=np.int64)
-    counts = np.zeros(q, dtype=np.int64)
-    for cand in range(start, stop):
-        t = cand
-        for x in range(q):
-            table[x] = fixed_table[x]
-        for j in range(nfree):
-            digit = t % q
-            t //= q
-            if digit:
-                lg = log[digit]
-                for x in range(q):
-                    mv = mono_tables[j, x]
-                    if mv:
-                        table[x] ^= ext[lg + log[mv]]
-        ok = True
-        for a in range(1, q):
-            for b in range(q):
-                counts[b] = 0
-            for x in range(q):
-                bb = table[x ^ a] ^ table[x]
-                c = counts[bb] + 1
-                counts[bb] = c
-                if c >= 4:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            if nh < cap:
-                hits_out[nh] = cand
-            nh += 1
-    return nh
-
-
-if BACKEND == "numba":
-    _jit = _numba.njit(cache=True, nogil=True)
-    _spectrum_hist_fast = _jit(_spectrum_hist_py)
-    _is_apn_fast = _jit(_is_apn_py)
-    _walsh_hist_fast = _jit(_walsh_hist_py)
-    _scan_fast = _jit(_scan_py)
-
-
-# ------------------------------------------------------------ numpy variants
-
-def _spectrum_hist_np(table, q, avals):
-    hist = np.zeros(q + 1, dtype=np.int64)
+def _apn_survivors(tables, q, avals):
+    """Indices of the rows of tables (one value table per row) whose
+    derivative solution counts stay below four for every a in avals;
+    each table drops out at its first failing a."""
     xs = np.arange(q, dtype=np.int64)
+    alive = np.arange(tables.shape[0], dtype=np.int64)
+    # row i counts its solutions in bins i*q .. i*q + q - 1
+    offsets = alive[:, None] * q
     for a in avals:
-        diffs = table[xs ^ a] ^ table
-        counts = np.bincount(diffs, minlength=q)
-        hist += np.bincount(counts, minlength=q + 1)
-    return hist
-
-
-def _is_apn_np(table, q, avals):
-    xs = np.arange(q, dtype=np.int64)
-    for a in avals:
-        diffs = table[xs ^ a] ^ table
-        if np.bincount(diffs, minlength=q).max() >= 4:
-            return False
-    return True
-
-
-def _walsh_hist_np(pmf_perm, par, q, bvals):
-    hist = np.zeros(2 * q + 1, dtype=np.int64)
-    chunk = max(1, (1 << 22) // q)
-    for lo in range(0, bvals.shape[0], chunk):
-        blk = bvals[lo:lo + chunk]
-        t = 1 - 2 * par[pmf_perm[None, :] & blk[:, None]].astype(np.int64)
-        h = 1
-        while h < q:
-            t = t.reshape(t.shape[0], -1, 2, h)
-            a = t[:, :, 0, :].copy()
-            b = t[:, :, 1, :].copy()
-            t[:, :, 0, :] = a + b
-            t[:, :, 1, :] = a - b
-            t = t.reshape(blk.shape[0], q)
-            h *= 2
-        hist += np.bincount((t + q).ravel(), minlength=2 * q + 1)
-    return hist
-
-
-def _scan_np(fixed_table, mono_tables, q, nfree, start, stop, ext, log,
-             hits_out):
-    cap = hits_out.shape[0]
-    nh = 0
-    xs = np.arange(q, dtype=np.int64)
-    batch = max(1, (1 << 20) // q)
-    for lo in range(start, stop, batch):
-        hi = min(lo + batch, stop)
-        cands = np.arange(lo, hi, dtype=np.int64)
-        tables = np.broadcast_to(fixed_table, (hi - lo, q)).copy()
-        t = cands.copy()
-        for j in range(nfree):
-            digits = t % q
-            t //= q
-            tables ^= ext[log[digits[:, None]] + log[mono_tables[j][None, :]]]
-        alive = cands
-        for a in range(1, q):
-            if alive.shape[0] == 0:
-                break
-            diffs = tables[:, xs ^ a] ^ tables
-            nrow = diffs.shape[0]
-            offs = (np.arange(nrow, dtype=np.int64)[:, None] * q) + diffs
-            counts = np.bincount(offs.ravel(), minlength=nrow * q)
-            maxc = counts.reshape(nrow, q).max(axis=1)
-            keep = maxc < 4
+        n = alive.shape[0]
+        if n == 0:
+            break
+        # take keeps rows contiguous; tables[:, xs ^ a] comes back
+        # column-major, which halves the speed of the passes below
+        diffs = np.take(tables, xs ^ a, axis=1)
+        diffs ^= tables
+        diffs += offsets[:n]
+        counts = np.bincount(diffs.ravel(), minlength=n * q)
+        if counts.max() >= 4:
+            keep = counts.reshape(n, q).max(axis=1) < 4
             alive = alive[keep]
             tables = tables[keep]
-        for cand in alive:
-            if nh < cap:
-                hits_out[nh] = cand
-            nh += 1
-    return nh
+    return alive
 
-
-# ---------------------------------------------------------------- dispatch
 
 def scaling_rows(field, terms):
     """Row sets for the kernels below, from the scaling group of the map
@@ -269,9 +105,12 @@ def spectrum_hist(table, q, rows=None):
     weight 1, fits any map; scaling_rows gives the reduced set."""
     table = np.ascontiguousarray(table, dtype=np.int64)
     avals, weight = _rows(q, rows)
-    if BACKEND == "numba":
-        return _spectrum_hist_fast(table, q, avals) * weight
-    return _spectrum_hist_np(table, q, avals) * weight
+    hist = np.zeros(q + 1, dtype=np.int64)
+    xs = np.arange(q, dtype=np.int64)
+    for a in avals:
+        counts = np.bincount(table[xs ^ a] ^ table, minlength=q)
+        hist += np.bincount(counts, minlength=q + 1)
+    return hist * weight
 
 
 def is_apn_table(table, q, rows=None):
@@ -279,9 +118,7 @@ def is_apn_table(table, q, rows=None):
     has a solution count of four or more; the weight is not needed."""
     table = np.ascontiguousarray(table, dtype=np.int64)
     avals, _ = _rows(q, rows)
-    if BACKEND == "numba":
-        return bool(_is_apn_fast(table, q, avals))
-    return bool(_is_apn_np(table, q, avals))
+    return _apn_survivors(table[None, :], q, avals).shape[0] == 1
 
 
 def walsh_hist(pmf_perm, q, rows=None):
@@ -291,9 +128,22 @@ def walsh_hist(pmf_perm, q, rows=None):
     pmf_perm = np.ascontiguousarray(pmf_perm, dtype=np.int64)
     par = _parity_table(q).astype(np.int64)
     bvals, weight = _rows(q, rows)
-    if BACKEND == "numba":
-        return _walsh_hist_fast(pmf_perm, par, q, bvals) * weight
-    return _walsh_hist_np(pmf_perm, par, q, bvals) * weight
+    hist = np.zeros(2 * q + 1, dtype=np.int64)
+    chunk = max(1, (1 << 22) // q)
+    for lo in range(0, bvals.shape[0], chunk):
+        blk = bvals[lo:lo + chunk]
+        t = 1 - 2 * par[pmf_perm[None, :] & blk[:, None]]
+        h = 1
+        while h < q:
+            t = t.reshape(t.shape[0], -1, 2, h)
+            a = t[:, :, 0, :].copy()
+            b = t[:, :, 1, :].copy()
+            t[:, :, 0, :] = a + b
+            t[:, :, 1, :] = a - b
+            t = t.reshape(blk.shape[0], q)
+            h *= 2
+        hist += np.bincount((t + q).ravel(), minlength=2 * q + 1)
+    return hist * weight
 
 
 def count_affine(terms, field):
@@ -318,19 +168,36 @@ def count_affine(terms, field):
     return off_locus + on_locus, on_locus
 
 
-def scan_range(fixed_table, mono_tables, field, start, stop, cap=4096):
+def _candidate_tables(fixed_table, mono_tables, field, cands):
+    """Value table of every candidate in cands, one row each: digit j of
+    the candidate in base q scales mono_tables[j] on top of fixed_table."""
+    q = field.q
+    tables = np.broadcast_to(fixed_table, (cands.shape[0], q)).copy()
+    t = cands.copy()
+    for mono in mono_tables:
+        digits = t % q
+        t //= q
+        tables ^= field.mul_vec(digits[:, None], mono[None, :])
+    return tables
+
+
+def scan_range(fixed_table, mono_tables, field, start, stop):
     """Scan candidate coefficient vectors in [start, stop); returns the
-    array of surviving candidate indices (ascending) and the true count
-    (which exceeds the array length if cap was too small)."""
-    ext, log, _ = field.tables()
+    ascending array of candidates that pass the derivative test on every
+    nonzero a, and its length."""
+    q = field.q
     fixed_table = np.ascontiguousarray(fixed_table, dtype=np.int64)
     mono_tables = np.ascontiguousarray(mono_tables, dtype=np.int64)
-    hits = np.zeros(cap, dtype=np.int64)
-    nfree = mono_tables.shape[0]
-    if BACKEND == "numba":
-        nh = int(_scan_fast(fixed_table, mono_tables, field.q, nfree,
-                            start, stop, ext, log, hits))
-    else:
-        nh = int(_scan_np(fixed_table, mono_tables, field.q, nfree,
-                          start, stop, ext, log, hits))
-    return hits[:min(nh, cap)].copy(), nh
+    avals = np.arange(1, q, dtype=np.int64)
+    batch = max(1, _BATCH_CELLS // q)
+    parts = [np.zeros(0, dtype=np.int64)]
+    for lo in range(start, stop, batch):
+        cands = np.arange(lo, min(lo + batch, stop), dtype=np.int64)
+        # the batch's tables are passed on, not kept: the survivor filter
+        # then holds the only copy and shrinks it as candidates fail
+        alive = _apn_survivors(
+            _candidate_tables(fixed_table, mono_tables, field, cands),
+            q, avals)
+        parts.append(cands[alive])
+    survivors = np.concatenate(parts)
+    return survivors, survivors.shape[0]

@@ -18,12 +18,11 @@ from .errors import (
     ApnToolError,
     DegreeCapExceeded,
     DivisionByZero,
-    FieldMismatch,
     InvalidParameters,
     NoGoodEvaluationPoint,
     NotDivisible,
 )
-from .gf2m import Field, common_field
+from .gf2m import common_field
 
 NEG_INF = float("-inf")
 
@@ -228,11 +227,6 @@ class UniPoly:
             raise InvalidParameters("polynomial is not a square")
         return UniPoly(f, [f.sqrt(self.c[i]) for i in range(0, len(self.c), 2)])
 
-    def frobenius_coeffs(self):
-        """Apply the squaring map to every coefficient."""
-        f = self.field
-        return UniPoly(f, [f._mul(v, v) for v in self.c])
-
     def key(self):
         return (len(self.c), tuple(self.c))
 
@@ -259,10 +253,6 @@ def uni_gcd_many(polys):
     return g
 
 
-def _uni_sqrt(p):
-    return p.sqrt_even()
-
-
 def uni_squarefree_part(p):
     """Product of the distinct irreducible factors of p (monic)."""
     if p.is_zero:
@@ -272,7 +262,7 @@ def uni_squarefree_part(p):
         return UniPoly.one(p.field)
     dp = p.derivative()
     if dp.is_zero:
-        return uni_squarefree_part(_uni_sqrt(p))
+        return uni_squarefree_part(p.sqrt_even())
     g = uni_gcd(p, dp)
     w = p.exact_div(g)  # odd-multiplicity factors, once each
     r = g
@@ -284,7 +274,7 @@ def uni_squarefree_part(p):
     # r now carries the even-multiplicity factors only, at even powers
     if r.degree <= 0:
         return w
-    return w * uni_squarefree_part(_uni_sqrt(r))
+    return w * uni_squarefree_part(r.sqrt_even())
 
 
 def _frob_pow_mod(r, p, m):
@@ -373,13 +363,6 @@ def uni_factor(p, seed=0):
     return unit, out
 
 
-def uni_is_irreducible(p):
-    if p.is_zero or p.degree < 1:
-        return False
-    _, facs = uni_factor(p)
-    return len(facs) == 1 and facs[0][1] == 1
-
-
 def uni_roots(p):
     """Roots in the coefficient field, ascending."""
     _, facs = uni_factor(p)
@@ -404,44 +387,27 @@ class Embedding:
         self.small = small
         self.big = big
         if small.m == 1 or small == big:
-            self.root = 0b10 if small == big and small.m > 1 else 1
             self._pow = None
-            if small == big:
-                self._pow = "identity"
-            self._inverse = None
             return
         mod = UniPoly(big, [(small.poly >> i) & 1 for i in range(small.m + 1)])
         roots = uni_roots(mod)
         if not roots:
             raise ApnToolError(
                 f"modulus {small.poly:#x} has no root in GF(2^{big.m})")
-        self.root = roots[0]
         pows = [1]
         for _ in range(small.m - 1):
-            pows.append(big._mul(pows[-1], self.root))
+            pows.append(big._mul(pows[-1], roots[0]))
         self._pow = pows
-        self._inverse = None
 
     def map(self, a):
         self.small.check(a)
-        if self.small.m == 1:
-            return a
-        if self._pow == "identity":
+        if self._pow is None:
             return a
         acc = 0
         for i in range(self.small.m):
             if (a >> i) & 1:
                 acc ^= self._pow[i]
         return acc
-
-    def unmap(self, b):
-        """Inverse on the image; raises FieldMismatch off the image."""
-        if self._inverse is None:
-            self._inverse = {self.map(a): a for a in self.small.elements()}
-        try:
-            return self._inverse[b]
-        except KeyError:
-            raise FieldMismatch(f"{b:#x} is not in the embedded subfield") from None
 
     def map_uni(self, p):
         return UniPoly(self.big, [self.map(v) for v in p.c])

@@ -11,7 +11,7 @@ import math
 
 from . import kernels
 from .errors import BecameZero, InvalidParameters, ParseError, ZeroScalar
-from .gf2m import _is_pow2, common_field
+from .gf2m import _is_pow2
 from .mvpoly import UniPoly
 
 
@@ -60,11 +60,6 @@ class PolyFunc:
         """f(x) for every x, as an int64 array indexed by x."""
         return kernels.value_table(self.field, self.terms())
 
-    def frobenius_twist(self):
-        """The map x -> f(x)^2 expressed again as a PolyFunc."""
-        return PolyFunc(self.field,
-                        [(2 * e, self.field.mul(c, c)) for e, c in self.terms()])
-
     def __eq__(self, other):
         return (isinstance(other, PolyFunc) and self.field == other.field
                 and self.poly == other.poly)
@@ -103,11 +98,6 @@ def normalize(f):
     return PolyFunc(f.field, keep)
 
 
-def is_normalized(f):
-    return (not f.is_zero
-            and all(e != 0 and not _is_pow2(e) for e, _ in f.terms()))
-
-
 def affine_transform(f, a, b, c):
     """The map x -> c * f(a*x + b).
 
@@ -136,11 +126,6 @@ def affine_transform(f, a, b, c):
                 break
             k = (k - 1) & e
     return PolyFunc(fld, [(e, fld.mul(c, v)) for e, v in out.items() if v])
-
-
-def add_maps(f, g):
-    common_field(f.field, g.field)
-    return PolyFunc(f.field, f.terms() + g.terms())
 
 
 # ------------------------------------------------------------ known families

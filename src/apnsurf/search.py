@@ -213,8 +213,7 @@ def scan(job, start=0, stop=None, workers=1):
     if shards:
         def run(bounds):
             lo, hi = bounds
-            hits, nh = scan_range(fixed_table, mono_tables, field,
-                                  lo, hi, cap=hi - lo)
+            hits, nh = scan_range(fixed_table, mono_tables, field, lo, hi)
             if nh > hi - lo:
                 raise ApnToolError("shard [%d, %d) reported %d survivors"
                                    % (lo, hi, nh))

@@ -12,13 +12,30 @@ polynomial powers or division.
 search._degree9_reduction_note sweeps each hit's whole (a, b) grid with
 array arithmetic; reduction_note_brute_force substitutes one (a, b) at
 a time through affine_transform and normalize.
+
+The kernels module vectorizes its loops over whole rows and batches of
+tables; spectrum_hist_py, is_apn_py, walsh_hist_py and scan_py walk the
+same sums one element at a time.
 """
 
 import numpy as np
 
 from apnsurf import kernels
-from apnsurf.mvpoly import TriPoly
+from apnsurf.mvpoly import TriPoly, uni_factor
 from apnsurf.polyfunc import PolyFunc, affine_transform, normalize
+
+
+def frobenius_twist(f):
+    """The map x -> f(x)^2 expressed again as a PolyFunc."""
+    return PolyFunc(f.field, [(2 * e, f.field.mul(c, c)) for e, c in f.terms()])
+
+
+def uni_is_irreducible(p):
+    if p.is_zero or p.degree < 1:
+        return False
+    _, facs = uni_factor(p)
+    return len(facs) == 1 and facs[0][1] == 1
+
 
 
 def four_point_sum(f):
@@ -111,3 +128,91 @@ def reduction_note_brute_force(field, full_hits, reduced_hit_sets):
                 % (escapees,))
     return ("every full-family hit maps into a reduced family under "
             "affine substitution")
+
+
+# ------------------------------------------------------------- scalar loops
+
+def spectrum_hist_py(table, q, avals):
+    hist = np.zeros(q + 1, dtype=np.int64)
+    counts = np.zeros(q, dtype=np.int64)
+    for a in avals:
+        for b in range(q):
+            counts[b] = 0
+        for x in range(q):
+            counts[table[x ^ a] ^ table[x]] += 1
+        for b in range(q):
+            hist[counts[b]] += 1
+    return hist
+
+
+def is_apn_py(table, q, avals):
+    counts = np.zeros(q, dtype=np.int64)
+    for a in avals:
+        for b in range(q):
+            counts[b] = 0
+        for x in range(q):
+            bb = table[x ^ a] ^ table[x]
+            c = counts[bb] + 1
+            counts[bb] = c
+            if c >= 4:
+                return False
+    return True
+
+
+def walsh_hist_py(pmf_perm, par, q, bvals):
+    hist = np.zeros(2 * q + 1, dtype=np.int64)
+    t = np.zeros(q, dtype=np.int64)
+    for b in bvals:
+        for u in range(q):
+            t[u] = 1 - 2 * par[pmf_perm[u] & b]
+        h = 1
+        while h < q:
+            for i in range(0, q, 2 * h):
+                for j in range(i, i + h):
+                    x = t[j]
+                    y = t[j + h]
+                    t[j] = x + y
+                    t[j + h] = x - y
+            h *= 2
+        for u in range(q):
+            hist[t[u] + q] += 1
+    return hist
+
+
+def scan_py(fixed_table, mono_tables, q, nfree, start, stop, ext, log,
+            hits_out):
+    cap = hits_out.shape[0]
+    nh = 0
+    table = np.zeros(q, dtype=np.int64)
+    counts = np.zeros(q, dtype=np.int64)
+    for cand in range(start, stop):
+        t = cand
+        for x in range(q):
+            table[x] = fixed_table[x]
+        for j in range(nfree):
+            digit = t % q
+            t //= q
+            if digit:
+                lg = log[digit]
+                for x in range(q):
+                    mv = mono_tables[j, x]
+                    if mv:
+                        table[x] ^= ext[lg + log[mv]]
+        ok = True
+        for a in range(1, q):
+            for b in range(q):
+                counts[b] = 0
+            for x in range(q):
+                bb = table[x ^ a] ^ table[x]
+                c = counts[bb] + 1
+                counts[bb] = c
+                if c >= 4:
+                    ok = False
+                    break
+            if not ok:
+                break
+        if ok:
+            if nh < cap:
+                hits_out[nh] = cand
+            nh += 1
+    return nh

@@ -15,7 +15,8 @@ from apnsurf.differential import (
 )
 from apnsurf.errors import FieldTooLarge
 from apnsurf.gf2m import Field
-from apnsurf.polyfunc import PolyFunc, add_maps, affine_transform
+from apnsurf.polyfunc import PolyFunc, affine_transform
+from oracles import frobenius_twist
 
 F8 = Field(3)
 F16 = Field(4)
@@ -105,7 +106,7 @@ def test_spectrum_invariant_under_frobenius():
     rng = random.Random(29)
     for _ in range(10):
         f = rand_func(F16, rng)
-        assert differential_spectrum(f) == differential_spectrum(f.frobenius_twist())
+        assert differential_spectrum(f) == differential_spectrum(frobenius_twist(f))
 
 
 def test_field_size_gate():
@@ -148,7 +149,7 @@ def test_walsh_invariance_under_equivalence():
         assert walsh_fingerprint(affine_transform(f, a, 0, c)) == fp
         lin = PolyFunc(F16, [(1, rng.randrange(16)), (2, rng.randrange(16)),
                              (4, rng.randrange(16))])
-        assert walsh_fingerprint(add_maps(f, lin)) == fp
+        assert walsh_fingerprint(PolyFunc(F16, f.terms() + lin.terms())) == fp
 
 
 def scaling_maps(field, rng, reps):

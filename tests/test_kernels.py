@@ -1,12 +1,13 @@
-"""Backend agreement: the vectorized numpy paths must match the scalar loops."""
+"""Each numpy kernel against its scalar loop in tests/oracles.py."""
 
 import random
 
 import numpy as np
 
 from apnsurf import kernels
-from apnsurf.gf2m import Field
+from apnsurf.gf2m import Field, _parity_table
 from apnsurf.polyfunc import PolyFunc
+from oracles import is_apn_py, scan_py, spectrum_hist_py, walsh_hist_py
 
 F16 = Field(4)
 
@@ -45,33 +46,43 @@ def test_spectrum_backends_agree():
     rng = random.Random(5)
     for _ in range(10):
         tab = rand_table(F16, rng)
+        assert np.array_equal(kernels.spectrum_hist(tab, 16),
+                              spectrum_hist_py(tab, 16, ROW_SETS[0]))
         for rows in ROW_SETS:
-            ref = kernels._spectrum_hist_py(tab, 16, rows)
-            alt = kernels._spectrum_hist_np(tab, 16, rows)
-            assert np.array_equal(np.asarray(ref), np.asarray(alt))
+            ref = spectrum_hist_py(tab, 16, rows)
+            assert np.array_equal(kernels.spectrum_hist(tab, 16, (rows, 3)),
+                                  3 * ref)
 
 
 def test_is_apn_backends_agree():
     rng = random.Random(7)
     seen = {True: 0, False: 0}
-    for _ in range(40):
-        tab = rand_table(F16, rng)
-        for rows in ROW_SETS:
-            r = bool(kernels._is_apn_py(tab, 16, rows))
-            assert r == bool(kernels._is_apn_np(tab, 16, rows))
+    tabs = np.stack([rand_table(F16, rng) for _ in range(40)])
+    for rows in ROW_SETS:
+        ref = [bool(is_apn_py(tab, 16, rows)) for tab in tabs]
+        assert [kernels.is_apn_table(tab, 16, (rows, 1))
+                for tab in tabs] == ref
+        # the batch filter behind scan_range, on the same row set
+        alive = kernels._apn_survivors(tabs.copy(), 16, rows)
+        assert alive.tolist() == [i for i, r in enumerate(ref) if r]
+        for r in ref:
             seen[r] += 1
-    assert seen[False] > 0
+    assert seen[False] > 0 and seen[True] > 0
+    assert [kernels.is_apn_table(tab, 16) for tab in tabs] == [
+        bool(is_apn_py(tab, 16, ROW_SETS[0])) for tab in tabs]
 
 
 def test_walsh_backends_agree():
     rng = random.Random(11)
-    par = kernels._parity_table(16).astype(np.int64)
+    par = _parity_table(16).astype(np.int64)
     for _ in range(8):
         perm = np.array(rng.sample(range(16), 16), dtype=np.int64)
+        assert np.array_equal(kernels.walsh_hist(perm, 16),
+                              walsh_hist_py(perm, par, 16, ROW_SETS[0]))
         for rows in ROW_SETS:
-            ref = kernels._walsh_hist_py(perm, par, 16, rows)
-            alt = kernels._walsh_hist_np(perm, par, 16, rows)
-            assert np.array_equal(np.asarray(ref), np.asarray(alt))
+            ref = walsh_hist_py(perm, par, 16, rows)
+            assert np.array_equal(kernels.walsh_hist(perm, 16, (rows, 5)),
+                                  5 * ref)
 
 
 def test_scan_backends_agree_and_hits_verify():
@@ -81,39 +92,26 @@ def test_scan_backends_agree_and_hits_verify():
     fixed = kernels.value_table(field, [(3, 1)])
     monos = np.stack([kernels.power_table(field, 5),
                       kernels.power_table(field, 6)])
-    hits_a = np.zeros(q * q, dtype=np.int64)
-    hits_b = np.zeros(q * q, dtype=np.int64)
-    na = kernels._scan_py(fixed, monos, q, 2, 0, q * q, ext, log, hits_a)
-    nb = kernels._scan_np(fixed, monos, q, 2, 0, q * q, ext, log, hits_b)
-    assert na == nb
-    assert np.array_equal(hits_a[:na], hits_b[:nb])
+    hits_ref = np.zeros(q * q, dtype=np.int64)
+    nref = scan_py(fixed, monos, q, 2, 0, q * q, ext, log, hits_ref)
+    hits, nh = kernels.scan_range(fixed, monos, field, 0, q * q)
+    assert nh == nref == len(hits)
+    assert np.array_equal(hits, hits_ref[:nref])
     # every reported hit is a uniformity-two candidate; spot-check misses too
-    hit_set = set(int(h) for h in hits_a[:na])
+    hit_set = set(int(h) for h in hits)
     for idx in range(0, q * q, 37):
         a5 = idx % q
         a6 = idx // q
         f = PolyFunc(field, [(3, 1), (5, a5), (6, a6)])
         tab = kernels.value_table(field, f.terms())
-        assert bool(kernels._is_apn_py(tab, q, np.arange(1, q))) == (idx in hit_set)
-    for idx in list(hits_a[:4]):
+        assert bool(is_apn_py(tab, q, np.arange(1, q))) == (idx in hit_set)
+    for idx in list(hits[:4]):
         f = PolyFunc(field, [(3, 1), (5, int(idx) % q), (6, int(idx) // q)])
         tab = kernels.value_table(field, f.terms())
-        assert kernels._is_apn_py(tab, q, np.arange(1, q))
+        assert is_apn_py(tab, q, np.arange(1, q))
 
 
-def test_scan_cap_reports_true_count():
-    field = Field(3)
-    q = field.q
-    fixed = kernels.value_table(field, [(3, 1)])
-    monos = np.stack([kernels.power_table(field, 2)])
-    # adding c*x^2 never changes the uniformity, so every candidate survives
-    hits, n = kernels.scan_range(fixed, monos, field, 0, q, cap=2)
-    assert n == q
-    assert len(hits) == 2
-    assert list(hits) == [0, 1]
-
-
-def test_scan_range_dispatch():
+def test_scan_range_dispatch(monkeypatch):
     field = Field(3)
     q = field.q
     fixed = kernels.value_table(field, [(5, 1)])  # x^5 on GF(8) is not uniformity two
@@ -124,8 +122,21 @@ def test_scan_range_dispatch():
     for c in range(q):
         f = PolyFunc(field, [(5, 1), (3, c)])
         tab = kernels.value_table(field, f.terms())
-        assert bool(kernels._is_apn_py(tab, q, np.arange(1, q))) == (c in got)
+        assert bool(is_apn_py(tab, q, np.arange(1, q))) == (c in got)
     assert n == len(got)
+    # a range that starts past 0 and spans many batches gives the
+    # oracle's survivors in the same ascending order
+    field = F16
+    ext, log, _ = field.tables()
+    fixed = kernels.value_table(field, [(3, 1)])
+    monos = np.stack([kernels.power_table(field, e) for e in (6, 5, 9)])
+    ref = np.zeros(600, dtype=np.int64)
+    nref = scan_py(fixed, monos, 16, 3, 37, 637, ext, log, ref)
+    monkeypatch.setattr(kernels, "_BATCH_CELLS", 7 * 16)
+    hits, n = kernels.scan_range(fixed, monos, field, 37, 637)
+    assert n == nref > 0
+    assert hits.tolist() == ref[:nref].tolist()
+    assert kernels.scan_range(fixed, monos, field, 5, 5)[1] == 0
 
 
 def test_count_affine_closed_forms():
@@ -162,4 +173,4 @@ def test_count_affine_off_locus_is_four_point_count():
 
 
 def test_backend_name_reported():
-    assert kernels.BACKEND in ("numba", "numpy")
+    assert kernels.BACKEND == "numpy"

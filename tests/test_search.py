@@ -141,7 +141,7 @@ def test_non_apn_survivor_raises(monkeypatch):
 
 def test_shard_survivor_overflow_raises(monkeypatch):
     monkeypatch.setattr(search, "scan_range",
-                        lambda fixed, monos, field, lo, hi, cap:
+                        lambda fixed, monos, field, lo, hi:
                         ([], hi - lo + 1))
     with pytest.raises(ApnToolError, match="survivors"):
         scan(SearchJob(F16, [(6, 1)], (3, 5)))

@@ -1,0 +1,48 @@
+"""Rules every module under src/apnsurf keeps, checked on its syntax tree.
+
+- no assert statement: a check that guards a result is an explicit raise,
+  which python -O does not strip;
+- no numba import: the kernels are numpy only;
+- no read of APNSURF_BACKEND: there is one backend, so nothing to select.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "apnsurf"
+MODULES = sorted(SRC.glob("*.py"))
+
+
+def violations(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assert):
+            yield node.lineno, "assert statement"
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "numba":
+                    yield node.lineno, "numba import"
+        elif isinstance(node, ast.ImportFrom):
+            if (node.module or "").split(".")[0] == "numba":
+                yield node.lineno, "numba import"
+        elif isinstance(node, ast.Constant) and node.value == "APNSURF_BACKEND":
+            yield node.lineno, "APNSURF_BACKEND read"
+
+
+def test_modules_found():
+    assert len(MODULES) >= 10
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_source_rules(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert list(violations(tree)) == []
+
+
+def test_rules_catch_each_violation():
+    src = ("import os\nimport numba.core\nfrom numba import njit\n"
+           "assert True\nos.environ.get('APNSURF_BACKEND')\n")
+    assert sorted(violations(ast.parse(src))) == [
+        (2, "numba import"), (3, "numba import"), (4, "assert statement"),
+        (5, "APNSURF_BACKEND read")]
