@@ -158,7 +158,7 @@ def cmd_bounds(args):
 
 def cmd_criteria(args):
     if args.r is not None:
-        verdicts = [binomial_criterion(args.d, args.r, seed=args.seed),
+        verdicts = [binomial_criterion(args.d, args.r),
                     exponent_pair_criterion(args.d, args.r)]
     else:
         verdicts = [congruence_irreducible(args.d), congruence_smooth(args.d)]
@@ -243,7 +243,6 @@ def build_parser():
                     "GF(2^m)")
     parser.add_argument("--format", choices=("text", "json", "csv"),
                         default="text")
-    parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--workers", type=int, default=1)
     sub = parser.add_subparsers(dest="command", required=True)
 

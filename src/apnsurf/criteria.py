@@ -117,7 +117,15 @@ def _univariate(p, var):
     return tri_to_bi(p, 1 - var, var)[0]
 
 
-def _chart_factors(chart, seed=0):
+def _extension(base, k):
+    """Embedding of base into its degree-k extension (identity for k = 1)."""
+    if base.m * k > EXT_M_CAP:
+        raise DegreeCapExceeded(
+            f"singular point needs GF(2^{base.m * k}), above the cap {EXT_M_CAP}")
+    return Embedding(base, base if k == 1 else Field(base.m * k))
+
+
+def _chart_factors(chart):
     """Irreducible factors of a squarefree two-variable chart, as a flat
     list over the coefficient field, or over the smallest extension
     GF(2^(m*k)) with enough evaluation points when the field has too few;
@@ -125,23 +133,21 @@ def _chart_factors(chart, seed=0):
     closure."""
     for var in (0, 1):
         if chart.degree_in(1 - var) == 0:
-            _, facs = uni_factor(_univariate(chart, var), seed=seed)
+            _, facs = uni_factor(_univariate(chart, var))
             return [bi_to_tri([fp], 1 - var, var, chart.field)
                     for fp, _ in facs]
     base = chart.field
-    work = chart
     k = 1
     while True:
         try:
-            return bi_factor(work, 0, 1, seed=seed)[1]
+            return bi_factor(_extension(base, k).map_tri(chart), 0, 1)[1]
         except NoGoodEvaluationPoint:
             k += 1
             if base.m * k > EXT_M_CAP:
                 raise
-            work = Embedding(base, Field(base.m * k)).map_tri(chart)
 
 
-def absolutely_irreducible(curve, seed=0):
+def absolutely_irreducible(curve):
     """Decide absolute irreducibility of a homogeneous form in x0, x1, x2
     by factoring its chart over the base field and over the prime-order
     extensions dividing the degree."""
@@ -172,7 +178,7 @@ def absolutely_irreducible(curve, seed=0):
     if sf.total_degree < chart.total_degree:
         return CriterionVerdict(REFUTED, name, note="repeated factor",
                                 witness=sf)
-    facs = _chart_factors(chart, seed=seed)
+    facs = _chart_factors(chart)
     if len(facs) > 1:
         w = facs[0].homogenize(facs[0].total_degree) if facs[0].total_degree \
             else facs[0]
@@ -185,8 +191,7 @@ def absolutely_irreducible(curve, seed=0):
             return CriterionVerdict(
                 UNKNOWN, name,
                 note=f"extension degree {base.m * t} above field cap")
-        emb = Embedding(base, Field(base.m * t))
-        facs = _chart_factors(emb.map_tri(chart), seed=seed)
+        facs = _chart_factors(_extension(base, t).map_tri(chart))
         if len(facs) > 1:
             w = facs[0].homogenize(facs[0].total_degree)
             return CriterionVerdict(
@@ -235,16 +240,6 @@ def _canonical(field, p):
     raise InvalidParameters("projective point cannot be all zero")
 
 
-def _extension(base, k):
-    if k == 1:
-        return base, None
-    if base.m * k > EXT_M_CAP:
-        raise DegreeCapExceeded(
-            f"singular point needs GF(2^{base.m * k}), above the cap {EXT_M_CAP}")
-    big = Field(base.m * k)
-    return big, Embedding(base, big)
-
-
 def _v_candidates(cs):
     """Common gcd of the nonzero members of the specialized system; None
     when the whole system vanished."""
@@ -254,7 +249,7 @@ def _v_candidates(cs):
     return uni_gcd_many(nz) if len(nz) > 1 else nz[0].monic()
 
 
-def curve_singular_points(curve, seed=0):
+def curve_singular_points(curve):
     """All singular points of a reduced plane curve, over whatever
     extension fields they live in.
 
@@ -296,46 +291,44 @@ def curve_singular_points(curve, seed=0):
             raise InvalidParameters("positive-dimensional singular locus")
         g = uni_gcd_many(rs)
         if g.degree > 0:
-            _, gfacs = uni_factor(g, seed=seed)
+            _, gfacs = uni_factor(g)
             for gp, _mult in gfacs:
-                ext, emb = _extension(base, gp.degree)
-                ce = emb.map_tri(c) if emb else c
-                cue = emb.map_tri(cu) if emb else cu
-                cve = emb.map_tri(cv) if emb else cv
-                gpe = emb.map_uni(gp) if emb else gp
-                for u0 in uni_roots(gpe):
+                emb = _extension(base, gp.degree)
+                ext = emb.big
+                system = [emb.map_tri(poly) for poly in (c, cu, cv)]
+                for u0 in uni_roots(emb.map_uni(gp)):
                     specs = [_univariate(poly.substitute_const(0, u0), 1)
-                             for poly in (ce, cue, cve)]
+                             for poly in system]
                     gv = _v_candidates(specs)
                     if gv is None:
                         raise InvalidParameters(
                             "positive-dimensional singular locus")
                     if gv.degree <= 0:
                         continue
-                    _, vfacs = uni_factor(gv, seed=seed)
+                    _, vfacs = uni_factor(gv)
                     for vp, _m2 in vfacs:
                         if vp.degree == 1:
                             push(ext, (u0, vp.c[0], 1))
                             continue
-                        ext2, emb2 = _extension(ext, vp.degree)
+                        emb2 = _extension(ext, vp.degree)
                         u1 = emb2.map(u0)
                         for v0 in uni_roots(emb2.map_uni(vp)):
-                            push(ext2, (u1, v0, 1))
+                            push(emb2.big, (u1, v0, 1))
 
     # ---- the line x2 = 0
     partials = [curve.partial(i) for i in range(3)]
     w = curve.substitute_const(1, 1).substitute_const(2, 0)
     if not w.is_zero and w.total_degree > 0:
         wp = _univariate(w, 0)
-        _, wfacs = uni_factor(wp, seed=seed)
+        _, wfacs = uni_factor(wp)
         for fp, _mult in wfacs:
             if fp.degree == 0:
                 continue
-            ext, emb = _extension(base, fp.degree)
-            pe = [emb.map_tri(p) if emb else p for p in partials]
-            for u0 in uni_roots(emb.map_uni(fp) if emb else fp):
+            emb = _extension(base, fp.degree)
+            pe = [emb.map_tri(p) for p in partials]
+            for u0 in uni_roots(emb.map_uni(fp)):
                 if all(p.eval_at((u0, 1, 0, 0)) == 0 for p in pe):
-                    push(ext, (u0, 1, 0))
+                    push(emb.big, (u0, 1, 0))
     elif w.is_zero:
         # the whole line lies on the curve; x2 divides it
         raise InvalidParameters("x2 divides the form; handle its factors directly")
@@ -349,7 +342,7 @@ def curve_singular_points(curve, seed=0):
 
 # ----------------------------------------------------- pairwise criteria
 
-def binomial_criterion(d, r, seed=0):
+def binomial_criterion(d, r):
     """Coprimality/squarefreeness test on the two infinity curves of a
     two-term map x^d + a x^r; establishing it proves the quotient surface
     absolutely irreducible for every nonzero coefficient a."""
@@ -399,7 +392,7 @@ def exponent_pair_criterion(d, r):
     return CriterionVerdict(UNKNOWN, name, note=f"gcd(d-1, r-1) = {g}")
 
 
-def surface_irreducible(surface, seed=0):
+def surface_irreducible(surface):
     """Combined sufficient test that the projective closure of a map's
     quotient surface is absolutely irreducible."""
     name = "surface_irreducible"
@@ -416,14 +409,13 @@ def surface_irreducible(surface, seed=0):
         r = terms[1][0]
         for crit in (binomial_criterion, exponent_pair_criterion):
             try:
-                v = crit(d, r) if crit is exponent_pair_criterion \
-                    else crit(d, r, seed=seed)
+                v = crit(d, r)
             except InvalidParameters:
                 continue
             if v.established:
                 return CriterionVerdict(ESTABLISHED, name, note=v.note)
     try:
-        v = absolutely_irreducible(surface.infinity_part(), seed=seed)
+        v = absolutely_irreducible(surface.infinity_part())
     except (DegreeCapExceeded, NoGoodEvaluationPoint) as e:
         return CriterionVerdict(UNKNOWN, name, note=str(e))
     if v.established:

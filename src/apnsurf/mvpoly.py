@@ -7,7 +7,10 @@ z exponent at 0.  Monomials are ordered graded-lex with x0 > x1 > x2 > z.
 
 Bivariate helpers (gcd, resultant, squarefree part, factorization) treat a
 TriPoly supported on two variables as a polynomial in a main variable with
-univariate coefficients in the other.
+univariate coefficients in the other: a list of UniPoly rows in the aux
+variable, indexed by the main-variable exponent.  Factorization lifts a
+split of one specialization by Hensel lifting on the same rows, shifted so
+the specialization point sits at w = 0 and truncated below w^n.
 """
 
 import heapq
@@ -328,7 +331,7 @@ def _edf(g, i, rng):
             return _edf(s, i, rng) + _edf(g.exact_div(s), i, rng)
 
 
-def uni_factor(p, seed=0):
+def uni_factor(p):
     """Full factorization.
 
     Returns (unit, factors) with unit in the field and factors a list of
@@ -341,7 +344,9 @@ def uni_factor(p, seed=0):
     p = p.monic()
     if p.degree == 0:
         return unit, []
-    rng = random.Random(seed)
+    # the factors are sorted below, so the split order the generator
+    # happens to take never shows in the result
+    rng = random.Random(0)
     sq = uni_squarefree_part(p)
     irreducibles = []
     for block, i in _ddf(sq):
@@ -928,161 +933,85 @@ def _grlex_normalize(p):
     return p.scale(p.field.inv(c))
 
 
-
 # ------------------------------------------------- truncated power series
 
-def _ser_mul(a, b, n, field):
-    mul = field._mul
-    out = [0] * n
-    for i, av in enumerate(a):
-        if av:
-            top = min(n - i, len(b))
-            for j in range(top):
-                if b[j]:
-                    out[i + j] ^= mul(av, b[j])
-    return out
+def _bl_mul_trunc(a, b, n):
+    """Product of two row lists with each row truncated below w^n."""
+    if not a or not b:
+        return []
+    f = a[0].field
+    mul = f._mul
+    out = [[0] * n for _ in range(len(a) + len(b) - 1)]
+    for i, pa in enumerate(a):
+        for j, pb in enumerate(b):
+            tgt = out[i + j]
+            for s, av in enumerate(pa.c[:n]):
+                if av:
+                    for t, bv in enumerate(pb.c[:n - s]):
+                        if bv:
+                            tgt[s + t] ^= mul(av, bv)
+    return _bl_strip([UniPoly(f, r) for r in out])
 
 
-def _ser_inv(a, n, field):
-    if a[0] == 0:
+def _ser_inv(a, n):
+    """Inverse of the series a modulo w^n, by Newton steps: b -> b(2 - ab),
+    which reads a*b^2 in characteristic 2, doubles the correct orders."""
+    f = a.field
+    if a.is_zero or a.c[0] == 0:
         raise DivisionByZero("series has no inverse")
-    inv0 = field.inv(a[0])
-    out = [0] * n
-    out[0] = inv0
-    mul = field._mul
-    for k in range(1, n):
-        acc = 0
-        for i in range(1, min(k, len(a) - 1) + 1):
-            if a[i] and out[k - i]:
-                acc ^= mul(a[i], out[k - i])
-        out[k] = mul(inv0, acc)
-    return out
+    b = UniPoly.const(f, f.inv(a.c[0]))
+    k = 1
+    while k < n:
+        k *= 2
+        b = UniPoly(f, (a * b * b).c[:k])
+    return UniPoly(f, b.c[:n])
 
 
-def _pad_series(p, n):
-    """UniPoly -> length-n list."""
-    row = [0] * n
-    for j, v in enumerate(p.c):
-        if j < n:
-            row[j] = v
-    return row
-
-
-class _SerPoly:
-    """Polynomial in the main variable whose coefficients are power series
-    truncated at order n (length-n lists of field elements)."""
-
-    __slots__ = ("field", "n", "rows")
-
-    def __init__(self, field, n, rows):
-        self.field = field
-        self.n = n
-        self.rows = rows
-        while self.rows and all(v == 0 for v in self.rows[-1]):
-            self.rows.pop()
-
-    @property
-    def degree(self):
-        return len(self.rows) - 1 if self.rows else -1
-
-    def add(self, other):
-        n = self.n
-        f = self.field
-        rows = []
-        for i in range(max(len(self.rows), len(other.rows))):
-            a = self.rows[i] if i < len(self.rows) else [0] * n
-            b = other.rows[i] if i < len(other.rows) else [0] * n
-            rows.append([x ^ y for x, y in zip(a, b)])
-        return _SerPoly(f, n, rows)
-
-    def mul(self, other):
-        n, f = self.n, self.field
-        if not self.rows or not other.rows:
-            return _SerPoly(f, n, [])
-        rows = [[0] * n for _ in range(len(self.rows) + len(other.rows) - 1)]
-        for i, a in enumerate(self.rows):
-            if all(v == 0 for v in a):
-                continue
-            for j, b in enumerate(other.rows):
-                prod = _ser_mul(a, b, n, f)
-                tgt = rows[i + j]
-                for k in range(n):
-                    tgt[k] ^= prod[k]
-        return _SerPoly(f, n, rows)
-
-    def scale_series(self, s):
-        n, f = self.n, self.field
-        return _SerPoly(f, n, [_ser_mul(r, s, n, f) for r in self.rows])
-
-    def coeff_of_order(self, k):
-        """UniPoly in the main variable made of each row's order-k term."""
-        return UniPoly(self.field, [r[k] for r in self.rows])
-
-    def copy(self):
-        return _SerPoly(self.field, self.n, [list(r) for r in self.rows])
-
-
-def _serpoly_from_uni(p, n):
-    f = p.field
-    rows = []
-    for v in p.c:
-        row = [0] * n
-        row[0] = v
-        rows.append(row)
-    return _SerPoly(f, n, rows)
-
-
-def _serpoly_from_rows(rows, n, field):
-    return _SerPoly(field, n, [_pad_series(p, n) for p in rows])
+def _bl_at_order(p, k):
+    """Rows holding the univariate p (in the main variable) times w^k."""
+    return [UniPoly.const(p.field, v).shift(k) for v in p.c]
 
 
 def _uni_bezout(a, b):
-    """s, t with s*a + t*b = 1 for coprime a, b."""
+    """s with s*a = 1 mod b, for coprime a, b."""
     f = a.field
     r0, r1 = a, b
     s0, s1 = UniPoly.one(f), UniPoly.zero(f)
-    t0, t1 = UniPoly.zero(f), UniPoly.one(f)
     while not r1.is_zero:
         q, r = divmod(r0, r1)
         r0, r1 = r1, r
         s0, s1 = s1, s0 + q * s1
-        t0, t1 = t1, t0 + q * t1
     if r0.degree != 0:
         raise ApnToolError(
             f"Bezout inputs share a factor of degree {r0.degree}")
-    inv = f.inv(r0.c[0])
-    return s0.scale(inv), t0.scale(inv)
+    return s0.scale(f.inv(r0.c[0]))
 
 
 def _hensel_pair(pstar, g0, h0, n):
     """Lift the coprime monic split p*(u, 0) = g0*h0 to monic g, h over the
     series ring with p* = g*h at truncation order n."""
-    f = pstar.field
-    s, t = _uni_bezout(g0, h0)
-    g = _serpoly_from_uni(g0, n)
-    h = _serpoly_from_uni(h0, n)
+    f = g0.field
+    s = _uni_bezout(g0, h0)
+    g = _bl_at_order(g0, 0)
+    h = _bl_at_order(h0, 0)
     for k in range(1, n):
-        err = pstar.add(g.mul(h))  # char 2: difference == sum
-        e = err.coeff_of_order(k)
+        err = _bl_add(pstar, _bl_mul_trunc(g, h, n))  # char 2: difference == sum
+        e = UniPoly(f, [p.c[k] if k < len(p.c) else 0 for p in err])
         if e.is_zero:
             continue
         dh = (s * e) % h0
         dg = (e + g0 * dh).exact_div(h0)
-        for i, v in enumerate(dg.c):
-            if v:
-                g.rows[i][k] ^= v
-        for i, v in enumerate(dh.c):
-            if v:
-                h.rows[i][k] ^= v
+        g = _bl_add(g, _bl_at_order(dg, k))
+        h = _bl_add(h, _bl_at_order(dh, k))
     return g, h
 
 
 def _lift_all(pstar, local, n):
     """Lift each monic local factor in turn against the product of the rest."""
     if len(local) == 1:
-        return [pstar.copy()]
+        return [pstar]
     g0 = local[0]
-    h0 = UniPoly.one(pstar.field)
+    h0 = UniPoly.one(g0.field)
     for p in local[1:]:
         h0 = h0 * p
     g, h = _hensel_pair(pstar, g0, h0, n)
@@ -1091,7 +1020,7 @@ def _lift_all(pstar, local, n):
 
 def _bl_try_exact_div(a, b, f):
     """Quotient of a by b in F[aux][main] if the division is exact, else None."""
-    a = [p for p in a]
+    a = list(a)
     db = _bl_deg(b)
     da = _bl_deg(a)
     if db < 0 or da < db:
@@ -1116,7 +1045,7 @@ def _bl_try_exact_div(a, b, f):
 
 # ------------------------------------------------------------- factorization
 
-def bi_factor(p, main=0, aux=1, seed=0):
+def bi_factor(p, main=0, aux=1):
     """Factor a squarefree TriPoly supported on two variables into
     irreducibles over its coefficient field.
 
@@ -1137,33 +1066,22 @@ def bi_factor(p, main=0, aux=1, seed=0):
     for i in p.support_vars():
         if i not in (main, aux):
             raise InvalidParameters(f"polynomial touches variable {i}")
-    rows = _bl_strip(tri_to_bi(p, main, aux))
-    unit = 1
-    factors = []
-    if _bl_deg(rows) == 0:
-        # univariate in the aux variable
-        u, facs = uni_factor(rows[0], seed=seed)
-        for fac, mult in facs:
-            factors.extend([bi_to_tri([fac], main, aux, f)] * mult)
-        return u, _sort_tri_factors(factors)
-    cont, prim = _bl_primitive(rows)
-    if cont.degree > 0:
-        u, facs = uni_factor(cont, seed=seed)
-        unit = f._mul(unit, u)
-        for fac, mult in facs:
-            factors.extend([bi_to_tri([fac], main, aux, f)] * mult)
-    else:
-        unit = f._mul(unit, cont.c[0])
-    prim_factors = _bi_factor_primitive(prim, main, aux, f, seed)
-    # reconcile the overall scalar against the reconstructed product
-    acc = TriPoly.const(f, 1)
-    for t in prim_factors:
-        acc = acc * t
-    orig = bi_to_tri(prim, main, aux, f)
-    _, oc = orig.lead_term()
-    _, ac = acc.lead_term()
-    unit = f._mul(unit, f._mul(oc, f.inv(ac)))
-    factors.extend(prim_factors)
+    # the content (all of p when p is univariate in the aux variable)
+    # factors as a univariate polynomial
+    cont, prim = _bl_primitive(_bl_strip(tri_to_bi(p, main, aux)))
+    unit, facs = uni_factor(cont)
+    factors = [bi_to_tri([fac], main, aux, f)
+               for fac, mult in facs for _ in range(mult)]
+    if _bl_deg(prim) > 0:
+        prim_factors = _bi_factor_primitive(prim, main, aux, f)
+        # reconcile the overall scalar against the reconstructed product
+        acc = TriPoly.const(f, 1)
+        for t in prim_factors:
+            acc = acc * t
+        _, oc = bi_to_tri(prim, main, aux, f).lead_term()
+        _, ac = acc.lead_term()
+        unit = f._mul(unit, f._mul(oc, f.inv(ac)))
+        factors.extend(prim_factors)
     return unit, _sort_tri_factors(factors)
 
 
@@ -1173,69 +1091,53 @@ def _sort_tri_factors(factors):
     return sorted(factors, key=key)
 
 
-def _bi_factor_primitive(rows, main, aux, f, seed):
+def _bi_factor_primitive(rows, main, aux, f):
     """Irreducible factors of a primitive squarefree bivariate polynomial
     given as a main-variable coefficient list over F[aux]."""
-    du = _bl_deg(rows)
     lc = rows[-1]
     maxv = max(int(p.degree) for p in rows if not p.is_zero)
     n = int(lc.degree) + maxv + 1  # series precision covers any true factor
-    good = None
     for a in f.elements():
         if lc.eval_at(a) == 0:
             continue
         spec = UniPoly(f, [p.eval_at(a) for p in rows])
-        if uni_gcd(spec, spec.derivative()).degree != 0:
-            continue
-        good = a
-        break
-    if good is None:
+        if uni_gcd(spec, spec.derivative()).degree == 0:
+            break
+    else:
         raise NoGoodEvaluationPoint(
             "no usable specialization point in the coefficient field")
-    a = good
     # shift so the chosen point sits at the series origin (w = aux + a)
     work = [p.taylor_shift(a) for p in rows]
     spec = UniPoly(f, [p.c[0] if p.c else 0 for p in work])
-    _, sfacs = uni_factor(spec, seed=seed)
+    _, sfacs = uni_factor(spec)
     if any(mult != 1 for _, mult in sfacs):
         raise ApnToolError("specialization at the chosen point is not squarefree")
     local = sorted((fac for fac, _ in sfacs), key=UniPoly.key)
     if len(local) == 1:
         out = _grlex_normalize(bi_to_tri(rows, main, aux, f))
         return [out]
-    sp = _serpoly_from_rows(work, n, f)
-    inv_lc = _ser_inv(sp.rows[-1], n, f)
-    pstar = sp.scale_series(inv_lc)
+    # every row of work has w-degree below n already
+    pstar = _bl_mul_trunc(work, [_ser_inv(work[-1], n)], n)
     lifted = _lift_all(pstar, local, n)
     remaining = list(range(len(local)))
     cur = work  # shifted coordinates throughout the recombination
     found_shifted = []
-    while remaining:
-        du_cur = _bl_deg(cur)
-        if du_cur == 0:
-            remaining = []
-            break
-        hit = None
-        for size in range(1, len(remaining) // 2 + 1):
-            for combo in itertools.combinations(remaining, size):
-                if sum(lifted[i].degree for i in combo) >= du_cur:
-                    continue
-                res = _try_combo(cur, lifted, combo, f, n)
-                if res is not None:
-                    hit = (combo, res)
+    while remaining and _bl_deg(cur) > 0:
+        subsets = itertools.chain.from_iterable(
+            itertools.combinations(remaining, size)
+            for size in range(1, len(remaining) // 2 + 1))
+        for combo in subsets:
+            if sum(_bl_deg(lifted[i]) for i in combo) < _bl_deg(cur):
+                hit = _try_combo(cur, lifted, combo, f, n)
+                if hit is not None:
                     break
-            if hit:
-                break
-        if hit is None:
-            found_shifted.append(cur)
-            break
-        combo, (fac_rows, quo_rows) = hit
+        else:
+            break  # no subset splits off: cur is irreducible
+        fac_rows, cur = hit
         found_shifted.append(fac_rows)
-        cur = quo_rows
         remaining = [i for i in remaining if i not in combo]
-    else:
-        if _bl_deg(cur) > 0:
-            found_shifted.append(cur)
+    if _bl_deg(cur) > 0:
+        found_shifted.append(cur)
     out = []
     for fr in found_shifted:
         back = _bl_strip([p.taylor_shift(a) for p in fr])  # char 2: shift back
@@ -1246,13 +1148,12 @@ def _bi_factor_primitive(rows, main, aux, f, seed):
 def _try_combo(cur, lifted, combo, f, n):
     """Build the candidate factor for a subset of lifted local factors and
     test it by exact division; returns (factor rows, quotient rows) or None."""
-    prod = lifted[combo[0]].copy()
+    prod = lifted[combo[0]]
     for i in combo[1:]:
-        prod = prod.mul(lifted[i])
+        prod = _bl_mul_trunc(prod, lifted[i], n)
     # scale the monic candidate by the current leading coefficient and take
     # the primitive part: for a true subset this is exactly the factor
-    cand_sp = prod.scale_series(_pad_series(cur[-1], n))
-    cand = _bl_strip([UniPoly(f, r) for r in cand_sp.rows])
+    cand = _bl_mul_trunc(prod, [cur[-1]], n)
     if not cand:
         return None
     _, cand = _bl_primitive(cand)

@@ -16,11 +16,18 @@ a time through affine_transform and normalize.
 The kernels module vectorizes its loops over whole rows and batches of
 tables; spectrum_hist_py, is_apn_py, walsh_hist_py and scan_py walk the
 same sums one element at a time.
+
+mvpoly.bi_factor lifts a split of one specialization and recombines the
+lifted factors; bi_is_irreducible instead tries every possible factor of
+at most half the degree by exact division.
 """
+
+import itertools
 
 import numpy as np
 
 from apnsurf import kernels
+from apnsurf.errors import NotDivisible
 from apnsurf.mvpoly import TriPoly, uni_factor
 from apnsurf.polyfunc import PolyFunc, affine_transform, normalize
 
@@ -36,6 +43,30 @@ def uni_is_irreducible(p):
     _, facs = uni_factor(p)
     return len(facs) == 1 and facs[0][1] == 1
 
+
+
+def bi_is_irreducible(p):
+    """Irreducibility over the coefficient field of a TriPoly in x0, x1, by
+    trial division.  A reducible p of total degree n has a factor of total
+    degree at most n // 2, and that factor scaled to graded-lex leading
+    coefficient 1 still divides p; so every such candidate is tried.  The
+    work is q^((k+1)(k+2)/2) divisions for k = n // 2: keep n and q small."""
+    field = p.field
+    n = p.total_degree
+    if n < 1:
+        return False
+    half = n // 2
+    monomials = [(i, k - i, 0, 0) for k in range(half + 1) for i in range(k + 1)]
+    for coeffs in itertools.product(range(field.q), repeat=len(monomials)):
+        cand = TriPoly(field, dict(zip(monomials, coeffs)))
+        if cand.total_degree < 1 or cand.lead_term()[1] != 1:
+            continue
+        try:
+            p.exact_divide(cand)
+        except NotDivisible:
+            continue
+        return False
+    return True
 
 
 def four_point_sum(f):

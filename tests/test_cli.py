@@ -155,6 +155,14 @@ def test_criteria_exit_codes(capsys):
     assert rec["verdicts"][0]["status"] == "established"
 
 
+def test_seed_flag_is_usage_error(capsys):
+    # no result ever depended on a seed, so the flag is gone
+    with pytest.raises(SystemExit) as exc:
+        main(["--seed", "1", "criteria", "--d", "13", "--r", "7"])
+    assert exc.value.code == 2
+    assert "--seed" not in build_parser().format_help()
+
+
 def test_search_json(capsys):
     code, out, _ = run(capsys, "--format", "json", "search", "--m", "4",
                        "--family", "x^6 + A*x^5 + B*x^3")

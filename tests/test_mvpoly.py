@@ -10,6 +10,7 @@ from apnsurf.errors import (
     DegreeCapExceeded,
     DivisionByZero,
     InvalidParameters,
+    NoGoodEvaluationPoint,
     NotDivisible,
 )
 from apnsurf.gf2m import Field
@@ -28,7 +29,7 @@ from apnsurf.mvpoly import (
     uni_roots,
     uni_squarefree_part,
 )
-from oracles import uni_is_irreducible
+from oracles import bi_is_irreducible, uni_is_irreducible
 
 F2 = Field(1)
 F4 = Field(2)
@@ -217,8 +218,11 @@ def test_uni_factor_deterministic():
     rng = random.Random(55)
     for _ in range(10):
         p = rand_uni(F16, 8, rng)
-        assert uni_factor(p) == uni_factor(p)
-        assert uni_factor(p, seed=1) == uni_factor(p, seed=2)
+        unit, facs = uni_factor(p)
+        assert uni_factor(p) == (unit, facs)
+        # sorted factors: the order the random splits take never shows
+        irreducibles = [f_ for f_, _ in facs]
+        assert irreducibles == sorted(irreducibles, key=UniPoly.key)
 
 
 def test_uni_roots():
@@ -575,6 +579,50 @@ def test_bi_factor_reconstructs():
                 assert len(sub) == 1
 
 
+def test_bi_factor_matches_trial_division_oracle():
+    # planted products of total degree <= 4 over GF(2) and <= 3 over GF(4),
+    # factored along either variable; every factor must pass the
+    # trial-division oracle and the factors must rebuild the input
+    rng = random.Random(89)
+    checked = {F2: 0, F4: 0}
+    for field, top in ((F2, 4), (F4, 3)):
+        for _ in range(60):
+            p = TriPoly.const(field, rng.randrange(1, field.q))
+            while p.total_degree < top:
+                fac = rand_tri(field, rng.randrange(1, top - p.total_degree + 1),
+                               rng)
+                if fac.total_degree < 1:
+                    continue
+                p = p * fac
+            p = bi_squarefree(p)
+            if p.total_degree < 1:
+                continue
+            for main, aux in ((0, 1), (1, 0)):
+                try:
+                    unit, facs = bi_factor(p, main, aux)
+                except NoGoodEvaluationPoint:
+                    continue
+                acc = TriPoly.const(field, unit)
+                for t in facs:
+                    acc = acc * t
+                    assert bi_is_irreducible(t), f"{t!r} from {p!r} splits"
+                assert acc == p, f"factors of {p!r} do not rebuild it"
+                checked[field] += 1
+    assert min(checked.values()) >= 80, checked
+
+
+def test_bi_factor_non_monic_split():
+    # both factors have a nonconstant leading coefficient in x0; the split
+    # is only found when the series inverse of the leading coefficient is
+    # carried to the full lifting precision
+    x0 = TriPoly.var(F4, 0)
+    x1 = TriPoly.var(F4, 1)
+    one = TriPoly.const(F4, 1)
+    a = x0 * x1 * x1 + x0 + x1
+    b = x0.pow_(3) * (x1 * x1 + one) + x0.scale(2) + x1.scale(3) + one.scale(3)
+    assert bi_factor(a * b) == (1, [a, b])
+
+
 def test_bi_factor_split_example():
     x0 = TriPoly.var(F2, 0)
     x1 = TriPoly.var(F2, 1)
@@ -626,8 +674,8 @@ def test_bi_factor_repeated_specialization_raises(monkeypatch):
     # point contradicts the squarefree check that chose the point
     real = mvpoly.uni_factor
 
-    def doubled(p, seed=0):
-        unit, facs = real(p, seed=seed)
+    def doubled(p):
+        unit, facs = real(p)
         return unit, [(f, 2) for f, _ in facs]
     monkeypatch.setattr(mvpoly, "uni_factor", doubled)
     x0 = TriPoly.var(F2, 0)

@@ -3,7 +3,9 @@
 - no assert statement: a check that guards a result is an explicit raise,
   which python -O does not strip;
 - no numba import: the kernels are numpy only;
-- no read of APNSURF_BACKEND: there is one backend, so nothing to select.
+- no read of APNSURF_BACKEND: there is one backend, so nothing to select;
+- no parameter named seed: every result is deterministic, so a seed
+  would be a knob that changes nothing.
 """
 
 import ast
@@ -28,6 +30,8 @@ def violations(tree):
                 yield node.lineno, "numba import"
         elif isinstance(node, ast.Constant) and node.value == "APNSURF_BACKEND":
             yield node.lineno, "APNSURF_BACKEND read"
+        elif isinstance(node, ast.arg) and node.arg == "seed":
+            yield node.lineno, "seed parameter"
 
 
 def test_modules_found():
@@ -42,7 +46,9 @@ def test_source_rules(path):
 
 def test_rules_catch_each_violation():
     src = ("import os\nimport numba.core\nfrom numba import njit\n"
-           "assert True\nos.environ.get('APNSURF_BACKEND')\n")
+           "assert True\nos.environ.get('APNSURF_BACKEND')\n"
+           "def f(p, *, seed=0):\n    return lambda seed: p\n")
     assert sorted(violations(ast.parse(src))) == [
         (2, "numba import"), (3, "numba import"), (4, "assert statement"),
-        (5, "APNSURF_BACKEND read")]
+        (5, "APNSURF_BACKEND read"), (6, "seed parameter"),
+        (7, "seed parameter")]

@@ -239,6 +239,27 @@ def test_count_points_matches_brute_force_oracle():
     assert min(seen.values()) > 0, seen
 
 
+def test_count_points_infinity_matches_projective_oracle():
+    # count_points reads the points at infinity off the affine cone of the
+    # curve; projective_plane_zeros evaluates the curve at every point
+    rng = random.Random(61)
+    degrees = set()
+    for m in range(2, 8):
+        field = Field(m)
+        for _ in range(8):
+            terms = [(rng.randrange(3, min(field.q, 34)),
+                      rng.randrange(1, field.q))
+                     for _ in range(rng.randrange(1, 4))]
+            f = PolyFunc(field, terms)
+            if is_q_affine(f):
+                continue
+            s = build_surface(f)
+            degrees.add(s.source_degree)
+            want = projective_plane_zeros(s.infinity_part(), field)
+            assert count_points(s).infinity == want, (m, terms)
+    assert 3 in degrees and len(degrees) > 10
+
+
 def test_count_points_constant_surface():
     pc = count_points(build_surface(PolyFunc(F8, [(3, 1)])))
     assert pc.affine == 0
