@@ -14,8 +14,8 @@ Every regime is evaluated in three condition forms of decreasing
 strength: ``exact`` (the full inequality, decided in exact arithmetic),
 ``sufficient`` (a polynomial condition in q that implies the exact one),
 and ``quarter`` (a crude d < c*q^(1/4) + c' cutoff).  Square roots of q
-are never floated: for even m they are integers, for odd m the sign of
-P + S*sqrt(q) is decided by squaring with sign analysis.
+are never floated: the sign of P + S*sqrt(q) is decided by squaring
+with sign analysis.
 """
 
 import math
@@ -45,26 +45,14 @@ def _sign(v):
     return (v > 0) - (v < 0)
 
 
-def _sign_p_plus_s_sqrt2(p, s):
-    """Sign of p + s*sqrt(2) for rational p, s, without floating point."""
-    if s == 0:
-        return _sign(p)
-    if p == 0:
-        return _sign(s)
-    if p > 0 and s > 0:
-        return 1
-    if p < 0 and s < 0:
-        return -1
-    if p > 0:
-        return 1 if p * p > 2 * s * s else -1
-    return 1 if p * p < 2 * s * s else -1
-
-
-def _sign_p_plus_s_sqrtq(p, s, m):
-    """Sign of p + s*sqrt(2^m) for rational p, s."""
-    if m % 2 == 0:
-        return _sign(p + s * (1 << (m // 2)))
-    return _sign_p_plus_s_sqrt2(p, s * (1 << ((m - 1) // 2)))
+def _sign_p_plus_s_sqrtq(p, s, q):
+    """Sign of p + s*sqrt(q) for rational p, s and a positive integer q,
+    without floating point: when the two terms differ in sign, the one
+    with the larger square wins."""
+    sp, ss = _sign(p), _sign(s)
+    if sp * ss >= 0:
+        return sp or ss
+    return sp * _sign(p * p - s * s * q)
 
 
 def _check_args(d, m, form):
@@ -91,10 +79,10 @@ def excludes_irreducible(d, m, form="exact"):
     if form == "exact":
         p = q * q + (-18 * d ** 4 - 4 * d + 13) * q - 3
         s = -(d - 4) * (d - 5) * q
-        return _sign_p_plus_s_sqrtq(p, s, m) > 0
+        return _sign_p_plus_s_sqrtq(p, s, q) > 0
     if form == "sufficient":
         rhs = Fraction(1351, 100) - 5 * d + Fraction(4773, 1000) * d * d
-        return _sign_p_plus_s_sqrtq(-rhs, Fraction(1), m) > 0
+        return _sign_p_plus_s_sqrtq(-rhs, Fraction(1), q) > 0
     if d < 9:
         return False
     return (10 * (2 * d - 1)) ** 4 < 9 ** 4 * q
@@ -115,7 +103,7 @@ def excludes_isolated(d, m, form="exact"):
     if form == "exact":
         p = q * q + (-d ** 3 + 13 * d * d - 61 * d + 95) * q - 2
         s = (-d * d + 9 * d - 20) * q
-        return _sign_p_plus_s_sqrtq(p, s, m) > 0
+        return _sign_p_plus_s_sqrtq(p, s, q) > 0
     if form == "sufficient":
         if d < 6:
             return False
@@ -301,4 +289,4 @@ def curve_exclusion(curve_degree, q):
         raise InvalidParameters("q must be a power of two, got %r" % (q,))
     p = q + 1 - 4 * curve_degree
     s = -(curve_degree - 1) * (curve_degree - 2)
-    return _sign_p_plus_s_sqrtq(p, s, m) > 0
+    return _sign_p_plus_s_sqrtq(p, s, q) > 0

@@ -32,15 +32,18 @@ def _poly_text(p):
     return r[r.index("(") + 1:-1]
 
 
-def _field(args):
-    if args.modulus:
+@functools.cache
+def _field(m, modulus):
+    """The field GF(2^m) of the --m and --modulus flags, built once per
+    process; errors are not cached, so a bad modulus fails every call."""
+    if modulus:
         try:
-            poly = int(args.modulus, 16)
+            poly = int(modulus, 16)
         except ValueError:
-            raise ApnToolError("modulus must be hex, got %r" % args.modulus)
+            raise ApnToolError("modulus must be hex, got %r" % modulus)
     else:
         poly = None
-    return Field(args.m, poly)
+    return Field(m, poly)
 
 
 def _bindings(args):
@@ -67,7 +70,7 @@ def _emit(args, payload, text_lines):
 # ---------------------------------------------------------------- commands
 
 def cmd_apn_test(args):
-    field = _field(args)
+    field = _field(args.m, args.modulus)
     f = parse_poly(field, args.poly, _bindings(args))
     spec = differential_spectrum(f)
     apn = spec.delta == 2
@@ -83,7 +86,7 @@ def cmd_apn_test(args):
 
 
 def cmd_sigma(args):
-    field = _field(args)
+    field = _field(args.m, args.modulus)
     f = parse_poly(field, args.poly, _bindings(args))
     surface = build_surface(f)
     if args.action == "build":
@@ -173,7 +176,7 @@ def cmd_criteria(args):
 
 
 def cmd_search(args):
-    field = _field(args)
+    field = _field(args.m, args.modulus)
     fixed, free = parse_family(field, args.family, _bindings(args))
     degrees = sorted(e for _, e in free)
     job = SearchJob(field, fixed, degrees, budget=args.budget)

@@ -49,20 +49,6 @@ class CriterionVerdict:
         return f"CriterionVerdict({'; '.join(bits)})"
 
 
-def _is_prime(n):
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    i = 3
-    while i * i <= n:
-        if n % i == 0:
-            return False
-        i += 2
-    return True
-
 def _order_mod(a, n):
     """Multiplicative order of a modulo n (gcd(a, n) = 1)."""
     r = 1
@@ -94,16 +80,14 @@ def congruence_smooth(d):
         return CriterionVerdict(UNKNOWN, name, note="needs odd degree >= 7")
     half = (d - 1) // 2
     if half % 2 == 1:
-        x = 2 % half
-        for _ in range(half):
-            if x == half - 1:
-                return CriterionVerdict(
-                    ESTABLISHED, name,
-                    note=f"-1 is a power of 2 modulo {half}")
-            x = (2 * x) % half
-            if x == 2 % half:
-                break
-    if _is_prime(half) and half > 17 and _order_mod(2, half) == (half - 1) // 2:
+        # -1 lies in the cyclic group generated by 2 exactly when it is
+        # that group's one element of order 2
+        r = _order_mod(2, half)
+        if r % 2 == 0 and pow(2, r // 2, half) == half - 1:
+            return CriterionVerdict(
+                ESTABLISHED, name, note=f"-1 is a power of 2 modulo {half}")
+    if (half > 17 and _prime_factors(half) == [half]
+            and _order_mod(2, half) == (half - 1) // 2):
         return CriterionVerdict(
             ESTABLISHED, name,
             note=f"2 has order {(half - 1) // 2} modulo the prime {half}")

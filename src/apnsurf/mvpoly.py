@@ -11,6 +11,16 @@ univariate coefficients in the other: a list of UniPoly rows in the aux
 variable, indexed by the main-variable exponent.  Factorization lifts a
 split of one specialization by Hensel lifting on the same rows, shifted so
 the specialization point sits at w = 0 and truncated below w^n.
+
+Field elements are checked where they enter: ``TriPoly(field, terms)``,
+the TriPoly methods that take an element (``const``, ``scale``,
+``eval_at``, ``substitute_const``), ``UniPoly.scale``, ``eval_at`` and
+``taylor_shift``, ``Embedding.map``, and outside this module ``Field``'s
+own operations, ``PolyFunc`` and the parsers.  Every coefficient computed
+from checked operands of one field is an int in [0, q) already, so
+``UniPoly(field, coeffs)`` (not exported) only trims its list and
+``TriPoly._of`` takes a dict of nonzero coefficients as it is.  Mixing
+fields is caught by ``common_field`` on every binary operation.
 """
 
 import heapq
@@ -41,7 +51,7 @@ class UniPoly:
 
     def __init__(self, field, coeffs):
         self.field = field
-        c = [field.check(v) for v in coeffs]
+        c = list(coeffs)
         while c and c[-1] == 0:
             c.pop()
         self.c = c
@@ -405,7 +415,9 @@ class Embedding:
         self._pow = pows
 
     def map(self, a):
-        self.small.check(a)
+        return self._map(self.small.check(a))
+
+    def _map(self, a):
         if self._pow is None:
             return a
         acc = 0
@@ -415,10 +427,13 @@ class Embedding:
         return acc
 
     def map_uni(self, p):
-        return UniPoly(self.big, [self.map(v) for v in p.c])
+        common_field(p.field, self.small)
+        return UniPoly(self.big, [self._map(v) for v in p.c])
 
     def map_tri(self, p):
-        return TriPoly(self.big, {e: self.map(v) for e, v in p.terms.items()})
+        common_field(p.field, self.small)
+        return TriPoly._of(self.big,
+                           {e: self._map(v) for e, v in p.terms.items()})
 
 
 # ---------------------------------------------------------------- trivariate
@@ -450,6 +465,15 @@ class TriPoly:
             if v:
                 t[tuple(e)] = v
         self.terms = t
+
+    @classmethod
+    def _of(cls, field, terms):
+        """Unchecked constructor: takes ownership of terms, a dict of
+        nonzero field elements keyed by exponent 4-tuples."""
+        out = cls.__new__(cls)
+        out.field = field
+        out.terms = terms
+        return out
 
     @classmethod
     def zero(cls, field):
@@ -496,10 +520,7 @@ class TriPoly:
                 t[e] = w
             else:
                 t.pop(e, None)
-        out = TriPoly.__new__(TriPoly)
-        out.field = self.field
-        out.terms = t
-        return out
+        return TriPoly._of(self.field, t)
 
     __sub__ = __add__
 
@@ -515,10 +536,7 @@ class TriPoly:
                     t[e] = w
                 else:
                     del t[e]
-        out = TriPoly.__new__(TriPoly)
-        out.field = f
-        out.terms = t
-        return out
+        return TriPoly._of(f, t)
 
     def scale(self, v):
         f = self.field
@@ -526,20 +544,14 @@ class TriPoly:
         if v == 0:
             return TriPoly.zero(f)
         mul = f._mul
-        out = TriPoly.__new__(TriPoly)
-        out.field = f
-        out.terms = {e: mul(v, c) for e, c in self.terms.items()}
-        return out
+        return TriPoly._of(f, {e: mul(v, c) for e, c in self.terms.items()})
 
     def square(self):
         # squaring doubles exponents and squares coefficients
         f = self.field
         mul = f._mul
-        out = TriPoly.__new__(TriPoly)
-        out.field = f
-        out.terms = {(2 * e[0], 2 * e[1], 2 * e[2], 2 * e[3]): mul(v, v)
-                     for e, v in self.terms.items()}
-        return out
+        return TriPoly._of(f, {(2 * e[0], 2 * e[1], 2 * e[2], 2 * e[3]):
+                               mul(v, v) for e, v in self.terms.items()})
 
     def pow_(self, e):
         f = self.field
@@ -590,7 +602,7 @@ class TriPoly:
                 ne = list(e)
                 ne[var] -= 1
                 t[tuple(ne)] = v
-        return TriPoly(f, t)
+        return TriPoly._of(f, t)
 
     def substitute_const(self, var, val):
         """Replace a variable by a field constant."""
@@ -605,11 +617,11 @@ class TriPoly:
                 ne[var] = 0
                 ne = tuple(ne)
                 t[ne] = t.get(ne, 0) ^ w
-        return TriPoly(f, {e: v for e, v in t.items() if v})
+        return TriPoly._of(f, {e: v for e, v in t.items() if v})
 
     def homogeneous_component(self, deg):
-        return TriPoly(self.field,
-                       {e: v for e, v in self.terms.items() if sum(e) == deg})
+        return TriPoly._of(self.field, {e: v for e, v in self.terms.items()
+                                        if sum(e) == deg})
 
     def homogenize(self, target=None):
         """Pad each term with z so every total degree equals target."""
@@ -623,7 +635,7 @@ class TriPoly:
         t = {}
         for e, v in self.terms.items():
             t[(e[0], e[1], e[2], e[3] + target - sum(e))] = v
-        return TriPoly(self.field, t)
+        return TriPoly._of(self.field, t)
 
     def dehomogenize(self):
         """Set z = 1."""
@@ -631,7 +643,7 @@ class TriPoly:
         for e, v in self.terms.items():
             ne = (e[0], e[1], e[2], 0)
             t[ne] = t.get(ne, 0) ^ v
-        return TriPoly(self.field, {e: v for e, v in t.items() if v})
+        return TriPoly._of(self.field, {e: v for e, v in t.items() if v})
 
     def is_homogeneous(self):
         degs = {sum(e) for e in self.terms}
@@ -659,7 +671,7 @@ class TriPoly:
             t = (e[0] - de[0], e[1] - de[1], e[2] - de[2], e[3] - de[3])
             if min(t) < 0:
                 raise NotDivisible("leading term not divisible",
-                                   remainder=TriPoly(f, rem))
+                                   remainder=TriPoly._of(f, rem))
             cv = mul(v, dinv)
             quo[t] = cv
             for e2, v2 in den.terms.items():
@@ -672,7 +684,7 @@ class TriPoly:
                         heapq.heappush(heap, (_heap_key(ne), ne))
                 else:
                     del rem[ne]
-        return TriPoly(f, quo)
+        return TriPoly._of(f, quo)
 
     def support_vars(self):
         used = [False] * 4
@@ -731,7 +743,7 @@ def bi_to_tri(rows, main, aux, field):
                 e[main] = i
                 e[aux] = j
                 t[tuple(e)] = v
-    return TriPoly(field, t)
+    return TriPoly._of(field, t)
 
 
 def _bl_strip(rows):
@@ -923,7 +935,7 @@ def _tri_sqrt(p):
         if any(x % 2 for x in e):
             raise InvalidParameters("polynomial is not a square")
         t[(e[0] // 2, e[1] // 2, e[2] // 2, e[3] // 2)] = f.sqrt(v)
-    return TriPoly(f, t)
+    return TriPoly._of(f, t)
 
 
 def _grlex_normalize(p):

@@ -35,14 +35,12 @@ import functools
 import numpy as np
 
 from . import kernels
-from .errors import (ApnToolError, BudgetExceeded, DegreeOutOfRange,
-                     DegreeTooSmall, DiagonalNotConstant, NotDivisible,
-                     QAffineInput)
+from .differential import _gate
+from .errors import (ApnToolError, DegreeOutOfRange, DegreeTooSmall,
+                     DiagonalNotConstant, NotDivisible, QAffineInput)
 from .gf2m import Field
 from .mvpoly import NEG_INF, TriPoly, UniPoly, uni_roots
 from .polyfunc import is_q_affine, normalize
-
-COUNT_M_MAX = 10
 
 
 def _sum_of_vars(field, slots):
@@ -51,7 +49,7 @@ def _sum_of_vars(field, slots):
         e = [0, 0, 0, 0]
         e[s] = 1
         t[tuple(e)] = 1
-    return TriPoly(field, t)
+    return TriPoly._of(field, t)
 
 
 def _compose(f, slots):
@@ -112,8 +110,8 @@ def build_surface(f):
         raise DegreeOutOfRange(f"normalized degree {d} below 3")
     # the quotient is linear in the map, and the quotient of x^e is
     # homogeneous of degree e - 3, so the terms of distinct e never meet
-    phi = TriPoly(f.field, {x: c for e, c in g.terms()
-                            for x in _monomial_quotient(e)})
+    phi = TriPoly._of(f.field, {x: c for e, c in g.terms()
+                                for x in _monomial_quotient(e)})
     if phi.total_degree != d - 3:
         raise ApnToolError(f"quotient form has degree {phi.total_degree}, "
                            f"expected {d - 3}")
@@ -138,7 +136,7 @@ def infinity_curve(d):
     source degree, so it is returned with coefficients in GF(2)."""
     if d < 3:
         raise DegreeOutOfRange(f"degree {d} below 3")
-    return TriPoly(Field(1), dict.fromkeys(_monomial_quotient(d), 1))
+    return TriPoly._of(Field(1), dict.fromkeys(_monomial_quotient(d), 1))
 
 
 def section_at(surface, a):
@@ -256,7 +254,7 @@ def projective_plane_zeros(curve, field):
     if curve.field != field:
         if curve.field.m != 1:
             raise ValueError("curve must live over GF(2) or over field")
-        curve = TriPoly(field, dict(curve.terms.items()))
+        curve = TriPoly._of(field, dict(curve.terms))
     if not curve.is_homogeneous() or any(e[3] for e in curve.terms):
         raise ValueError("curve is not a homogeneous form in x0, x1, x2")
     q = field.q
@@ -285,12 +283,11 @@ def count_points(surface):
     The curve at infinity is the quotient form of x^d, which is
     homogeneous, so its affine cone is that surface: it has
     1 + (q-1)*infinity affine zeros, counted like any other.  For d = 3
-    the form is the constant 1 and has no zeros at all.
+    the form is the constant 1 and has no zeros at all.  Table-driven,
+    m <= 16, like the differential spectrum.
     """
     field = surface.field
-    if field.m > COUNT_M_MAX:
-        raise BudgetExceeded(
-            f"point count over m={field.m} exceeds the m <= {COUNT_M_MAX} budget")
+    _gate(field)
     affine, on_locus = kernels.count_affine(surface.source.terms(), field)
     d = surface.source_degree
     infinity = 0

@@ -20,6 +20,11 @@ same sums one element at a time.
 mvpoly.bi_factor lifts a split of one specialization and recombines the
 lifted factors; bi_is_irreducible instead tries every possible factor of
 at most half the degree by exact division.
+
+bounds._sign_p_plus_s_sqrtq decides the sign of p + s*sqrt(q) in one
+case split on the signs of p and s; sign_p_plus_s_sqrtq splits on the
+parity of m instead, with an integer sqrt(q) for even m and sqrt(2) for
+odd m.
 """
 
 import itertools
@@ -27,6 +32,7 @@ import itertools
 import numpy as np
 
 from apnsurf import kernels
+from apnsurf.bounds import _sign
 from apnsurf.errors import NotDivisible
 from apnsurf.mvpoly import TriPoly, uni_factor
 from apnsurf.polyfunc import PolyFunc, affine_transform, normalize
@@ -247,3 +253,25 @@ def scan_py(fixed_table, mono_tables, q, nfree, start, stop, ext, log,
                 hits_out[nh] = cand
             nh += 1
     return nh
+
+
+def sign_p_plus_s_sqrt2(p, s):
+    """Sign of p + s*sqrt(2) for rational p, s, without floating point."""
+    if s == 0:
+        return _sign(p)
+    if p == 0:
+        return _sign(s)
+    if p > 0 and s > 0:
+        return 1
+    if p < 0 and s < 0:
+        return -1
+    if p > 0:
+        return 1 if p * p > 2 * s * s else -1
+    return 1 if p * p < 2 * s * s else -1
+
+
+def sign_p_plus_s_sqrtq(p, s, m):
+    """Sign of p + s*sqrt(2^m) for rational p, s."""
+    if m % 2 == 0:
+        return _sign(p + s * (1 << (m // 2)))
+    return sign_p_plus_s_sqrt2(p, s * (1 << ((m - 1) // 2)))

@@ -1,7 +1,12 @@
 """Exclusion bound arithmetic and the m_max tables."""
 
+import math
+import random
+from fractions import Fraction
+
 import mpmath
 import pytest
+from oracles import sign_p_plus_s_sqrtq
 
 import apnsurf.bounds as bounds
 from apnsurf.bounds import (IRREDUCIBLE, ISOLATED, M_CAP, BoundReport,
@@ -112,6 +117,34 @@ def test_exact_sign_against_high_precision():
                    + (-d ** 3 + 13 * d * d - 61 * d + 95)
                    - mpmath.mpf(2) / q)
             assert (lhs > 0) == excludes_isolated(d, m), (d, m)
+
+
+def test_sign_matches_parity_split_oracle():
+    rng = random.Random(5)
+
+    def draw():
+        kind = rng.randrange(4)
+        if kind == 0:
+            return 0
+        if kind == 1:
+            return rng.randint(-10 ** 6, 10 ** 6)
+        if kind == 2:
+            return rng.randint(-2 ** 90, 2 ** 90)
+        return Fraction(rng.randint(-10 ** 30, 10 ** 30),
+                        rng.randint(1, 10 ** 6))
+    for m in range(1, 65):
+        q = 1 << m
+        cases = [(0, 0), (0, 1), (-1, 0), (0, Fraction(-1, 3))]
+        cases += [(draw(), draw()) for _ in range(150)]
+        for _ in range(20):
+            # p next to -s*sqrt(q), where the two terms nearly cancel
+            s = rng.choice([1, -1]) * rng.randint(1, 10 ** 9)
+            r = -math.isqrt(s * s * q) if s > 0 else math.isqrt(s * s * q)
+            cases += [(r + k, s) for k in (-1, 0, 1)]
+            cases.append((Fraction(r, 7) + Fraction(1, 7), Fraction(s, 7)))
+        for p, s in cases:
+            assert bounds._sign_p_plus_s_sqrtq(p, s, q) == \
+                sign_p_plus_s_sqrtq(p, s, m), (p, s, m)
 
 
 def test_sufficient_sign_against_high_precision():

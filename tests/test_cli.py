@@ -6,7 +6,9 @@ import sys
 
 import pytest
 
+from apnsurf import cli
 from apnsurf.cli import build_parser, main
+from apnsurf.gf2m import Field
 
 
 def run(capsys, *argv):
@@ -64,6 +66,36 @@ def test_parser_reuse_keeps_calls_apart(capsys):
     assert code == 1 and out.startswith("delta = 4")
 
 
+def test_field_built_once_per_modulus(capsys, monkeypatch):
+    built = []
+
+    def counting_field(m, poly=None):
+        built.append((m, poly))
+        return Field(m, poly)
+    monkeypatch.setattr(cli, "Field", counting_field)
+    cli._field.cache_clear()
+    try:
+        for argv in (["apn-test", "--m", "5", "--poly", "x^7"],
+                     ["sigma", "count", "--m", "5", "--poly", "x^7"],
+                     ["apn-test", "--m", "5", "--poly", "x^7",
+                      "--modulus", "2f"],
+                     ["sigma", "count", "--m", "5", "--poly", "x^7",
+                      "--modulus", "2f"]):
+            assert run(capsys, *argv)[0] == 0
+        assert built == [(5, None), (5, 0x2F)]
+        assert cli._field(5, None) is cli._field(5, None)
+        assert cli._field(5, "2f") is not cli._field(5, None)
+        # failures are not cached: each call rebuilds and fails again
+        for bad in ("zz", "21"):  # not hex; x^5 + 1 is reducible
+            for _ in range(2):
+                code, _, err = run(capsys, "apn-test", "--m", "5", "--poly",
+                                   "x^7", "--modulus", bad)
+                assert code == 2 and "error:" in err
+        assert built == [(5, None), (5, 0x2F), (5, 0x21), (5, 0x21)]
+    finally:
+        cli._field.cache_clear()
+
+
 def test_sigma_build_cube(capsys):
     code, out, _ = run(capsys, "sigma", "build", "--m", "3",
                        "--poly", "x^3")
@@ -86,6 +118,15 @@ def test_sigma_count_off_locus(capsys):
     assert code == 0
     assert rec["affine_off_locus"] >= 6
     assert rec["projective"] == rec["affine"] + rec["infinity"]
+
+
+def test_sigma_count_field_limit(capsys):
+    # m <= 16 is counted (m = 11 used to exit 3), m = 17 is an input error
+    code, out, _ = run(capsys, "--format", "json", "sigma", "count",
+                       "--m", "11", "--poly", "x^5")
+    assert code == 0 and json.loads(out)["affine_off_locus"] == 0
+    code, _, err = run(capsys, "sigma", "count", "--m", "17", "--poly", "x^5")
+    assert code == 2 and "m <= 16" in err
 
 
 def test_sigma_check_derivative(capsys):

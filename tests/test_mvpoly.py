@@ -9,6 +9,7 @@ from apnsurf.errors import (
     ApnToolError,
     DegreeCapExceeded,
     DivisionByZero,
+    FieldMismatch,
     InvalidParameters,
     NoGoodEvaluationPoint,
     NotDivisible,
@@ -29,6 +30,8 @@ from apnsurf.mvpoly import (
     uni_roots,
     uni_squarefree_part,
 )
+from apnsurf.polyfunc import PolyFunc, parse_family, parse_poly
+from apnsurf.search import SearchJob
 from oracles import bi_is_irreducible, uni_is_irreducible
 
 F2 = Field(1)
@@ -261,6 +264,11 @@ def test_embedding_without_root_raises(monkeypatch):
 def test_embedding_rejects_bad_pairs():
     with pytest.raises(InvalidParameters):
         Embedding(F8, F16)  # 3 does not divide 4
+    emb = Embedding(F4, F16)
+    with pytest.raises(FieldMismatch):
+        emb.map_tri(TriPoly.var(F8, 0))
+    with pytest.raises(FieldMismatch):
+        emb.map_uni(UniPoly.x(F2))
 
 
 # ---------------------------------------------------------------- trivariate
@@ -683,3 +691,88 @@ def test_bi_factor_repeated_specialization_raises(monkeypatch):
     one = TriPoly.const(F2, 1)
     with pytest.raises(ApnToolError, match="not squarefree"):
         bi_factor((x0 + x1) * (x0 + x1 + one))
+
+
+# ------------------------------------------------- where elements are checked
+
+X0 = TriPoly.var(F8, 0)
+
+ENTRY_POINTS = {
+    "Field.check": lambda v: F8.check(v),
+    "Field.add": lambda v: F8.add(v, 1),
+    "Field.mul": lambda v: F8.mul(1, v),
+    "Field.inv": lambda v: F8.inv(v),
+    "Field.div": lambda v: F8.div(v, 1),
+    "Field.div divisor": lambda v: F8.div(1, v),
+    "Field.pow_": lambda v: F8.pow_(v, 2),
+    "Field.sqrt": lambda v: F8.sqrt(v),
+    "Field.trace": lambda v: F8.trace(v),
+    "PolyFunc": lambda v: PolyFunc(F8, [(3, v)]),
+    "PolyFunc.evaluate": lambda v: PolyFunc(F8, [(3, 1)]).evaluate(v),
+    "parse_poly binding": lambda v: parse_poly(F8, "x^3 + A*x^5", {"A": v}),
+    "parse_family binding": lambda v: parse_family(F8, "x^3 + A*x^5",
+                                                   {"A": v}),
+    "SearchJob": lambda v: SearchJob(F8, [(3, v)], [5]),
+    "TriPoly": lambda v: TriPoly(F8, {(1, 0, 0, 0): v}),
+    "TriPoly.const": lambda v: TriPoly.const(F8, v),
+    "TriPoly.scale": lambda v: X0.scale(v),
+    "TriPoly.eval_at": lambda v: X0.eval_at((1, v, 0)),
+    "TriPoly.substitute_const": lambda v: X0.substitute_const(1, v),
+    "Embedding.map": lambda v: Embedding(F8, F8).map(v),
+}
+
+
+@pytest.mark.parametrize("bad", [8, -1, 1.5, "1"])
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_entry_points_reject_non_elements(entry, bad):
+    with pytest.raises(FieldMismatch):
+        ENTRY_POINTS[entry](bad)
+
+
+def _uni_ok(p):
+    return (all(type(v) is int and 0 <= v < p.field.q for v in p.c)
+            and (not p.c or p.c[-1] != 0))
+
+
+def _tri_ok(p):
+    return all(type(v) is int and 0 < v < p.field.q and len(e) == 4
+               for e, v in p.terms.items())
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 18])
+def test_computed_coefficients_stay_in_field(m):
+    # past the entry points nothing rechecks a computed coefficient (see
+    # the mvpoly docstring), so every result must hold ints in [0, q)
+    # and TriPoly must store no zero; m = 18 has no log tables
+    field = Field(m)
+    small, big = (Field(m // 2), field) if m > 16 else (field, Field(2 * m))
+    emb = Embedding(small, big)
+    rng = random.Random(m)
+    for _ in range(3 if m > 16 else 8):
+        a = rand_uni(field, rng.randrange(1, 6), rng)
+        b = rand_uni(field, rng.randrange(1, 4), rng)
+        for p in (a + b, a * b, *divmod(a, b), uni_gcd(a, b),
+                  (a * b).exact_div(b)):
+            assert _uni_ok(p)
+        s = rand_tri(field, 3, rng, nvars=4)
+        x0, x1 = TriPoly.var(field, 0), TriPoly.var(field, 1)
+        t = rand_tri(field, 2, rng, nvars=4) * x0 + x1  # never zero
+        v = rng.randrange(field.q)
+        outs = [s + t, s * t, (s * t).exact_divide(t),
+                s.substitute_const(1, v), emb.map_tri(rand_tri(small, 3, rng))]
+        outs += [s.partial(i) for i in range(4)]
+        try:
+            (s * t + TriPoly.const(field, 1)).exact_divide(t)
+        except NotDivisible as e:
+            outs.append(e.remainder)
+        assert all(_tri_ok(p) for p in outs)
+        u = rand_tri(field, 3, rng) * x0 + x1
+        w = rand_tri(field, 2, rng) * x1 + x0
+        assert _tri_ok(bi_gcd(u * w, w * w))
+        assert _uni_ok(bi_resultant(u, w, 1, 0))
+        try:
+            unit, facs = bi_factor(bi_squarefree(u * w))
+        except NoGoodEvaluationPoint:
+            continue
+        assert type(unit) is int and 0 < unit < field.q
+        assert all(_tri_ok(p) for p in facs)

@@ -5,7 +5,10 @@
 - no numba import: the kernels are numpy only;
 - no read of APNSURF_BACKEND: there is one backend, so nothing to select;
 - no parameter named seed: every result is deterministic, so a seed
-  would be a knob that changes nothing.
+  would be a knob that changes nothing;
+- TriPoly.__new__ is called from one function, the unchecked
+  constructor: every other TriPoly goes through it or through the
+  checking public constructor.
 """
 
 import ast
@@ -52,3 +55,39 @@ def test_rules_catch_each_violation():
         (2, "numba import"), (3, "numba import"), (4, "assert statement"),
         (5, "APNSURF_BACKEND read"), (6, "seed parameter"),
         (7, "seed parameter")]
+
+
+def tri_new_sites(tree):
+    """Qualified names of the functions that reach TriPoly.__new__, by
+    name or as cls/self inside class TriPoly."""
+    sites = set()
+
+    def visit(node, cls, func):
+        if isinstance(node, ast.ClassDef):
+            cls, func = node.name, None
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = f"{cls}.{node.name}" if cls else node.name
+        elif isinstance(node, ast.Attribute) and node.attr == "__new__":
+            owner = node.value
+            if isinstance(owner, ast.Name) and (
+                    owner.id == "TriPoly"
+                    or (cls == "TriPoly" and owner.id in ("cls", "self"))):
+                sites.add(func)
+        for child in ast.iter_child_nodes(node):
+            visit(child, cls, func)
+    visit(tree, None, None)
+    return sites
+
+
+def test_tripoly_new_has_one_site():
+    sites = set()
+    for path in MODULES:
+        sites |= tri_new_sites(ast.parse(path.read_text(), filename=str(path)))
+    assert sites == {"TriPoly._of"}
+
+
+def test_tripoly_new_rule_sees_each_form():
+    src = ("class TriPoly:\n    def a(cls):\n        return cls.__new__(cls)\n"
+           "def b():\n    return TriPoly.__new__(TriPoly)\n"
+           "class Other:\n    def c(cls):\n        return cls.__new__(cls)\n")
+    assert tri_new_sites(ast.parse(src)) == {"TriPoly.a", "b"}

@@ -5,9 +5,9 @@ import random
 import pytest
 from oracles import brute_count, four_point_sum
 
-from apnsurf.differential import is_apn
-from apnsurf.errors import (BudgetExceeded, DegreeOutOfRange, DegreeTooSmall,
-                            DiagonalNotConstant, QAffineInput)
+from apnsurf.differential import differential_spectrum, is_apn
+from apnsurf.errors import (DegreeOutOfRange, DegreeTooSmall,
+                            DiagonalNotConstant, FieldTooLarge, QAffineInput)
 from apnsurf.gf2m import Field
 from apnsurf.mvpoly import TriPoly
 from apnsurf.polyfunc import PolyFunc, is_q_affine, normalize
@@ -267,9 +267,18 @@ def test_count_points_constant_surface():
     assert pc.projective == 0
 
 
-def test_count_points_budget_gate():
-    f = PolyFunc(Field(11), [(5, 1)])
-    with pytest.raises(BudgetExceeded):
+def test_count_points_above_m10():
+    field = Field(11)
+    f = PolyFunc(field, [(5, 1)])
+    c = count_points(build_surface(f))
+    counts = differential_spectrum(f).counts
+    assert c.affine_off_locus == sum(n * k * (k - 2) for k, n in counts.items())
+    assert c.infinity == projective_plane_zeros(infinity_curve(5), field)
+
+
+def test_count_points_size_gate():
+    f = PolyFunc(Field(17), [(5, 1)])
+    with pytest.raises(FieldTooLarge):
         count_points(build_surface(f))
 
 
