@@ -8,9 +8,13 @@ z exponent at 0.  Monomials are ordered graded-lex with x0 > x1 > x2 > z.
 Bivariate helpers (gcd, resultant, squarefree part, factorization) treat a
 TriPoly supported on two variables as a polynomial in a main variable with
 univariate coefficients in the other: a list of UniPoly rows in the aux
-variable, indexed by the main-variable exponent.  Factorization lifts a
-split of one specialization by Hensel lifting on the same rows, shifted so
-the specialization point sits at w = 0 and truncated below w^n.
+variable, indexed by the main-variable exponent.  ``bi_gcd`` first
+specializes the aux variable at one point of a field of at least 2^8
+elements and skips the remainder sequence when the two images are coprime
+there, which proves the pair shares nothing beyond its contents.
+Factorization lifts a split of one specialization by Hensel lifting on the
+same rows, shifted so the specialization point sits at w = 0 and truncated
+below w^n.
 
 Field elements are checked where they enter: ``TriPoly(field, terms)``,
 the TriPoly methods that take an element (``const``, ``scale``,
@@ -23,6 +27,7 @@ from checked operands of one field is an int in [0, q) already, so
 fields is caught by ``common_field`` on every binary operation.
 """
 
+import functools
 import heapq
 import itertools
 import random
@@ -35,7 +40,7 @@ from .errors import (
     NoGoodEvaluationPoint,
     NotDivisible,
 )
-from .gf2m import common_field
+from .gf2m import Field, common_field
 
 NEG_INF = float("-inf")
 
@@ -259,10 +264,14 @@ def uni_gcd(a, b):
 
 
 def uni_gcd_many(polys):
-    it = iter(polys)
-    g = next(it)
-    for p in it:
+    """Gcd taken smallest degree first, stopping as soon as it reaches 1;
+    monic unless there is only one polynomial."""
+    polys = sorted(polys, key=lambda p: p.degree)
+    g = polys[0]
+    for p in polys[1:]:
         g = uni_gcd(g, p)
+        if g.degree == 0:
+            break
     return g
 
 
@@ -632,9 +641,10 @@ class TriPoly:
             target = top
         if target < top:
             raise InvalidParameters(f"target degree {target} below {top}")
-        t = {}
-        for e, v in self.terms.items():
-            t[(e[0], e[1], e[2], e[3] + target - sum(e))] = v
+        if self.degree_in(3) != 0:
+            raise InvalidParameters("homogenize takes an affine polynomial")
+        t = {(e[0], e[1], e[2], target - sum(e)): v
+             for e, v in self.terms.items()}
         return TriPoly._of(self.field, t)
 
     def dehomogenize(self):
@@ -809,10 +819,40 @@ def _bl_pseudo_rem(a, b, field):
     return r
 
 
+@functools.cache
+def _cert_embedding(field):
+    """Embedding of field into the smallest GF(2^(m*k)) with at least 2^8
+    elements, where the coprimality certificate specializes."""
+    k = -(-8 // field.m)
+    return Embedding(field, field if k == 1 else Field(field.m * k))
+
+
+def _bl_coprime_at_point(a, b, field):
+    """Whether a and b (main-variable degree >= 1) have coprime images at
+    the first point t0 >= 2 of the evaluation field where neither leading
+    coefficient vanishes.  A common factor of positive main degree has a
+    leading coefficient dividing both, so it keeps its degree at t0 and
+    divides both images: True proves the primitive parts coprime.  The
+    points 0 and 1 are skipped: on charts with GF(2) coefficients they
+    are often unlucky, giving images with a common factor the pair lacks."""
+    emb = _cert_embedding(field)
+    rows_a = [emb.map_uni(p) for p in a]
+    rows_b = [emb.map_uni(p) for p in b]
+    for t0 in range(2, emb.big.q):
+        if rows_a[-1].eval_at(t0) and rows_b[-1].eval_at(t0):
+            break
+    else:
+        return False
+    ia = UniPoly(emb.big, [p.eval_at(t0) for p in rows_a])
+    ib = UniPoly(emb.big, [p.eval_at(t0) for p in rows_b])
+    return uni_gcd(ia, ib).degree == 0
+
+
 def bi_gcd(p1, p2, main=0, aux=1):
-    """Gcd of two TriPolys supported on two variables, via a primitive
-    remainder sequence over F[aux]; result normalized so its leading
-    main-variable coefficient is monic."""
+    """Gcd of two TriPolys supported on two variables; result normalized so
+    its leading main-variable coefficient is monic.  A pair with coprime
+    images at one point is coprime up to the gcd of its contents; any
+    other pair runs a primitive remainder sequence over F[aux]."""
     f = common_field(p1.field, p2.field)
     a = _bl_strip(tri_to_bi(p1, main, aux))
     b = _bl_strip(tri_to_bi(p2, main, aux))
@@ -820,6 +860,9 @@ def bi_gcd(p1, p2, main=0, aux=1):
         return _bi_gcd_normalize(b, main, aux, f)
     if not b:
         return _bi_gcd_normalize(a, main, aux, f)
+    if _bl_deg(a) >= 1 and _bl_deg(b) >= 1 and _bl_coprime_at_point(a, b, f):
+        cg = uni_gcd_many([p for p in a + b if not p.is_zero])
+        return bi_to_tri([cg], main, aux, f)
     ca, a = _bl_primitive(a)
     cb, b = _bl_primitive(b)
     cg = uni_gcd(ca, cb)

@@ -42,6 +42,9 @@ from .gf2m import Field
 from .mvpoly import NEG_INF, TriPoly, UniPoly, uni_roots
 from .polyfunc import is_q_affine, normalize
 
+# coefficient field of every curve at infinity
+_GF2 = Field(1)
+
 
 def _sum_of_vars(field, slots):
     t = {}
@@ -123,12 +126,12 @@ def _monomial_quotient(d):
     """Exponents of the quotient of x^d's four-point sum by the triple
     locus product.  Over GF(2) every coefficient is 1, and the same
     polynomial serves every field; cached, so it is returned immutable."""
-    fld = Field(1)
-    num = (TriPoly.var(fld, 0).pow_(d) + TriPoly.var(fld, 1).pow_(d)
-           + TriPoly.var(fld, 2).pow_(d) + _sum_of_vars(fld, (0, 1, 2)).pow_(d))
+    num = (TriPoly.var(_GF2, 0).pow_(d) + TriPoly.var(_GF2, 1).pow_(d)
+           + TriPoly.var(_GF2, 2).pow_(d)
+           + _sum_of_vars(_GF2, (0, 1, 2)).pow_(d))
     if num.is_zero:
         raise QAffineInput(f"x^{d} is linearized; no curve at infinity")
-    return tuple(num.exact_divide(triple_locus_product(fld)).terms)
+    return tuple(num.exact_divide(triple_locus_product(_GF2)).terms)
 
 
 def infinity_curve(d):
@@ -136,7 +139,7 @@ def infinity_curve(d):
     source degree, so it is returned with coefficients in GF(2)."""
     if d < 3:
         raise DegreeOutOfRange(f"degree {d} below 3")
-    return TriPoly._of(Field(1), dict.fromkeys(_monomial_quotient(d), 1))
+    return TriPoly._of(_GF2, dict.fromkeys(_monomial_quotient(d), 1))
 
 
 def section_at(surface, a):

@@ -24,14 +24,17 @@ from apnsurf.mvpoly import (
     bi_gcd,
     bi_resultant,
     bi_squarefree,
+    bi_to_tri,
     tri_to_bi,
     uni_factor,
     uni_gcd,
+    uni_gcd_many,
     uni_roots,
     uni_squarefree_part,
 )
 from apnsurf.polyfunc import PolyFunc, parse_family, parse_poly
 from apnsurf.search import SearchJob
+from apnsurf.surface import infinity_curve
 from oracles import bi_is_irreducible, uni_is_irreducible
 
 F2 = Field(1)
@@ -401,6 +404,13 @@ def test_tri_homogenize_roundtrip():
         assert h.eval_at((pt[0], pt[1], pt[2], 1)) == p.eval_at(pt)
 
 
+def test_tri_homogenize_rejects_z_terms():
+    # x0 and x0*z would both pad to x0*z
+    p = TriPoly(F8, {(1, 0, 0, 0): 1, (1, 0, 0, 1): 1})
+    with pytest.raises(InvalidParameters, match="affine"):
+        p.homogenize(2)
+
+
 def test_tri_homogeneous_components_sum():
     rng = random.Random(47)
     p = rand_tri(F8, 4, rng, nvars=3)
@@ -513,8 +523,35 @@ def test_bi_resultant_sympy_cross_check():
         assert got_sym == want
 
 
+def _content(p, main, aux):
+    return uni_gcd_many([r for r in tri_to_bi(p, main, aux) if not r.is_zero])
+
+
+def _assert_is_gcd(a, b, got, main=0, aux=1):
+    """got divides a and b, leaves cofactors with no common factor (a
+    nonzero resultant in the main variable and coprime contents) and has
+    a monic leading main-variable coefficient."""
+    ca = a.exact_divide(got)
+    cb = b.exact_divide(got)
+    assert not bi_resultant(ca, cb, eliminate=main, keep=aux).is_zero
+    assert uni_gcd(_content(ca, main, aux), _content(cb, main, aux)).degree == 0
+    assert tri_to_bi(got, main, aux)[-1].lead == 1
+
+
+def _planted_pair(field, rng):
+    g = TriPoly.zero(field)
+    while g.total_degree < 1:
+        g = rand_tri(field, rng.randrange(1, 4), rng)
+    u = v = TriPoly.zero(field)
+    while u.is_zero or v.is_zero:
+        u = rand_tri(field, rng.randrange(0, 4), rng)
+        v = rand_tri(field, rng.randrange(0, 4), rng)
+    return g, g * u, g * v
+
+
 def test_bi_gcd_common_factor():
     rng = random.Random(73)
+    checked = 0
     for _ in range(15):
         g = rand_tri(F4, 2, rng)
         if g.is_zero or g.total_degree == 0:
@@ -524,9 +561,10 @@ def test_bi_gcd_common_factor():
         if a.is_zero or b.is_zero:
             continue
         got = bi_gcd(a, b)
-        assert got.total_degree >= g.total_degree
-        a.exact_divide(got)
-        b.exact_divide(got)
+        got.exact_divide(g)  # the planted factor divides the gcd
+        _assert_is_gcd(a, b, got)
+        checked += 1
+    assert checked >= 10
 
 
 def test_bi_gcd_coprime_is_constant():
@@ -534,6 +572,113 @@ def test_bi_gcd_coprime_is_constant():
     a = TriPoly(F2, {(1, 0, 0, 0): 1, (0, 1, 0, 0): 1})
     b = TriPoly(F2, {(1, 0, 0, 0): 1, (0, 1, 0, 0): 1, (0, 0, 0, 0): 1})
     assert bi_gcd(a, b).total_degree == 0
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_bi_gcd_planted_pairs(m):
+    # a = g*u and b = g*v along both variable orders: the result is a
+    # multiple of g that divides both and leaves coprime cofactors
+    field = Field(m)
+    rng = random.Random(100 + m)
+    for _ in range(25):
+        g, a, b = _planted_pair(field, rng)
+        for main, aux in ((0, 1), (1, 0)):
+            got = bi_gcd(a, b, main, aux)
+            got.exact_divide(g)
+            _assert_is_gcd(a, b, got, main, aux)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_bi_gcd_planted_contents(m):
+    # pure-x1 factors c (shared), s and t (one side each) on top of random
+    # parts of positive x0-degree: the content gcd must come out exactly
+    field = Field(m)
+    rng = random.Random(200 + m)
+    x0 = TriPoly.var(field, 0)
+    for _ in range(25):
+        c, s, t = (bi_to_tri([rand_uni(field, rng.randrange(3), rng)], 0, 1,
+                             field) for _ in range(3))
+        u = rand_tri(field, 2, rng) * x0 + TriPoly.const(field, 1)
+        v = rand_tri(field, 2, rng) * x0 + TriPoly.var(field, 1)
+        a, b = c * s * u, c * t * v
+        got = bi_gcd(a, b)
+        got.exact_divide(c)
+        _assert_is_gcd(a, b, got)
+
+
+def _sympy_gf2(sympy, p):
+    u, v = sympy.symbols("u v")
+    return sympy.Poly.from_dict({e[:2]: 1 for e in p.terms}, u, v, modulus=2)
+
+
+def test_bi_gcd_sympy_cross_check():
+    # over GF(2) the normalized gcd is unique, so it must equal sympy's:
+    # the infinity charts for d <= 17 against every lower chart and both
+    # partial derivatives, then random planted pairs
+    sympy = pytest.importorskip("sympy")
+
+    def chart(d):
+        return infinity_curve(d).substitute_const(2, 1)
+    degrees = [d for d in range(3, 18) if d & (d - 1)]
+    checked = 0
+    for d in degrees[1:]:
+        cd = chart(d)
+        others = [chart(r) for r in degrees if r < d]
+        for other in others + [cd.partial(0), cd.partial(1)]:
+            if other.is_zero:
+                continue
+            want = sympy.gcd(_sympy_gf2(sympy, cd), _sympy_gf2(sympy, other))
+            assert _sympy_gf2(sympy, bi_gcd(cd, other)) == want, (d, other)
+            checked += 1
+    assert checked > 80
+    rng = random.Random(79)
+    for _ in range(30):
+        _, a, b = _planted_pair(F2, rng)
+        want = sympy.gcd(_sympy_gf2(sympy, a), _sympy_gf2(sympy, b))
+        assert _sympy_gf2(sympy, bi_gcd(a, b)) == want, (a, b)
+
+
+def _cert_modulus(field):
+    # the first evaluation point is 2, the class of x in the evaluation
+    # field, so its minimal polynomial over GF(2) is that field's modulus
+    big = mvpoly._cert_embedding(field).big
+    assert big.m >= 8
+    return UniPoly(field, [(big.poly >> i) & 1 for i in range(big.m + 1)])
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_bi_gcd_unlucky_point(m):
+    # x0 and x0 + mu(x1) are coprime, but their images at the first point
+    # are both x0: the certificate fails and the remainder sequence decides
+    field = Field(m)
+    x0 = TriPoly.var(field, 0)
+    mu = bi_to_tri([_cert_modulus(field)], 0, 1, field)
+    a, b = x0, x0 + mu
+    assert not mvpoly._bl_coprime_at_point(tri_to_bi(a, 0, 1),
+                                            tri_to_bi(b, 0, 1), field)
+    assert bi_gcd(a, b) == TriPoly.const(field, 1)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_bi_gcd_skips_leading_coefficient_root(m):
+    # h = mu(x1)*x0 + 1 loses its x0 term at the first point, where the
+    # images of h*(x0 + 1) and h*x0 are the coprime x0 + 1 and x0; the
+    # point must be skipped so the shared h is found
+    field = Field(m)
+    x0 = TriPoly.var(field, 0)
+    one = TriPoly.const(field, 1)
+    h = bi_to_tri([_cert_modulus(field)], 0, 1, field) * x0 + one
+    assert bi_gcd(h * (x0 + one), h * x0) == h
+
+
+def test_bi_gcd_certified_pair_skips_remainder_sequence(monkeypatch):
+    def fail(*args):
+        raise AssertionError("remainder sequence on a certified pair")
+    monkeypatch.setattr(mvpoly, "_bl_pseudo_rem", fail)
+    for d, r in ((9, 5), (11, 5), (13, 7), (17, 11)):
+        a = infinity_curve(d).substitute_const(2, 1)
+        b = infinity_curve(r).substitute_const(2, 1)
+        assert bi_gcd(a, b) == TriPoly.const(F2, 1)
 
 
 def test_bi_squarefree_strips_multiplicity():

@@ -293,6 +293,11 @@ def test_infinity_part_matches_degree_only_curve():
     assert infinity_curve(3) == TriPoly.const(Field(1), 1)
 
 
+def test_infinity_curves_share_one_field():
+    assert infinity_curve(7).field is infinity_curve(9).field
+    assert infinity_curve(7).field == Field(1)
+
+
 def test_projective_plane_zeros_oracle():
     rng = random.Random(47)
     for _ in range(6):
