@@ -1,6 +1,8 @@
 """Check the structural surface properties on a batch of random
 polynomials: the x0-derivative is divisible by x1+x2, and for sources
-with a constant diagonal the point (1:1:1:0) is singular.
+with a constant diagonal the point (1:1:1:0) is singular.  A surface
+that breaks either property stops the run with exit code 1 and names its
+map on stderr.
 
 Usage: python3 repro/derivative_suite.py [--per-field N] [--seed S]
 """
@@ -28,6 +30,11 @@ def random_normalized(field, rng):
     return PolyFunc(field, terms)
 
 
+def fail(what, f):
+    print("%s for %r over GF(2^%d)" % (what, f, f.field.m), file=sys.stderr)
+    return 1
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser()
     ap.add_argument("--per-field", type=int, default=100)
@@ -41,14 +48,16 @@ def main(argv=None):
         for _ in range(args.per_field):
             f = random_normalized(field, rng)
             s = build_surface(f)
-            derivative_divisibility(s)
-            divisible += 1
             total += 1
+            if derivative_divisibility(s) is None:
+                return fail("x0-derivative not divisible by x1+x2", f)
+            divisible += 1
             if s.degree < 2:
                 skipped += 1
                 continue
             try:
-                assert diagonal_infinity_singular(s)
+                if not diagonal_infinity_singular(s):
+                    return fail("(1:1:1:0) not singular", f)
                 singular += 1
             except DiagonalNotConstant:
                 skipped += 1

@@ -9,11 +9,11 @@ found, unknown means the criterion simply does not decide the case.
 import math
 
 from .errors import DegreeCapExceeded, InvalidParameters, NoGoodEvaluationPoint
-from .gf2m import Field, _is_pow2, _prime_factors
-from .mvpoly import (FACTOR_DEGREE_CAP, Embedding, TriPoly, bi_factor, bi_gcd,
-                     bi_resultant, bi_squarefree, bi_to_tri, tri_to_bi,
-                     uni_factor, uni_gcd_many, uni_roots)
-from .surface import infinity_curve
+from .gf2m import _is_pow2, _prime_factors
+from .mvpoly import (FACTOR_DEGREE_CAP, TriPoly, UniPoly, bi_factor, bi_gcd,
+                     bi_resultant, bi_squarefree, extension, uni_factor,
+                     uni_gcd, uni_gcd_many, uni_roots)
+from .surface import check_plane_form, infinity_curve
 
 ESTABLISHED = "established"
 REFUTED = "refuted"
@@ -97,8 +97,10 @@ def congruence_smooth(d):
 # ---------------------------------------------------- direct factorization
 
 def _univariate(p, var):
-    """A TriPoly in the single variable var (0 or 1) as a UniPoly."""
-    return tri_to_bi(p, 1 - var, var)[0]
+    """A TriPoly in the single variable x_var as a UniPoly."""
+    if any(x for e in p.terms for i, x in enumerate(e) if i != var):
+        raise InvalidParameters(f"polynomial is not univariate in x{var}")
+    return UniPoly.from_terms(p.field, ((e[var], v) for e, v in p.terms.items()))
 
 
 def _extension(base, k):
@@ -106,7 +108,7 @@ def _extension(base, k):
     if base.m * k > EXT_M_CAP:
         raise DegreeCapExceeded(
             f"singular point needs GF(2^{base.m * k}), above the cap {EXT_M_CAP}")
-    return Embedding(base, base if k == 1 else Field(base.m * k))
+    return extension(base, k)
 
 
 def _chart_factors(chart):
@@ -115,16 +117,17 @@ def _chart_factors(chart):
     GF(2^(m*k)) with enough evaluation points when the field has too few;
     splitting there still refutes irreducibility over the algebraic
     closure."""
+    base = chart.field
     for var in (0, 1):
         if chart.degree_in(1 - var) == 0:
             _, facs = uni_factor(_univariate(chart, var))
-            return [bi_to_tri([fp], 1 - var, var, chart.field)
+            return [TriPoly(base, {(0, i, 0, 0) if var else (i, 0, 0, 0): v
+                                   for i, v in enumerate(fp.c)})
                     for fp, _ in facs]
-    base = chart.field
     k = 1
     while True:
         try:
-            return bi_factor(_extension(base, k).map_tri(chart), 0, 1)[1]
+            return bi_factor(_extension(base, k).map_tri(chart))[1]
         except NoGoodEvaluationPoint:
             k += 1
             if base.m * k > EXT_M_CAP:
@@ -138,8 +141,7 @@ def absolutely_irreducible(curve):
     name = "absolutely_irreducible"
     if curve.is_zero:
         raise InvalidParameters("zero form")
-    if any(e[3] for e in curve.terms) or not curve.is_homogeneous():
-        raise InvalidParameters("need a homogeneous form in x0, x1, x2")
+    check_plane_form(curve)
     deg = curve.total_degree
     if deg == 0:
         return CriterionVerdict(REFUTED, name, note="constant form, empty curve")
@@ -224,7 +226,7 @@ def _canonical(field, p):
     raise InvalidParameters("projective point cannot be all zero")
 
 
-def _v_candidates(cs):
+def _common_roots(cs):
     """Common gcd of the nonzero members of the specialized system; None
     when the whole system vanished."""
     nz = [p for p in cs if not p.is_zero]
@@ -242,8 +244,7 @@ def curve_singular_points(curve):
     """
     if curve.is_zero:
         raise InvalidParameters("zero form")
-    if any(e[3] for e in curve.terms) or not curve.is_homogeneous():
-        raise InvalidParameters("need a homogeneous form in x0, x1, x2")
+    check_plane_form(curve)
     deg = curve.total_degree
     if deg > FACTOR_DEGREE_CAP:
         raise DegreeCapExceeded(f"degree {deg} above cap {FACTOR_DEGREE_CAP}")
@@ -268,8 +269,14 @@ def curve_singular_points(curve):
         if g.degree > 0:
             raise InvalidParameters("a whole line of the chart is singular")
     else:
-        rs = [bi_resultant(c, cu, 1, 0), bi_resultant(c, cv, 1, 0),
-              bi_resultant(cu, cv, 1, 0)]
+        # resultants in x0 give the x1 coordinates v0, and for each v0 the
+        # common roots in x0 complete the point; two partials free of x0
+        # have resultant 1, blind to their common roots: their gcd stands in
+        if cu.degree_in(0) == 0 and cv.degree_in(0) == 0:
+            ruv = uni_gcd(_univariate(cu, 1), _univariate(cv, 1))
+        else:
+            ruv = bi_resultant(cu, cv)
+        rs = [bi_resultant(c, cu), bi_resultant(c, cv), ruv]
         rs = [r for r in rs if not r.is_zero]
         if not rs:
             raise InvalidParameters("positive-dimensional singular locus")
@@ -280,24 +287,24 @@ def curve_singular_points(curve):
                 emb = _extension(base, gp.degree)
                 ext = emb.big
                 system = [emb.map_tri(poly) for poly in (c, cu, cv)]
-                for u0 in uni_roots(emb.map_uni(gp)):
-                    specs = [_univariate(poly.substitute_const(0, u0), 1)
+                for v0 in uni_roots(emb.map_uni(gp)):
+                    specs = [_univariate(poly.substitute_const(1, v0), 0)
                              for poly in system]
-                    gv = _v_candidates(specs)
-                    if gv is None:
+                    gu = _common_roots(specs)
+                    if gu is None:
                         raise InvalidParameters(
                             "positive-dimensional singular locus")
-                    if gv.degree <= 0:
+                    if gu.degree <= 0:
                         continue
-                    _, vfacs = uni_factor(gv)
-                    for vp, _m2 in vfacs:
-                        if vp.degree == 1:
-                            push(ext, (u0, vp.c[0], 1))
+                    _, ufacs = uni_factor(gu)
+                    for up, _m2 in ufacs:
+                        if up.degree == 1:
+                            push(ext, (up.c[0], v0, 1))
                             continue
-                        emb2 = _extension(ext, vp.degree)
-                        u1 = emb2.map(u0)
-                        for v0 in uni_roots(emb2.map_uni(vp)):
-                            push(emb2.big, (u1, v0, 1))
+                        emb2 = _extension(ext, up.degree)
+                        v1 = emb2.map(v0)
+                        for u0 in uni_roots(emb2.map_uni(up)):
+                            push(emb2.big, (u0, v1, 1))
 
     # ---- the line x2 = 0
     partials = [curve.partial(i) for i in range(3)]

@@ -5,16 +5,15 @@ plus a homogenizing fourth.
 dict keyed by exponent 4-tuples (x0, x1, x2, z); affine polynomials keep the
 z exponent at 0.  Monomials are ordered graded-lex with x0 > x1 > x2 > z.
 
-Bivariate helpers (gcd, resultant, squarefree part, factorization) treat a
-TriPoly supported on two variables as a polynomial in a main variable with
-univariate coefficients in the other: a list of UniPoly rows in the aux
-variable, indexed by the main-variable exponent.  ``bi_gcd`` first
-specializes the aux variable at one point of a field of at least 2^8
-elements and skips the remainder sequence when the two images are coprime
-there, which proves the pair shares nothing beyond its contents.
-Factorization lifts a split of one specialization by Hensel lifting on the
-same rows, shifted so the specialization point sits at w = 0 and truncated
-below w^n.
+Bivariate helpers (gcd, resultant, squarefree part, factorization) take a
+TriPoly in x0 and x1 and always see it the same way: as a polynomial in x0
+with coefficients in F[x1], a list of UniPoly rows in x1 indexed by the x0
+exponent.  The resultant eliminates x0 and is a UniPoly in x1.  ``bi_gcd``
+first specializes x1 at one point of a field of at least 2^8 elements and
+skips the remainder sequence when the two images are coprime there, which
+proves the pair shares nothing beyond its contents.  Factorization lifts a
+split of one specialization by Hensel lifting on the same rows, shifted so
+the specialization point sits at w = 0 and truncated below w^n.
 
 Field elements are checked where they enter: ``TriPoly(field, terms)``,
 the TriPoly methods that take an element (``const``, ``scale``,
@@ -445,6 +444,13 @@ class Embedding:
                            {e: self._map(v) for e, v in p.terms.items()})
 
 
+@functools.cache
+def extension(field, k):
+    """Embedding of field into GF(2^(m*k)), the identity for k = 1; one
+    per (field, k), since each one factors the modulus to find its root."""
+    return Embedding(field, field if k == 1 else Field(field.m * k))
+
+
 # ---------------------------------------------------------------- trivariate
 
 def _grlex_key(e):
@@ -696,14 +702,6 @@ class TriPoly:
                     del rem[ne]
         return TriPoly._of(f, quo)
 
-    def support_vars(self):
-        used = [False] * 4
-        for e in self.terms:
-            for i in range(4):
-                if e[i]:
-                    used[i] = True
-        return [i for i in range(4) if used[i]]
-
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda ev: _grlex_key(ev[0]),
                       reverse=True)
@@ -726,34 +724,25 @@ class TriPoly:
 
 # ------------------------------------------------------- bivariate utilities
 
-def tri_to_bi(p, main, aux):
-    """View a TriPoly supported on {main, aux} as a list of UniPoly in the
-    aux variable, indexed by the main-variable exponent."""
-    f = p.field
-    for i in p.support_vars():
-        if i not in (main, aux):
-            raise InvalidParameters(f"polynomial touches variable {i}")
-    dm = p.degree_in(main)
-    n = 0 if dm is NEG_INF else int(dm) + 1
-    rows = [{} for _ in range(max(n, 1))]
+def tri_to_bi(p):
+    """View a TriPoly in x0 and x1 as a list of UniPoly in x1, indexed by
+    the x0 exponent."""
+    rows = [{} for _ in range(max(p.degree_in(0) + 1, 1))]
     for e, v in p.terms.items():
-        rows[e[main]][e[aux]] = v
-    out = [UniPoly.from_terms(f, r.items()) for r in rows]
+        if e[2] or e[3]:
+            raise InvalidParameters("polynomial touches a variable besides "
+                                    "x0 and x1")
+        rows[e[0]][e[1]] = v
+    out = [UniPoly.from_terms(p.field, r.items()) for r in rows]
     while len(out) > 1 and out[-1].is_zero:
         out.pop()
     return out
 
 
-def bi_to_tri(rows, main, aux, field):
-    t = {}
-    for i, p in enumerate(rows):
-        for j, v in enumerate(p.c):
-            if v:
-                e = [0, 0, 0, 0]
-                e[main] = i
-                e[aux] = j
-                t[tuple(e)] = v
-    return TriPoly._of(field, t)
+def bi_to_tri(rows, field):
+    """The TriPoly in x0 and x1 whose x0^i coefficient is rows[i]."""
+    return TriPoly._of(field, {(i, j, 0, 0): v for i, p in enumerate(rows)
+                               for j, v in enumerate(p.c) if v})
 
 
 def _bl_strip(rows):
@@ -800,7 +789,7 @@ def _bl_primitive(rows):
 
 
 def _bl_pseudo_rem(a, b, field):
-    """lc(b)^(deg a - deg b + 1) * a mod b, all in F[aux][main].
+    """lc(b)^(deg a - deg b + 1) * a mod b, all in F[x1][x0].
 
     One scale by lc(b) per step, da - db + 1 steps in all, so the result is
     the classical pseudo-remainder the subresultant recurrences expect."""
@@ -819,23 +808,16 @@ def _bl_pseudo_rem(a, b, field):
     return r
 
 
-@functools.cache
-def _cert_embedding(field):
-    """Embedding of field into the smallest GF(2^(m*k)) with at least 2^8
-    elements, where the coprimality certificate specializes."""
-    k = -(-8 // field.m)
-    return Embedding(field, field if k == 1 else Field(field.m * k))
-
-
 def _bl_coprime_at_point(a, b, field):
-    """Whether a and b (main-variable degree >= 1) have coprime images at
-    the first point t0 >= 2 of the evaluation field where neither leading
-    coefficient vanishes.  A common factor of positive main degree has a
-    leading coefficient dividing both, so it keeps its degree at t0 and
-    divides both images: True proves the primitive parts coprime.  The
-    points 0 and 1 are skipped: on charts with GF(2) coefficients they
-    are often unlucky, giving images with a common factor the pair lacks."""
-    emb = _cert_embedding(field)
+    """Whether a and b (x0-degree >= 1) have coprime images at the first
+    point t0 >= 2 where neither leading coefficient vanishes, in the
+    evaluation field: the smallest GF(2^(m*k)) with at least 2^8
+    elements.  A common factor of positive x0-degree has a leading
+    coefficient dividing both, so it keeps its degree at t0 and divides
+    both images: True proves the primitive parts coprime.  The points 0
+    and 1 are skipped: on charts with GF(2) coefficients they are often
+    unlucky, giving images with a common factor the pair lacks."""
+    emb = extension(field, -(-8 // field.m))
     rows_a = [emb.map_uni(p) for p in a]
     rows_b = [emb.map_uni(p) for p in b]
     for t0 in range(2, emb.big.q):
@@ -848,21 +830,24 @@ def _bl_coprime_at_point(a, b, field):
     return uni_gcd(ia, ib).degree == 0
 
 
-def bi_gcd(p1, p2, main=0, aux=1):
-    """Gcd of two TriPolys supported on two variables; result normalized so
-    its leading main-variable coefficient is monic.  A pair with coprime
-    images at one point is coprime up to the gcd of its contents; any
-    other pair runs a primitive remainder sequence over F[aux]."""
+def bi_gcd(p1, p2):
+    """Gcd of two TriPolys in x0 and x1; result normalized so its leading
+    x0 coefficient is monic.  A nonzero constant operand gives 1 at once.
+    A pair with coprime images at one point is coprime up to the gcd of
+    its contents; any other pair runs a primitive remainder sequence over
+    F[x1]."""
     f = common_field(p1.field, p2.field)
-    a = _bl_strip(tri_to_bi(p1, main, aux))
-    b = _bl_strip(tri_to_bi(p2, main, aux))
+    if p1.total_degree == 0 or p2.total_degree == 0:
+        return TriPoly.const(f, 1)
+    a = _bl_strip(tri_to_bi(p1))
+    b = _bl_strip(tri_to_bi(p2))
     if not a:
-        return _bi_gcd_normalize(b, main, aux, f)
+        return _bi_gcd_normalize(b, f)
     if not b:
-        return _bi_gcd_normalize(a, main, aux, f)
+        return _bi_gcd_normalize(a, f)
     if _bl_deg(a) >= 1 and _bl_deg(b) >= 1 and _bl_coprime_at_point(a, b, f):
         cg = uni_gcd_many([p for p in a + b if not p.is_zero])
-        return bi_to_tri([cg], main, aux, f)
+        return bi_to_tri([cg], f)
     ca, a = _bl_primitive(a)
     cb, b = _bl_primitive(b)
     cg = uni_gcd(ca, cb)
@@ -873,7 +858,7 @@ def bi_gcd(p1, p2, main=0, aux=1):
             g = a
             break
         if _bl_deg(b) == 0:
-            # main-degree 0: gcd divides a unit times content, already stripped
+            # x0-degree 0: gcd divides a unit times content, already stripped
             g = [UniPoly.one(f)]
             break
         r = _bl_pseudo_rem(a, b, f)
@@ -882,26 +867,26 @@ def bi_gcd(p1, p2, main=0, aux=1):
             _, r = _bl_primitive(r)
         a, b = b, r
     g = _bl_scale(g, cg)
-    return _bi_gcd_normalize(g, main, aux, f)
+    return _bi_gcd_normalize(g, f)
 
 
-def _bi_gcd_normalize(rows, main, aux, field):
+def _bi_gcd_normalize(rows, field):
     rows = _bl_strip(list(rows))
     if not rows:
         return TriPoly.zero(field)
     lead = rows[-1]
     inv = field.inv(lead.lead)
     rows = [p.scale(inv) for p in rows]
-    return bi_to_tri(rows, main, aux, field)
+    return bi_to_tri(rows, field)
 
 
-def bi_resultant(p1, p2, eliminate, keep):
-    """Resultant with respect to the eliminated variable, as a UniPoly in
-    the kept variable.  Subresultant remainder sequence; characteristic 2
+def bi_resultant(p1, p2):
+    """Resultant of two TriPolys in x0 and x1 with respect to x0, as a
+    UniPoly in x1.  Subresultant remainder sequence; characteristic 2
     makes every sign factor trivial."""
     f = common_field(p1.field, p2.field)
-    a = _bl_strip(tri_to_bi(p1, eliminate, keep))
-    b = _bl_strip(tri_to_bi(p2, eliminate, keep))
+    a = _bl_strip(tri_to_bi(p1))
+    b = _bl_strip(tri_to_bi(p2))
     if not a or not b:
         return UniPoly.zero(f)
     da, db = _bl_deg(a), _bl_deg(b)
@@ -941,34 +926,34 @@ def bi_resultant(p1, p2, eliminate, keep):
     return s.pow_(e).exact_div(h.pow_(e - 1))
 
 
-def bi_squarefree(p, main=0, aux=1):
-    """Squarefree part: each irreducible factor exactly once, normalized so
-    the graded-lex leading coefficient is 1."""
+def bi_squarefree(p):
+    """Squarefree part of a TriPoly in x0 and x1: each irreducible factor
+    exactly once, normalized so the graded-lex leading coefficient is 1."""
     f = p.field
     if p.is_zero:
         raise InvalidParameters("squarefree part of the zero polynomial")
     if p.total_degree == 0:
         return TriPoly.const(f, 1)
-    pu = p.partial(main)
-    pv = p.partial(aux)
+    pu = p.partial(0)
+    pv = p.partial(1)
     if pu.is_zero and pv.is_zero:
-        return bi_squarefree(_tri_sqrt(p), main, aux)
+        return bi_squarefree(_tri_sqrt(p))
     g = p
     for d in (pu, pv):
         if not d.is_zero:
-            g = bi_gcd(g, d, main, aux)
+            g = bi_gcd(g, d)
     if g.total_degree == 0:
         return _grlex_normalize(p)
     w = p.exact_divide(g)
     r = g
     while True:
-        c = bi_gcd(r, w, main, aux)
+        c = bi_gcd(r, w)
         if c.total_degree == 0:
             break
         r = r.exact_divide(c)
     if r.total_degree == 0:
         return _grlex_normalize(w)
-    return _grlex_normalize(w * bi_squarefree(_tri_sqrt(r), main, aux))
+    return _grlex_normalize(w * bi_squarefree(_tri_sqrt(r)))
 
 
 def _tri_sqrt(p):
@@ -1023,7 +1008,7 @@ def _ser_inv(a, n):
 
 
 def _bl_at_order(p, k):
-    """Rows holding the univariate p (in the main variable) times w^k."""
+    """Rows holding the univariate p (in x0) times w^k."""
     return [UniPoly.const(p.field, v).shift(k) for v in p.c]
 
 
@@ -1074,7 +1059,7 @@ def _lift_all(pstar, local, n):
 
 
 def _bl_try_exact_div(a, b, f):
-    """Quotient of a by b in F[aux][main] if the division is exact, else None."""
+    """Quotient of a by b in F[x1][x0] if the division is exact, else None."""
     a = list(a)
     db = _bl_deg(b)
     da = _bl_deg(a)
@@ -1100,15 +1085,15 @@ def _bl_try_exact_div(a, b, f):
 
 # ------------------------------------------------------------- factorization
 
-def bi_factor(p, main=0, aux=1):
-    """Factor a squarefree TriPoly supported on two variables into
-    irreducibles over its coefficient field.
+def bi_factor(p):
+    """Factor a squarefree TriPoly in x0 and x1 into irreducibles over its
+    coefficient field.
 
     Returns (unit, factors): a field element and a sorted list of
     graded-lex-normalized TriPolys whose product scaled by the unit
     reconstructs p.  Raises NoGoodEvaluationPoint when no specialization
-    of the aux variable inside the base field is usable; callers may retry
-    after embedding the polynomial into an extension field.
+    of x1 inside the base field is usable; callers may retry after
+    embedding the polynomial into an extension field.
     """
     f = p.field
     if p.is_zero:
@@ -1118,22 +1103,18 @@ def bi_factor(p, main=0, aux=1):
             f"total degree {p.total_degree} above cap {FACTOR_DEGREE_CAP}")
     if p.total_degree == 0:
         return p.terms[(0, 0, 0, 0)], []
-    for i in p.support_vars():
-        if i not in (main, aux):
-            raise InvalidParameters(f"polynomial touches variable {i}")
-    # the content (all of p when p is univariate in the aux variable)
-    # factors as a univariate polynomial
-    cont, prim = _bl_primitive(_bl_strip(tri_to_bi(p, main, aux)))
+    # the content (all of p when p is univariate in x1) factors as a
+    # univariate polynomial
+    cont, prim = _bl_primitive(_bl_strip(tri_to_bi(p)))
     unit, facs = uni_factor(cont)
-    factors = [bi_to_tri([fac], main, aux, f)
-               for fac, mult in facs for _ in range(mult)]
+    factors = [bi_to_tri([fac], f) for fac, mult in facs for _ in range(mult)]
     if _bl_deg(prim) > 0:
-        prim_factors = _bi_factor_primitive(prim, main, aux, f)
+        prim_factors = _bi_factor_primitive(prim, f)
         # reconcile the overall scalar against the reconstructed product
         acc = TriPoly.const(f, 1)
         for t in prim_factors:
             acc = acc * t
-        _, oc = bi_to_tri(prim, main, aux, f).lead_term()
+        _, oc = bi_to_tri(prim, f).lead_term()
         _, ac = acc.lead_term()
         unit = f._mul(unit, f._mul(oc, f.inv(ac)))
         factors.extend(prim_factors)
@@ -1146,9 +1127,9 @@ def _sort_tri_factors(factors):
     return sorted(factors, key=key)
 
 
-def _bi_factor_primitive(rows, main, aux, f):
+def _bi_factor_primitive(rows, f):
     """Irreducible factors of a primitive squarefree bivariate polynomial
-    given as a main-variable coefficient list over F[aux]."""
+    given as its x0 coefficient list over F[x1]."""
     lc = rows[-1]
     maxv = max(int(p.degree) for p in rows if not p.is_zero)
     n = int(lc.degree) + maxv + 1  # series precision covers any true factor
@@ -1161,7 +1142,7 @@ def _bi_factor_primitive(rows, main, aux, f):
     else:
         raise NoGoodEvaluationPoint(
             "no usable specialization point in the coefficient field")
-    # shift so the chosen point sits at the series origin (w = aux + a)
+    # shift so the chosen point sits at the series origin (w = x1 + a)
     work = [p.taylor_shift(a) for p in rows]
     spec = UniPoly(f, [p.c[0] if p.c else 0 for p in work])
     _, sfacs = uni_factor(spec)
@@ -1169,7 +1150,7 @@ def _bi_factor_primitive(rows, main, aux, f):
         raise ApnToolError("specialization at the chosen point is not squarefree")
     local = sorted((fac for fac, _ in sfacs), key=UniPoly.key)
     if len(local) == 1:
-        out = _grlex_normalize(bi_to_tri(rows, main, aux, f))
+        out = _grlex_normalize(bi_to_tri(rows, f))
         return [out]
     # every row of work has w-degree below n already
     pstar = _bl_mul_trunc(work, [_ser_inv(work[-1], n)], n)
@@ -1196,7 +1177,7 @@ def _bi_factor_primitive(rows, main, aux, f):
     out = []
     for fr in found_shifted:
         back = _bl_strip([p.taylor_shift(a) for p in fr])  # char 2: shift back
-        out.append(_grlex_normalize(bi_to_tri(back, main, aux, f)))
+        out.append(_grlex_normalize(bi_to_tri(back, f)))
     return out
 
 

@@ -203,6 +203,10 @@ def _tokenize(text):
         if ch.isspace():
             i += 1
             continue
+        if text.startswith("**", i):
+            toks.append(("^", "^"))
+            i += 2
+            continue
         if ch in "+*^()":
             toks.append((ch, ch))
             i += 1

@@ -37,7 +37,8 @@ import numpy as np
 from . import kernels
 from .differential import _gate
 from .errors import (ApnToolError, DegreeOutOfRange, DegreeTooSmall,
-                     DiagonalNotConstant, NotDivisible, QAffineInput)
+                     DiagonalNotConstant, FieldMismatch, InvalidParameters,
+                     NotDivisible, QAffineInput)
 from .gf2m import Field
 from .mvpoly import NEG_INF, TriPoly, UniPoly, uni_roots
 from .polyfunc import is_q_affine, normalize
@@ -249,17 +250,23 @@ class PointCount:
                 f"on_locus={self.affine_on_locus}, infinity={self.infinity})")
 
 
+def check_plane_form(curve):
+    """Raise InvalidParameters unless curve is a homogeneous form in x0,
+    x1, x2, the shape of a plane curve."""
+    if any(e[3] for e in curve.terms) or not curve.is_homogeneous():
+        raise InvalidParameters("need a homogeneous form in x0, x1, x2")
+
+
 def projective_plane_zeros(curve, field):
     """Number of zeros of a homogeneous form in x0, x1, x2 over the
     projective plane of the given field; GF(2) coefficients are mapped up
     automatically.  Evaluates the form at every point, in O(q^2) time and
     memory: count_points reaches the same number through the affine cone."""
+    check_plane_form(curve)
     if curve.field != field:
         if curve.field.m != 1:
-            raise ValueError("curve must live over GF(2) or over field")
+            raise FieldMismatch("curve must live over GF(2) or over field")
         curve = TriPoly._of(field, dict(curve.terms))
-    if not curve.is_homogeneous() or any(e[3] for e in curve.terms):
-        raise ValueError("curve is not a homogeneous form in x0, x1, x2")
     q = field.q
     ext, log, _ = field.tables()
     # chart x0 = 1

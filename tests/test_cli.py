@@ -23,6 +23,13 @@ def test_apn_test_true(capsys):
     assert "delta = 2" in out
 
 
+def test_apn_test_double_star_power(capsys):
+    # Gold x^3 written with "**" is uniformity two over GF(16)
+    code, out, _ = run(capsys, "apn-test", "--m", "4", "--poly", "x**3")
+    assert code == 0
+    assert "delta = 2" in out
+
+
 def test_apn_test_false(capsys):
     code, out, _ = run(capsys, "apn-test", "--m", "3", "--poly", "x^6+x^5")
     assert code == 1

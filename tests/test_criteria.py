@@ -2,14 +2,14 @@
 
 import pytest
 
-from apnsurf.criteria import (CriterionVerdict, SingularPoint,
+from apnsurf.criteria import (CriterionVerdict, SingularPoint, _extension,
                               absolutely_irreducible, binomial_criterion,
                               congruence_irreducible, congruence_smooth,
                               curve_singular_points, exponent_pair_criterion,
                               surface_irreducible)
-from apnsurf.errors import InvalidParameters
+from apnsurf.errors import DegreeCapExceeded, InvalidParameters
 from apnsurf.gf2m import Field
-from apnsurf.mvpoly import TriPoly
+from apnsurf.mvpoly import TriPoly, extension
 from apnsurf.polyfunc import PolyFunc
 from apnsurf.surface import build_surface, infinity_curve
 
@@ -145,6 +145,18 @@ def test_singular_points_in_extension():
     assert keyed == [(1, (0, 0, 1)), (2, (1, 2, 1)), (2, (1, 3, 1))]
 
 
+def test_singular_points_partials_free_of_one_variable():
+    # x0^2 x2 + x0 x1^2 + x1^3: on the chart x2 = 1 both partials are x1^2,
+    # whose resultant in x0 is 1; the cusp at (0:0:1) must still be found,
+    # on the curve and on its mirror image with x0 and x1 exchanged
+    h = TriPoly(F2, {(2, 0, 1, 0): 1, (1, 2, 0, 0): 1, (0, 3, 0, 0): 1})
+    mirror = TriPoly(F2, {(e[1], e[0], e[2], e[3]): v
+                          for e, v in h.terms.items()})
+    for curve in (h, mirror):
+        assert [(p.m, p.point) for p in curve_singular_points(curve)] == \
+            [(1, (0, 0, 1))]
+
+
 def test_singular_points_smooth_quotient_curves():
     for d in (7, 11):
         assert curve_singular_points(infinity_curve(d)) == []
@@ -154,6 +166,20 @@ def test_singular_points_degree9_diagonal():
     pts = curve_singular_points(infinity_curve(9))
     keys = [(p.m, p.point) for p in pts]
     assert (1, (1, 1, 1)) in keys
+
+
+def test_criteria_reject_non_plane_forms():
+    for terms in ({(1, 0, 0, 0): 1, (0, 0, 0, 0): 1}, {(1, 0, 0, 1): 1}):
+        h = TriPoly(F2, terms)
+        for check in (absolutely_irreducible, curve_singular_points):
+            with pytest.raises(InvalidParameters, match="homogeneous form"):
+                check(h)
+
+
+def test_extension_shares_the_embedding_cache():
+    assert _extension(F2, 4) is extension(F2, 4)
+    with pytest.raises(DegreeCapExceeded, match="above the cap 32"):
+        _extension(F16, 9)
 
 
 def test_singular_points_reject_squares():

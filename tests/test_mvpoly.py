@@ -1,5 +1,6 @@
 """Polynomial layer against independent oracles."""
 
+import inspect
 import random
 
 import pytest
@@ -25,6 +26,7 @@ from apnsurf.mvpoly import (
     bi_resultant,
     bi_squarefree,
     bi_to_tri,
+    extension,
     tri_to_bi,
     uni_factor,
     uni_gcd,
@@ -479,11 +481,11 @@ def test_bi_resultant_vs_sylvester_specialization():
         p2 = rand_tri(F8, 3, rng)
         if p1.is_zero or p2.is_zero:
             continue
-        rows1 = tri_to_bi(p1, 0, 1)
-        rows2 = tri_to_bi(p2, 0, 1)
+        rows1 = tri_to_bi(p1)
+        rows2 = tri_to_bi(p2)
         if len(rows1) < 2 or len(rows2) < 2:
             continue
-        res = bi_resultant(p1, p2, eliminate=0, keep=1)
+        res = bi_resultant(p1, p2)
         for c in range(8):
             if rows1[-1].eval_at(c) == 0 or rows2[-1].eval_at(c) == 0:
                 continue  # degree drop changes the specialized resultant
@@ -500,7 +502,7 @@ def test_bi_resultant_zero_iff_common_factor():
     a = g * rand_tri(F8, 2, rng)
     b = g * rand_tri(F8, 2, rng)
     if not a.is_zero and not b.is_zero:
-        assert bi_resultant(a, b, eliminate=0, keep=1).is_zero
+        assert bi_resultant(a, b).is_zero
 
 
 def test_bi_resultant_sympy_cross_check():
@@ -517,25 +519,31 @@ def test_bi_resultant_sympy_cross_check():
         if s1 == 0 or s2 == 0:
             continue
         want = sympy.Poly(sympy.resultant(s1, s2, u), v, modulus=2)
-        got = bi_resultant(p1, p2, eliminate=0, keep=1)
+        got = bi_resultant(p1, p2)
         got_sym = sympy.Poly(sum(int(c) * v ** i for i, c in enumerate(got.c)) + v * 0,
                              v, modulus=2)
         assert got_sym == want
 
 
-def _content(p, main, aux):
-    return uni_gcd_many([r for r in tri_to_bi(p, main, aux) if not r.is_zero])
+def _content(p):
+    return uni_gcd_many([r for r in tri_to_bi(p) if not r.is_zero])
 
 
-def _assert_is_gcd(a, b, got, main=0, aux=1):
+def _swap(p):
+    """p with x0 and x1 exchanged."""
+    return TriPoly(p.field, {(e[1], e[0], e[2], e[3]): v
+                             for e, v in p.terms.items()})
+
+
+def _assert_is_gcd(a, b, got):
     """got divides a and b, leaves cofactors with no common factor (a
-    nonzero resultant in the main variable and coprime contents) and has
-    a monic leading main-variable coefficient."""
+    nonzero resultant in x0 and coprime contents) and has a monic leading
+    x0 coefficient."""
     ca = a.exact_divide(got)
     cb = b.exact_divide(got)
-    assert not bi_resultant(ca, cb, eliminate=main, keep=aux).is_zero
-    assert uni_gcd(_content(ca, main, aux), _content(cb, main, aux)).degree == 0
-    assert tri_to_bi(got, main, aux)[-1].lead == 1
+    assert not bi_resultant(ca, cb).is_zero
+    assert uni_gcd(_content(ca), _content(cb)).degree == 0
+    assert tri_to_bi(got)[-1].lead == 1
 
 
 def _planted_pair(field, rng):
@@ -576,16 +584,19 @@ def test_bi_gcd_coprime_is_constant():
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
 def test_bi_gcd_planted_pairs(m):
-    # a = g*u and b = g*v along both variable orders: the result is a
-    # multiple of g that divides both and leaves coprime cofactors
+    # a = g*u and b = g*v, and the same pair with x0 and x1 exchanged:
+    # the result is a multiple of g that divides both and leaves coprime
+    # cofactors
     field = Field(m)
     rng = random.Random(100 + m)
     for _ in range(25):
         g, a, b = _planted_pair(field, rng)
-        for main, aux in ((0, 1), (1, 0)):
-            got = bi_gcd(a, b, main, aux)
+        for swap in (False, True):
+            if swap:
+                g, a, b = _swap(g), _swap(a), _swap(b)
+            got = bi_gcd(a, b)
             got.exact_divide(g)
-            _assert_is_gcd(a, b, got, main, aux)
+            _assert_is_gcd(a, b, got)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
@@ -596,8 +607,8 @@ def test_bi_gcd_planted_contents(m):
     rng = random.Random(200 + m)
     x0 = TriPoly.var(field, 0)
     for _ in range(25):
-        c, s, t = (bi_to_tri([rand_uni(field, rng.randrange(3), rng)], 0, 1,
-                             field) for _ in range(3))
+        c, s, t = (bi_to_tri([rand_uni(field, rng.randrange(3), rng)], field)
+                   for _ in range(3))
         u = rand_tri(field, 2, rng) * x0 + TriPoly.const(field, 1)
         v = rand_tri(field, 2, rng) * x0 + TriPoly.var(field, 1)
         a, b = c * s * u, c * t * v
@@ -640,9 +651,9 @@ def test_bi_gcd_sympy_cross_check():
 
 def _cert_modulus(field):
     # the first evaluation point is 2, the class of x in the evaluation
-    # field, so its minimal polynomial over GF(2) is that field's modulus
-    big = mvpoly._cert_embedding(field).big
-    assert big.m >= 8
+    # field, the smallest GF(2^(m*k)) with m*k >= 8; so its minimal
+    # polynomial over GF(2) is that field's modulus
+    big = Field({1: 8, 2: 8, 3: 9, 4: 8}[field.m])
     return UniPoly(field, [(big.poly >> i) & 1 for i in range(big.m + 1)])
 
 
@@ -652,10 +663,9 @@ def test_bi_gcd_unlucky_point(m):
     # are both x0: the certificate fails and the remainder sequence decides
     field = Field(m)
     x0 = TriPoly.var(field, 0)
-    mu = bi_to_tri([_cert_modulus(field)], 0, 1, field)
+    mu = bi_to_tri([_cert_modulus(field)], field)
     a, b = x0, x0 + mu
-    assert not mvpoly._bl_coprime_at_point(tri_to_bi(a, 0, 1),
-                                            tri_to_bi(b, 0, 1), field)
+    assert not mvpoly._bl_coprime_at_point(tri_to_bi(a), tri_to_bi(b), field)
     assert bi_gcd(a, b) == TriPoly.const(field, 1)
 
 
@@ -667,7 +677,7 @@ def test_bi_gcd_skips_leading_coefficient_root(m):
     field = Field(m)
     x0 = TriPoly.var(field, 0)
     one = TriPoly.const(field, 1)
-    h = bi_to_tri([_cert_modulus(field)], 0, 1, field) * x0 + one
+    h = bi_to_tri([_cert_modulus(field)], field) * x0 + one
     assert bi_gcd(h * (x0 + one), h * x0) == h
 
 
@@ -679,6 +689,44 @@ def test_bi_gcd_certified_pair_skips_remainder_sequence(monkeypatch):
         a = infinity_curve(d).substitute_const(2, 1)
         b = infinity_curve(r).substitute_const(2, 1)
         assert bi_gcd(a, b) == TriPoly.const(F2, 1)
+
+
+def test_bi_gcd_constant_operand_is_one_at_once(monkeypatch):
+    # a nonzero constant shares nothing with any polynomial, zero included;
+    # the answer needs no row conversion
+    def fail(*args):
+        raise AssertionError("rows built for a constant operand")
+    x0 = TriPoly.var(F4, 0)
+    x1 = TriPoly.var(F4, 1)
+    p = (x0 + x1) * (x0 * x1 + TriPoly.const(F4, 1))
+    monkeypatch.setattr(mvpoly, "tri_to_bi", fail)
+    one = TriPoly.const(F4, 1)
+    for c in (TriPoly.const(F4, 1), TriPoly.const(F4, 3)):
+        for other in (p, c, TriPoly.zero(F4)):
+            assert bi_gcd(c, other) == one
+            assert bi_gcd(other, c) == one
+
+
+def test_bivariate_api_fixes_the_variable_order():
+    # rows are always indexed by x0; no function chooses its variables
+    params = {f.__name__: list(inspect.signature(f).parameters)
+              for f in (tri_to_bi, bi_to_tri, bi_gcd, bi_squarefree,
+                        bi_factor, bi_resultant)}
+    assert params == {"tri_to_bi": ["p"], "bi_to_tri": ["rows", "field"],
+                      "bi_gcd": ["p1", "p2"], "bi_squarefree": ["p"],
+                      "bi_factor": ["p"], "bi_resultant": ["p1", "p2"]}
+    x0 = TriPoly.var(F4, 0)
+    x1 = TriPoly.var(F4, 1)
+    p = x0 * x0 * x1.scale(2) + x1 * x1 + x0
+    rows = tri_to_bi(p)
+    assert rows == [UniPoly(F4, [0, 0, 1]), UniPoly(F4, [1]),
+                    UniPoly(F4, [0, 2])]
+    assert bi_to_tri(rows, F4) == p
+    # resultant in x0 of x0 + x1 and x0 + 1 is x1 + 1
+    assert bi_resultant(x0 + x1, x0 + TriPoly.const(F4, 1)) == \
+        UniPoly(F4, [1, 1])
+    with pytest.raises(InvalidParameters):
+        tri_to_bi(TriPoly.var(F4, 2))
 
 
 def test_bi_squarefree_strips_multiplicity():
@@ -734,8 +782,8 @@ def test_bi_factor_reconstructs():
 
 def test_bi_factor_matches_trial_division_oracle():
     # planted products of total degree <= 4 over GF(2) and <= 3 over GF(4),
-    # factored along either variable; every factor must pass the
-    # trial-division oracle and the factors must rebuild the input
+    # factored as they are and with x0 and x1 exchanged; every factor must
+    # pass the trial-division oracle and the factors must rebuild the input
     rng = random.Random(89)
     checked = {F2: 0, F4: 0}
     for field, top in ((F2, 4), (F4, 3)):
@@ -750,16 +798,16 @@ def test_bi_factor_matches_trial_division_oracle():
             p = bi_squarefree(p)
             if p.total_degree < 1:
                 continue
-            for main, aux in ((0, 1), (1, 0)):
+            for q in (p, _swap(p)):
                 try:
-                    unit, facs = bi_factor(p, main, aux)
+                    unit, facs = bi_factor(q)
                 except NoGoodEvaluationPoint:
                     continue
                 acc = TriPoly.const(field, unit)
                 for t in facs:
                     acc = acc * t
-                    assert bi_is_irreducible(t), f"{t!r} from {p!r} splits"
-                assert acc == p, f"factors of {p!r} do not rebuild it"
+                    assert bi_is_irreducible(t), f"{t!r} from {q!r} splits"
+                assert acc == q, f"factors of {q!r} do not rebuild it"
                 checked[field] += 1
     assert min(checked.values()) >= 80, checked
 
@@ -804,6 +852,13 @@ def test_bi_factor_univariate_content():
         acc = acc * t
     assert acc == p
     assert len(facs) == 3  # v, v + 1, u + v
+
+
+def test_extension_is_one_embedding_per_field_and_degree():
+    emb = extension(F4, 3)
+    assert extension(F4, 3) is emb
+    assert (emb.small, emb.big) == (F4, Field(6))
+    assert extension(F8, 1).big == F8 and extension(F8, 1).map(5) == 5
 
 
 # ---------------------------------------------------------- guarded results
@@ -914,7 +969,7 @@ def test_computed_coefficients_stay_in_field(m):
         u = rand_tri(field, 3, rng) * x0 + x1
         w = rand_tri(field, 2, rng) * x1 + x0
         assert _tri_ok(bi_gcd(u * w, w * w))
-        assert _uni_ok(bi_resultant(u, w, 1, 0))
+        assert _uni_ok(bi_resultant(_swap(u), _swap(w)))
         try:
             unit, facs = bi_factor(bi_squarefree(u * w))
         except NoGoodEvaluationPoint:

@@ -211,6 +211,15 @@ def test_parse_poly_constant_products():
     assert g.terms() == [(1, F8.pow_(2, 3))]
 
 
+def test_parse_poly_double_star_is_power():
+    # docs/schema.md documents "**" as a power, like "^", not a product
+    assert parse_poly(F16, "x**3") == parse_poly(F16, "x^3")
+    assert parse_poly(F16, "x**3").terms() == [(3, 1)]
+    assert parse_poly(F8, "2**3*x") == parse_poly(F8, "2^3*x")
+    with pytest.raises(ParseError):
+        parse_poly(F16, "x***3")
+
+
 def test_parse_family():
     fixed, free = parse_family(F16, "x^9 + A*x^6 + B*x^3 + x")
     assert fixed == [(9, 1), (1, 1)]

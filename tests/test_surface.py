@@ -7,7 +7,8 @@ from oracles import brute_count, four_point_sum
 
 from apnsurf.differential import differential_spectrum, is_apn
 from apnsurf.errors import (DegreeOutOfRange, DegreeTooSmall,
-                            DiagonalNotConstant, FieldTooLarge, QAffineInput)
+                            DiagonalNotConstant, FieldMismatch, FieldTooLarge,
+                            InvalidParameters, QAffineInput)
 from apnsurf.gf2m import Field
 from apnsurf.mvpoly import TriPoly
 from apnsurf.polyfunc import PolyFunc, is_q_affine, normalize
@@ -311,6 +312,16 @@ def test_projective_plane_zeros_oracle():
         for p in reps:
             want += lifted.eval_at((p[0], p[1], p[2], 0)) == 0
         assert got == want
+
+
+def test_projective_plane_zeros_rejects_bad_input():
+    # not homogeneous, a z term, then a curve over a field that is neither
+    # GF(2) nor the target
+    for terms in ({(1, 0, 0, 0): 1, (0, 0, 0, 0): 1}, {(0, 0, 0, 1): 1}):
+        with pytest.raises(InvalidParameters, match="homogeneous form"):
+            projective_plane_zeros(TriPoly(F8, terms), F8)
+    with pytest.raises(FieldMismatch):
+        projective_plane_zeros(TriPoly(Field(2), {(1, 0, 0, 0): 1}), F8)
 
 
 def test_derivative_divisibility_always_holds():
