@@ -163,28 +163,34 @@ def absolutely_irreducible(curve):
     sf = bi_squarefree(chart)
     if sf.total_degree < chart.total_degree:
         return CriterionVerdict(REFUTED, name, note="repeated factor",
-                                witness=sf)
-    facs = _chart_factors(chart)
-    if len(facs) > 1:
-        w = facs[0].homogenize(facs[0].total_degree) if facs[0].total_degree \
-            else facs[0]
-        return CriterionVerdict(
-            REFUTED, name,
-            note=f"splits over GF(2^{facs[0].field.m})", witness=w)
+                                witness=_lift(sf))
+    # a chart irreducible over GF(q^j) stays so over each subfield GF(q^t),
+    # t | j, so no field is factored twice
     base = curve.field
-    for t in _prime_factors(deg):
+    irreducible_over = []
+    for t in [1] + _prime_factors(deg):
+        if any(j % t == 0 for j in irreducible_over):
+            continue
         if base.m * t > EXT_M_CAP:
             return CriterionVerdict(
                 UNKNOWN, name,
                 note=f"extension degree {base.m * t} above field cap")
         facs = _chart_factors(_extension(base, t).map_tri(chart))
         if len(facs) > 1:
-            w = facs[0].homogenize(facs[0].total_degree)
             return CriterionVerdict(
                 REFUTED, name,
-                note=f"splits over GF(2^{facs[0].field.m})", witness=w)
+                note=f"splits over GF(2^{facs[0].field.m})",
+                witness=_lift(facs[0]))
+        irreducible_over.append(facs[0].field.m // base.m)
     return CriterionVerdict(ESTABLISHED, name,
                             note="no split over any relevant extension")
+
+
+def _lift(factor):
+    """A factor of the chart x2 = 1 as a form in x0, x1, x2."""
+    n = factor.total_degree
+    t = {(a, b, n - a - b, 0): v for (a, b, _, _), v in factor.terms.items()}
+    return TriPoly._of(factor.field, t)
 
 
 # ------------------------------------------------------- singular points
@@ -355,11 +361,10 @@ def binomial_criterion(d, r):
     if g.total_degree > 0:
         return CriterionVerdict(UNKNOWN, name,
                                 note="curves share a component", witness=g)
-    sq_d = bi_squarefree(chart_d).total_degree == chart_d.total_degree \
-        and min(e[2] for e in cd.terms) <= 1
-    sq_r = bi_squarefree(chart_r).total_degree == chart_r.total_degree \
-        and min(e[2] for e in cr.terms) <= 1
-    if (sq_d and r >= 5) or sq_r:
+    # a squarefree layer: x2 divides it at most once, its chart is squarefree
+    if any(min(e[2] for e in cur.terms) <= 1
+           and bi_squarefree(ch).total_degree == ch.total_degree
+           for cur, ch in ((cd, chart_d), (cr, chart_r))):
         return CriterionVerdict(ESTABLISHED, name,
                                 note="coprime curves, squarefree layer")
     return CriterionVerdict(UNKNOWN, name, note="no squarefree layer")

@@ -33,8 +33,7 @@ import numpy as np
 
 from . import kernels
 from .errors import FieldTooLarge
-
-_SIZE_GATE = 16
+from .gf2m import _TABLE_LIMIT
 
 
 class DifferentialSpectrum:
@@ -61,9 +60,9 @@ class DifferentialSpectrum:
 
 
 def _gate(field):
-    if field.m > _SIZE_GATE:
+    if field.m > _TABLE_LIMIT:
         raise FieldTooLarge(
-            f"value-table analysis capped at m <= {_SIZE_GATE}, got {field.m}")
+            f"value-table analysis capped at m <= {_TABLE_LIMIT}, got {field.m}")
 
 
 def differential_spectrum(f):

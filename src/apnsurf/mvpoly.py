@@ -2,8 +2,10 @@
 plus a homogenizing fourth.
 
 ``UniPoly`` is dense (ascending coefficient list).  ``TriPoly`` is a sparse
-dict keyed by exponent 4-tuples (x0, x1, x2, z); affine polynomials keep the
-z exponent at 0.  Monomials are ordered graded-lex with x0 > x1 > x2 > z.
+dict keyed by exponent 4-tuples (x0, x1, x2, z).  Nothing in the package
+sets the z exponent: projective objects are forms in x0, x1, x2, and the
+z slot only serves 4-coordinate evaluation and ``dehomogenize``.
+Monomials are ordered graded-lex with x0 > x1 > x2 > z.
 
 Bivariate helpers (gcd, resultant, squarefree part, factorization) take a
 TriPoly in x0 and x1 and always see it the same way: as a polynomial in x0
@@ -638,21 +640,6 @@ class TriPoly:
         return TriPoly._of(self.field, {e: v for e, v in self.terms.items()
                                         if sum(e) == deg})
 
-    def homogenize(self, target=None):
-        """Pad each term with z so every total degree equals target."""
-        if self.is_zero:
-            return self
-        top = self.total_degree
-        if target is None:
-            target = top
-        if target < top:
-            raise InvalidParameters(f"target degree {target} below {top}")
-        if self.degree_in(3) != 0:
-            raise InvalidParameters("homogenize takes an affine polynomial")
-        t = {(e[0], e[1], e[2], target - sum(e)): v
-             for e, v in self.terms.items()}
-        return TriPoly._of(self.field, t)
-
     def dehomogenize(self):
         """Set z = 1."""
         t = {}
@@ -1110,13 +1097,10 @@ def bi_factor(p):
     factors = [bi_to_tri([fac], f) for fac, mult in facs for _ in range(mult)]
     if _bl_deg(prim) > 0:
         prim_factors = _bi_factor_primitive(prim, f)
-        # reconcile the overall scalar against the reconstructed product
-        acc = TriPoly.const(f, 1)
-        for t in prim_factors:
-            acc = acc * t
+        # each factor has grlex leading coefficient 1, and grlex is a
+        # monomial order, so their product does too
         _, oc = bi_to_tri(prim, f).lead_term()
-        _, ac = acc.lead_term()
-        unit = f._mul(unit, f._mul(oc, f.inv(ac)))
+        unit = f._mul(unit, oc)
         factors.extend(prim_factors)
     return unit, _sort_tri_factors(factors)
 

@@ -180,17 +180,10 @@ def derivative_divisibility(surface):
 
 def _diagonal(poly):
     """Restriction to x0 = x1 = x2, as a univariate polynomial."""
-    fld = poly.field
-    c = {}
+    out = [0] * (max(poly.total_degree, 0) + 1)
     for e, v in poly.terms.items():
-        k = e[0] + e[1] + e[2]
-        c[k] = c.get(k, 0) ^ v
-    deg = max((k for k, v in c.items() if v), default=-1)
-    out = [0] * (deg + 1)
-    for k, v in c.items():
-        if v and k <= deg:
-            out[k] = v
-    return UniPoly(fld, out)
+        out[e[0] + e[1] + e[2]] ^= v
+    return UniPoly(poly.field, out)
 
 
 def diagonal_infinity_singular(surface):
@@ -208,22 +201,10 @@ def diagonal_infinity_singular(surface):
         pts = [(r, r, r) for r in uni_roots(diag)]
         raise DiagonalNotConstant(
             f"diagonal restriction has degree {diag.degree}", points=pts)
-    a0 = diag.eval_at(0)
-    homog = surface.poly.homogenize(d - 3)
-    # consistency: on the diagonal line the closure collapses to a0 * z^(d-3)
-    fld = surface.field
-    coll = {}
-    for e, v in homog.terms.items():
-        k = e[3]
-        coll[k] = coll.get(k, 0) ^ v
-    coll = {k: v for k, v in coll.items() if v}
-    if coll != ({d - 3: a0} if a0 else {}):
-        raise ApnToolError("closure does not collapse to a0*z^(d-3) on the "
-                           "diagonal line")
-    point = (1, 1, 1, 0)
-    if homog.eval_at(point) != 0:
-        return False
-    return all(homog.partial(i).eval_at(point) == 0 for i in range(4))
+    # the closure and its z-partial vanish there once the diagonal is
+    # constant and d >= 5 (docs/decisions.md, "One pass per field")
+    top = surface.infinity_part()
+    return all(top.partial(i).eval_at((1, 1, 1)) == 0 for i in range(3))
 
 
 class PointCount:

@@ -17,6 +17,11 @@ The kernels module vectorizes its loops over whole rows and batches of
 tables; spectrum_hist_py, is_apn_py, walsh_hist_py and scan_py walk the
 same sums one element at a time.
 
+surface.diagonal_infinity_singular reads (1:1:1:0) off the partials of
+the top homogeneous component; diagonal_infinity_singular_ref builds the
+projective closure from every component and evaluates it and its four
+partials there, and finds the diagonal roots by trying every element.
+
 mvpoly.bi_factor lifts a split of one specialization and recombines the
 lifted factors; bi_is_irreducible instead tries every possible factor of
 at most half the degree by exact division.
@@ -33,7 +38,7 @@ import numpy as np
 
 from apnsurf import kernels
 from apnsurf.bounds import _sign
-from apnsurf.errors import NotDivisible
+from apnsurf.errors import DegreeTooSmall, DiagonalNotConstant, NotDivisible
 from apnsurf.mvpoly import TriPoly, uni_factor
 from apnsurf.polyfunc import PolyFunc, affine_transform, normalize
 
@@ -109,6 +114,30 @@ def four_point_sum(f):
                 break
             a = (a - 1) & e
     return TriPoly(f.field, t)
+
+
+def diagonal_infinity_singular_ref(surface):
+    """Whether (1:1:1:0) is singular on F = sum of phi_k*z^(D-k), D = d-3,
+    the closure built from the homogeneous components phi_k of the form."""
+    d = surface.source_degree
+    if d < 5:
+        raise DegreeTooSmall(f"source degree {d} below 5")
+    field = surface.field
+    top = d - 3
+    comps = [surface.poly.homogeneous_component(k) for k in range(top + 1)]
+    # the diagonal restriction is sum of phi_k(1,1,1)*t^k
+    if any(phi.eval_at((1, 1, 1)) for phi in comps[1:]):
+        raise DiagonalNotConstant(
+            "diagonal restriction is not constant",
+            points=[(r, r, r) for r in range(field.q)
+                    if surface.poly.eval_at((r, r, r)) == 0])
+    z = TriPoly.var(field, 3)
+    closure = TriPoly.zero(field)
+    for k, phi in enumerate(comps):
+        closure = closure + phi * z.pow_(top - k)
+    point = (1, 1, 1, 0)
+    return all(p.eval_at(point) == 0
+               for p in [closure] + [closure.partial(i) for i in range(4)])
 
 
 def brute_count(surface):

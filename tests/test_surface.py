@@ -3,7 +3,8 @@
 import random
 
 import pytest
-from oracles import brute_count, four_point_sum
+from oracles import (brute_count, diagonal_infinity_singular_ref,
+                     four_point_sum)
 
 from apnsurf.differential import differential_spectrum, is_apn
 from apnsurf.errors import (DegreeOutOfRange, DegreeTooSmall,
@@ -12,7 +13,7 @@ from apnsurf.errors import (DegreeOutOfRange, DegreeTooSmall,
 from apnsurf.gf2m import Field
 from apnsurf.mvpoly import TriPoly
 from apnsurf.polyfunc import PolyFunc, is_q_affine, normalize
-from apnsurf.surface import (apn_via_surface, build_surface,
+from apnsurf.surface import (Surface, apn_via_surface, build_surface,
                              count_points, derivative_divisibility,
                              diagonal_infinity_singular,
                              infinity_curve, pencil_curve,
@@ -354,6 +355,56 @@ def test_diagonal_nonconstant_carries_points():
     with pytest.raises(DiagonalNotConstant) as ei:
         diagonal_infinity_singular(build_surface(PolyFunc(F8, [(7, 1), (3, 1)])))
     assert ei.value.points == [(1, 1, 1)]
+
+
+def _random_quotient(field, rng, d):
+    """A random polynomial in x0, x1, x2 of degree at most d - 3, with a
+    constant diagonal restriction half of the time."""
+    t = {}
+    for _ in range(3 * d):
+        e = [0, 0, 0, 0]
+        for _ in range(rng.randrange(d - 2)):
+            e[rng.randrange(3)] += 1
+        t[tuple(e)] = rng.randrange(field.q)
+    if rng.randrange(2):
+        # cancel phi_k(1,1,1), k >= 1, on the coefficient of x0^k
+        sums = {}
+        for e, v in t.items():
+            sums[sum(e)] = sums.get(sum(e), 0) ^ v
+        for k, v in sums.items():
+            if k:
+                t[(k, 0, 0, 0)] = t.get((k, 0, 0, 0), 0) ^ v
+    return TriPoly(field, t)
+
+
+def _diagonal_outcome(check, s):
+    try:
+        return check(s)
+    except DiagonalNotConstant as e:
+        return "DiagonalNotConstant", e.points
+    except DegreeTooSmall:
+        return "DegreeTooSmall", None
+
+
+def test_diagonal_infinity_singular_matches_oracle():
+    rng = random.Random(61)
+    seen = set()
+    for m in range(1, 7):
+        field = Field(m)
+        for _ in range(25):
+            d = rng.randrange(3, 12)
+            surfaces = [Surface(field, _random_quotient(field, rng, d),
+                                None, d)]
+            f = PolyFunc(field, [(rng.randrange(3, 16), rng.randrange(1, field.q))
+                                 for _ in range(rng.randrange(1, 4))])
+            if not (f.is_zero or is_q_affine(f)):
+                surfaces.append(build_surface(f))
+            for s in surfaces:
+                got = _diagonal_outcome(diagonal_infinity_singular, s)
+                assert got == _diagonal_outcome(
+                    diagonal_infinity_singular_ref, s), s
+                seen.add(got if isinstance(got, bool) else got[0])
+    assert seen == {True, False, "DiagonalNotConstant", "DegreeTooSmall"}
 
 
 def test_pencil_curve_reconstructs_sections():
