@@ -7,7 +7,9 @@ reduction modulus; all operations go through it.
 
 For m <= 16 multiplication runs on discrete log/antilog tables built at
 construction time; larger fields use shift-and-add multiplication with
-modular reduction.
+modular reduction.  The tables are built once as Python lists, which the
+scalar operations read and which return builtin ints; the numpy arrays
+that the kernels read (``Field.tables()``) are made from those lists.
 """
 
 import numpy as np
@@ -139,6 +141,9 @@ class Field:
         self._exp_ext = None
         self._logzero = None
         self._pair = None
+        # scalar tables: log, and the antilog twice over (None for m > 16)
+        self._log_list = None
+        self._exp2_list = None
         if m <= _TABLE_LIMIT:
             self._build_tables()
         self._trace_mask = self._build_trace_mask()
@@ -157,22 +162,25 @@ class Field:
         if g is None:
             g = 1  # q == 2
         self.generator = g
-        exp = np.zeros(n if n > 0 else 1, dtype=np.int64)
-        log = np.zeros(q, dtype=np.int64)
+        ints = list(range(q))  # one int object per value, shared by the lists
+        exp = []
+        log = [0] * q
         acc = 1
-        for i in range(max(n, 1)):
-            exp[i] = acc
+        for i in ints[:n]:
+            exp.append(ints[acc])
             log[acc] = i
             acc = _pmulmod(acc, g, self.poly)
-        logzero = 2 * max(n, 1)
+        exp2 = exp + exp
+        logzero = 2 * n
         log[0] = logzero
-        # padded antilog: real log sums land below logzero, anything
-        # involving a zero operand lands at or above it and reads out 0
+        self._log_list = log
+        self._exp2_list = exp2
+        # padded antilog for the kernels: real log sums land below logzero,
+        # anything involving a zero operand lands at or above it and reads 0
         ext = np.zeros(2 * logzero + 1, dtype=np.int64)
-        for i in range(logzero - 1):
-            ext[i] = exp[i % n] if n > 0 else 1
-        self._exp = exp
-        self._log = log
+        ext[:logzero - 1] = exp2[:logzero - 1]
+        self._exp = np.array(exp, dtype=np.int64)
+        self._log = np.array(log, dtype=np.int64)
         self._exp_ext = ext
         self._logzero = logzero
 
@@ -214,17 +222,17 @@ class Field:
         return self._mul(self.check(a), self.check(b))
 
     def _mul(self, a, b):
-        if self._log is not None:
-            return int(self._exp_ext[self._log[a] + self._log[b]])
-        return _pmulmod(a, b, self.poly)
+        log = self._log_list
+        if log is None:
+            return _pmulmod(a, b, self.poly)
+        return self._exp2_list[log[a] + log[b]] if a and b else 0
 
     def inv(self, a):
         a = self.check(a)
         if a == 0:
             raise DivisionByZero("0 has no multiplicative inverse")
-        if self._log is not None:
-            n = self.q - 1
-            return int(self._exp[(n - self._log[a]) % n])
+        if self._log_list is not None:
+            return self._exp2_list[self.q - 1 - self._log_list[a]]
         return self._pow_raw(a, self.q - 2)
 
     def div(self, a, b):
@@ -236,9 +244,8 @@ class Field:
             raise InvalidParameters(f"exponent must be a non-negative int, got {e!r}")
         if a == 0:
             return 1 if e == 0 else 0
-        if self._log is not None:
-            n = self.q - 1
-            return int(self._exp[(self._log[a] * e) % n]) if n > 0 else 1
+        if self._log_list is not None:
+            return self._exp2_list[(self._log_list[a] * e) % (self.q - 1)]
         return self._pow_raw(a, e)
 
     def sqrt(self, a):

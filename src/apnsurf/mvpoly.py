@@ -15,7 +15,9 @@ first specializes x1 at one point of a field of at least 2^8 elements and
 skips the remainder sequence when the two images are coprime there, which
 proves the pair shares nothing beyond its contents.  Factorization lifts a
 split of one specialization by Hensel lifting on the same rows, shifted so
-the specialization point sits at w = 0 and truncated below w^n.
+the specialization point sits at w = 0 and truncated below w^n; a subset
+of lifted factors whose product breaks the total-degree bound of a true
+factor is rejected before any trial division.
 
 Field elements are checked where they enter: ``TriPoly(field, terms)``,
 the TriPoly methods that take an element (``const``, ``scale``,
@@ -742,6 +744,11 @@ def _bl_deg(rows):
     return len(rows) - 1 if rows else -1
 
 
+def _bl_tdeg(rows):
+    """Total degree: the largest j + deg rows[j] over the nonzero rows."""
+    return max(j + p.degree for j, p in enumerate(rows) if not p.is_zero)
+
+
 def _bl_add(a, b):
     f = (a[0] if a else b[0]).field
     n = max(len(a), len(b))
@@ -1167,7 +1174,8 @@ def _bi_factor_primitive(rows, f):
 
 def _try_combo(cur, lifted, combo, f, n):
     """Build the candidate factor for a subset of lifted local factors and
-    test it by exact division; returns (factor rows, quotient rows) or None."""
+    test it by total degree, then by exact division; returns (factor rows,
+    quotient rows) or None."""
     prod = lifted[combo[0]]
     for i in combo[1:]:
         prod = _bl_mul_trunc(prod, lifted[i], n)
@@ -1177,6 +1185,12 @@ def _try_combo(cur, lifted, combo, f, n):
     if not cand:
         return None
     _, cand = _bl_primitive(cand)
+    # a true factor G of cur with cofactor H: the excesses tdeg - deg_x0 of
+    # G and H are >= 0 and add up to that of cur, and the shift w = x1 + a
+    # keeps total degree, so every row j of G has j + deg_w <= k + excess
+    bound = _bl_deg(cand) + _bl_tdeg(cur) - _bl_deg(cur)
+    if _bl_tdeg(cand) > bound:
+        return None
     quo = _bl_try_exact_div(cur, cand, f)
     if quo is None:
         return None

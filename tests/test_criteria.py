@@ -121,6 +121,24 @@ def test_each_field_is_factored_once(monkeypatch):
         assert seen == fields, d
 
 
+def test_absolutely_irreducible_matches_exceptional_exponents():
+    # Hernando and McGuire (J. Algebra 343, 2011): for odd d the curve at
+    # infinity is absolutely irreducible unless d is a Gold exponent
+    # 2^k + 1 or a Kasami exponent 2^(2k) - 2^k + 1
+    odd = range(5, 24, 2)
+    exceptional = {2 ** k + 1 for k in range(1, 5)} | {
+        4 ** k - 2 ** k + 1 for k in range(1, 4)}
+    refuted = []
+    for d in odd:
+        v = absolutely_irreducible(infinity_curve(d))
+        assert v.status in ("established", "refuted"), (d, v)
+        if v.refuted:
+            refuted.append(d)
+            assert not congruence_irreducible(d).established, d
+            assert not congruence_smooth(d).established, d
+    assert refuted == [d for d in odd if d in exceptional] == [5, 9, 13, 17]
+
+
 def test_absolutely_irreducible_strange_conic():
     h = TriPoly(F2, {(1, 1, 0, 0): 1, (0, 0, 2, 0): 1})
     assert absolutely_irreducible(h).established

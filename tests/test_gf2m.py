@@ -11,7 +11,8 @@ from apnsurf.errors import (
     InvalidParameters,
     ReduciblePolynomial,
 )
-from apnsurf.gf2m import Field, default_modulus, is_irreducible
+from apnsurf import gf2m
+from apnsurf.gf2m import Field, _pmulmod, default_modulus, is_irreducible
 
 
 def schoolbook_mul(a, b, mod, m):
@@ -64,14 +65,32 @@ def test_mul_exhaustive_vs_schoolbook(m):
             assert f.mul(a, b) == schoolbook_mul(a, b, f.poly, m)
 
 
-def test_mul_large_field_sampled():
+def test_mul_large_field_sampled(monkeypatch):
+    # no tables above m = 16: the scalar ops run shift-and-add
     rng = random.Random(7)
-    for m in (17, 20, 32):
-        f = Field(m)
+    calls = []
+
+    def counted(a, b, mod):
+        calls.append(mod)
+        return _pmulmod(a, b, mod)
+    fields = [Field(m) for m in (17, 20, 32)]
+    monkeypatch.setattr(gf2m, "_pmulmod", counted)
+    for f in fields:
+        m = f.m
+        with pytest.raises(InvalidParameters):
+            f.tables()
+        calls.clear()
         for _ in range(200):
             a = rng.randrange(f.q)
             b = rng.randrange(f.q)
             assert f.mul(a, b) == schoolbook_mul(a, b, f.poly, m)
+            if b:
+                assert schoolbook_mul(f.div(a, b), b, f.poly, m) == a
+            s = f.sqrt(a)
+            assert schoolbook_mul(s, s, f.poly, m) == a
+            a3 = schoolbook_mul(a, schoolbook_mul(a, a, f.poly, m), f.poly, m)
+            assert f.pow_(a, 3) == a3
+        assert calls and set(calls) == {f.poly}
 
 
 @pytest.mark.parametrize("m", range(1, 9))
@@ -205,3 +224,41 @@ def test_pair_table_gives_traces_of_products():
         for u in f.elements():
             expected = f.trace(f.mul(u, x))
             assert (int(pm[x]) & u).bit_count() & 1 == expected
+
+
+@pytest.mark.parametrize("m", range(1, 17))
+def test_scalar_ops_match_shift_and_add(m):
+    # mul, inv and div on every pair at m <= 8 and on 20k sampled pairs
+    # above; pow_ (at e = 0, at and beyond q, and at a = 0) and sqrt on
+    # every element or on 256 sampled ones; every result a builtin int
+    f = Field(m)
+    rng = random.Random(m)
+    if m <= 8:
+        pairs = [(a, b) for a in f.elements() for b in f.elements()]
+        elements = list(f.elements())
+    else:
+        pairs = [(rng.randrange(f.q), rng.randrange(f.q)) for _ in range(20000)]
+        elements = [0] + [a for a, _ in pairs[:255]]
+    for a, b in pairs:
+        ab = f.mul(a, b)
+        assert type(ab) is int and ab == _pmulmod(a, b, f.poly), (a, b)
+        if b:
+            ib = f.inv(b)
+            assert type(ib) is int and _pmulmod(b, ib, f.poly) == 1, b
+            q = f.div(a, b)
+            assert type(q) is int and _pmulmod(q, b, f.poly) == a, (a, b)
+    exps = [0, 1, 2, f.q - 2, f.q - 1, f.q, f.q + 1, 3 * f.q + 5,
+            rng.randrange(f.q)]
+    for a in elements:
+        for e in exps:
+            got = f.pow_(a, e)
+            assert type(got) is int and got == f._pow_raw(a, e), (a, e)
+        s = f.sqrt(a)
+        assert type(s) is int and _pmulmod(s, s, f.poly) == a, a
+    if m <= 8:
+        # the kernels' numpy tables give the same products, zero included
+        import numpy as np
+
+        xs = np.array([a for a, _ in pairs], dtype=np.int64)
+        ys = np.array([b for _, b in pairs], dtype=np.int64)
+        assert f.mul_vec(xs, ys).tolist() == [f.mul(a, b) for a, b in pairs]

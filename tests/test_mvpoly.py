@@ -15,6 +15,7 @@ from apnsurf.errors import (
     NoGoodEvaluationPoint,
     NotDivisible,
 )
+from apnsurf.criteria import absolutely_irreducible
 from apnsurf.gf2m import Field
 from apnsurf.mvpoly import (
     NEG_INF,
@@ -808,6 +809,52 @@ def test_bi_factor_matches_trial_division_oracle():
     assert min(checked.values()) >= 80, checked
 
 
+def _rand_shape(field, rng, k, tdeg):
+    """A random TriPoly in x0, x1 of x0-degree k and total degree tdeg."""
+    while True:
+        t = {(j, i, 0, 0): rng.randrange(1, field.q)
+             for j in range(k + 1) for i in range(tdeg - j + 1)
+             if rng.random() < 0.5}
+        p = TriPoly(field, t)
+        if p.degree_in(0) == k and p.total_degree == tdeg:
+            return p
+
+
+def _excess(p):
+    return p.total_degree - p.degree_in(0)
+
+
+@pytest.mark.parametrize("m", range(1, 5))
+def test_bi_factor_tight_total_degree_bound(m):
+    # G·H with H of excess tdeg - deg_x0 = 0 and G carrying all of the
+    # excess: the top-degree term of G meets the recombination bound
+    # j + deg_w <= k + excess(cur) with equality, so a bound one lower
+    # rejects a true factor
+    field = Field(m)
+    rng = random.Random(97 + m)
+    g_top, h_top = {1: (6, 4), 2: (4, 3), 3: (3, 3), 4: (3, 2)}[m]
+    checked = 0
+    while checked < 8:
+        kg = rng.randrange(1, g_top)
+        g = _rand_shape(field, rng, kg, rng.randrange(kg + 1, g_top + 1))
+        kh = rng.randrange(1, h_top + 1)
+        h = _rand_shape(field, rng, kh, kh)
+        p = g * h
+        if bi_squarefree(p).total_degree < p.total_degree:
+            continue
+        if not (bi_is_irreducible(g) and bi_is_irreducible(h)):
+            continue
+        assert _excess(h) == 0 and _excess(g) == _excess(p) > 0
+        try:
+            unit, facs = bi_factor(p)
+        except NoGoodEvaluationPoint:
+            continue
+        want = [t.scale(field.inv(t.lead_term()[1])) for t in (g, h)]
+        assert sorted(facs, key=repr) == sorted(want, key=repr), repr(p)
+        assert TriPoly.const(field, unit) * facs[0] * facs[1] == p
+        checked += 1
+
+
 def test_bi_factor_non_monic_split():
     # both factors have a nonconstant leading coefficient in x0; the split
     # is only found when the series inverse of the leading coefficient is
@@ -848,6 +895,32 @@ def test_bi_factor_univariate_content():
         acc = acc * t
     assert acc == p
     assert len(facs) == 3  # v, v + 1, u + v
+
+
+def test_recombination_rejects_by_total_degree(monkeypatch):
+    # every recombination candidate of the d = 15 and 19 charts fails the
+    # total-degree test, so no trial division runs.  The cubic
+    # below has excess tdeg - deg_x0 = 0, so row j of a factor of x0-degree
+    # k has w-degree at most k - j; its one false candidate keeps every row
+    # within w-degree k and is rejected only through the j
+    def fail(*args):
+        raise AssertionError("trial division of a recombination candidate")
+    tried = []
+    real = mvpoly._try_combo
+
+    def counted(*args):
+        tried.append(args[2])
+        return real(*args)
+    monkeypatch.setattr(mvpoly, "_bl_try_exact_div", fail)
+    monkeypatch.setattr(mvpoly, "_try_combo", counted)
+    for d in (15, 19):
+        assert absolutely_irreducible(infinity_curve(d)).established, d
+    assert len(tried) >= 600  # 51 for d = 15, 637 for d = 19
+    x0 = TriPoly.var(F2, 0)
+    x1 = TriPoly.var(F2, 1)
+    p = x0.pow_(3) + x0 * x0 * x1 + x0 * x1 * x1 + x0 * x1 + TriPoly.const(F2, 1)
+    assert bi_is_irreducible(p)
+    assert bi_factor(p) == (1, [p])
 
 
 def test_extension_is_one_embedding_per_field_and_degree():
