@@ -1,8 +1,11 @@
 """Numeric hot loops, vectorized with numpy.
 
 Field products go through the padded antilog/log tables of Field.tables(),
-in which log[0] is a sentinel index whose antilog reads as zero.  Each
-public kernel is checked against a plain scalar loop in tests/oracles.py.
+in which log[0] is a sentinel index whose antilog reads as zero.  The
+family scan multiplies only rows of the product tables d * x^e and builds
+each candidate's value table by xoring such rows, so it pays for products
+per row, not per candidate.  Each public kernel is checked against a
+plain scalar loop in tests/oracles.py.
 """
 
 import math
@@ -15,6 +18,10 @@ BACKEND = "numpy"
 
 # table cells (candidates times q) that scan_range builds per batch
 _BATCH_CELLS = 1 << 20
+# cells that walsh_hist transforms per chunk of b rows, and up to which
+# _apn_survivors widens its blocks of a values: small enough to stay in
+# cache, which larger chunks measured slower for
+_CHUNK_CELLS = 1 << 16
 
 
 def power_table(field, e):
@@ -46,25 +53,36 @@ def value_table(field, terms):
 def _apn_survivors(tables, q, avals):
     """Indices of the rows of tables (one value table per row) whose
     derivative solution counts stay below four for every a in avals;
-    each table drops out at its first failing a."""
+    each table drops out in the first round with a failing a.
+
+    A round counts a block of a values in one numpy pass.  The block
+    starts at one a and doubles after every round in which no table
+    fails, while the counted cells (tables times a values times q) stay
+    within _CHUNK_CELLS.  So a lone table takes few round trips, and a
+    batch of fresh candidates, most of which fail on their first a
+    values, is not counted on a values it never needed."""
     xs = np.arange(q, dtype=np.int64)
     alive = np.arange(tables.shape[0], dtype=np.int64)
-    # row i counts its solutions in bins i*q .. i*q + q - 1
-    offsets = alive[:, None] * q
-    for a in avals:
-        n = alive.shape[0]
-        if n == 0:
-            break
+    lo, k = 0, 1
+    while lo < avals.shape[0] and alive.shape[0]:
+        blk = avals[lo:lo + k]
+        lo += blk.shape[0]
+        n, w = alive.shape[0], blk.shape[0]
         # take keeps rows contiguous; tables[:, xs ^ a] comes back
         # column-major, which halves the speed of the passes below
-        diffs = np.take(tables, xs ^ a, axis=1)
-        diffs ^= tables
-        diffs += offsets[:n]
-        counts = np.bincount(diffs.ravel(), minlength=n * q)
+        diffs = np.take(tables, (blk[:, None] ^ xs).ravel(), axis=1)
+        diffs = diffs.reshape(n, w, q)
+        diffs ^= tables[:, None, :]
+        # table i on the j-th a of the block counts its solutions in
+        # bins (i*w + j)*q .. (i*w + j)*q + q - 1
+        diffs += np.arange(0, n * w * q, q, dtype=np.int64).reshape(n, w, 1)
+        counts = np.bincount(diffs.ravel(), minlength=n * w * q)
         if counts.max() >= 4:
-            keep = counts.reshape(n, q).max(axis=1) < 4
+            keep = counts.reshape(n, w * q).max(axis=1) < 4
             alive = alive[keep]
             tables = tables[keep]
+        elif 2 * diffs.size <= _CHUNK_CELLS:
+            k *= 2
     return alive
 
 
@@ -124,25 +142,29 @@ def is_apn_table(table, q, rows=None):
 def walsh_hist(pmf_perm, q, rows=None):
     """Histogram of Walsh transform values over all (a, b != 0); index
     v + q holds the multiplicity of value v.  rows selects and weights
-    the b rows as in spectrum_hist."""
+    the b rows as in spectrum_hist.
+
+    Each stage of the transform reads the pairs (2i, 2i + 1) of one
+    buffer and writes their sums to the first half and their
+    differences to the second half of the other; m such stages give the
+    Walsh-Hadamard transform in natural order.  The buffers are int32
+    (|W| <= q <= 2^16) and hold about _CHUNK_CELLS cells of b rows."""
     pmf_perm = np.ascontiguousarray(pmf_perm, dtype=np.int64)
-    par = _parity_table(q).astype(np.int64)
+    sign = 1 - 2 * _parity_table(q).astype(np.int32)
     bvals, weight = _rows(q, rows)
     hist = np.zeros(2 * q + 1, dtype=np.int64)
-    chunk = max(1, (1 << 22) // q)
+    chunk = max(1, _CHUNK_CELLS // q)
+    half = q // 2
     for lo in range(0, bvals.shape[0], chunk):
         blk = bvals[lo:lo + chunk]
-        t = 1 - 2 * par[pmf_perm[None, :] & blk[:, None]]
-        h = 1
-        while h < q:
-            t = t.reshape(t.shape[0], -1, 2, h)
-            a = t[:, :, 0, :].copy()
-            b = t[:, :, 1, :].copy()
-            t[:, :, 0, :] = a + b
-            t[:, :, 1, :] = a - b
-            t = t.reshape(blk.shape[0], q)
-            h *= 2
-        hist += np.bincount((t + q).ravel(), minlength=2 * q + 1)
+        t = sign[pmf_perm & blk[:, None]]
+        u = np.empty_like(t)
+        for _ in range(q.bit_length() - 1):
+            np.add(t[:, 0::2], t[:, 1::2], out=u[:, :half])
+            np.subtract(t[:, 0::2], t[:, 1::2], out=u[:, half:])
+            t, u = u, t
+        t += q
+        hist += np.bincount(t.ravel(), minlength=2 * q + 1)
     return hist * weight
 
 
@@ -168,17 +190,43 @@ def count_affine(terms, field):
     return off_locus + on_locus, on_locus
 
 
-def _candidate_tables(fixed_table, mono_tables, field, cands):
-    """Value table of every candidate in cands, one row each: digit j of
-    the candidate in base q scales mono_tables[j] on top of fixed_table."""
+def _candidate_tables(fixed_table, mono_tables, field, lo, hi):
+    """Value table of every candidate in [lo, hi), one row each: digit j
+    of the candidate in base q scales mono_tables[j] on top of
+    fixed_table.
+
+    The tables are xors of product rows P_j[d] = d * mono_tables[j].
+    Digit 0 varies fastest, so the candidates of one run r = c // q
+    share an upper row, fixed_table xor the higher digits' rows of r,
+    and candidate c is upper row r xor P_0[c % q].  The upper rows
+    broadcast against one block of P_0: the digits the range uses when
+    it lies in one run, else all of P_0, and the run-aligned result is
+    sliced from lo % q.  A range shorter than q across a run boundary
+    is built as its two one-run parts.  So only the product rows the
+    range uses are built, and no array exceeds 3 * (hi - lo) rows of q
+    cells."""
     q = field.q
-    tables = np.broadcast_to(fixed_table, (cands.shape[0], q)).copy()
-    t = cands.copy()
-    for mono in mono_tables:
-        digits = t % q
-        t //= q
-        tables ^= field.mul_vec(digits[:, None], mono[None, :])
-    return tables
+    n = hi - lo
+    if n < q and lo // q != (hi - 1) // q:
+        wrap = (hi - 1) // q * q
+        return np.concatenate([
+            _candidate_tables(fixed_table, mono_tables, field, lo, wrap),
+            _candidate_tables(fixed_table, mono_tables, field, wrap, hi)])
+    if mono_tables.shape[0] == 0:
+        mono_tables = np.zeros((1, q), dtype=np.int64)
+    runs = np.arange(lo // q, (hi - 1) // q + 1, dtype=np.int64)
+    upper = np.broadcast_to(fixed_table, (runs.shape[0], q)).copy()
+    for mono in mono_tables[1:]:
+        upper ^= field.mul_vec((runs % q)[:, None], mono[None, :])
+        runs //= q
+    skip = lo % q
+    if upper.shape[0] == 1:
+        digits, skip = np.arange(skip, skip + n, dtype=np.int64), 0
+    else:
+        digits = np.arange(q, dtype=np.int64)
+    block = field.mul_vec(digits[:, None], mono_tables[0][None, :])
+    tables = upper[:, None, :] ^ block[None, :, :]
+    return tables.reshape(-1, q)[skip:skip + n]
 
 
 def scan_range(fixed_table, mono_tables, field, start, stop):
@@ -192,12 +240,12 @@ def scan_range(fixed_table, mono_tables, field, start, stop):
     batch = max(1, _BATCH_CELLS // q)
     parts = [np.zeros(0, dtype=np.int64)]
     for lo in range(start, stop, batch):
-        cands = np.arange(lo, min(lo + batch, stop), dtype=np.int64)
+        hi = min(lo + batch, stop)
         # the batch's tables are passed on, not kept: the survivor filter
         # then holds the only copy and shrinks it as candidates fail
         alive = _apn_survivors(
-            _candidate_tables(fixed_table, mono_tables, field, cands),
+            _candidate_tables(fixed_table, mono_tables, field, lo, hi),
             q, avals)
-        parts.append(cands[alive])
+        parts.append(lo + alive)
     survivors = np.concatenate(parts)
     return survivors, survivors.shape[0]

@@ -15,7 +15,9 @@ a time through affine_transform and normalize.
 
 The kernels module vectorizes its loops over whole rows and batches of
 tables; spectrum_hist_py, is_apn_py, walsh_hist_py and scan_py walk the
-same sums one element at a time.
+same sums one element at a time.  kernels._candidate_tables xors rows of
+per-digit product tables; candidate_tables_per_digit multiplies every
+cell of every candidate by each of its digits instead.
 
 surface.diagonal_infinity_singular reads (1:1:1:0) off the partials of
 the top homogeneous component; diagonal_infinity_singular_ref builds the
@@ -243,6 +245,19 @@ def walsh_hist_py(pmf_perm, par, q, bvals):
         for u in range(q):
             hist[t[u] + q] += 1
     return hist
+
+
+def candidate_tables_per_digit(fixed_table, mono_tables, field, cands):
+    """Value table of every candidate in cands, one row each: digit j of
+    the candidate in base q scales mono_tables[j] on top of fixed_table."""
+    q = field.q
+    tables = np.broadcast_to(fixed_table, (cands.shape[0], q)).copy()
+    t = cands.copy()
+    for mono in mono_tables:
+        digits = t % q
+        t //= q
+        tables ^= field.mul_vec(digits[:, None], mono[None, :])
+    return tables
 
 
 def scan_py(fixed_table, mono_tables, q, nfree, start, stop, ext, log,

@@ -1,13 +1,16 @@
 """Each numpy kernel against its scalar loop in tests/oracles.py."""
 
 import random
+import tracemalloc
 
 import numpy as np
+import pytest
 
 from apnsurf import kernels
 from apnsurf.gf2m import Field, _parity_table
 from apnsurf.polyfunc import PolyFunc
-from oracles import is_apn_py, scan_py, spectrum_hist_py, walsh_hist_py
+from oracles import (candidate_tables_per_digit, is_apn_py, scan_py,
+                     spectrum_hist_py, walsh_hist_py)
 
 F16 = Field(4)
 
@@ -72,6 +75,25 @@ def test_is_apn_backends_agree():
         bool(is_apn_py(tab, 16, ROW_SETS[0])) for tab in tabs]
 
 
+@pytest.mark.parametrize("chunk_cells", [16, 4 * 64, 1 << 16])
+def test_apn_blocks_of_a_values_agree(monkeypatch, chunk_cells):
+    # blocks of a values stay single at the smallest cap, reach four a
+    # for a lone table at the middle one and every remaining a at the
+    # largest; m = 6 gives q - 1 = 63 a values, not a power of two;
+    # x^3, x^12 and x^48 are uniformity two, x^5 is not
+    monkeypatch.setattr(kernels, "_CHUNK_CELLS", chunk_cells)
+    rng = random.Random(23)
+    field = Field(6)
+    avals = np.arange(1, 64, dtype=np.int64)
+    tabs = np.stack([kernels.power_table(field, e) for e in (3, 5, 12, 48)]
+                    + [rand_table(field, rng) for _ in range(12)])
+    ref = [bool(is_apn_py(tab, 64, avals)) for tab in tabs]
+    assert sum(ref) >= 3 and not all(ref)
+    assert [kernels.is_apn_table(tab, 64) for tab in tabs] == ref
+    alive = kernels._apn_survivors(tabs.copy(), 64, avals)
+    assert alive.tolist() == [i for i, r in enumerate(ref) if r]
+
+
 def test_walsh_backends_agree():
     rng = random.Random(11)
     par = _parity_table(16).astype(np.int64)
@@ -83,6 +105,96 @@ def test_walsh_backends_agree():
             ref = walsh_hist_py(perm, par, 16, rows)
             assert np.array_equal(kernels.walsh_hist(perm, 16, (rows, 5)),
                                   5 * ref)
+
+
+def test_walsh_chunks_match_oracle(monkeypatch):
+    # 14 and 15 b rows in chunks of 3 rows, and in chunks of one row
+    # when the cap is below q
+    rng = random.Random(13)
+    par = _parity_table(16).astype(np.int64)
+    perm = np.array(rng.sample(range(16), 16), dtype=np.int64)
+    for cells in (3 * 16, 5):
+        monkeypatch.setattr(kernels, "_CHUNK_CELLS", cells)
+        for rows in (np.arange(2, 16, dtype=np.int64),
+                     np.arange(1, 16, dtype=np.int64)):
+            assert np.array_equal(kernels.walsh_hist(perm, 16, (rows, 1)),
+                                  walsh_hist_py(perm, par, 16, rows))
+
+
+def test_walsh_full_magnitude_at_m16():
+    # an invertible linear map L of GF(2)^16: row b has the single
+    # nonzero value W = q at a = L^T b, and -q once a constant c with
+    # b . c = 1 is added; any narrowing below int32 would wrap +-2^16
+    q = 1 << 16
+    rng = random.Random(19)
+    u = np.arange(q, dtype=np.int64)
+    lin = np.zeros(q, dtype=np.int64)
+    for i in range(16):
+        col = (1 << i) | rng.randrange(1 << i)
+        lin ^= ((u >> i) & 1) * col
+    b = np.array([rng.randrange(1, q)], dtype=np.int64)
+    hist = kernels.walsh_hist(lin, q, (b, 1))
+    assert hist[2 * q] == 1 and hist[q] == q - 1 and hist.sum() == q
+    c = int(b[0]) & -int(b[0])  # one bit of b, so b . c = 1
+    hist = kernels.walsh_hist(lin ^ c, q, (b, 1))
+    assert hist[0] == 1 and hist[q] == q - 1 and hist.sum() == q
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_candidate_tables_match_per_digit_builder(m):
+    field = Field(m)
+    q = field.q
+    rng = np.random.default_rng(m)
+    fixed = rng.integers(0, q, size=q, dtype=np.int64)
+    for nfree in range(4):
+        monos = rng.integers(0, q, size=(nfree, q), dtype=np.int64)
+        total = q ** nfree
+        ranges = [(0, min(total, 4096))]
+        for _ in range(12):
+            lo = int(rng.integers(0, total))
+            ranges.append((lo, int(rng.integers(lo + 1, min(
+                total, lo + 4096) + 1))))
+        if nfree:
+            # ranges that end just past a digit-0 wrap, and single runs
+            for _ in range(6):
+                wrap = q * int(rng.integers(1, max(2, total // q)))
+                if wrap < total:
+                    lo = wrap - int(rng.integers(1, q + 1))
+                    ranges.append((lo, min(total, wrap + int(
+                        rng.integers(1, 2 * q + 1)))))
+            run = q * int(rng.integers(0, total // q))
+            ranges.append((run + 1, run + q))
+        for lo, hi in ranges:
+            got = kernels._candidate_tables(fixed, monos, field, lo, hi)
+            ref = candidate_tables_per_digit(
+                fixed, monos, field, np.arange(lo, hi, dtype=np.int64))
+            assert np.array_equal(got, ref), (nfree, lo, hi)
+
+
+def test_scan_range_memory_stays_batch_sized():
+    # m = 14: a q x q product table would take 2 GiB (256 MiB at one
+    # byte a cell); a scan of a few hundred candidates across a digit-0
+    # wrap, and the tables of a range shorter than q across one, must
+    # stay within a few batches of int64 cells
+    field = Field(14)
+    q = field.q
+    fixed = kernels.value_table(field, [(3, 1)])
+    monos = np.stack([kernels.power_table(field, e) for e in (5, 6, 9)])
+    lo = 7 * q * q + 3 * q + q - 150
+    cands = np.arange(q * q + q - 40, q * q + q + 24, dtype=np.int64)
+    tracemalloc.start()
+    try:
+        kernels.scan_range(fixed, monos, field, lo, lo + 300)
+        got = kernels._candidate_tables(fixed, monos, field, int(cands[0]),
+                                        int(cands[-1]) + 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    bound = 8 * kernels._BATCH_CELLS * 8
+    assert bound < q * q
+    assert peak < bound, peak
+    assert np.array_equal(
+        got, candidate_tables_per_digit(fixed, monos, field, cands))
 
 
 def test_scan_backends_agree_and_hits_verify():
@@ -125,17 +237,19 @@ def test_scan_range_dispatch(monkeypatch):
         assert bool(is_apn_py(tab, q, np.arange(1, q))) == (c in got)
     assert n == len(got)
     # a range that starts past 0 and spans many batches gives the
-    # oracle's survivors in the same ascending order
+    # oracle's survivors in the same ascending order, with batches below
+    # one run of q candidates, across runs, of one run and of several
     field = F16
     ext, log, _ = field.tables()
     fixed = kernels.value_table(field, [(3, 1)])
     monos = np.stack([kernels.power_table(field, e) for e in (6, 5, 9)])
     ref = np.zeros(600, dtype=np.int64)
     nref = scan_py(fixed, monos, 16, 3, 37, 637, ext, log, ref)
-    monkeypatch.setattr(kernels, "_BATCH_CELLS", 7 * 16)
-    hits, n = kernels.scan_range(fixed, monos, field, 37, 637)
-    assert n == nref > 0
-    assert hits.tolist() == ref[:nref].tolist()
+    for cells in (2 * 16, 7 * 16, 16 * 16, 48 * 16):
+        monkeypatch.setattr(kernels, "_BATCH_CELLS", cells)
+        hits, n = kernels.scan_range(fixed, monos, field, 37, 637)
+        assert n == nref > 0
+        assert hits.tolist() == ref[:nref].tolist()
     assert kernels.scan_range(fixed, monos, field, 5, 5)[1] == 0
 
 
