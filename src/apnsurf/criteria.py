@@ -118,12 +118,6 @@ def _chart_factors(chart):
     splitting there still refutes irreducibility over the algebraic
     closure."""
     base = chart.field
-    for var in (0, 1):
-        if chart.degree_in(1 - var) == 0:
-            _, facs = uni_factor(_univariate(chart, var))
-            return [TriPoly(base, {(0, i, 0, 0) if var else (i, 0, 0, 0): v
-                                   for i, v in enumerate(fp.c)})
-                    for fp, _ in facs]
     k = 1
     while True:
         try:
@@ -149,7 +143,7 @@ def absolutely_irreducible(curve):
         raise DegreeCapExceeded(f"degree {deg} above cap {FACTOR_DEGREE_CAP}")
     # powers of x2 split off by the chart substitution
     k2 = min(e[2] for e in curve.terms)
-    chart = curve.substitute_const(2, 1)
+    chart = curve.dehomogenize()
     if k2 and chart.total_degree > 0:
         return CriterionVerdict(REFUTED, name, note="x2 divides the form",
                                 witness=TriPoly.var(curve.field, 2))
@@ -189,7 +183,7 @@ def absolutely_irreducible(curve):
 def _lift(factor):
     """A factor of the chart x2 = 1 as a form in x0, x1, x2."""
     n = factor.total_degree
-    t = {(a, b, n - a - b, 0): v for (a, b, _, _), v in factor.terms.items()}
+    t = {(a, b, n - a - b): v for (a, b, _), v in factor.terms.items()}
     return TriPoly._of(factor.field, t)
 
 
@@ -262,7 +256,7 @@ def curve_singular_points(curve):
         found[sp.key()] = sp
 
     # ---- affine chart x2 = 1
-    c = curve.substitute_const(2, 1)
+    c = curve.dehomogenize()
     cu = c.partial(0)
     cv = c.partial(1)
     if cu.is_zero and cv.is_zero:
@@ -324,14 +318,14 @@ def curve_singular_points(curve):
             emb = _extension(base, fp.degree)
             pe = [emb.map_tri(p) for p in partials]
             for u0 in uni_roots(emb.map_uni(fp)):
-                if all(p.eval_at((u0, 1, 0, 0)) == 0 for p in pe):
+                if all(p.eval_at((u0, 1, 0)) == 0 for p in pe):
                     push(emb.big, (u0, 1, 0))
     elif w.is_zero:
         # the whole line lies on the curve; x2 divides it
         raise InvalidParameters("x2 divides the form; handle its factors directly")
     # the point (1 : 0 : 0)
-    if curve.eval_at((1, 0, 0, 0)) == 0:
-        if all(p.eval_at((1, 0, 0, 0)) == 0 for p in partials):
+    if curve.eval_at((1, 0, 0)) == 0:
+        if all(p.eval_at((1, 0, 0)) == 0 for p in partials):
             push(base, (1, 0, 0))
 
     return sorted(found.values(), key=lambda s: s.key())
@@ -355,8 +349,8 @@ def binomial_criterion(d, r):
     cr = infinity_curve(r)
     if min(e[2] for e in cd.terms) and min(e[2] for e in cr.terms):
         return CriterionVerdict(UNKNOWN, name, note="curves share the line x2 = 0")
-    chart_d = cd.substitute_const(2, 1)
-    chart_r = cr.substitute_const(2, 1)
+    chart_d = cd.dehomogenize()
+    chart_r = cr.dehomogenize()
     g = bi_gcd(chart_d, chart_r)
     if g.total_degree > 0:
         return CriterionVerdict(UNKNOWN, name,

@@ -72,7 +72,8 @@ def differential_spectrum(f):
     table = kernels.value_table(f.field, terms)
     rows, _ = kernels.scaling_rows(f.field, terms)
     hist = kernels.spectrum_hist(table, f.field.q, rows)
-    counts = {c: int(n) for c, n in enumerate(hist) if n}
+    nz = np.flatnonzero(hist)
+    counts = dict(zip(nz.tolist(), hist[nz].tolist()))
     return DifferentialSpectrum(f.field.m, counts)
 
 

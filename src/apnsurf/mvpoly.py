@@ -1,11 +1,10 @@
-"""Polynomials over GF(2^m): univariate, and sparse in three variables
-plus a homogenizing fourth.
+"""Polynomials over GF(2^m): univariate, and sparse in three variables.
 
 ``UniPoly`` is dense (ascending coefficient list).  ``TriPoly`` is a sparse
-dict keyed by exponent 4-tuples (x0, x1, x2, z).  Nothing in the package
-sets the z exponent: projective objects are forms in x0, x1, x2, and the
-z slot only serves 4-coordinate evaluation and ``dehomogenize``.
-Monomials are ordered graded-lex with x0 > x1 > x2 > z.
+dict keyed by exponent triples (x0, x1, x2): the quotient surface and its
+curve at infinity are polynomials in these three variables, and
+``dehomogenize`` takes a form to its chart x2 = 1.  Monomials are ordered
+graded-lex with x0 > x1 > x2.
 
 Bivariate helpers (gcd, resultant, squarefree part, factorization) take a
 TriPoly in x0 and x1 and always see it the same way: as a polynomial in x0
@@ -458,18 +457,18 @@ def extension(field, k):
 # ---------------------------------------------------------------- trivariate
 
 def _grlex_key(e):
-    return (e[0] + e[1] + e[2] + e[3], e)
+    return (e[0] + e[1] + e[2], e)
 
 
 def _heap_key(e):
     """Negated grlex key: the smallest heap key is the largest term."""
-    return (-(e[0] + e[1] + e[2] + e[3]), -e[0], -e[1], -e[2], -e[3])
+    return (-(e[0] + e[1] + e[2]), -e[0], -e[1], -e[2])
 
 
 class TriPoly:
-    """Sparse polynomial in x0, x1, x2 and a homogenizing variable z.
+    """Sparse polynomial in x0, x1, x2.
 
-    terms maps exponent 4-tuples to nonzero coefficients.
+    terms maps exponent triples to nonzero coefficients.
     """
 
     __slots__ = ("field", "terms")
@@ -478,8 +477,9 @@ class TriPoly:
         self.field = field
         t = {}
         for e, v in terms.items():
-            if len(e) == 3:
-                e = (e[0], e[1], e[2], 0)
+            if len(e) != 3:
+                raise InvalidParameters(
+                    f"exponent {e!r} is not a triple (x0, x1, x2)")
             v = field.check(v)
             if v:
                 t[tuple(e)] = v
@@ -488,7 +488,7 @@ class TriPoly:
     @classmethod
     def _of(cls, field, terms):
         """Unchecked constructor: takes ownership of terms, a dict of
-        nonzero field elements keyed by exponent 4-tuples."""
+        nonzero field elements keyed by exponent triples."""
         out = cls.__new__(cls)
         out.field = field
         out.terms = terms
@@ -500,11 +500,11 @@ class TriPoly:
 
     @classmethod
     def const(cls, field, v):
-        return cls(field, {(0, 0, 0, 0): v})
+        return cls(field, {(0, 0, 0): v})
 
     @classmethod
     def var(cls, field, i):
-        e = [0, 0, 0, 0]
+        e = [0, 0, 0]
         e[i] = 1
         return cls(field, {tuple(e): 1})
 
@@ -549,7 +549,7 @@ class TriPoly:
         t = {}
         for e1, v1 in self.terms.items():
             for e2, v2 in other.terms.items():
-                e = (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2], e1[3] + e2[3])
+                e = (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2])
                 w = t.get(e, 0) ^ mul(v1, v2)
                 if w:
                     t[e] = w
@@ -569,7 +569,7 @@ class TriPoly:
         # squaring doubles exponents and squares coefficients
         f = self.field
         mul = f._mul
-        return TriPoly._of(f, {(2 * e[0], 2 * e[1], 2 * e[2], 2 * e[3]):
+        return TriPoly._of(f, {(2 * e[0], 2 * e[1], 2 * e[2]):
                                mul(v, v) for e, v in self.terms.items()})
 
     def pow_(self, e):
@@ -587,13 +587,11 @@ class TriPoly:
         return r
 
     def eval_at(self, point):
-        """point: 3 affine coordinates (z taken as 1) or 4 coordinates."""
+        """Value at (x0, x1, x2), the first three entries of point."""
         f = self.field
-        if len(point) == 3:
-            point = (point[0], point[1], point[2], 1)
-        pt = [f.check(v) for v in point]
+        pt = [f.check(v) for v in point[:3]]
         mul = f._mul
-        powc = [{}, {}, {}, {}]
+        powc = [{}, {}, {}]
         acc = 0
 
         def pw(i, e):
@@ -604,7 +602,7 @@ class TriPoly:
 
         for e, v in self.terms.items():
             t = v
-            for i in range(4):
+            for i in range(3):
                 if e[i]:
                     t = mul(t, pw(i, e[i]))
                     if t == 0:
@@ -643,12 +641,8 @@ class TriPoly:
                                         if sum(e) == deg})
 
     def dehomogenize(self):
-        """Set z = 1."""
-        t = {}
-        for e, v in self.terms.items():
-            ne = (e[0], e[1], e[2], 0)
-            t[ne] = t.get(ne, 0) ^ v
-        return TriPoly._of(self.field, {e: v for e, v in t.items() if v})
+        """The chart x2 = 1, a polynomial in x0 and x1."""
+        return self.substitute_const(2, 1)
 
     def is_homogeneous(self):
         degs = {sum(e) for e in self.terms}
@@ -673,14 +667,14 @@ class TriPoly:
             if e not in rem:
                 continue
             v = rem[e]
-            t = (e[0] - de[0], e[1] - de[1], e[2] - de[2], e[3] - de[3])
+            t = (e[0] - de[0], e[1] - de[1], e[2] - de[2])
             if min(t) < 0:
                 raise NotDivisible("leading term not divisible",
                                    remainder=TriPoly._of(f, rem))
             cv = mul(v, dinv)
             quo[t] = cv
             for e2, v2 in den.terms.items():
-                ne = (t[0] + e2[0], t[1] + e2[1], t[2] + e2[2], t[3] + e2[3])
+                ne = (t[0] + e2[0], t[1] + e2[1], t[2] + e2[2])
                 prev = rem.get(ne, 0)
                 w = prev ^ mul(cv, v2)
                 if w:
@@ -696,13 +690,13 @@ class TriPoly:
                       reverse=True)
 
     def __repr__(self):
-        names = ("x0", "x1", "x2", "z")
+        names = ("x0", "x1", "x2")
         if self.is_zero:
             return "TriPoly(0)"
         parts = []
         for e, v in self.sorted_terms():
             bits = [] if v == 1 and any(e) else [f"{v:#x}"]
-            for i in range(4):
+            for i in range(3):
                 if e[i] == 1:
                     bits.append(names[i])
                 elif e[i] > 1:
@@ -718,7 +712,7 @@ def tri_to_bi(p):
     the x0 exponent."""
     rows = [{} for _ in range(max(p.degree_in(0) + 1, 1))]
     for e, v in p.terms.items():
-        if e[2] or e[3]:
+        if e[2]:
             raise InvalidParameters("polynomial touches a variable besides "
                                     "x0 and x1")
         rows[e[0]][e[1]] = v
@@ -730,7 +724,7 @@ def tri_to_bi(p):
 
 def bi_to_tri(rows, field):
     """The TriPoly in x0 and x1 whose x0^i coefficient is rows[i]."""
-    return TriPoly._of(field, {(i, j, 0, 0): v for i, p in enumerate(rows)
+    return TriPoly._of(field, {(i, j, 0): v for i, p in enumerate(rows)
                                for j, v in enumerate(p.c) if v})
 
 
@@ -956,7 +950,7 @@ def _tri_sqrt(p):
     for e, v in p.terms.items():
         if any(x % 2 for x in e):
             raise InvalidParameters("polynomial is not a square")
-        t[(e[0] // 2, e[1] // 2, e[2] // 2, e[3] // 2)] = f.sqrt(v)
+        t[(e[0] // 2, e[1] // 2, e[2] // 2)] = f.sqrt(v)
     return TriPoly._of(f, t)
 
 
@@ -1096,7 +1090,7 @@ def bi_factor(p):
         raise DegreeCapExceeded(
             f"total degree {p.total_degree} above cap {FACTOR_DEGREE_CAP}")
     if p.total_degree == 0:
-        return p.terms[(0, 0, 0, 0)], []
+        return p.terms[(0, 0, 0)], []
     # the content (all of p when p is univariate in x1) factors as a
     # univariate polynomial
     cont, prim = _bl_primitive(_bl_strip(tri_to_bi(p)))

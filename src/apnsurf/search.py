@@ -18,7 +18,6 @@ import contextlib
 import hashlib
 import json
 import os
-import time
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -141,16 +140,15 @@ class SearchResult:
     """
 
     __slots__ = ("job", "start", "cursor", "hits", "scanned",
-                 "aborted_early", "elapsed")
+                 "aborted_early")
 
-    def __init__(self, job, start, cursor, hits, scanned, elapsed):
+    def __init__(self, job, start, cursor, hits, scanned):
         self.job = job
         self.start = start
         self.cursor = cursor
         self.hits = hits
         self.scanned = scanned
         self.aborted_early = scanned - len(hits)
-        self.elapsed = elapsed
 
     def to_jsonl(self):
         lines = []
@@ -198,7 +196,6 @@ def scan(job, start=0, stop=None, workers=1):
         raise InvalidParameters("workers must be positive")
     field = job.field
     q = field.q
-    t0 = time.perf_counter()
     allowed = job.budget // (q * q)
     eff_stop = min(stop, start + allowed)
 
@@ -231,8 +228,7 @@ def scan(job, start=0, stop=None, workers=1):
         h = _verify_hit(job, index)
         if h is not None:
             hits.append(h)
-    result = SearchResult(job, start, eff_stop, hits, eff_stop - start,
-                          time.perf_counter() - t0)
+    result = SearchResult(job, start, eff_stop, hits, eff_stop - start)
     if eff_stop < stop:
         raise BudgetExceeded(
             "budget %d covers %d of %d candidates" %
@@ -292,14 +288,13 @@ FINGERPRINT_CAVEAT = ("fingerprint equality is necessary but not "
 class FamilyScan:
     """One family's scan inside a classification report."""
 
-    __slots__ = ("label", "free_degrees", "hits", "scanned", "elapsed")
+    __slots__ = ("label", "free_degrees", "hits", "scanned")
 
     def __init__(self, label, result):
         self.label = label
         self.free_degrees = result.job.free_degrees
         self.hits = result.hits
         self.scanned = result.scanned
-        self.elapsed = result.elapsed
 
     def coeff_maps(self):
         """Hits as degree-keyed dicts, e.g. {"a3": 1, "a6": 9}."""
@@ -482,7 +477,7 @@ def classify_degree9(m, workers=1):
             digest = fingerprint_digest(walsh_fingerprint(f))
             coupled_hits.append(Hit(a6, (a6,), 2, digest))
     coupled_job = SearchJob(field, [(9, 1)], (6,))
-    coupled = SearchResult(coupled_job, 0, q, coupled_hits, q - 1, 0.0)
+    coupled = SearchResult(coupled_job, 0, q, coupled_hits, q - 1)
     scans.append(FamilyScan("x^9+a6*x^6+a6^2*x^3 (a6 nonzero)", coupled))
 
     refs = {"x^3": _reference_digest(field, 3),

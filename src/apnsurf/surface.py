@@ -50,7 +50,7 @@ _GF2 = Field(1)
 def _sum_of_vars(field, slots):
     t = {}
     for s in slots:
-        e = [0, 0, 0, 0]
+        e = [0, 0, 0]
         e[s] = 1
         t[tuple(e)] = 1
     return TriPoly._of(field, t)
@@ -234,7 +234,7 @@ class PointCount:
 def check_plane_form(curve):
     """Raise InvalidParameters unless curve is a homogeneous form in x0,
     x1, x2, the shape of a plane curve."""
-    if any(e[3] for e in curve.terms) or not curve.is_homogeneous():
+    if not curve.is_homogeneous():
         raise InvalidParameters("need a homogeneous form in x0, x1, x2")
 
 
@@ -263,7 +263,7 @@ def projective_plane_zeros(curve, field):
         field, [(e[2], v) for e, v in curve.terms.items() if e[0] == 0])
     count += int((line == 0).sum())
     # the point (0:0:1)
-    if curve.eval_at((0, 0, 1, 0)) == 0:
+    if curve.eval_at((0, 0, 1)) == 0:
         count += 1
     return count
 

@@ -21,8 +21,9 @@ cell of every candidate by each of its digits instead.
 
 surface.diagonal_infinity_singular reads (1:1:1:0) off the partials of
 the top homogeneous component; diagonal_infinity_singular_ref builds the
-projective closure from every component and evaluates it and its four
-partials there, and finds the diagonal roots by trying every element.
+projective closure in x0, x1, x2 and z from every component, as its own
+dict of exponent 4-tuples, evaluates it and its four partials there, and
+finds the diagonal roots by trying every element.
 
 mvpoly.bi_factor lifts a split of one specialization and recombines the
 lifted factors; bi_is_irreducible instead tries every possible factor of
@@ -69,7 +70,7 @@ def bi_is_irreducible(p):
     if n < 1:
         return False
     half = n // 2
-    monomials = [(i, k - i, 0, 0) for k in range(half + 1) for i in range(k + 1)]
+    monomials = [(i, k - i, 0) for k in range(half + 1) for i in range(k + 1)]
     for coeffs in itertools.product(range(field.q), repeat=len(monomials)):
         cand = TriPoly(field, dict(zip(monomials, coeffs)))
         if cand.total_degree < 1 or cand.lead_term()[1] != 1:
@@ -100,7 +101,7 @@ def four_point_sum(f):
 
     for e, v in f.terms():
         for i in range(3):
-            key = [0, 0, 0, 0]
+            key = [0, 0, 0]
             key[i] = e
             add(tuple(key), v)
         a = e
@@ -108,7 +109,7 @@ def four_point_sum(f):
             rest = e ^ a
             b = rest
             while True:
-                add((a, b, rest ^ b, 0), v)
+                add((a, b, rest ^ b), v)
                 if b == 0:
                     break
                 b = (b - 1) & rest
@@ -116,6 +117,26 @@ def four_point_sum(f):
                 break
             a = (a - 1) & e
     return TriPoly(f.field, t)
+
+
+def _partial4(terms, i):
+    """Formal partial in variable i of a dict keyed by exponent 4-tuples."""
+    out = {}
+    for e, v in terms.items():
+        if e[i] % 2:
+            ne = list(e)
+            ne[i] -= 1
+            out[tuple(ne)] = v
+    return out
+
+
+def _eval4(field, terms, point):
+    acc = 0
+    for e, v in terms.items():
+        for x, k in zip(point, e):
+            v = field.mul(v, field.pow_(x, k))
+        acc ^= v
+    return acc
 
 
 def diagonal_infinity_singular_ref(surface):
@@ -133,13 +154,11 @@ def diagonal_infinity_singular_ref(surface):
             "diagonal restriction is not constant",
             points=[(r, r, r) for r in range(field.q)
                     if surface.poly.eval_at((r, r, r)) == 0])
-    z = TriPoly.var(field, 3)
-    closure = TriPoly.zero(field)
-    for k, phi in enumerate(comps):
-        closure = closure + phi * z.pow_(top - k)
+    # phi_k * z^(D-k), term by term: the components have disjoint terms
+    closure = {e + (top - sum(e),): v for e, v in surface.poly.terms.items()}
     point = (1, 1, 1, 0)
-    return all(p.eval_at(point) == 0
-               for p in [closure] + [closure.partial(i) for i in range(4)])
+    return all(_eval4(field, p, point) == 0
+               for p in [closure] + [_partial4(closure, i) for i in range(4)])
 
 
 def brute_count(surface):

@@ -78,16 +78,17 @@ def test_absolutely_irreducible_refutations():
 
 def test_absolutely_irreducible_univariate_chart():
     # x0^2 + x0 x2 + x2^2: irreducible over GF(2), splits into conjugate
-    # lines over GF(4)
-    h = TriPoly(F2, {(2, 0, 0, 0): 1, (1, 0, 1, 0): 1, (0, 0, 2, 0): 1})
-    v = absolutely_irreducible(h)
-    assert v.refuted and "GF(2^2)" in v.note
+    # lines over GF(4); the same with x1, whose chart is univariate in x1
+    for h in (TriPoly(F2, {(2, 0, 0): 1, (1, 0, 1): 1, (0, 0, 2): 1}),
+              TriPoly(F2, {(0, 2, 0): 1, (0, 1, 1): 1, (0, 0, 2): 1})):
+        v = absolutely_irreducible(h)
+        assert v.refuted and "GF(2^2)" in v.note
 
 
 def test_refutation_witnesses_divide_their_curves():
     # a split or repeated-factor witness is a form in x0, x1, x2 that
     # divides the curve over the witness's field
-    conic = TriPoly(F2, {(2, 0, 0, 0): 1, (1, 0, 1, 0): 1, (0, 0, 2, 0): 1})
+    conic = TriPoly(F2, {(2, 0, 0): 1, (1, 0, 1): 1, (0, 0, 2): 1})
     curves = [infinity_curve(d) for d in range(5, 19) if d & (d - 1)]
     refuted = 0
     for curve in curves + [conic]:
@@ -95,7 +96,7 @@ def test_refutation_witnesses_divide_their_curves():
         if not v.refuted:
             continue
         w = v.witness
-        assert w.is_homogeneous() and not any(e[3] for e in w.terms)
+        assert w.is_homogeneous() and all(len(e) == 3 for e in w.terms)
         assert 0 < w.total_degree < curve.total_degree
         lifted = extension(curve.field, w.field.m // curve.field.m)
         lifted.map_tri(curve).exact_divide(w)
@@ -140,7 +141,7 @@ def test_absolutely_irreducible_matches_exceptional_exponents():
 
 
 def test_absolutely_irreducible_strange_conic():
-    h = TriPoly(F2, {(1, 1, 0, 0): 1, (0, 0, 2, 0): 1})
+    h = TriPoly(F2, {(1, 1, 0): 1, (0, 0, 2): 1})
     assert absolutely_irreducible(h).established
     assert curve_singular_points(h) == []
 
@@ -166,27 +167,27 @@ def test_chart_factor_counts_and_reconstruction():
 
 
 def test_singular_points_cusp():
-    h = TriPoly(F2, {(0, 2, 1, 0): 1, (3, 0, 0, 0): 1})
+    h = TriPoly(F2, {(0, 2, 1): 1, (3, 0, 0): 1})
     pts = curve_singular_points(h)
     assert [p.point for p in pts] == [(0, 0, 1)]
     assert pts[0].m == 1
 
 
 def test_singular_points_at_one_zero_zero():
-    h = TriPoly(F2, {(1, 0, 2, 0): 1, (0, 3, 0, 0): 1})
+    h = TriPoly(F2, {(1, 0, 2): 1, (0, 3, 0): 1})
     pts = curve_singular_points(h)
     assert [(p.m, p.point) for p in pts] == [(1, (1, 0, 0))]
 
 
 def test_singular_points_three_lines():
-    h = TriPoly(F2, {(2, 1, 0, 0): 1, (1, 2, 0, 0): 1})
+    h = TriPoly(F2, {(2, 1, 0): 1, (1, 2, 0): 1})
     pts = curve_singular_points(h)
     assert [(p.m, p.point) for p in pts] == [(1, (0, 0, 1))]
 
 
 def test_singular_points_x2_factor_rejected():
     # (x0^2 + x0 x1 + x1^2) * x2 contains the whole line x2 = 0
-    h = TriPoly(F2, {(2, 0, 1, 0): 1, (1, 1, 1, 0): 1, (0, 2, 1, 0): 1})
+    h = TriPoly(F2, {(2, 0, 1): 1, (1, 1, 1): 1, (0, 2, 1): 1})
     with pytest.raises(InvalidParameters):
         curve_singular_points(h)
 
@@ -194,8 +195,8 @@ def test_singular_points_x2_factor_rejected():
 def test_singular_points_in_extension():
     # (x0^2 + x0 x1 + x1^2)(x0 + x2): the conjugate line pair meets the
     # third line in two points defined over GF(4)
-    h = TriPoly(F2, {(3, 0, 0, 0): 1, (2, 1, 0, 0): 1, (1, 2, 0, 0): 1,
-                     (2, 0, 1, 0): 1, (1, 1, 1, 0): 1, (0, 2, 1, 0): 1})
+    h = TriPoly(F2, {(3, 0, 0): 1, (2, 1, 0): 1, (1, 2, 0): 1,
+                     (2, 0, 1): 1, (1, 1, 1): 1, (0, 2, 1): 1})
     pts = curve_singular_points(h)
     keyed = sorted((p.m, p.point) for p in pts)
     assert keyed == [(1, (0, 0, 1)), (2, (1, 2, 1)), (2, (1, 3, 1))]
@@ -205,8 +206,8 @@ def test_singular_points_partials_free_of_one_variable():
     # x0^2 x2 + x0 x1^2 + x1^3: on the chart x2 = 1 both partials are x1^2,
     # whose resultant in x0 is 1; the cusp at (0:0:1) must still be found,
     # on the curve and on its mirror image with x0 and x1 exchanged
-    h = TriPoly(F2, {(2, 0, 1, 0): 1, (1, 2, 0, 0): 1, (0, 3, 0, 0): 1})
-    mirror = TriPoly(F2, {(e[1], e[0], e[2], e[3]): v
+    h = TriPoly(F2, {(2, 0, 1): 1, (1, 2, 0): 1, (0, 3, 0): 1})
+    mirror = TriPoly(F2, {(e[1], e[0], e[2]): v
                           for e, v in h.terms.items()})
     for curve in (h, mirror):
         assert [(p.m, p.point) for p in curve_singular_points(curve)] == \
@@ -225,11 +226,10 @@ def test_singular_points_degree9_diagonal():
 
 
 def test_criteria_reject_non_plane_forms():
-    for terms in ({(1, 0, 0, 0): 1, (0, 0, 0, 0): 1}, {(1, 0, 0, 1): 1}):
-        h = TriPoly(F2, terms)
-        for check in (absolutely_irreducible, curve_singular_points):
-            with pytest.raises(InvalidParameters, match="homogeneous form"):
-                check(h)
+    h = TriPoly(F2, {(1, 0, 0): 1, (0, 0, 0): 1})
+    for check in (absolutely_irreducible, curve_singular_points):
+        with pytest.raises(InvalidParameters, match="homogeneous form"):
+            check(h)
 
 
 def test_extension_shares_the_embedding_cache():
@@ -239,7 +239,7 @@ def test_extension_shares_the_embedding_cache():
 
 
 def test_singular_points_reject_squares():
-    h = TriPoly(F2, {(2, 0, 0, 0): 1, (0, 2, 0, 0): 1})
+    h = TriPoly(F2, {(2, 0, 0): 1, (0, 2, 0): 1})
     with pytest.raises(InvalidParameters):
         curve_singular_points(h)
 

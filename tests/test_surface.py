@@ -59,7 +59,7 @@ def test_returned_polys_do_not_share_cached_terms():
     poly = dict(build_surface(f).poly.terms)
     infinity_curve(9).terms.clear()
     build_surface(PolyFunc(F16, [(9, 1)])).poly.terms.clear()
-    build_surface(f).poly.terms[(0, 0, 0, 0)] = 5
+    build_surface(f).poly.terms[(0, 0, 0)] = 5
     assert infinity_curve(9).terms == curve
     assert build_surface(f).poly.terms == poly
     assert build_surface(PolyFunc(F16, [(9, 1)])).poly.terms == curve
@@ -115,13 +115,13 @@ def test_degree6_three_plane_decomposition():
 def test_degree9_coupled_family_splits_into_two_cubics():
     def cubic(field, rows, a6):
         t = {e: 1 for e in rows}
-        t[(0, 0, 0, 0)] = a6
+        t[(0, 0, 0)] = a6
         return TriPoly(field, t)
 
-    rows1 = [(3, 0, 0, 0), (2, 1, 0, 0), (0, 3, 0, 0), (0, 2, 1, 0),
-             (1, 0, 2, 0), (0, 0, 3, 0)]
-    rows2 = [(3, 0, 0, 0), (1, 2, 0, 0), (0, 3, 0, 0), (2, 0, 1, 0),
-             (0, 1, 2, 0), (0, 0, 3, 0)]
+    rows1 = [(3, 0, 0), (2, 1, 0), (0, 3, 0), (0, 2, 1),
+             (1, 0, 2), (0, 0, 3)]
+    rows2 = [(3, 0, 0), (1, 2, 0), (0, 3, 0), (2, 0, 1),
+             (0, 1, 2), (0, 0, 3)]
     for a6 in (1, 2, 3, 7, 31):
         a3 = F32.mul(a6, a6)
         s = build_surface(PolyFunc(F32, [(9, 1), (6, a6), (3, a3)]))
@@ -190,9 +190,9 @@ def test_count_points_brute_force():
     assert pc.affine_on_locus == on_locus
     assert pc.affine_off_locus == affine - on_locus
     h = s.infinity_part()
-    inf = sum(h.eval_at((1, y, w, 0)) == 0 for y in range(8) for w in range(8))
-    inf += sum(h.eval_at((0, 1, w, 0)) == 0 for w in range(8))
-    inf += h.eval_at((0, 0, 1, 0)) == 0
+    inf = sum(h.eval_at((1, y, w)) == 0 for y in range(8) for w in range(8))
+    inf += sum(h.eval_at((0, 1, w)) == 0 for w in range(8))
+    inf += h.eval_at((0, 0, 1)) == 0
     assert pc.infinity == inf
     assert pc.projective == affine + inf
 
@@ -311,18 +311,17 @@ def test_projective_plane_zeros_oracle():
         reps += [(0, 0, 1)]
         lifted = TriPoly(F8, dict(h.terms))
         for p in reps:
-            want += lifted.eval_at((p[0], p[1], p[2], 0)) == 0
+            want += lifted.eval_at(p) == 0
         assert got == want
 
 
 def test_projective_plane_zeros_rejects_bad_input():
-    # not homogeneous, a z term, then a curve over a field that is neither
-    # GF(2) nor the target
-    for terms in ({(1, 0, 0, 0): 1, (0, 0, 0, 0): 1}, {(0, 0, 0, 1): 1}):
-        with pytest.raises(InvalidParameters, match="homogeneous form"):
-            projective_plane_zeros(TriPoly(F8, terms), F8)
+    # not homogeneous, then a curve over a field that is neither GF(2) nor
+    # the target
+    with pytest.raises(InvalidParameters, match="homogeneous form"):
+        projective_plane_zeros(TriPoly(F8, {(1, 0, 0): 1, (0, 0, 0): 1}), F8)
     with pytest.raises(FieldMismatch):
-        projective_plane_zeros(TriPoly(Field(2), {(1, 0, 0, 0): 1}), F8)
+        projective_plane_zeros(TriPoly(Field(2), {(1, 0, 0): 1}), F8)
 
 
 def test_derivative_divisibility_always_holds():
@@ -362,7 +361,7 @@ def _random_quotient(field, rng, d):
     constant diagonal restriction half of the time."""
     t = {}
     for _ in range(3 * d):
-        e = [0, 0, 0, 0]
+        e = [0, 0, 0]
         for _ in range(rng.randrange(d - 2)):
             e[rng.randrange(3)] += 1
         t[tuple(e)] = rng.randrange(field.q)
@@ -373,7 +372,7 @@ def _random_quotient(field, rng, d):
             sums[sum(e)] = sums.get(sum(e), 0) ^ v
         for k, v in sums.items():
             if k:
-                t[(k, 0, 0, 0)] = t.get((k, 0, 0, 0), 0) ^ v
+                t[(k, 0, 0)] = t.get((k, 0, 0), 0) ^ v
     return TriPoly(field, t)
 
 
