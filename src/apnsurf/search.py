@@ -4,10 +4,12 @@ coefficient families.
 A family is a fixed polynomial part plus free coefficients attached to
 a set of monomial degrees.  Candidates are indexed by little-endian
 base-q integers: digit j of the index is the coefficient of the j-th
-free degree (ascending).  Scans enumerate a contiguous index range
-with the early-abort differential kernel, then re-verify every
-surviving candidate with a full spectrum computation, so a reported hit
-never rests on the fast path alone.
+free degree (ascending).  A scan covers a contiguous index range.  The
+early-abort differential kernel runs on one block of candidates per
+scaling orbit of the top free digit; the survivors of the other blocks
+are mapped from it (see _scan_plan).  Every surviving candidate, mapped
+or not, is re-verified with a full spectrum computation, so a reported
+hit never rests on the fast path alone.
 
 Free degrees may not be powers of two: a linearized summand never
 changes differential behaviour, so scanning over its coefficient would
@@ -17,6 +19,7 @@ multiply the work by q for nothing.
 import contextlib
 import hashlib
 import json
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 
@@ -27,7 +30,7 @@ from .differential import (differential_spectrum, fingerprint_digest,
 from .errors import (ApnToolError, BudgetExceeded, CorruptCheckpoint,
                      InvalidParameters)
 from .gf2m import Field, _is_pow2
-from .kernels import power_table, scan_range, value_table
+from .kernels import power_table, scan_range, scaling_rows, value_table
 from .polyfunc import PolyFunc, is_q_affine
 
 DEFAULT_BUDGET = 1 << 30
@@ -48,7 +51,9 @@ class SearchJob:
 
     fixed_terms: iterable of (exponent, coefficient) for the bound part.
     free_degrees: monomial degrees carrying free coefficients; stored
-    ascending.  The budget caps candidates times q^2 table work.
+    ascending.  The budget caps covered candidates times q^2: a scan
+    covers at most budget // q^2 indices, however few of them the
+    kernel runs on.
     """
 
     __slots__ = ("field", "fixed_terms", "free_degrees", "budget")
@@ -136,7 +141,9 @@ class SearchResult:
 
     cursor is the first index not yet processed; feeding it back as
     start continues the scan with an identical combined hit list.
-    aborted_early counts candidates rejected by the early-abort pass.
+    aborted_early counts covered candidates that are not hits, rejected
+    by the early-abort pass directly or through their orbit
+    representative.
     """
 
     __slots__ = ("job", "start", "cursor", "hits", "scanned",
@@ -178,6 +185,86 @@ def _verify_hit(job, index):
     return Hit(index, job.coeff_vector(index), spec.delta, digest)
 
 
+def _scan_plan(job, lo, hi):
+    """Cover the candidates [lo, hi) by ranges to scan and blocks to map.
+
+    For lam in the scaling group G of the fixed part (kernels.scaling_rows,
+    e0 its least exponent), lam^-e0 * f(lam*x) keeps the fixed part,
+    sends free coefficient a_e to a_e * lam^(e - e0) and keeps the
+    differential uniformity.  With k free digits left, the block of top
+    digit t is [t*B, (t + 1)*B), B = q^(k - 1).  A block the range fully
+    covers with t != 0 is taken from the block of r, the least t * lam^d
+    over G with d = e_top - e0: r's block is scanned, once, and mapped
+    onto t's with the lam for which r * lam^d = t.  The at most two
+    blocks the range partly covers are scanned; block 0 goes down one
+    digit.  So no more is scanned than [lo, hi), and exactly that when
+    no top digit has a nontrivial orbit.
+
+    Returns (ranges, maps): ranges lists the ascending disjoint [a, b)
+    ranges to scan; maps lists (r_lo, size, mults), the block
+    [r_lo, r_lo + size) whose survivors give a covered block once digit
+    j is multiplied by mults[j].
+    """
+    field = job.field
+    q = field.q
+    n = q - 1
+    degs = job.free_degrees
+    _, g = scaling_rows(field, job.fixed_terms)[0]
+    e0 = job.fixed_terms[0][0] if job.fixed_terms else 0
+    ranges, maps = [], []
+    for k in range(len(degs), 0, -1):
+        size = q ** (k - 1)
+        head = max(lo, size)
+        first, last = -(-head // size), hi // size
+        if first >= last:
+            ranges.append((head, hi))
+        else:
+            ranges += [(head, first * size), (last * size, hi)]
+            # lam^d runs over the subgroup of order s generated by
+            # alpha^w, so column c of orbits is the orbit of alpha^c
+            d = degs[k - 1] - e0
+            h = math.gcd(g, d)
+            s = g // h
+            w = n // s
+            orbits = field._exp.reshape(s, w)
+            low = orbits.argmin(axis=0)
+            step = pow(d // h, -1, s)
+            for t in range(first, last):
+                i, c = divmod(int(field._log[t]), w)
+                r = int(orbits[low[c], c])
+                ranges.append((r * size, (r + 1) * size))
+                if r != t:
+                    # log of the lam = alpha^(j*n/g) with
+                    # lam^d = alpha^(w*(i - low[c])) = t / r
+                    lam = (i - int(low[c])) * step % s * (n // g)
+                    maps.append((r * size, size, [
+                        int(field._exp[lam * (e - e0) % n])
+                        for e in degs[:k]]))
+        hi = min(hi, size)
+    ranges.append((lo, hi))
+    return _merge_ranges(ranges), maps
+
+
+def _merge_ranges(ranges):
+    """The union of [a, b) ranges as ascending disjoint ranges."""
+    out = []
+    for a, b in sorted(ranges):
+        if a >= b:
+            continue
+        if out and a <= out[-1][1]:
+            out[-1][1] = max(out[-1][1], b)
+        else:
+            out.append([a, b])
+    return out
+
+
+def _map_block(field, cands, mults):
+    """The candidates whose digit j is digit j of cands times mults[j]."""
+    q = field.q
+    return _base_q_index([field.mul_vec(cands // q ** j % q, mu)
+                          for j, mu in enumerate(mults)], q)
+
+
 def scan(job, start=0, stop=None, workers=1):
     """Scan candidate indices [start, stop) in ascending order.
 
@@ -204,27 +291,32 @@ def scan(job, start=0, stop=None, workers=1):
     mono_tables = (np.array(monos, dtype=np.int64) if monos
                    else np.zeros((0, q), dtype=np.int64))
 
-    shards = [(s, min(s + SHARD, eff_stop))
-              for s in range(start, eff_stop, SHARD)]
-    raw = []
-    if shards:
-        def run(bounds):
-            lo, hi = bounds
-            hits, nh = scan_range(fixed_table, mono_tables, field, lo, hi)
-            if nh > hi - lo:
-                raise ApnToolError("shard [%d, %d) reported %d survivors"
-                                   % (lo, hi, nh))
-            return hits
-        if workers == 1 or len(shards) == 1:
-            parts = [run(b) for b in shards]
-        else:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                parts = list(pool.map(run, shards))
-        for part in parts:
-            raw.extend(int(i) for i in part)
+    ranges, maps = _scan_plan(job, start, eff_stop)
+    shards = [(s, min(s + SHARD, b)) for a, b in ranges
+              for s in range(a, b, SHARD)]
+
+    def run(bounds):
+        lo, hi = bounds
+        hits, nh = scan_range(fixed_table, mono_tables, field, lo, hi)
+        if nh > hi - lo:
+            raise ApnToolError("shard [%d, %d) reported %d survivors"
+                               % (lo, hi, nh))
+        return hits
+    parts = [np.zeros(0, dtype=np.int64)]
+    if workers == 1 or len(shards) <= 1:
+        parts += [run(b) for b in shards]
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            parts += pool.map(run, shards)
+    survivors = np.concatenate(parts)
+    raw = [survivors[(survivors >= start) & (survivors < eff_stop)]]
+    for r_lo, size, mults in maps:
+        a, b = np.searchsorted(survivors, (r_lo, r_lo + size))
+        if a < b:
+            raw.append(_map_block(field, survivors[a:b], mults))
 
     hits = []
-    for index in raw:
+    for index in np.sort(np.concatenate(raw)).tolist():
         h = _verify_hit(job, index)
         if h is not None:
             hits.append(h)

@@ -1,8 +1,10 @@
 """Family scans, checkpointing, and the fixed-degree classifications."""
 
+import functools
 import json
 import random
 
+import numpy as np
 import pytest
 
 import apnsurf.search as search
@@ -11,11 +13,12 @@ from apnsurf.differential import (differential_spectrum, fingerprint_digest,
 from apnsurf.errors import (ApnToolError, BecameZero, BudgetExceeded,
                             CorruptCheckpoint, InvalidParameters)
 from apnsurf.gf2m import Field
-from apnsurf.polyfunc import PolyFunc, affine_transform, normalize
+from apnsurf.kernels import power_table, value_table
+from apnsurf.polyfunc import PolyFunc, affine_transform, is_q_affine, normalize
 from apnsurf.search import (Hit, SearchJob, SearchResult, checkpoint_resume,
                             checkpoint_save, classify_degree6,
                             classify_degree7, classify_degree9, scan)
-from oracles import reduction_note_brute_force
+from oracles import reduction_note_brute_force, scan_py
 
 F8 = Field(3)
 F16 = Field(4)
@@ -71,6 +74,95 @@ def test_scan_matches_direct_check():
     assert [h.coeffs for h in res.hits] == want
 
 
+@functools.lru_cache(maxsize=None)
+def _oracle_hits(m, fixed, free):
+    """(index, coeffs, delta, digest) of every hit of the family, from
+    the scalar scan of all candidates and a full spectrum of each
+    survivor."""
+    field = Field(m)
+    q = field.q
+    ext, log, _ = field.tables()
+    job = SearchJob(field, fixed, free)
+    monos = np.array([power_table(field, e) for e in free], dtype=np.int64)
+    out = np.zeros(job.candidates, dtype=np.int64)
+    n = scan_py(value_table(field, list(fixed)), monos.reshape(-1, q), q,
+                len(free), 0, job.candidates, ext, log, out)
+    hits = []
+    for index in out[:n].tolist():
+        f = job.candidate(index)
+        if f.is_zero or is_q_affine(f):
+            continue
+        delta = differential_spectrum(f).delta
+        assert delta == 2
+        hits.append((index, job.coeff_vector(index), delta,
+                     fingerprint_digest(walsh_fingerprint(f))))
+    return hits
+
+
+def _oracle_range(m, fixed, free, lo, hi):
+    return [h for h in _oracle_hits(m, fixed, free) if lo <= h[0] < hi]
+
+
+def _as_tuples(hits):
+    return [(h.index, h.coeffs, h.delta, h.digest) for h in hits]
+
+
+def _count_kernel_candidates(monkeypatch):
+    counted = [0]
+    kernel = search.scan_range
+
+    def counting(fixed, monos, field, lo, hi):
+        counted[0] += hi - lo
+        return kernel(fixed, monos, field, lo, hi)
+    monkeypatch.setattr(search, "scan_range", counting)
+    return counted
+
+
+# (m, fixed terms, free degrees): an empty fixed part, a constant term,
+# two fixed terms with a trivial scaling group, and x^6 + a3*x^3 + a9*x^9
+# at m = 4, whose nonzero top digits fall into three orbits
+ORBIT_FAMILIES = [
+    (2, ((1, 1),), (3,)),
+    (3, (), (3, 5, 6)),
+    (4, ((0, 5), (3, 1)), (5, 10)),
+    (4, ((9, 1), (5, 1)), (3, 6)),
+    (4, ((6, 1),), (3, 9)),
+    (4, ((6, 1),), (3, 5, 9)),
+    (5, ((3, 1),), (6, 12)),
+]
+
+
+@pytest.mark.parametrize("m, fixed, free", ORBIT_FAMILIES, ids=[
+    "m%d-fixed%s-free%s" % (m, "+".join(str(e) for e, _ in fixed) or "none",
+                            "+".join(map(str, free)))
+    for m, fixed, free in ORBIT_FAMILIES])
+def test_orbit_scan_matches_direct_scan(m, fixed, free, monkeypatch):
+    job = SearchJob(Field(m), fixed, free)
+    total = job.candidates
+    rng = random.Random(total + len(fixed))
+    ranges = [(0, total)]
+    for _ in range(8):
+        lo, hi = sorted(rng.randrange(total + 1) for _ in range(2))
+        ranges.append((lo, hi))
+    counted = _count_kernel_candidates(monkeypatch)
+    for lo, hi in ranges:
+        counted[0] = 0
+        res = scan(job, lo, hi)
+        assert _as_tuples(res.hits) == _oracle_range(m, fixed, free, lo, hi)
+        assert res.scanned == hi - lo and res.cursor == hi
+        # never more kernel work than the direct scan
+        assert counted[0] <= hi - lo
+    # the full range is shortened unless the scaling group is trivial
+    counted[0] = 0
+    scan(job)
+    assert (counted[0] < total) == (fixed != ((9, 1), (5, 1)))
+
+
+# x^6 + a3*x^3 + a5*x^5 + a9*x^9 at m = 4: blocks of 256 candidates per
+# top digit, and the kernel runs on 788 of the 4096
+SHORTENED = (4, ((6, 1),), (3, 5, 9))
+
+
 def test_worker_count_invariance(monkeypatch):
     monkeypatch.setattr(search, "SHARD", 32)
     job = SearchJob(F16, [(6, 1)], (3, 5))
@@ -78,6 +170,14 @@ def test_worker_count_invariance(monkeypatch):
     three = scan(job, workers=3)
     assert [h.index for h in one.hits] == [h.index for h in three.hits]
     assert one.scanned == three.scanned
+    m, fixed, free = SHORTENED
+    job = SearchJob(Field(m), fixed, free)
+    for lo, hi in ((0, 4096), (77, 3001)):
+        one = scan(job, lo, hi, workers=1)
+        three = scan(job, lo, hi, workers=3)
+        assert _as_tuples(three.hits) == _as_tuples(one.hits)
+        assert _as_tuples(one.hits) == _oracle_range(m, fixed, free, lo, hi)
+        assert one.scanned == three.scanned == hi - lo
 
 
 def test_split_scan_equals_full_scan():
@@ -88,6 +188,16 @@ def test_split_scan_equals_full_scan():
     assert a.cursor == 100 and b.start == 100
     got = [h.index for h in a.hits] + [h.index for h in b.hits]
     assert got == [h.index for h in full.hits]
+    # resumed from cursors inside a block of 256
+    m, fixed, free = SHORTENED
+    job = SearchJob(Field(m), fixed, free)
+    full = scan(job)
+    assert _as_tuples(full.hits) == _oracle_hits(m, fixed, free)
+    for cursor in (700, 1000, 2561):
+        a = scan(job, 0, cursor)
+        b = scan(job, a.cursor)
+        assert b.start == cursor
+        assert _as_tuples(a.hits + b.hits) == _as_tuples(full.hits)
 
 
 def test_checkpoint_roundtrip(tmp_path):
@@ -158,6 +268,18 @@ def test_budget_exceeded_carries_partial_and_resumes():
     full = scan(SearchJob(F16, [(6, 1)], (3, 5)))
     got = [h.index for h in partial.hits] + [h.index for h in rest.hits]
     assert got == [h.index for h in full.hits]
+    # the partial result is the direct scan of the covered prefix, which
+    # ends inside a block of 256
+    m, fixed, free = SHORTENED
+    small = SearchJob(Field(m), fixed, free, budget=700 * q2)
+    for start in (0, 300):
+        with pytest.raises(BudgetExceeded) as err:
+            scan(small, start)
+        partial = err.value.partial
+        assert partial.cursor == start + 700 and partial.scanned == 700
+        assert _as_tuples(partial.hits) == _oracle_range(
+            m, fixed, free, start, start + 700)
+        assert partial.aborted_early == 700 - len(partial.hits)
 
 
 def test_budget_too_small_for_anything():
