@@ -95,17 +95,25 @@ def walsh_fingerprint(f):
     """Multiset of Walsh transform values over all (a, b) with b nonzero,
     as a dict value -> multiplicity."""
     _gate(f.field)
-    fld = f.field
-    q = fld.q
     terms = f.terms()
-    table = kernels.value_table(fld, terms)
-    pm = fld.pair_table()
+    table = kernels.value_table(f.field, terms)
+    _, rows = kernels.scaling_rows(f.field, terms)
+    return walsh_fingerprints(f.field, table[None, :], rows)[0]
+
+
+def walsh_fingerprints(field, tables, rows=None):
+    """walsh_fingerprint of each value table in an (n, q) stack; rows
+    (default: every nonzero b) must fit every table."""
+    q = field.q
+    pm = field.pair_table()
     inv = np.zeros(q, dtype=np.int64)
     inv[pm] = np.arange(q, dtype=np.int64)
-    pmf_perm = pm[table[inv]]
-    _, rows = kernels.scaling_rows(fld, terms)
-    hist = kernels.walsh_hist(pmf_perm, q, rows)
-    return {v - q: int(n) for v, n in enumerate(hist) if n}
+    hists = kernels.walsh_hist(pm[np.take(tables, inv, axis=1)], q, rows)
+    out = []
+    for hist in hists:
+        nz = np.flatnonzero(hist)
+        out.append(dict(zip((nz - q).tolist(), hist[nz].tolist())))
+    return out
 
 
 def fingerprint_digest(fp):

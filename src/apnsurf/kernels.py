@@ -22,6 +22,9 @@ _BATCH_CELLS = 1 << 20
 # _apn_survivors widens its blocks of a values: small enough to stay in
 # cache, which larger chunks measured slower for
 _CHUNK_CELLS = 1 << 16
+# bins (tables times rows times q) that spectrum_hist counts per block:
+# best of 2^14..2^16 at m = 13, where a block holds four rows of a table
+_COUNT_CELLS = 1 << 15
 
 
 def power_table(field, e):
@@ -48,6 +51,13 @@ def value_table(field, terms):
         pt = power_table(field, e)
         acc ^= field.mul_vec(np.full(q, c, dtype=np.int64), pt)
     return acc
+
+
+def _block_shape(nrows, q, cells):
+    """(w, nt): blocks of w rows of nt tables, at most cells cells but
+    never less than one row of q cells of one table."""
+    w = max(1, min(nrows, cells // q))
+    return w, max(1, cells // (w * q))
 
 
 def _apn_survivors(tables, q, avals):
@@ -114,21 +124,58 @@ def _rows(q, rows):
     return np.ascontiguousarray(elements, dtype=np.int64), weight
 
 
-def spectrum_hist(table, q, rows=None):
+def spectrum_hist(tables, q, rows=None):
     """Histogram over solution counts: hist[c] = number of (a, b) pairs,
     a nonzero, whose derivative equation has exactly c solutions.
 
+    tables is one value table, giving one histogram, or an (n, q) stack
+    of them, giving an (n, q + 1) array with one histogram per table.
     rows is an (elements, weight) pair: only the rows a in elements are
     walked, each counted weight times.  The default, every nonzero a with
-    weight 1, fits any map; scaling_rows gives the reduced set."""
-    table = np.ascontiguousarray(table, dtype=np.int64)
+    weight 1, fits any map; scaling_rows gives the reduced set.
+
+    D_a(x) = D_a(x + a), so row a walks only the x whose bit at a's top
+    bit is clear, half of them, and counts each solution twice.  The rows
+    are sorted and taken in runs of one top bit, in blocks of tables
+    times rows with at most _COUNT_CELLS bins: each (table, a) pair
+    counts its differences in q bins of its own in one bincount, and
+    each table's counts then go through one more bincount."""
+    tables = np.ascontiguousarray(tables, dtype=np.int64)
+    stack = tables.reshape(-1, q)
     avals, weight = _rows(q, rows)
-    hist = np.zeros(q + 1, dtype=np.int64)
+    avals = np.sort(avals)
+    n = stack.shape[0]
+    hist = np.zeros((n, q + 1), dtype=np.int64)
+    half = q // 2
     xs = np.arange(q, dtype=np.int64)
-    for a in avals:
-        counts = np.bincount(table[xs ^ a] ^ table, minlength=q)
-        hist += np.bincount(counts, minlength=q + 1)
-    return hist * weight
+    tops = avals.searchsorted(1 << xs[:q.bit_length()]).tolist()
+    for h in range(q.bit_length() - 1):
+        run = avals[tops[h]:tops[h + 1]]
+        if not run.shape[0]:
+            continue
+        # the x with bit h clear
+        xs_h = xs.reshape(-1, 2, 1 << h)[:, 0].ravel()
+        w, nt = _block_shape(run.shape[0], q, _COUNT_CELLS)
+        for i in range(0, n, nt):
+            group = stack[i:i + nt]
+            k = group.shape[0]
+            # xored onto the differences of table i on the j-th a of a
+            # block, this puts them in bins (i*w + j)*q + b, b < q
+            bins = group.take(xs_h, axis=1)[:, None, :] ^ np.arange(
+                0, k * w * q, q, dtype=np.int64).reshape(k, w, 1)
+            for j in range(0, run.shape[0], w):
+                idx = run[j:j + w, None] ^ xs_h
+                kw = idx.shape[0]
+                # take keeps rows contiguous, where group[:, idx] would
+                # come back column-major
+                d = group.take(idx.ravel(), axis=1).reshape(k, kw, half)
+                d ^= bins[:, :kw]
+                counts = np.bincount(d.ravel(), minlength=k * w * q)
+                for r, c in enumerate(counts.reshape(k, w * q), i):
+                    hist[r, ::2] += np.bincount(c[:kw * q],
+                                                minlength=half + 1)
+    hist *= weight
+    return hist.reshape(tables.shape[:-1] + (q + 1,))
 
 
 def is_apn_table(table, q, rows=None):
@@ -139,33 +186,46 @@ def is_apn_table(table, q, rows=None):
     return _apn_survivors(table[None, :], q, avals).shape[0] == 1
 
 
-def walsh_hist(pmf_perm, q, rows=None):
+def walsh_hist(pmf_perms, q, rows=None):
     """Histogram of Walsh transform values over all (a, b != 0); index
-    v + q holds the multiplicity of value v.  rows selects and weights
-    the b rows as in spectrum_hist.
+    v + q holds the multiplicity of value v.  pmf_perms is one table or
+    an (n, q) stack of them, as in spectrum_hist, and so is the result;
+    rows selects and weights the b rows as in spectrum_hist.
 
     Each stage of the transform reads the pairs (2i, 2i + 1) of one
     buffer and writes their sums to the first half and their
     differences to the second half of the other; m such stages give the
     Walsh-Hadamard transform in natural order.  The buffers are int32
-    (|W| <= q <= 2^16) and hold about _CHUNK_CELLS cells of b rows."""
-    pmf_perm = np.ascontiguousarray(pmf_perm, dtype=np.int64)
+    (|W| <= q <= 2^16) and hold the (table, b) rows of one block of
+    _CHUNK_CELLS cells."""
+    pmf_perms = np.ascontiguousarray(pmf_perms, dtype=np.int64)
+    stack = pmf_perms.reshape(-1, q)
     sign = 1 - 2 * _parity_table(q).astype(np.int32)
     bvals, weight = _rows(q, rows)
-    hist = np.zeros(2 * q + 1, dtype=np.int64)
-    chunk = max(1, _CHUNK_CELLS // q)
+    n = stack.shape[0]
+    hist = np.zeros((n, 2 * q + 1), dtype=np.int64)
     half = q // 2
-    for lo in range(0, bvals.shape[0], chunk):
-        blk = bvals[lo:lo + chunk]
-        t = sign[pmf_perm & blk[:, None]]
-        u = np.empty_like(t)
-        for _ in range(q.bit_length() - 1):
-            np.add(t[:, 0::2], t[:, 1::2], out=u[:, :half])
-            np.subtract(t[:, 0::2], t[:, 1::2], out=u[:, half:])
-            t, u = u, t
-        t += q
-        hist += np.bincount(t.ravel(), minlength=2 * q + 1)
-    return hist * weight
+    w, nt = _block_shape(bvals.shape[0], q, _CHUNK_CELLS)
+    for i in range(0, n, nt):
+        perms = stack[i:i + nt]
+        k = perms.shape[0]
+        # table i's value v goes to bin i*(2q + 1) + v + q
+        per_table = np.arange(q, k * (2 * q + 1), 2 * q + 1,
+                              dtype=np.int32).reshape(k, 1)
+        for j in range(0, bvals.shape[0], w):
+            blk = bvals[j:j + w]
+            t = sign[perms[:, None, :] & blk[:, None]].reshape(-1, q)
+            u = np.empty_like(t)
+            for _ in range(q.bit_length() - 1):
+                np.add(t[:, 0::2], t[:, 1::2], out=u[:, :half])
+                np.subtract(t[:, 0::2], t[:, 1::2], out=u[:, half:])
+                t, u = u, t
+            t = t.reshape(k, -1)
+            t += per_table
+            hist[i:i + k] += np.bincount(
+                t.ravel(), minlength=k * (2 * q + 1)).reshape(k, -1)
+    hist *= weight
+    return hist.reshape(pmf_perms.shape[:-1] + (2 * q + 1,))
 
 
 def count_affine(terms, field):

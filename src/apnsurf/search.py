@@ -8,8 +8,10 @@ free degree (ascending).  A scan covers a contiguous index range.  The
 early-abort differential kernel runs on one block of candidates per
 scaling orbit of the top free digit; the survivors of the other blocks
 are mapped from it (see _scan_plan).  Every surviving candidate, mapped
-or not, is re-verified with a full spectrum computation, so a reported
-hit never rests on the fast path alone.
+or not, is then verified on a value table built from its own digits,
+with a full spectrum and its Walsh fingerprint, so a reported hit never
+rests on the fast path alone.  The survivors are verified together, in
+stacked kernel passes over chunks of them (_verify_survivors).
 
 Free degrees may not be powers of two: a linearized summand never
 changes differential behaviour, so scanning over its coefficient would
@@ -25,13 +27,14 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .differential import (differential_spectrum, fingerprint_digest,
-                           walsh_fingerprint)
+from .differential import (fingerprint_digest, walsh_fingerprint,
+                           walsh_fingerprints)
 from .errors import (ApnToolError, BudgetExceeded, CorruptCheckpoint,
                      InvalidParameters)
 from .gf2m import Field, _is_pow2
-from .kernels import power_table, scan_range, scaling_rows, value_table
-from .polyfunc import PolyFunc, is_q_affine
+from .kernels import (_BATCH_CELLS, power_table, scan_range, scaling_rows,
+                      spectrum_hist, value_table)
+from .polyfunc import PolyFunc
 
 DEFAULT_BUDGET = 1 << 30
 SHARD = 4096
@@ -173,16 +176,55 @@ class SearchResult:
                 % (len(self.hits), self.scanned, self.cursor))
 
 
-def _verify_hit(job, index):
-    f = job.candidate(index)
-    if f.is_zero or is_q_affine(f):
-        return None
-    spec = differential_spectrum(f)
-    if spec.delta != 2:
-        raise ApnToolError("scan survivor %d has differential uniformity %d"
-                           % (index, spec.delta))
-    digest = fingerprint_digest(walsh_fingerprint(f))
-    return Hit(index, job.coeff_vector(index), spec.delta, digest)
+def _uniformities(tables, q, rows=None):
+    """Differential uniformity of each value table in an (n, q) stack:
+    the largest solution count in its full spectrum."""
+    hist = spectrum_hist(tables, q, rows)
+    return q - np.argmax(hist[:, ::-1] > 0, axis=1)
+
+
+def _verify_survivors(job, fixed_table, mono_tables, survivors):
+    """The hits among the ascending survivors, each verified on its own
+    value table, in stacked passes of at most _BATCH_CELLS table cells.
+
+    A survivor's table is fixed_table xor its digits times mono_tables,
+    the value tables of the fixed part and of the free monomials; its
+    spectrum walks every nonzero a, since the fixed part's scaling group
+    need not hold once free terms are present.  A zero or q-affine map
+    is dropped, as PolyFunc reads it: a fixed exponent at or above q
+    folds onto a lower degree, possibly a free one.  Any other survivor
+    must have uniformity two, else ApnToolError."""
+    field = job.field
+    q = field.q
+    folded = dict(PolyFunc(field, job.fixed_terms).terms())
+    pinned = [folded.pop(e, 0) for e in job.free_degrees]
+    fixed_affine = all(e == 0 or _is_pow2(e) for e in folded)
+    chunk = max(1, _BATCH_CELLS // q)
+    hits = []
+    for lo in range(0, survivors.shape[0], chunk):
+        index = survivors[lo:lo + chunk]
+        digits = [index // q ** j % q for j in range(len(job.free_degrees))]
+        if fixed_affine:
+            # affine unless some free coefficient differs from the fixed
+            # one folded onto its degree
+            keep = np.zeros(index.shape, dtype=bool)
+            for d, c in zip(digits, pinned):
+                keep |= d != c
+            index = index[keep]
+            digits = [d[keep] for d in digits]
+        tables = np.broadcast_to(fixed_table, (index.shape[0], q)).copy()
+        for d, mono in zip(digits, mono_tables):
+            tables ^= field.mul_vec(d[:, None], mono[None, :])
+        deltas = _uniformities(tables, q)
+        bad = np.flatnonzero(deltas != 2)
+        if bad.shape[0]:
+            raise ApnToolError(
+                "scan survivor %d has differential uniformity %d"
+                % (index[bad[0]], deltas[bad[0]]))
+        for i, fp in zip(index.tolist(), walsh_fingerprints(field, tables)):
+            hits.append(Hit(i, job.coeff_vector(i), 2,
+                            fingerprint_digest(fp)))
+    return hits
 
 
 def _scan_plan(job, lo, hi):
@@ -268,7 +310,9 @@ def _map_block(field, cands, mults):
 def scan(job, start=0, stop=None, workers=1):
     """Scan candidate indices [start, stop) in ascending order.
 
-    The hit list is deterministic and independent of worker count.
+    The survivors of the early-abort kernel are verified in stacked
+    passes, each on its own full spectrum and fingerprint.  The hit list
+    is deterministic and independent of worker count.
     When the job's budget cannot cover the range, the covered prefix is
     scanned and BudgetExceeded is raised with the partial result (its
     cursor marks the restart point) attached.
@@ -315,11 +359,8 @@ def scan(job, start=0, stop=None, workers=1):
         if a < b:
             raw.append(_map_block(field, survivors[a:b], mults))
 
-    hits = []
-    for index in np.sort(np.concatenate(raw)).tolist():
-        h = _verify_hit(job, index)
-        if h is not None:
-            hits.append(h)
+    hits = _verify_survivors(job, fixed_table, mono_tables,
+                             np.sort(np.concatenate(raw)))
     result = SearchResult(job, start, eff_stop, hits, eff_stop - start)
     if eff_stop < stop:
         raise BudgetExceeded(
@@ -560,14 +601,19 @@ def classify_degree9(m, workers=1):
         result = scan(SearchJob(field, fixed, free), workers=workers)
         scans.append(FamilyScan(label, result))
 
-    # coupled one-parameter family, nonzero parameter by construction
-    coupled_hits = []
-    for a6 in range(1, q):
-        f = PolyFunc(field, [(9, 1), (6, a6), (3, field.mul(a6, a6))])
-        spec = differential_spectrum(f)
-        if spec.delta == 2:
-            digest = fingerprint_digest(walsh_fingerprint(f))
-            coupled_hits.append(Hit(a6, (a6,), 2, digest))
+    # coupled one-parameter family, nonzero parameter by construction, so
+    # every member has the support {3, 6, 9} and its scaling rows
+    a6 = np.arange(1, q, dtype=np.int64)
+    tables = (power_table(field, 9)
+              ^ field.mul_vec(a6[:, None], power_table(field, 6))
+              ^ field.mul_vec(field.mul_vec(a6, a6)[:, None],
+                              power_table(field, 3)))
+    rows, walsh_rows = scaling_rows(field, [(3, 1), (6, 1), (9, 1)])
+    apn = _uniformities(tables, q, rows) == 2
+    coupled_hits = [
+        Hit(a, (a,), 2, fingerprint_digest(fp))
+        for a, fp in zip(a6[apn].tolist(),
+                         walsh_fingerprints(field, tables[apn], walsh_rows))]
     coupled_job = SearchJob(field, [(9, 1)], (6,))
     coupled = SearchResult(coupled_job, 0, q, coupled_hits, q - 1)
     scans.append(FamilyScan("x^9+a6*x^6+a6^2*x^3 (a6 nonzero)", coupled))

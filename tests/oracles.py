@@ -9,6 +9,11 @@ surface.build_surface sums cached quotients of monomials; four_point_sum
 expands the numerator of the whole map term by term instead, without
 polynomial powers or division.
 
+search.scan verifies its survivors in stacked passes, each survivor's
+value table built from its digits; verify_hit_py verifies one survivor
+at a time from its own PolyFunc, over the rows of the map's scaling
+group.
+
 search._degree9_reduction_note sweeps each hit's whole (a, b) grid with
 array arithmetic; reduction_note_brute_force substitutes one (a, b) at
 a time through affine_transform and normalize.
@@ -41,9 +46,13 @@ import numpy as np
 
 from apnsurf import kernels
 from apnsurf.bounds import _sign
-from apnsurf.errors import DegreeTooSmall, DiagonalNotConstant, NotDivisible
+from apnsurf.differential import (differential_spectrum, fingerprint_digest,
+                                  walsh_fingerprint)
+from apnsurf.errors import (ApnToolError, DegreeTooSmall,
+                            DiagonalNotConstant, NotDivisible)
 from apnsurf.mvpoly import TriPoly, uni_factor
-from apnsurf.polyfunc import PolyFunc, affine_transform, normalize
+from apnsurf.polyfunc import (PolyFunc, affine_transform, is_q_affine,
+                              normalize)
 
 
 def frobenius_twist(f):
@@ -181,6 +190,20 @@ def brute_count(surface):
     zero = vals == 0
     locus = (x0 == x1) | (x1 == x2) | (x0 == x2)
     return int(zero.sum()), int((zero & locus).sum())
+
+
+def verify_hit_py(job, index):
+    """(index, coeffs, delta, digest) of one scan survivor, or None for a
+    zero or q-affine map; any other survivor must have uniformity two."""
+    f = job.candidate(index)
+    if f.is_zero or is_q_affine(f):
+        return None
+    spec = differential_spectrum(f)
+    if spec.delta != 2:
+        raise ApnToolError("scan survivor %d has differential uniformity %d"
+                           % (index, spec.delta))
+    digest = fingerprint_digest(walsh_fingerprint(f))
+    return index, job.coeff_vector(index), spec.delta, digest
 
 
 def reduction_note_brute_force(field, full_hits, reduced_hit_sets):

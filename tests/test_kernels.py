@@ -94,6 +94,49 @@ def test_apn_blocks_of_a_values_agree(monkeypatch, chunk_cells):
     assert alive.tolist() == [i for i, r in enumerate(ref) if r]
 
 
+def _stack_cases(rng):
+    """(q, stack, row sets) at q = 2, 4, 16 and 64: value tables for the
+    spectrum and permutations for Walsh, 7 of each, with every nonzero
+    row by default and with a few rows weighted 3."""
+    for m in (1, 2, 4, 6):
+        field = Field(m)
+        q = field.q
+        tabs = np.stack([rand_table(field, rng) for _ in range(7)])
+        perms = np.stack([rng.sample(range(q), q) for _ in range(7)])
+        rows = np.array(rng.sample(range(1, q), max(1, q // 3)),
+                        dtype=np.int64)
+        yield q, tabs, perms, [(None, np.arange(1, q), 1),
+                               ((rows, 3), rows, 3)]
+
+
+# blocks of one row, of a few rows of one table, of every row of 2 or 3
+# tables (7 tables, not a multiple of either), and the defaults
+@pytest.mark.parametrize("cells", [1, 3 * 16, 2 * 63 * 64, 3 * 15 * 16, None])
+def test_stacked_kernels_match_oracle_per_table(monkeypatch, cells):
+    if cells is not None:
+        monkeypatch.setattr(kernels, "_COUNT_CELLS", cells)
+        monkeypatch.setattr(kernels, "_CHUNK_CELLS", cells)
+    rng = random.Random(29)
+    for q, tabs, perms, row_sets in _stack_cases(rng):
+        par = _parity_table(q).astype(np.int64)
+        for rows, walked, weight in row_sets:
+            spec = kernels.spectrum_hist(tabs, q, rows)
+            walsh = kernels.walsh_hist(perms, q, rows)
+            assert spec.shape == (7, q + 1) and walsh.shape == (7, 2 * q + 1)
+            for i in range(7):
+                assert np.array_equal(
+                    spec[i], weight * spectrum_hist_py(tabs[i], q, walked))
+                assert np.array_equal(
+                    walsh[i], weight * walsh_hist_py(perms[i], par, q, walked))
+                # a 1-D table is the stack of one
+                one = kernels.spectrum_hist(tabs[i], q, rows)
+                assert one.shape == (q + 1,)
+                assert np.array_equal(one, spec[i])
+                one = kernels.walsh_hist(perms[i], q, rows)
+                assert one.shape == (2 * q + 1,)
+                assert np.array_equal(one, walsh[i])
+
+
 def test_walsh_backends_agree():
     rng = random.Random(11)
     par = _parity_table(16).astype(np.int64)
@@ -124,7 +167,8 @@ def test_walsh_chunks_match_oracle(monkeypatch):
 def test_walsh_full_magnitude_at_m16():
     # an invertible linear map L of GF(2)^16: row b has the single
     # nonzero value W = q at a = L^T b, and -q once a constant c with
-    # b . c = 1 is added; any narrowing below int32 would wrap +-2^16
+    # b . c = 1 is added; any narrowing below int32 would wrap +-2^16,
+    # alone or stacked
     q = 1 << 16
     rng = random.Random(19)
     u = np.arange(q, dtype=np.int64)
@@ -138,6 +182,10 @@ def test_walsh_full_magnitude_at_m16():
     c = int(b[0]) & -int(b[0])  # one bit of b, so b . c = 1
     hist = kernels.walsh_hist(lin ^ c, q, (b, 1))
     assert hist[0] == 1 and hist[q] == q - 1 and hist.sum() == q
+    both = kernels.walsh_hist(np.stack([lin, lin ^ c]), q, (b, 1))
+    assert both.shape == (2, 2 * q + 1)
+    assert both[0, 2 * q] == 1 and both[1, 0] == 1
+    assert (both[:, q] == q - 1).all() and (both.sum(axis=1) == q).all()
 
 
 @pytest.mark.parametrize("m", range(1, 7))

@@ -8,17 +8,16 @@ import numpy as np
 import pytest
 
 import apnsurf.search as search
-from apnsurf.differential import (differential_spectrum, fingerprint_digest,
-                                  is_apn, walsh_fingerprint)
+from apnsurf.differential import fingerprint_digest, is_apn, walsh_fingerprint
 from apnsurf.errors import (ApnToolError, BecameZero, BudgetExceeded,
                             CorruptCheckpoint, InvalidParameters)
 from apnsurf.gf2m import Field
 from apnsurf.kernels import power_table, value_table
-from apnsurf.polyfunc import PolyFunc, affine_transform, is_q_affine, normalize
+from apnsurf.polyfunc import PolyFunc, affine_transform, normalize
 from apnsurf.search import (Hit, SearchJob, SearchResult, checkpoint_resume,
                             checkpoint_save, classify_degree6,
                             classify_degree7, classify_degree9, scan)
-from oracles import reduction_note_brute_force, scan_py
+from oracles import reduction_note_brute_force, scan_py, verify_hit_py
 
 F8 = Field(3)
 F16 = Field(4)
@@ -77,8 +76,8 @@ def test_scan_matches_direct_check():
 @functools.lru_cache(maxsize=None)
 def _oracle_hits(m, fixed, free):
     """(index, coeffs, delta, digest) of every hit of the family, from
-    the scalar scan of all candidates and a full spectrum of each
-    survivor."""
+    the scalar scan of all candidates and the per-hit verification of
+    each survivor."""
     field = Field(m)
     q = field.q
     ext, log, _ = field.tables()
@@ -87,16 +86,8 @@ def _oracle_hits(m, fixed, free):
     out = np.zeros(job.candidates, dtype=np.int64)
     n = scan_py(value_table(field, list(fixed)), monos.reshape(-1, q), q,
                 len(free), 0, job.candidates, ext, log, out)
-    hits = []
-    for index in out[:n].tolist():
-        f = job.candidate(index)
-        if f.is_zero or is_q_affine(f):
-            continue
-        delta = differential_spectrum(f).delta
-        assert delta == 2
-        hits.append((index, job.coeff_vector(index), delta,
-                     fingerprint_digest(walsh_fingerprint(f))))
-    return hits
+    hits = [verify_hit_py(job, index) for index in out[:n].tolist()]
+    return [h for h in hits if h is not None]
 
 
 def _oracle_range(m, fixed, free, lo, hi):
@@ -242,11 +233,95 @@ def test_checkpoint_rejects_garbage(tmp_path):
 
 
 def test_non_apn_survivor_raises(monkeypatch):
-    class Spectrum:
-        delta = 4
-    monkeypatch.setattr(search, "differential_spectrum", lambda f: Spectrum)
-    with pytest.raises(ApnToolError, match="uniformity 4"):
+    # every candidate of each shard reaches verification, the non-APN
+    # maps among them too
+    monkeypatch.setattr(search, "scan_range",
+                        lambda fixed, monos, field, lo, hi:
+                        (np.arange(lo, hi, dtype=np.int64), hi - lo))
+    with pytest.raises(ApnToolError, match="has differential uniformity"):
         scan(SearchJob(F16, [(6, 1)], (3, 5)))
+
+
+def _stacked_against_per_hit(job, survivors):
+    """The stacked verification of survivors and verify_hit_py on each,
+    as hit tuples or the message of the error raised."""
+    field = job.field
+    fixed = value_table(field, list(job.fixed_terms))
+    monos = np.array([power_table(field, e) for e in job.free_degrees],
+                     dtype=np.int64).reshape(-1, field.q)
+    try:
+        got = _as_tuples(search._verify_survivors(
+            job, fixed, monos, np.array(survivors, dtype=np.int64)))
+    except ApnToolError as e:
+        got = str(e)
+    try:
+        want = [h for h in map(functools.partial(verify_hit_py, job),
+                               survivors) if h is not None]
+    except ApnToolError as e:
+        want = str(e)
+    return got, want
+
+
+# (m, fixed terms, free degrees) verified on every candidate that is not
+# rejected per hit: an empty fixed part, whose index 0 is the zero map; a
+# constant and a power-of-two term; x^(q+2), which folds onto free degree
+# 3 where a3 = 7 cancels it, alone and beside x^6; and m = 2 and 3
+VERIFY_FAMILIES = [
+    (4, (), (3, 5)),
+    (4, ((0, 5), (2, 1)), (3, 5)),
+    (4, ((18, 7),), (3, 5)),
+    (4, ((18, 7), (6, 1)), (3, 5)),
+    (2, ((1, 1),), (3,)),
+    (3, (), (3, 5, 6)),
+]
+
+
+@pytest.mark.parametrize("chunk_cells", [1 << 20, 3 * 16])
+def test_stacked_verification_matches_per_hit(monkeypatch, chunk_cells):
+    # chunks of three survivors at q = 16 put chunk boundaries between
+    # hits; the default takes every survivor in one pass
+    monkeypatch.setattr(search, "_BATCH_CELLS", chunk_cells)
+    raised = 0
+    for m, fixed, free in VERIFY_FAMILIES:
+        job = SearchJob(Field(m), fixed, free)
+        accepted, rejected = [], []
+        for index in range(job.candidates):
+            try:
+                verify_hit_py(job, index)
+                accepted.append(index)
+            except ApnToolError:
+                rejected.append(index)
+        got, want = _stacked_against_per_hit(job, accepted)
+        assert got == want and len(want) > 0, (m, fixed, free)
+        if job.free_degrees and job.fixed_terms == ():
+            # index 0 is the zero map, dropped on both paths
+            assert want[0][0] != 0 and accepted[0] == 0
+        # the first non-APN survivor raises the same error on both paths
+        if rejected:
+            mixed = sorted(accepted[:5] + rejected[:2])
+            got, want = _stacked_against_per_hit(job, mixed)
+            assert got == want and "has differential uniformity" in got
+            raised += 1
+    assert raised == len(VERIFY_FAMILIES) - 1
+    if chunk_cells < 1 << 20:
+        return
+    # every scan of the nine classifications, on the survivors it verifies
+    seen = []
+    stacked = search._verify_survivors
+
+    def capture(job, fixed, monos, survivors):
+        hits = stacked(job, fixed, monos, survivors)
+        seen.append((job, survivors.tolist(), _as_tuples(hits)))
+        return hits
+    monkeypatch.setattr(search, "_verify_survivors", capture)
+    for m in (4, 5, 6):
+        classify_degree6(m)
+        classify_degree7(m)
+        classify_degree9(m)
+    assert sum(len(hits) for _, _, hits in seen) == 541
+    for job, survivors, hits in seen:
+        assert hits == [h for h in (verify_hit_py(job, i) for i in survivors)
+                        if h is not None]
 
 
 def test_shard_survivor_overflow_raises(monkeypatch):
