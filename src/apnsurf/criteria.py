@@ -8,11 +8,12 @@ found, unknown means the criterion simply does not decide the case.
 
 import math
 
-from .errors import DegreeCapExceeded, InvalidParameters, NoGoodEvaluationPoint
+from .errors import (DegreeCapExceeded, DegreeOutOfRange, InvalidParameters,
+                     NoGoodEvaluationPoint)
 from .gf2m import _is_pow2, _prime_factors
-from .mvpoly import (FACTOR_DEGREE_CAP, TriPoly, UniPoly, bi_factor, bi_gcd,
-                     bi_resultant, bi_squarefree, extension, uni_factor,
-                     uni_gcd, uni_gcd_many, uni_roots)
+from .mvpoly import (FACTOR_DEGREE_CAP, TriPoly, UniPoly, _partials_gcd,
+                     bi_factor, bi_gcd, bi_resultant, bi_squarefree,
+                     extension, uni_factor, uni_gcd, uni_gcd_many, uni_roots)
 from .surface import check_plane_form, infinity_curve
 
 ESTABLISHED = "established"
@@ -59,10 +60,17 @@ def _order_mod(a, n):
     return r
 
 
+def _check_curve_degree(d):
+    """No curve at infinity below degree 3, as in surface.infinity_curve."""
+    if d < 3:
+        raise DegreeOutOfRange(f"degree {d} below 3")
+
+
 def congruence_irreducible(d):
     """Residue-class test for absolute irreducibility of the curve at
     infinity of degree-d maps."""
     name = "congruence_irreducible"
+    _check_curve_degree(d)
     if d < 5:
         return CriterionVerdict(UNKNOWN, name, note="degenerate below degree 5")
     if d % 4 == 3:
@@ -76,6 +84,7 @@ def congruence_smooth(d):
     """Residue/order test establishing that the curve at infinity of an
     odd-degree map is smooth (hence absolutely irreducible for d >= 7)."""
     name = "congruence_smooth"
+    _check_curve_degree(d)
     if d % 2 == 0 or d < 7:
         return CriterionVerdict(UNKNOWN, name, note="needs odd degree >= 7")
     half = (d - 1) // 2
@@ -336,7 +345,12 @@ def curve_singular_points(curve):
 def binomial_criterion(d, r):
     """Coprimality/squarefreeness test on the two infinity curves of a
     two-term map x^d + a x^r; establishing it proves the quotient surface
-    absolutely irreducible for every nonzero coefficient a."""
+    absolutely irreducible for every nonzero coefficient a.
+
+    The odd layer is tested for squarefreeness first (r when d is even):
+    an even d >= 10 has the curve (x0 + x1)(x1 + x2)(x0 + x2) times
+    infinity_curve(d/2)^2, never squarefree, so testing it first wastes
+    a gcd chain."""
     name = "binomial_criterion"
     if not d > r >= 3:
         raise InvalidParameters("need d > r >= 3")
@@ -356,9 +370,11 @@ def binomial_criterion(d, r):
         return CriterionVerdict(UNKNOWN, name,
                                 note="curves share a component", witness=g)
     # a squarefree layer: x2 divides it at most once, its chart is squarefree
+    layers = [(cd, chart_d), (cr, chart_r)]
+    if d % 2 == 0:
+        layers.reverse()
     if any(min(e[2] for e in cur.terms) <= 1
-           and bi_squarefree(ch).total_degree == ch.total_degree
-           for cur, ch in ((cd, chart_d), (cr, chart_r))):
+           and _partials_gcd(ch).total_degree == 0 for cur, ch in layers):
         return CriterionVerdict(ESTABLISHED, name,
                                 note="coprime curves, squarefree layer")
     return CriterionVerdict(UNKNOWN, name, note="no squarefree layer")

@@ -914,6 +914,17 @@ def bi_resultant(p1, p2):
     return s.pow_(e).exact_div(h.pow_(e - 1))
 
 
+def _partials_gcd(p):
+    """gcd(p, dp/dx0, dp/dx1) of a nonzero TriPoly in x0 and x1, or p
+    itself when both partials vanish; constant exactly when p is
+    squarefree (docs/decisions.md, "Squarefree layer by one gcd chain")."""
+    g = p
+    for d in (p.partial(0), p.partial(1)):
+        if not d.is_zero:
+            g = bi_gcd(g, d)
+    return g
+
+
 def bi_squarefree(p):
     """Squarefree part of a TriPoly in x0 and x1: each irreducible factor
     exactly once, normalized so the graded-lex leading coefficient is 1."""
@@ -922,14 +933,9 @@ def bi_squarefree(p):
         raise InvalidParameters("squarefree part of the zero polynomial")
     if p.total_degree == 0:
         return TriPoly.const(f, 1)
-    pu = p.partial(0)
-    pv = p.partial(1)
-    if pu.is_zero and pv.is_zero:
+    g = _partials_gcd(p)
+    if g is p:  # both partials vanish: p is a square
         return bi_squarefree(_tri_sqrt(p))
-    g = p
-    for d in (pu, pv):
-        if not d.is_zero:
-            g = bi_gcd(g, d)
     if g.total_degree == 0:
         return _grlex_normalize(p)
     w = p.exact_divide(g)

@@ -34,6 +34,11 @@ mvpoly.bi_factor lifts a split of one specialization and recombines the
 lifted factors; bi_is_irreducible instead tries every possible factor of
 at most half the degree by exact division.
 
+criteria.binomial_criterion tests the odd layer first and stops the
+squarefree test at gcd(chart, partials); binomial_criterion_py tests
+the layers in the order (d, r), each by the degree of its whole
+bi_squarefree part.
+
 bounds._sign_p_plus_s_sqrtq decides the sign of p + s*sqrt(q) in one
 case split on the signs of p and s; sign_p_plus_s_sqrtq splits on the
 parity of m instead, with an integer sqrt(q) for even m and sqrt(2) for
@@ -50,9 +55,11 @@ from apnsurf.differential import (differential_spectrum, fingerprint_digest,
                                   walsh_fingerprint)
 from apnsurf.errors import (ApnToolError, DegreeTooSmall,
                             DiagonalNotConstant, NotDivisible)
-from apnsurf.mvpoly import TriPoly, uni_factor
+from apnsurf.criteria import CriterionVerdict
+from apnsurf.mvpoly import TriPoly, bi_gcd, bi_squarefree, uni_factor
 from apnsurf.polyfunc import (PolyFunc, affine_transform, is_q_affine,
                               normalize)
+from apnsurf.surface import infinity_curve
 
 
 def frobenius_twist(f):
@@ -90,6 +97,34 @@ def bi_is_irreducible(p):
             continue
         return False
     return True
+
+
+def binomial_criterion_py(d, r):
+    """criteria.binomial_criterion, d > r >= 3, with the layers in the
+    order (d, r), each decided squarefree when its bi_squarefree part
+    keeps the chart's total degree."""
+    name = "binomial_criterion"
+    if d & (d - 1) == 0 or r & (r - 1) == 0:
+        return CriterionVerdict("unknown", name, note="a layer is linearized")
+    if r == 3:
+        return CriterionVerdict(
+            "unknown", name,
+            note="lower layer has a constant curve at infinity")
+    cd, cr = infinity_curve(d), infinity_curve(r)
+    if min(e[2] for e in cd.terms) and min(e[2] for e in cr.terms):
+        return CriterionVerdict("unknown", name,
+                                note="curves share the line x2 = 0")
+    chart_d, chart_r = cd.dehomogenize(), cr.dehomogenize()
+    g = bi_gcd(chart_d, chart_r)
+    if g.total_degree > 0:
+        return CriterionVerdict("unknown", name,
+                                note="curves share a component", witness=g)
+    for cur, ch in ((cd, chart_d), (cr, chart_r)):
+        if (min(e[2] for e in cur.terms) <= 1
+                and bi_squarefree(ch).total_degree == ch.total_degree):
+            return CriterionVerdict("established", name,
+                                    note="coprime curves, squarefree layer")
+    return CriterionVerdict("unknown", name, note="no squarefree layer")
 
 
 def four_point_sum(f):

@@ -203,6 +203,17 @@ def test_criteria_exit_codes(capsys):
     assert rec["verdicts"][0]["status"] == "established"
 
 
+def test_criteria_degree_below_three_is_input_error(capsys):
+    # no degree-d curve at infinity exists below 3, as infinity_curve says
+    for d in ("-3", "0", "2"):
+        code, out, err = run(capsys, "criteria", "--d", d)
+        assert code == 2, d
+        assert out == "" and "below 3" in err, d
+    code, out, _ = run(capsys, "criteria", "--d", "3")
+    assert code == 1
+    assert out.count("unknown") == 2
+
+
 def test_seed_flag_is_usage_error(capsys):
     # no result ever depended on a seed, so the flag is gone
     with pytest.raises(SystemExit) as exc:

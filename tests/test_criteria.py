@@ -8,17 +8,20 @@ from apnsurf.criteria import (CriterionVerdict, SingularPoint, _extension,
                               congruence_irreducible, congruence_smooth,
                               curve_singular_points, exponent_pair_criterion,
                               surface_irreducible)
-from apnsurf.errors import DegreeCapExceeded, InvalidParameters
+from apnsurf.errors import (DegreeCapExceeded, DegreeOutOfRange,
+                            InvalidParameters)
 from apnsurf.gf2m import Field
 from apnsurf.mvpoly import TriPoly, extension
 from apnsurf.polyfunc import PolyFunc
 from apnsurf.surface import build_surface, infinity_curve
+from oracles import binomial_criterion_py
 
 F2 = Field(1)
 F8 = Field(3)
 F16 = Field(4)
 
 CONG_IRRED_5_50 = [7, 11, 15, 19, 21, 23, 27, 29, 31, 35, 37, 39, 43, 45, 47]
+SHARED_PAIRS = 66
 CONG_SMOOTH_BELOW_100 = [7, 11, 19, 23, 27, 35, 39, 47, 51, 55, 59, 67, 75,
                          83, 87, 95]
 
@@ -35,6 +38,13 @@ def test_congruence_smooth_frozen_set():
     assert got == CONG_SMOOTH_BELOW_100
     assert congruence_smooth(13).status == "unknown"
     assert congruence_smooth(12).status == "unknown"
+
+
+def test_congruence_criteria_reject_degrees_below_three():
+    for check in (congruence_irreducible, congruence_smooth):
+        for d in (-3, 0, 2):
+            with pytest.raises(DegreeOutOfRange, match="below 3"):
+                check(d)
 
 
 def test_congruence_smooth_87_branch():
@@ -251,6 +261,22 @@ def test_binomial_criterion():
     assert binomial_criterion(12, 8).status == "unknown"
     with pytest.raises(InvalidParameters):
         binomial_criterion(7, 13)
+
+
+def test_binomial_criterion_matches_oracle_on_pair_table():
+    # every pair 6 <= d <= 33, 3 <= r < d against the definition through
+    # bi_squarefree; a shared component divides both charts exactly
+    shared = 0
+    for d in range(6, 34):
+        for r in range(3, d):
+            got, want = binomial_criterion(d, r), binomial_criterion_py(d, r)
+            assert (got.status, got.note, repr(got.witness)) == \
+                (want.status, want.note, repr(want.witness)), (d, r)
+            if got.note == "curves share a component":
+                for e in (d, r):
+                    infinity_curve(e).dehomogenize().exact_divide(got.witness)
+                shared += 1
+    assert shared == SHARED_PAIRS
 
 
 def test_exponent_pair_criterion():

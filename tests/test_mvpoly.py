@@ -752,6 +752,66 @@ def test_bi_squarefree_of_square():
     assert sf == x0 + x1
 
 
+def _squarefree_by_partials(p):
+    return mvpoly._partials_gcd(p).total_degree == 0
+
+
+def _squarefree_by_part(p):
+    return bi_squarefree(p).total_degree == p.total_degree
+
+
+def _nonconstant(field, rng, x0_degree=0):
+    """A random TriPoly in x0, x1 of total degree >= 1 and x0-degree
+    >= x0_degree."""
+    while True:
+        p = rand_tri(field, rng.randrange(1, 4), rng)
+        if p.total_degree >= 1 and p.degree_in(0) >= x0_degree:
+            return p
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_squarefree_test_matches_bi_squarefree(m):
+    # planted products: a square factor of positive x0-degree, a square
+    # factor in x1 alone (in the content only), a pure square (both
+    # partials vanish), distinct lines, and constants; each is decided
+    # as bi_squarefree decides it, and as planted where that is known
+    field = Field(m)
+    rng = random.Random(400 + m)
+    x0, x1 = TriPoly.var(field, 0), TriPoly.var(field, 1)
+    for _ in range(12):
+        h = _nonconstant(field, rng, x0_degree=1)
+        c = bi_to_tri([rand_uni(field, rng.randrange(1, 3), rng)], field)
+        s = _nonconstant(field, rng)
+        k = _nonconstant(field, rng)
+        lines = TriPoly.const(field, 1)
+        for ab in rng.sample(range(field.q ** 2), 3):
+            a, b = divmod(ab, field.q)
+            lines = lines * (x0 + x1.scale(a) + TriPoly.const(field, b))
+        square = s * s
+        assert square.partial(0).is_zero and square.partial(1).is_zero
+        assert mvpoly._partials_gcd(square) is square
+        for p, planted in ((h * h * k, False), (c * c * k, False),
+                           (square, False), (lines, True), (lines * k, None),
+                           (h * k, None)):
+            got = _squarefree_by_partials(p)
+            assert got == _squarefree_by_part(p), p
+            assert planted is None or got == planted, p
+    for v in range(1, field.q):
+        assert _squarefree_by_partials(TriPoly.const(field, v))
+        assert _squarefree_by_part(TriPoly.const(field, v))
+
+
+def test_squarefree_test_on_infinity_charts():
+    # odd d and d = 6 give squarefree charts; for even d >= 10 the curve
+    # carries the square of the degree-d/2 curve, of positive degree
+    for d in range(5, 36):
+        if d & (d - 1):
+            chart = infinity_curve(d).dehomogenize()
+            got = _squarefree_by_partials(chart)
+            assert got == (d % 2 == 1 or d == 6), d
+            assert got == _squarefree_by_part(chart), d
+
+
 def test_bi_factor_reconstructs():
     rng = random.Random(83)
     for field in (F2, F4, F8):

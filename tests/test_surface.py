@@ -295,6 +295,20 @@ def test_infinity_part_matches_degree_only_curve():
     assert infinity_curve(3) == TriPoly.const(Field(1), 1)
 
 
+def test_even_infinity_curve_is_triple_lines_times_a_square():
+    # x^(2k) = (x^k)^2 in characteristic 2, so the quotient of degree 2k
+    # is the three lines times the square of the degree-k quotient; for
+    # 2k >= 10 the square is of positive degree and the curve is not
+    # squarefree
+    gf2 = Field(1)
+    x0, x1, x2 = (TriPoly.var(gf2, i) for i in range(3))
+    lines = (x0 + x1) * (x1 + x2) * (x0 + x2)
+    for k in range(3, 18):
+        if k & (k - 1):
+            half = infinity_curve(k)
+            assert infinity_curve(2 * k) == lines * half * half, k
+
+
 def test_infinity_curves_share_one_field():
     assert infinity_curve(7).field is infinity_curve(9).field
     assert infinity_curve(7).field == Field(1)
