@@ -2,7 +2,7 @@
 (d, r) = (13, 7) with its field cap, the sextic curve count bound, and
 the elliptic point-count threshold.
 
-Usage: python3 repro/exclusion_instances.py
+Usage: python3 repro/exclusion_instances.py > repro/exclusion_instances.txt
 """
 
 import sys

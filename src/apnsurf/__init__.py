@@ -10,18 +10,18 @@ from .polyfunc import (PolyFunc, affine_transform, catalogue,
                        known_apn_exponent, normalize, parse_family,
                        parse_poly)
 from .differential import (differential_spectrum, fingerprint_digest,
-                           is_apn, uniformity, walsh_fingerprint)
+                           is_apn, walsh_fingerprint)
 from .mvpoly import TriPoly
-from .surface import (Surface, apn_via_surface, build_surface, count_points,
+from .surface import (Surface, build_surface, count_points,
                       derivative_divisibility, diagonal_infinity_singular,
-                      infinity_curve, pencil_curve, section_at)
+                      infinity_curve)
 from .criteria import (absolutely_irreducible, binomial_criterion,
                        congruence_irreducible, congruence_smooth,
                        curve_singular_points, exponent_pair_criterion,
                        surface_irreducible)
-from .bounds import (IRREDUCIBLE, ISOLATED, bound_report, curve_exclusion,
+from .bounds import (IRREDUCIBLE, ISOLATED, curve_exclusion,
                      excludes_irreducible, excludes_isolated, hasse_weil_min,
-                     mmax, mmax_table, serre_bound)
+                     mmax, mmax_table)
 from .search import (SearchJob, checkpoint_resume, checkpoint_save,
                      classify_degree6, classify_degree7, classify_degree9,
                      scan)
@@ -31,19 +31,18 @@ __all__ = [
     "Field", "default_modulus", "is_irreducible",
     "PolyFunc", "normalize", "affine_transform", "parse_poly",
     "parse_family", "catalogue", "known_apn_exponent",
-    "differential_spectrum", "is_apn", "uniformity",
+    "differential_spectrum", "is_apn",
     "walsh_fingerprint", "fingerprint_digest",
     "TriPoly",
-    "Surface", "build_surface", "apn_via_surface", "count_points",
+    "Surface", "build_surface", "count_points",
     "derivative_divisibility", "diagonal_infinity_singular",
-    "infinity_curve", "pencil_curve", "section_at",
+    "infinity_curve",
     "absolutely_irreducible", "binomial_criterion",
     "congruence_irreducible", "congruence_smooth",
     "curve_singular_points", "exponent_pair_criterion",
     "surface_irreducible",
     "IRREDUCIBLE", "ISOLATED", "excludes_irreducible", "excludes_isolated",
-    "bound_report", "mmax", "mmax_table", "curve_exclusion",
-    "serre_bound", "hasse_weil_min",
+    "mmax", "mmax_table", "curve_exclusion", "hasse_weil_min",
     "SearchJob", "scan", "checkpoint_save", "checkpoint_resume",
     "classify_degree6", "classify_degree7", "classify_degree9",
     "errors",

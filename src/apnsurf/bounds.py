@@ -116,44 +116,6 @@ def excludes_isolated(d, m, form="exact"):
 _EXCLUDERS = {IRREDUCIBLE: excludes_irreducible, ISOLATED: excludes_isolated}
 
 
-class BoundReport:
-    """Evaluation record for both exclusion regimes at one (d, m).
-
-    lw_bound and deligne_bound are the error-term majorants
-    (d-4)(d-5)q^(3/2) + 18d^4*q and (d-4)(d-5)q^(3/2)
-    + (d^3-13d^2+57d-82)q; threshold is 4((d-3)q + 1).  They are
-    reported as floats for inspection only; the excluded_* flags come
-    from the exact integer decision.
-    """
-
-    __slots__ = ("d", "m", "q", "lw_bound", "deligne_bound", "threshold",
-                 "excluded_irreducible", "excluded_isolated", "form_used")
-
-    def __init__(self, d, m, form="exact"):
-        _check_args(d, m, form)
-        q = 1 << m
-        self.d = d
-        self.m = m
-        self.q = q
-        qr = math.sqrt(q)
-        self.lw_bound = (d - 4) * (d - 5) * q * qr + 18 * d ** 4 * q
-        self.deligne_bound = ((d - 4) * (d - 5) * q * qr
-                              + (d ** 3 - 13 * d * d + 57 * d - 82) * q)
-        self.threshold = 4 * ((d - 3) * q + 1)
-        self.excluded_irreducible = excludes_irreducible(d, m, form)
-        self.excluded_isolated = excludes_isolated(d, m, form)
-        self.form_used = form
-
-    def __repr__(self):
-        return ("BoundReport(d=%d, m=%d, irreducible=%s, isolated=%s, "
-                "form=%r)" % (self.d, self.m, self.excluded_irreducible,
-                              self.excluded_isolated, self.form_used))
-
-
-def bound_report(d, m, form="exact"):
-    return BoundReport(d, m, form)
-
-
 def mmax(d, kind=IRREDUCIBLE, form="exact", cap=M_CAP):
     """Largest m in 1..cap for which (d, m) is not excluded.
 
@@ -256,14 +218,6 @@ def mmax_table(kind=IRREDUCIBLE):
             raise ApnToolError("m_max decreases from d=%d to d=%d"
                                % (a.d, b.d))
     return MmaxTable(kind, rows)
-
-
-def serre_bound(curve_degree, q):
-    """Upper bound curve_degree*q + 1 on rational points of a plane
-    curve of that degree over a field with q elements."""
-    if curve_degree < 1 or q < 2:
-        raise InvalidParameters("need curve_degree >= 1 and q >= 2")
-    return curve_degree * q + 1
 
 
 def hasse_weil_min(q):

@@ -87,10 +87,6 @@ def is_apn(f):
     return kernels.is_apn_table(table, f.field.q, rows)
 
 
-def uniformity(f):
-    return differential_spectrum(f).delta
-
-
 def walsh_fingerprint(f):
     """Multiset of Walsh transform values over all (a, b) with b nonzero,
     as a dict value -> multiplicity."""

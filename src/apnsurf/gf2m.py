@@ -146,7 +146,6 @@ class Field:
         self._exp2_list = None
         if m <= _TABLE_LIMIT:
             self._build_tables()
-        self._trace_mask = self._build_trace_mask()
 
     # -- construction helpers --
 
@@ -253,11 +252,6 @@ class Field:
         a = self.check(a)
         return self.pow_(a, 1 << (self.m - 1)) if self.m > 1 else a
 
-    def trace(self, a):
-        """Absolute trace down to GF(2), returned as 0 or 1."""
-        a = self.check(a)
-        return (a & self._trace_mask).bit_count() & 1
-
     def elements(self):
         """All field elements in ascending integer order."""
         return range(self.q)
@@ -281,9 +275,10 @@ class Field:
             ext, log, _ = self.tables()
             xs = np.arange(self.q, dtype=np.int64)
             pm = np.zeros(self.q, dtype=np.int64)
+            mask = self._build_trace_mask()
             for i in range(self.m):
                 prod = self.mul_vec(np.full(self.q, 1 << i, dtype=np.int64), xs)
-                tr = _parity_table(self.q)[prod & self._trace_mask]
+                tr = _parity_table(self.q)[prod & mask]
                 pm |= tr.astype(np.int64) << i
             self._pair = pm
         return self._pair

@@ -9,7 +9,6 @@ linearized monomial (exponent a power of two).
 
 import math
 
-from . import kernels
 from .errors import BecameZero, InvalidParameters, ParseError, ZeroScalar
 from .gf2m import _is_pow2
 from .mvpoly import UniPoly
@@ -52,13 +51,6 @@ class PolyFunc:
 
     def terms(self):
         return [(i, v) for i, v in enumerate(self.poly.c) if v]
-
-    def evaluate(self, x):
-        return self.poly.eval_at(x)
-
-    def value_table(self):
-        """f(x) for every x, as an int64 array indexed by x."""
-        return kernels.value_table(self.field, self.terms())
 
     def __eq__(self, other):
         return (isinstance(other, PolyFunc) and self.field == other.field

@@ -103,15 +103,6 @@ class SearchJob:
             index //= q
         return tuple(out)
 
-    def index_of(self, coeffs):
-        return _base_q_index(coeffs, self.field.q)
-
-    def candidate(self, index):
-        terms = list(self.fixed_terms)
-        for e, c in zip(self.free_degrees, self.coeff_vector(index)):
-            terms.append((e, c))
-        return PolyFunc(self.field, terms)
-
     def family_hash(self):
         desc = "m=%d;poly=%#x;fixed=%r;free=%r" % (
             self.field.m, self.field.poly, self.fixed_terms,
@@ -543,8 +534,8 @@ def _degree9_reduction_note(field, full_hits, reduced_hit_sets):
     Each hit is swept over the whole (a, b) grid at once: a family
     accepts a cell when every coefficient outside its shape is 0, every
     pinned coefficient is 1 and the free coefficients, read as the
-    little-endian base-q index of SearchJob.index_of, name one of its
-    hits.
+    little-endian base-q index of SearchJob.coeff_vector, name one of
+    its hits.
     """
     q = field.q
     families = []

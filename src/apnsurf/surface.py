@@ -56,18 +56,6 @@ def _sum_of_vars(field, slots):
     return TriPoly._of(field, t)
 
 
-def _compose(f, slots):
-    """f evaluated at the sum of the variables in slots, as a TriPoly."""
-    arg = _sum_of_vars(f.field, slots)
-    out = TriPoly.zero(f.field)
-    cache = {}
-    for e, c in f.terms():
-        if e not in cache:
-            cache[e] = arg.pow_(e)
-        out = out + cache[e].scale(c)
-    return out
-
-
 def _linear_form(field, i, j):
     return TriPoly.var(field, i) + TriPoly.var(field, j)
 
@@ -141,24 +129,6 @@ def infinity_curve(d):
     if d < 3:
         raise DegreeOutOfRange(f"degree {d} below 3")
     return TriPoly._of(_GF2, dict.fromkeys(_monomial_quotient(d), 1))
-
-
-def section_at(surface, a):
-    """Plane section x2 = a of the surface, as a polynomial in x0, x1."""
-    return surface.poly.substitute_const(2, a)
-
-
-def pencil_curve(f):
-    """Common quotient of the sections x2 = x1 + a, with a left symbolic
-    in the third slot: [f(x0)+f(x1)+f(x1+a)+f(x0+a)] / [(x0+x1)(x0+x1+a)]."""
-    if f.is_zero or is_q_affine(f):
-        raise QAffineInput("map is affine: the four-point sum vanishes")
-    g = normalize(f)
-    num = (_compose(g, (0,)) + _compose(g, (1,))
-           + _compose(g, (1, 2)) + _compose(g, (0, 2)))
-    den = _linear_form(g.field, 0, 1) * (_linear_form(g.field, 0, 1)
-                                         + TriPoly.var(g.field, 2))
-    return num.exact_divide(den)
 
 
 def derivative_divisibility(surface):
@@ -289,9 +259,3 @@ def count_points(surface):
             raise ApnToolError(f"affine cone of the curve at infinity has "
                                f"{cone} points, not 1 mod q - 1")
     return PointCount(field.q, affine, on_locus, infinity)
-
-
-def apn_via_surface(f):
-    """Uniformity-two test through the surface: true exactly when every
-    affine rational point lies on the triple locus."""
-    return count_points(build_surface(f)).affine_off_locus == 0

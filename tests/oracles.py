@@ -39,6 +39,10 @@ squarefree test at gcd(chart, partials); binomial_criterion_py tests
 the layers in the order (d, r), each by the degree of its whole
 bi_squarefree part.
 
+Field.pair_table reads absolute traces through a mask of the basis
+elements' traces; trace_py sums the conjugates a + a^2 + ... + a^(2^(m-1))
+of one element through scalar multiplication.
+
 bounds._sign_p_plus_s_sqrtq decides the sign of p + s*sqrt(q) in one
 case split on the signs of p and s; sign_p_plus_s_sqrtq splits on the
 parity of m instead, with an integer sqrt(q) for even m and sqrt(2) for
@@ -60,6 +64,31 @@ from apnsurf.mvpoly import TriPoly, bi_gcd, bi_squarefree, uni_factor
 from apnsurf.polyfunc import (PolyFunc, affine_transform, is_q_affine,
                               normalize)
 from apnsurf.surface import infinity_curve
+
+
+def evaluate(f, x):
+    """f(x) for one field element, by Horner's rule on the map's
+    polynomial."""
+    return f.poly.eval_at(x)
+
+
+def candidate(job, index):
+    """The family member of a SearchJob at one candidate index."""
+    terms = list(job.fixed_terms)
+    terms.extend(zip(job.free_degrees, job.coeff_vector(index)))
+    return PolyFunc(job.field, terms)
+
+
+def trace_py(field, a):
+    """Absolute trace a + a^2 + ... + a^(2^(m-1)) down to GF(2), as 0
+    or 1."""
+    t, s = 0, field.check(a)
+    for _ in range(field.m):
+        t ^= s
+        s = field.mul(s, s)
+    if t not in (0, 1):
+        raise ApnToolError("trace of %d is %d, not in GF(2)" % (a, t))
+    return t
 
 
 def frobenius_twist(f):
@@ -230,7 +259,7 @@ def brute_count(surface):
 def verify_hit_py(job, index):
     """(index, coeffs, delta, digest) of one scan survivor, or None for a
     zero or q-affine map; any other survivor must have uniformity two."""
-    f = job.candidate(index)
+    f = candidate(job, index)
     if f.is_zero or is_q_affine(f):
         return None
     spec = differential_spectrum(f)

@@ -9,10 +9,9 @@ import pytest
 from oracles import sign_p_plus_s_sqrtq
 
 import apnsurf.bounds as bounds
-from apnsurf.bounds import (IRREDUCIBLE, ISOLATED, M_CAP, BoundReport,
-                            bound_report, curve_exclusion,
+from apnsurf.bounds import (IRREDUCIBLE, ISOLATED, M_CAP, curve_exclusion,
                             excludes_irreducible, excludes_isolated,
-                            hasse_weil_min, mmax, mmax_table, serre_bound)
+                            hasse_weil_min, mmax, mmax_table)
 from apnsurf.errors import ApnToolError, InvalidParameters
 
 # frozen (d, published, exact, sufficient, quarter) per regime; None
@@ -200,33 +199,9 @@ def test_curve_exclusion_elliptic():
 
 
 def test_serre_and_hasse_weil():
-    assert serre_bound(4, 8) == 33
-    assert serre_bound(3, 32) == 97
     assert hasse_weil_min(16) == 9
     assert hasse_weil_min(32) == 23
     assert hasse_weil_min(32) > 4 * 3
-
-
-def test_bound_report_fields():
-    r = bound_report(7, 10)
-    assert isinstance(r, BoundReport)
-    assert r.q == 1024
-    assert r.lw_bound > 0 and r.deligne_bound > 0 and r.threshold > 0
-    assert r.deligne_bound < r.lw_bound
-    assert r.threshold == 4 * (4 * 1024 + 1)
-    assert r.form_used == "exact"
-    assert not r.excluded_irreducible
-    r2 = bound_report(7, 16)
-    assert r2.excluded_irreducible and r2.excluded_isolated
-    assert "BoundReport" in repr(r2)
-
-
-def test_report_flags_match_direct_calls():
-    for d in (5, 7, 13, 36):
-        for m in (1, 6, 16, 25):
-            r = bound_report(d, m)
-            assert r.excluded_irreducible == excludes_irreducible(d, m)
-            assert r.excluded_isolated == excludes_isolated(d, m)
 
 
 def test_argument_validation():
@@ -244,8 +219,6 @@ def test_argument_validation():
         curve_exclusion(2, 16)
     with pytest.raises(InvalidParameters):
         curve_exclusion(6, 48)
-    with pytest.raises(InvalidParameters):
-        serre_bound(0, 8)
     with pytest.raises(InvalidParameters):
         hasse_weil_min(1)
 

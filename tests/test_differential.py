@@ -10,13 +10,12 @@ from apnsurf.differential import (
     differential_spectrum,
     fingerprint_digest,
     is_apn,
-    uniformity,
     walsh_fingerprint,
 )
 from apnsurf.errors import FieldTooLarge
 from apnsurf.gf2m import Field
 from apnsurf.polyfunc import PolyFunc, affine_transform
-from oracles import frobenius_twist
+from oracles import evaluate, frobenius_twist, trace_py
 
 F8 = Field(3)
 F16 = Field(4)
@@ -25,7 +24,7 @@ F16 = Field(4)
 def brute_spectrum(f):
     """Oracle: dictionary court of solution counts via direct evaluation."""
     q = f.field.q
-    vals = [f.evaluate(x) for x in range(q)]
+    vals = [evaluate(f, x) for x in range(q)]
     counts = {}
     for a in range(1, q):
         per_b = [0] * q
@@ -40,13 +39,14 @@ def brute_walsh(f):
     """Oracle: Walsh values by the defining double sum."""
     fld = f.field
     q = fld.q
-    vals = [f.evaluate(x) for x in range(q)]
+    vals = [evaluate(f, x) for x in range(q)]
     out = {}
     for b in range(1, q):
         for a in range(q):
             s = 0
             for x in range(q):
-                e = fld.trace(fld.mul(b, vals[x])) ^ fld.trace(fld.mul(a, x))
+                e = (trace_py(fld, fld.mul(b, vals[x]))
+                     ^ trace_py(fld, fld.mul(a, x)))
                 s += 1 - 2 * e
             out[s] = out.get(s, 0) + 1
     return out
@@ -84,7 +84,7 @@ def test_gold_map_is_uniformity_two():
     for m in (3, 4, 5, 6):
         f = PolyFunc(Field(m), [(3, 1)])
         assert is_apn(f)
-        assert uniformity(f) == 2
+        assert differential_spectrum(f).delta == 2
 
 
 def test_inverse_map_even_degree_is_four():

@@ -9,8 +9,8 @@ import pytest
 from apnsurf import kernels
 from apnsurf.gf2m import Field, _parity_table
 from apnsurf.polyfunc import PolyFunc
-from oracles import (candidate_tables_per_digit, is_apn_py, scan_py,
-                     spectrum_hist_py, walsh_hist_py)
+from oracles import (candidate_tables_per_digit, evaluate, is_apn_py,
+                     scan_py, spectrum_hist_py, walsh_hist_py)
 
 F16 = Field(4)
 
@@ -35,8 +35,7 @@ def test_value_table_matches_scalar():
         terms = [(rng.randrange(1, 16), rng.randrange(16)) for _ in range(3)]
         f = PolyFunc(F16, terms)
         tab = kernels.value_table(F16, f.terms())
-        assert tab.tolist() == [f.evaluate(x) for x in range(16)]
-        assert np.array_equal(f.value_table(), tab)
+        assert tab.tolist() == [evaluate(f, x) for x in range(16)]
 
 
 # every nonzero row, the coset representatives of the subgroups of order

@@ -1039,9 +1039,7 @@ ENTRY_POINTS = {
     "Field.div divisor": lambda v: F8.div(1, v),
     "Field.pow_": lambda v: F8.pow_(v, 2),
     "Field.sqrt": lambda v: F8.sqrt(v),
-    "Field.trace": lambda v: F8.trace(v),
     "PolyFunc": lambda v: PolyFunc(F8, [(3, v)]),
-    "PolyFunc.evaluate": lambda v: PolyFunc(F8, [(3, 1)]).evaluate(v),
     "parse_poly binding": lambda v: parse_poly(F8, "x^3 + A*x^5", {"A": v}),
     "parse_family binding": lambda v: parse_family(F8, "x^3 + A*x^5",
                                                    {"A": v}),

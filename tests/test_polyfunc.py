@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from oracles import evaluate
 
 from apnsurf.errors import (
     BecameZero,
@@ -43,7 +44,7 @@ def test_exponent_folding_preserves_map():
         assert f.degree < 8 or f.degree == 0
         for x in F8.elements():
             want = F8.mul(c, F8.pow_(x, e))
-            assert f.evaluate(x) == want
+            assert evaluate(f, x) == want
 
 
 def test_zero_coefficients_drop():
@@ -75,7 +76,7 @@ def test_normalize_keeps_map_difference_additive():
             g = normalize(f)
         except BecameZero:
             continue
-        h = [f.evaluate(x) ^ g.evaluate(x) for x in F16.elements()]
+        h = [evaluate(f, x) ^ evaluate(g, x) for x in F16.elements()]
         base = h[0]
         for x in F16.elements():
             for y in F16.elements():
@@ -88,7 +89,7 @@ def brute_delta(f):
     for a in range(1, q):
         counts = {}
         for x in range(q):
-            b = f.evaluate(x ^ a) ^ f.evaluate(x)
+            b = evaluate(f, x ^ a) ^ evaluate(f, x)
             counts[b] = counts.get(b, 0) + 1
         best = max(best, max(counts.values()))
     return best
@@ -103,8 +104,8 @@ def test_affine_transform_is_composition():
         c = rng.randrange(1, 8)
         g = affine_transform(f, a, b, c)
         for x in F8.elements():
-            want = F8.mul(c, f.evaluate(F8.mul(a, x) ^ b))
-            assert g.evaluate(x) == want
+            want = F8.mul(c, evaluate(f, F8.mul(a, x) ^ b))
+            assert evaluate(g, x) == want
 
 
 def test_affine_transform_preserves_uniformity():
@@ -134,8 +135,8 @@ def test_frobenius_twist_is_squared_map():
         f = rand_func(F16, 14, rng)
         g = frobenius_twist(f)
         for x in F16.elements():
-            v = f.evaluate(x)
-            assert g.evaluate(x) == F16.mul(v, v)
+            v = evaluate(f, x)
+            assert evaluate(g, x) == F16.mul(v, v)
 
 
 # ------------------------------------------------------------ known families

@@ -1,5 +1,6 @@
 """Golden outputs: the repro/ scripts regenerate every committed
-classification report and m_max table byte for byte."""
+classification report, m_max table and exclusion-instance listing byte
+for byte."""
 
 import importlib.util
 import os
@@ -34,6 +35,12 @@ def test_repro_artifacts_regenerate_byte_identical(tmp_path):
         with open(os.path.join(REPRO, name), "rb") as fh:
             want = fh.read()
         assert (tmp_path / name).read_bytes() == want, name
+
+
+def test_exclusion_instances_regenerate_byte_identical():
+    with open(os.path.join(REPRO, "exclusion_instances.txt"), "rb") as fh:
+        want = fh.read()
+    assert run_script("exclusion_instances.py").encode() == want
 
 
 def test_derivative_suite_same_under_optimize():

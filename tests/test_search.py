@@ -17,7 +17,8 @@ from apnsurf.polyfunc import PolyFunc, affine_transform, normalize
 from apnsurf.search import (Hit, SearchJob, SearchResult, checkpoint_resume,
                             checkpoint_save, classify_degree6,
                             classify_degree7, classify_degree9, scan)
-from oracles import reduction_note_brute_force, scan_py, verify_hit_py
+from oracles import (candidate, reduction_note_brute_force, scan_py,
+                     verify_hit_py)
 
 F8 = Field(3)
 F16 = Field(4)
@@ -44,11 +45,11 @@ def test_index_little_endian_roundtrip():
     job = SearchJob(F16, [(6, 1)], (3, 5))
     assert job.candidates == 256
     assert job.coeff_vector(7 + 3 * 16) == (7, 3)
-    assert job.index_of((7, 3)) == 55
-    f = job.candidate(55)
+    assert search._base_q_index((7, 3), 16) == 55
+    f = candidate(job, 55)
     assert dict(f.terms()) == {6: 1, 3: 7, 5: 3}
     assert job.coeff_vector(0) == (0, 0)
-    assert job.candidate(0) == PolyFunc.monomial(F16, 6)
+    assert candidate(job, 0) == PolyFunc.monomial(F16, 6)
 
 
 def test_scan_degree6_m4_frozen():

@@ -12,6 +12,9 @@
 
 The repro/ scripts keep the first rule too: their checks guard the
 counts and tables they report.
+
+Every name in apnsurf.__all__ has a reader outside the tests: a module
+under src/apnsurf, a repro/ script or a perfbench/ file refers to it.
 """
 
 import ast
@@ -23,6 +26,8 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "apnsurf"
 MODULES = sorted(SRC.glob("*.py"))
 REPRO_SCRIPTS = sorted((ROOT / "repro").glob("*.py"))
+PERFBENCH_FILES = sorted(p for p in (ROOT / "perfbench").glob("*.py")
+                         if not p.name.startswith("test_"))
 
 
 def violations(tree):
@@ -103,3 +108,83 @@ def test_tripoly_new_rule_sees_each_form():
            "def b():\n    return TriPoly.__new__(TriPoly)\n"
            "class Other:\n    def c(cls):\n        return cls.__new__(cls)\n")
     assert tri_new_sites(ast.parse(src)) == {"TriPoly.a", "b"}
+
+
+def exported_names(init_tree):
+    """The strings listed in the module's __all__."""
+    for node in init_tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__"
+                        for t in node.targets)):
+            return [elt.value for elt in node.value.elts]
+    raise ValueError("no __all__")
+
+
+def defined_names(stmt):
+    """Names a top-level statement defines: a def, a class, or the plain
+    names an assignment binds."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
+                         ast.ClassDef)):
+        return {stmt.name}
+    targets = (stmt.targets if isinstance(stmt, ast.Assign)
+               else [stmt.target] if isinstance(stmt, ast.AnnAssign) else [])
+    return {t.id for t in targets if isinstance(t, ast.Name)}
+
+
+def referenced_names(node):
+    """Identifiers, attribute names, imported names and string constants
+    under node."""
+    out = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            out.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            out.add(sub.attr)
+        elif isinstance(sub, ast.alias):
+            out.update(sub.name.split("."))
+            if sub.asname:
+                out.add(sub.asname)
+        elif isinstance(sub, ast.ImportFrom) and sub.module:
+            out.update(sub.module.split("."))
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            out.add(sub.value)
+    return out
+
+
+def unread_exports(init_tree, reader_trees):
+    """Names of __all__ that no reader refers to outside the top-level
+    statement that defines them."""
+    seen = set()
+    for tree in reader_trees:
+        for stmt in tree.body:
+            seen |= referenced_names(stmt) - defined_names(stmt)
+    return [n for n in exported_names(init_tree) if n not in seen]
+
+
+def test_every_export_has_a_reader_outside_the_tests():
+    readers = ([p for p in MODULES if p.name != "__init__.py"]
+               + REPRO_SCRIPTS + PERFBENCH_FILES)
+    trees = [ast.parse(p.read_text(), filename=str(p)) for p in readers]
+    init = ast.parse((SRC / "__init__.py").read_text())
+    assert unread_exports(init, trees) == []
+
+
+def test_export_rule_sees_each_reference():
+    init = ast.parse(
+        "from .a import *\n"
+        "__all__ = ['by_name', 'by_attr', 'by_alias', 'by_string',\n"
+        "           'recursive', 'CONST', 'only_in_init', 'in_other_def']\n"
+        "only_in_init = 1\n")
+    module = ast.parse(
+        "CONST = 3\n"
+        "def recursive(n):\n    return recursive(n - 1) + CONST\n"
+        "def by_name():\n    return 0\n"
+        "def user():\n    return by_name() + in_other_def\n"
+        "def in_other_def():\n    return in_other_def\n")
+    reader = ast.parse(
+        "import pkg\nfrom pkg.a import by_alias as other\n"
+        "pkg.by_attr\nNAMES = [('a', 'by_string')]\n")
+    assert unread_exports(init, [module, reader]) == [
+        "recursive", "only_in_init"]
+    assert unread_exports(init, [module]) == [
+        "by_attr", "by_alias", "by_string", "recursive", "only_in_init"]
