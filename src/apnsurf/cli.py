@@ -13,11 +13,13 @@ import json
 import os
 import sys
 
+from . import __version__
 from .bounds import IRREDUCIBLE, KINDS, mmax_table
 from .criteria import (binomial_criterion, congruence_irreducible,
                        congruence_smooth, exponent_pair_criterion)
 from .differential import differential_spectrum
-from .errors import ApnToolError, BudgetExceeded, DiagonalNotConstant
+from .errors import (ApnToolError, BudgetExceeded, DiagonalNotConstant,
+                     InvalidParameters)
 from .gf2m import Field
 from .polyfunc import parse_family, parse_poly
 from .search import (DEFAULT_BUDGET, SearchJob, checkpoint_resume,
@@ -176,12 +178,14 @@ def cmd_criteria(args):
 
 
 def cmd_search(args):
+    if args.resume and not args.checkpoint:
+        raise InvalidParameters("--resume needs --checkpoint FILE")
     field = _field(args.m, args.modulus)
     fixed, free = parse_family(field, args.family, _bindings(args))
     degrees = sorted(e for _, e in free)
     job = SearchJob(field, fixed, degrees, budget=args.budget)
     cursor = 0
-    if args.checkpoint and args.resume and os.path.exists(args.checkpoint):
+    if args.resume and os.path.exists(args.checkpoint):
         cursor = checkpoint_resume(args.checkpoint, job)
     code = 0
     try:
@@ -247,6 +251,8 @@ def build_parser():
     parser.add_argument("--format", choices=("text", "json", "csv"),
                         default="text")
     parser.add_argument("--workers", type=int, default=1)
+    parser.add_argument("--version", action="version",
+                        version="apnsurf %s" % __version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("apn-test", help="differential uniformity test")

@@ -32,8 +32,8 @@ from .differential import (fingerprint_digest, walsh_fingerprint,
 from .errors import (ApnToolError, BudgetExceeded, CorruptCheckpoint,
                      InvalidParameters)
 from .gf2m import Field, _is_pow2
-from .kernels import (_BATCH_CELLS, power_table, scan_range, scaling_rows,
-                      spectrum_hist, value_table)
+from .kernels import (_BATCH_CELLS, _COUNT_CELLS, power_table, scan_range,
+                      scaling_rows, spectrum_hist, value_table)
 from .polyfunc import PolyFunc
 
 DEFAULT_BUDGET = 1 << 30
@@ -499,44 +499,54 @@ def classify_degree7(m, workers=1):
         7, m, [FamilyScan("x^7+a6*x^6+a5*x^5+a3*x^3", result)], refs, notes)
 
 
-def _orbit_coefficients(f, d):
-    """Coefficients of a^-d * f(a*x + b) for every a != 0 and every b.
+def _orbit_coefficients(field, exps, coeffs, d):
+    """Coefficients of a^-d * f_h(a*x + b) for every map f_h of a stack,
+    every a != 0 and every b, in chunks of maps.
 
-    Returns {k: grid} for each exponent k that normalize keeps (not 0,
-    not a power of two) and some term of f reaches; grid[a - 1, b] is
-    the coefficient of x^k, an int64 array of shape (q - 1, q).  As in
-    affine_transform, (a*x + b)^e expands over the bit-submasks k of e
-    into (a*x)^k * b^(e - k), so the coefficient of x^k is the row
-    factor a^(k - d) times the column sum of f_e * b^(e - k) over the
-    terms e containing k.
+    f_h is the sum of coeffs[h, j] * x^exps[j]: coeffs is an int64
+    (H, len(exps)) stack over exponents below q.  Yields (lo, grids) per
+    chunk of maps lo, lo + 1, ...: grids maps each exponent k that
+    normalize keeps (not 0, not a power of two) and some exponent
+    reaches to an int64 array of shape (n, q - 1, q), and
+    grids[k][h, a - 1, b] is the coefficient of x^k in map lo + h.  As
+    in affine_transform, (a*x + b)^e expands over the bit-submasks k of
+    e into (a*x)^k * b^(e - k), so the coefficient of x^k is the row
+    factor a^(k - d) times the column sum of coeff_e * b^(e - k) over
+    the exponents e containing k.  The column sums of the whole stack,
+    one mul_vec per (e, k), and the row factors are taken once; a chunk
+    holds at most _COUNT_CELLS cells per grid.
     """
-    field = f.field
     q = field.q
     cols = {}
-    for e, coeff in f.terms():
+    for j, e in enumerate(exps):
         k = e
         while k:
             if not _is_pow2(k):
-                cols.setdefault(k, []).append((e - k, coeff))
+                col = field.mul_vec(coeffs[:, j, None],
+                                    power_table(field, e - k)[None, :])
+                cols[k] = cols[k] ^ col if k in cols else col
             k = (k - 1) & e
-    scale = power_table(field, (-d) % (q - 1))[1:]
-    return {k: field.mul_vec(
-                field.mul_vec(power_table(field, k)[1:], scale)[:, None],
-                value_table(field, terms)[None, :])
-            for k, terms in cols.items()}
+    rows = {k: power_table(field, (k - d) % (q - 1))[1:, None] for k in cols}
+    chunk = max(1, _COUNT_CELLS // (q * (q - 1)))
+    for lo in range(0, coeffs.shape[0], chunk):
+        yield lo, {k: field.mul_vec(rows[k], col[lo:lo + chunk, None, :])
+                   for k, col in cols.items()}
 
 
-def _degree9_reduction_note(field, full_hits, reduced_hit_sets):
-    """Check every full-family hit lands in a reduced family under some
-    substitution x -> a*x + b with the output rescaled monic, and
-    report the outcome.
+def _degree9_reduction_note(job, hits, reduced_hit_sets):
+    """Check every hit of the full family job lands in a reduced family
+    under some substitution x -> a*x + b with the output rescaled monic,
+    and report the outcome.
 
-    Each hit is swept over the whole (a, b) grid at once: a family
-    accepts a cell when every coefficient outside its shape is 0, every
-    pinned coefficient is 1 and the free coefficients, read as the
-    little-endian base-q index of SearchJob.coeff_vector, name one of
-    its hits.
+    A hit's map is the job's fixed terms plus its coefficients on
+    job.free_degrees.  The hits' (a, b) grids are swept in stacked
+    chunks (_orbit_coefficients): a family accepts a cell when every
+    coefficient outside its shape is 0, every pinned coefficient is 1
+    and the free coefficients, read as the little-endian base-q index
+    of SearchJob.coeff_vector, name one of its hits.  A hit maps in
+    when some family accepts some cell of its grid.
     """
+    field = job.field
     q = field.q
     families = []
     for degs, ones, hitset in reduced_hit_sets:
@@ -544,24 +554,20 @@ def _degree9_reduction_note(field, full_hits, reduced_hit_sets):
         for coeffs in hitset:
             table[_base_q_index(coeffs, q)] = True
         families.append(({9} | set(degs) | set(ones), degs, ones, table))
-    zero = np.zeros((q - 1, q), dtype=np.int64)
-    escapees = []
-    for h in full_hits:
-        f = PolyFunc(field, [(9, 1), (7, h.coeffs[3]), (6, h.coeffs[2]),
-                             (5, h.coeffs[1]), (3, h.coeffs[0])])
-        grids = _orbit_coefficients(f, 9)
+    exps = [e for e, _ in job.fixed_terms] + list(job.free_degrees)
+    coeffs = np.array([[c for _, c in job.fixed_terms] + list(h.coeffs)
+                       for h in hits], dtype=np.int64).reshape(-1, len(exps))
+    found = np.zeros(len(hits), dtype=bool)
+    for lo, grids in _orbit_coefficients(field, exps, coeffs, 9):
+        vanish = {k: grid == 0 for k, grid in grids.items()}
         for shape, degs, ones, table in families:
-            mask = table[_base_q_index([grids.get(e, zero) for e in degs],
-                                       q)]
-            for k, grid in grids.items():
-                if k not in shape:
-                    mask = mask & (grid == 0)
+            mask = table[_base_q_index([grids[e] for e in degs], q)]
+            for k in vanish.keys() - shape:
+                mask &= vanish[k]
             for e in ones:
-                mask = mask & (grids.get(e, zero) == 1)
-            if np.any(mask):
-                break
-        else:
-            escapees.append(h.coeffs)
+                mask &= grids[e] == 1
+            found[lo:lo + mask.shape[0]] |= mask.any(axis=(1, 2))
+    escapees = [h.coeffs for h, ok in zip(hits, found.tolist()) if not ok]
     if escapees:
         return ("full-family hits escaping the reduced families: %r"
                 % (escapees,))
@@ -627,6 +633,6 @@ def classify_degree9(m, workers=1):
             ((3, 6), (), {h.coeffs for h in scans[2].hits}),
             ((3, 5), (), {h.coeffs for h in scans[3].hits}),
         ]
-        notes.append(_degree9_reduction_note(field, full.hits,
+        notes.append(_degree9_reduction_note(full.job, full.hits,
                                              reduced_sets))
     return ClassifyReport(9, m, scans, refs, notes)

@@ -14,9 +14,11 @@ value table built from its digits; verify_hit_py verifies one survivor
 at a time from its own PolyFunc, over the rows of the map's scaling
 group.
 
-search._degree9_reduction_note sweeps each hit's whole (a, b) grid with
-array arithmetic; reduction_note_brute_force substitutes one (a, b) at
-a time through affine_transform and normalize.
+search._degree9_reduction_note sweeps the (a, b) grids of a stack of
+hits at once, chunk by chunk, from column sums and row factors shared
+by the stack (search._orbit_coefficients); reduction_note_brute_force
+builds each hit's PolyFunc and substitutes one (a, b) at a time through
+affine_transform and normalize.
 
 The kernels module vectorizes its loops over whole rows and batches of
 tables; spectrum_hist_py, is_apn_py, walsh_hist_py and scan_py walk the
@@ -270,15 +272,16 @@ def verify_hit_py(job, index):
     return index, job.coeff_vector(index), spec.delta, digest
 
 
-def reduction_note_brute_force(field, full_hits, reduced_hit_sets):
-    """Check every full-family hit lands in a reduced family under some
-    substitution x -> a*x + b with the output rescaled monic, and
-    report the outcome."""
+def reduction_note_brute_force(job, full_hits, reduced_hit_sets):
+    """Check every hit of the full family job lands in a reduced family
+    under some substitution x -> a*x + b with the output rescaled monic,
+    and report the outcome."""
+    field = job.field
     q = field.q
     escapees = []
     for h in full_hits:
-        f = PolyFunc(field, [(9, 1), (7, h.coeffs[3]), (6, h.coeffs[2]),
-                             (5, h.coeffs[1]), (3, h.coeffs[0])])
+        f = PolyFunc(field, list(job.fixed_terms)
+                     + list(zip(job.free_degrees, h.coeffs)))
         found = False
         for a in range(1, q):
             if found:

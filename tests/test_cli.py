@@ -1,14 +1,18 @@
 """Command line behaviour: outputs, formats, exit codes."""
 
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from apnsurf import cli
 from apnsurf.cli import build_parser, main
 from apnsurf.gf2m import Field
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run(capsys, *argv):
@@ -255,6 +259,35 @@ def test_search_budget_and_resume(capsys, tmp_path):
     assert code == 0
     summary = json.loads(out.strip().split("\n")[-1])
     assert summary["cursor"] == 256 and summary["scanned"] == 156
+
+
+def test_resume_without_checkpoint_is_usage_error(capsys):
+    # without a checkpoint file there is no cursor to resume from; the
+    # scan must not start over from index 0 as if it had resumed
+    code, out, err = run(capsys, "search", "--m", "4",
+                         "--family", "x^6 + A*x^5 + B*x^3", "--resume")
+    assert code == 2
+    assert out == ""
+    assert "--resume needs --checkpoint" in err
+
+
+def test_version_matches_pyproject(capsys):
+    text = (ROOT / "pyproject.toml").read_text()
+    version = re.search(r'^version = "([^"]+)"$', text, re.M).group(1)
+    with pytest.raises(SystemExit) as e:
+        main(["--version"])
+    assert e.value.code == 0
+    assert capsys.readouterr().out == "apnsurf %s\n" % version
+
+
+def test_readme_global_flags_are_the_parser_options():
+    text = (ROOT / "README.md").read_text()
+    sentence = re.search(r"Global flags: (.*?)\.\s", text, re.S).group(1)
+    documented = {flag.split()[0]
+                  for flag in re.findall(r"`([^`]+)`", sentence)}
+    options = {opt for action in build_parser()._actions
+               for opt in action.option_strings if opt.startswith("--")}
+    assert documented == options - {"--help"}
 
 
 def test_classify_cli(capsys):
