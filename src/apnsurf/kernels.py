@@ -24,6 +24,8 @@ _BATCH_CELLS = 1 << 20
 _CHUNK_CELLS = 1 << 16
 # bins (tables times rows times q) that spectrum_hist counts per block:
 # best of 2^14..2^16 at m = 13, where a block holds four rows of a table
+# (every row of one map: 0.206-0.217 s at 2^15, 0.215-0.249 s at 2^14,
+# 0.209-0.236 s at 2^16)
 _COUNT_CELLS = 1 << 15
 
 
@@ -138,8 +140,12 @@ def spectrum_hist(tables, q, rows=None):
     bit is clear, half of them, and counts each solution twice.  The rows
     are sorted and taken in runs of one top bit, in blocks of tables
     times rows with at most _COUNT_CELLS bins: each (table, a) pair
-    counts its differences in q bins of its own in one bincount, and
-    each table's counts then go through one more bincount."""
+    counts its differences in q bins of its own in one bincount.  Each x
+    of the block then gathers the count c of its bin, and one more
+    bincount over the block's q/2 elements per row, with the tables
+    offset by q/2 + 1 from each other, gives c times the number of bins
+    holding c pairs.  hist[2c] is that divided by c, and hist[0] the
+    rest of the len(rows) * q bins."""
     tables = np.ascontiguousarray(tables, dtype=np.int64)
     stack = tables.reshape(-1, q)
     avals, weight = _rows(q, rows)
@@ -148,6 +154,7 @@ def spectrum_hist(tables, q, rows=None):
     hist = np.zeros((n, q + 1), dtype=np.int64)
     half = q // 2
     xs = np.arange(q, dtype=np.int64)
+    top = 1
     tops = avals.searchsorted(1 << xs[:q.bit_length()]).tolist()
     for h in range(q.bit_length() - 1):
         run = avals[tops[h]:tops[h + 1]]
@@ -163,6 +170,12 @@ def spectrum_hist(tables, q, rows=None):
             # block, this puts them in bins (i*w + j)*q + b, b < q
             bins = group.take(xs_h, axis=1)[:, None, :] ^ np.arange(
                 0, k * w * q, q, dtype=np.int64).reshape(k, w, 1)
+            minlength = 0
+            if k > 1:
+                # table i's counts c go to bins i*(half + 1) + c
+                spread = np.arange(0, k * (half + 1), half + 1,
+                                   dtype=np.int64).reshape(k, 1, 1)
+                minlength = k * (half + 1)
             for j in range(0, run.shape[0], w):
                 idx = run[j:j + w, None] ^ xs_h
                 kw = idx.shape[0]
@@ -170,10 +183,23 @@ def spectrum_hist(tables, q, rows=None):
                 # come back column-major
                 d = group.take(idx.ravel(), axis=1).reshape(k, kw, half)
                 d ^= bins[:, :kw]
-                counts = np.bincount(d.ravel(), minlength=k * w * q)
-                for r, c in enumerate(counts.reshape(k, w * q), i):
-                    hist[r, ::2] += np.bincount(c[:kw * q],
-                                                minlength=half + 1)
+                # each x reads the count c of its bin in place, so a bin
+                # of c solution pairs is read c times; clip mode (every
+                # index is in range) is the one that does not buffer
+                np.bincount(d.ravel()).take(d, out=d, mode="clip")
+                if k > 1:
+                    d += spread
+                mult = np.bincount(d.ravel(), minlength=minlength)
+                mult = mult.reshape(k, -1)
+                top = max(top, mult.shape[1])
+                hist[i:i + k, :2 * mult.shape[1]:2] += mult
+    # hist[r, 2c] holds c times the number of bins of c pairs, for c
+    # below top, the width of the widest second bincount (a lone table's
+    # stops at its largest c); the other bins of the len(avals) rows of
+    # q hold no pair
+    pairs = hist[:, 2:2 * top:2]
+    pairs //= xs[1:top]
+    hist[:, 0] = avals.shape[0] * q - pairs.sum(axis=1)
     hist *= weight
     return hist.reshape(tables.shape[:-1] + (q + 1,))
 

@@ -40,6 +40,18 @@ def test_apn_test_false(capsys):
     assert "not uniformity two" in out
 
 
+def test_apn_test_affine_maps_reach_delta_q(capsys):
+    # every derivative of an affine map is constant: each row puts all q
+    # solutions on one b, through the one-row and the every-row paths
+    for poly in ("0", "x^2+3*x+5"):
+        code, out, _ = run(capsys, "--format", "json", "apn-test", "--m",
+                           "4", "--poly", poly)
+        assert code == 1
+        rec = json.loads(out)
+        assert rec["delta"] == 16
+        assert rec["counts"] == {"0": 225, "16": 15}
+
+
 def test_apn_test_parse_error(capsys):
     code, _, err = run(capsys, "apn-test", "--m", "3", "--poly", "x^^")
     assert code == 2

@@ -110,7 +110,10 @@ def _stack_cases(rng):
 
 # blocks of one row, of a few rows of one table, of every row of 2 or 3
 # tables (7 tables, not a multiple of either), and the defaults
-@pytest.mark.parametrize("cells", [1, 3 * 16, 2 * 63 * 64, 3 * 15 * 16, None])
+BLOCK_CELLS = [1, 3 * 16, 2 * 63 * 64, 3 * 15 * 16, None]
+
+
+@pytest.mark.parametrize("cells", BLOCK_CELLS)
 def test_stacked_kernels_match_oracle_per_table(monkeypatch, cells):
     if cells is not None:
         monkeypatch.setattr(kernels, "_COUNT_CELLS", cells)
@@ -134,6 +137,90 @@ def test_stacked_kernels_match_oracle_per_table(monkeypatch, cells):
                 one = kernels.walsh_hist(perms[i], q, rows)
                 assert one.shape == (2 * q + 1,)
                 assert np.array_equal(one, walsh[i])
+
+
+def _affine_tables(field, rng):
+    """The zero table and tables of c*x^(2^i) + const and of a sum of
+    such terms: every derivative of them is constant, so each row puts
+    all q solutions in one bin."""
+    q = field.q
+    tabs = [np.zeros(q, dtype=np.int64)]
+    for i in range(field.m):
+        tabs.append(kernels.value_table(field, [(1 << i, rng.randrange(1, q))])
+                    ^ rng.randrange(q))
+    terms = [(1 << i, rng.randrange(q)) for i in range(field.m)]
+    tabs.append(kernels.value_table(field, terms) ^ rng.randrange(q))
+    return tabs
+
+
+@pytest.mark.parametrize("cells", BLOCK_CELLS)
+def test_spectrum_top_multiplicity_in_stacks(monkeypatch, cells):
+    # affine tables reach hist[q], the top of each table's range of
+    # multiplicities in a block; random tables between them check that
+    # no table's counts spill into its neighbour's
+    if cells is not None:
+        monkeypatch.setattr(kernels, "_COUNT_CELLS", cells)
+    rng = random.Random(31)
+    for m in (1, 2, 4, 6):
+        field = Field(m)
+        q = field.q
+        flat = _affine_tables(field, rng)
+        tabs = []
+        for tab in flat:
+            tabs += [tab, rand_table(field, rng)]
+        tabs = np.stack(tabs)
+        rows = np.array(rng.sample(range(1, q), max(1, q // 3)),
+                        dtype=np.int64)
+        for walked, weight, spec in (
+                (np.arange(1, q), 1, kernels.spectrum_hist(tabs, q)),
+                (rows, 3, kernels.spectrum_hist(tabs, q, (rows, 3)))):
+            for i, tab in enumerate(tabs):
+                assert np.array_equal(
+                    spec[i], weight * spectrum_hist_py(tab, q, walked))
+            for i in range(0, tabs.shape[0], 2):
+                assert spec[i, q] == weight * walked.shape[0]
+                assert spec[i].sum() == weight * walked.shape[0] * q
+
+
+def test_spectrum_matches_oracle_at_m11():
+    # at m >= 10 a block holds a few rows of one table; two rows from
+    # each top-bit run (one for a = 1) of a stack of two random maps
+    rng = random.Random(37)
+    field = Field(11)
+    q = field.q
+    tabs = np.stack([kernels.value_table(field, [(rng.randrange(3, q),
+                                                  rng.randrange(1, q))
+                                                 for _ in range(3)])
+                     for _ in range(2)])
+    rows = np.array([1] + [a for h in range(1, 11)
+                           for a in rng.sample(range(1 << h, 2 << h), 2)],
+                    dtype=np.int64)
+    rng.shuffle(rows)
+    for weight in (1, 3):
+        spec = kernels.spectrum_hist(tabs, q, (rows, weight))
+        for i in range(2):
+            ref = spectrum_hist_py(tabs[i], q, rows)
+            assert np.array_equal(spec[i], weight * ref)
+            assert np.array_equal(
+                kernels.spectrum_hist(tabs[i], q, (rows, weight)), spec[i])
+
+
+def test_spectrum_full_row_identities_at_m12():
+    # over every row: q(q - 1) pairs (a, b), q(q - 1) pairs (a, x), and
+    # x and x + a solve the same equation, so every count is even
+    rng = random.Random(41)
+    field = Field(12)
+    q = field.q
+    tab = kernels.value_table(field, [(rng.randrange(3, q),
+                                       rng.randrange(1, q))
+                                      for _ in range(3)])
+    hist = kernels.spectrum_hist(tab, q)
+    cs = np.arange(q + 1)
+    assert hist.sum() == q * (q - 1)
+    assert (cs * hist).sum() == q * (q - 1)
+    assert not hist[1::2].any()
+    # and some bin holds two pairs or more
+    assert hist[4:].any()
 
 
 def test_walsh_backends_agree():
