@@ -250,7 +250,12 @@ def build_parser():
                     "GF(2^m)")
     parser.add_argument("--format", choices=("text", "json", "csv"),
                         default="text")
-    parser.add_argument("--workers", type=int, default=1)
+    parser.add_argument(
+        "--workers", type=int, default=1,
+        help="processes that scan the shards of each family in search and "
+             "classify (default 1).  Spectrum and Walsh passes in large "
+             "fields use every CPU this process may run on, whatever "
+             "this says; taskset limits them")
     parser.add_argument("--version", action="version",
                         version="apnsurf %s" % __version__)
     sub = parser.add_subparsers(dest="command", required=True)

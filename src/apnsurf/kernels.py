@@ -4,14 +4,18 @@ Field products go through the padded antilog/log tables of Field.tables(),
 in which log[0] is a sentinel index whose antilog reads as zero.  The
 family scan multiplies only rows of the product tables d * x^e and builds
 each candidate's value table by xoring such rows, so it pays for products
-per row, not per candidate.  Each public kernel is checked against a
+per row, not per candidate.  Large spectrum and Walsh passes split
+their rows over forked processes (_fan_out), which search.scan also
+deals its shards out with.  Each public kernel is checked against a
 plain scalar loop in tests/oracles.py.
 """
 
 import math
+import os
 
 import numpy as np
 
+from .errors import ApnToolError
 from .gf2m import _parity_table
 
 BACKEND = "numpy"
@@ -27,6 +31,113 @@ _CHUNK_CELLS = 1 << 16
 # (every row of one map: 0.206-0.217 s at 2^15, 0.215-0.249 s at 2^14,
 # 0.209-0.236 s at 2^16)
 _COUNT_CELLS = 1 << 15
+# cells (see spectrum_hist and walsh_hist) from which a row kernel splits
+# its rows over forked processes: on 2 CPUs, serial against forked, the
+# spectrum read 5.8 against 8.0 ms at 2^19, 10.6-10.9 against
+# 10.4-10.7 ms at 2^20 and 20.1-21.1 against 15.4-16.0 ms at 2^21;
+# Walsh broke even at 2^19 and read 19.2-19.4 against 14.7 ms at 2^20
+_FORK_CELLS = 1 << 20
+# the CPUs this process may run on, which taskset narrows
+_CPUS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+         else os.cpu_count() or 1)
+# set in a forked child, where every fan-out runs in process
+_forked = False
+
+
+def _run_child(part, i, r, w):
+    """Body of a forked child: write part(i)'s bytes to w and exit 0,
+    or its error's text and exit 1."""
+    global _forked
+    _forked = True
+    code = 1
+    try:
+        os.close(r)
+        try:
+            data, ok = np.ascontiguousarray(part(i), dtype=np.int64), 0
+        except BaseException as e:
+            data, ok = ("%s: %s" % (type(e).__name__, e)).encode(), 1
+        with open(w, "wb") as fh:
+            fh.write(data)
+        code = ok
+    finally:
+        os._exit(code)
+
+
+def _fork(part, i):
+    """(pid, read end of its pipe) of a child that runs part(i)."""
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(r)
+        os.close(w)
+        raise
+    if pid == 0:
+        _run_child(part, i, r, w)
+    os.close(w)
+    return pid, r
+
+
+def _reap(pid, r):
+    """(bytes, exit code) of a child: all it wrote to its pipe, then its
+    exit code once it has ended (minus the signal if one killed it)."""
+    try:
+        with open(r, "rb") as fh:
+            data = fh.read()
+    finally:
+        status = os.waitpid(pid, 0)[1]
+    return data, os.waitstatus_to_exitcode(status)
+
+
+def _fan_out(part, nparts):
+    """[part(0), ..., part(nparts - 1)], each a 1-D int64 array.
+
+    Part 0 runs in this process and every other part in a child made by
+    os.fork, which sends its array back through a pipe as raw bytes and
+    leaves with os._exit.  Every child's pipe is read to its end and
+    every child reaped before this returns or raises, so no process
+    outlives the call.  A failed child makes this raise ApnToolError
+    with the child's error.  Inside a child, where os.fork is missing,
+    or for a part whose fork fails, the parts run here."""
+    children = {}
+    out = [None] * nparts
+    try:
+        if not _forked and hasattr(os, "fork"):
+            for i in range(1, nparts):
+                try:
+                    children[i] = _fork(part, i)
+                except OSError:
+                    break
+        for i in range(nparts):
+            if i not in children:
+                out[i] = part(i)
+    finally:
+        reaped = {i: _reap(pid, r) for i, (pid, r) in children.items()}
+    failed = []
+    for i, (data, code) in reaped.items():
+        if code == 0:
+            out[i] = np.frombuffer(data, dtype=np.int64)
+        elif code > 0:
+            failed.append("part %d: %s" % (i, data.decode(errors="replace")))
+        else:
+            failed.append("part %d: killed by signal %d" % (i, -code))
+    if failed:
+        raise ApnToolError("forked process failed: %s" % "; ".join(failed))
+    return out
+
+
+def _split_rows(count, rows, cells):
+    """count(rows) for a row kernel of cells cells, whose counts add up
+    over any split of its rows: from _FORK_CELLS cells on, the sum of
+    count(rows[i::p]) over p processes (_fan_out), one per CPU but no
+    part below _FORK_CELLS / 2 cells."""
+    if cells < _FORK_CELLS:
+        return count(rows)
+    p = min(_CPUS, rows.shape[0], 2 * cells // _FORK_CELLS)
+    total, *rest = _fan_out(lambda i: count(rows[i::p]), p)
+    for part in rest:
+        total += part
+    return total
 
 
 def power_table(field, e):
@@ -126,30 +237,9 @@ def _rows(q, rows):
     return np.ascontiguousarray(elements, dtype=np.int64), weight
 
 
-def spectrum_hist(tables, q, rows=None):
-    """Histogram over solution counts: hist[c] = number of (a, b) pairs,
-    a nonzero, whose derivative equation has exactly c solutions.
-
-    tables is one value table, giving one histogram, or an (n, q) stack
-    of them, giving an (n, q + 1) array with one histogram per table.
-    rows is an (elements, weight) pair: only the rows a in elements are
-    walked, each counted weight times.  The default, every nonzero a with
-    weight 1, fits any map; scaling_rows gives the reduced set.
-
-    D_a(x) = D_a(x + a), so row a walks only the x whose bit at a's top
-    bit is clear, half of them, and counts each solution twice.  The rows
-    are sorted and taken in runs of one top bit, in blocks of tables
-    times rows with at most _COUNT_CELLS bins: each (table, a) pair
-    counts its differences in q bins of its own in one bincount.  Each x
-    of the block then gathers the count c of its bin, and one more
-    bincount over the block's q/2 elements per row, with the tables
-    offset by q/2 + 1 from each other, gives c times the number of bins
-    holding c pairs.  hist[2c] is that divided by c, and hist[0] the
-    rest of the len(rows) * q bins."""
-    tables = np.ascontiguousarray(tables, dtype=np.int64)
-    stack = tables.reshape(-1, q)
-    avals, weight = _rows(q, rows)
-    avals = np.sort(avals)
+def _spectrum_counts(stack, q, avals):
+    """Unweighted spectrum_hist of each table of stack over the
+    ascending rows avals, flat."""
     n = stack.shape[0]
     hist = np.zeros((n, q + 1), dtype=np.int64)
     half = q // 2
@@ -200,6 +290,39 @@ def spectrum_hist(tables, q, rows=None):
     pairs = hist[:, 2:2 * top:2]
     pairs //= xs[1:top]
     hist[:, 0] = avals.shape[0] * q - pairs.sum(axis=1)
+    return hist.ravel()
+
+
+def spectrum_hist(tables, q, rows=None):
+    """Histogram over solution counts: hist[c] = number of (a, b) pairs,
+    a nonzero, whose derivative equation has exactly c solutions.
+
+    tables is one value table, giving one histogram, or an (n, q) stack
+    of them, giving an (n, q + 1) array with one histogram per table.
+    rows is an (elements, weight) pair: only the rows a in elements are
+    walked, each counted weight times.  The default, every nonzero a with
+    weight 1, fits any map; scaling_rows gives the reduced set.
+
+    D_a(x) = D_a(x + a), so row a walks only the x whose bit at a's top
+    bit is clear, half of them, and counts each solution twice.  The rows
+    are sorted and taken in runs of one top bit, in blocks of tables
+    times rows with at most _COUNT_CELLS bins: each (table, a) pair
+    counts its differences in q bins of its own in one bincount.  Each x
+    of the block then gathers the count c of its bin, and one more
+    bincount over the block's q/2 elements per row, with the tables
+    offset by q/2 + 1 from each other, gives c times the number of bins
+    holding c pairs.  hist[2c] is that divided by c, and hist[0] the
+    rest of the len(rows) * q bins.  Histograms over disjoint rows add
+    up, so from _FORK_CELLS cells (tables times rows times q/2) on,
+    interleaved parts of the sorted rows are counted on forked processes
+    (_split_rows)."""
+    tables = np.ascontiguousarray(tables, dtype=np.int64)
+    stack = tables.reshape(-1, q)
+    avals, weight = _rows(q, rows)
+    avals = np.sort(avals)
+    n = stack.shape[0]
+    hist = _split_rows(lambda part: _spectrum_counts(stack, q, part), avals,
+                       n * avals.shape[0] * (q // 2))
     hist *= weight
     return hist.reshape(tables.shape[:-1] + (q + 1,))
 
@@ -212,22 +335,10 @@ def is_apn_table(table, q, rows=None):
     return _apn_survivors(table[None, :], q, avals).shape[0] == 1
 
 
-def walsh_hist(pmf_perms, q, rows=None):
-    """Histogram of Walsh transform values over all (a, b != 0); index
-    v + q holds the multiplicity of value v.  pmf_perms is one table or
-    an (n, q) stack of them, as in spectrum_hist, and so is the result;
-    rows selects and weights the b rows as in spectrum_hist.
-
-    Each stage of the transform reads the pairs (2i, 2i + 1) of one
-    buffer and writes their sums to the first half and their
-    differences to the second half of the other; m such stages give the
-    Walsh-Hadamard transform in natural order.  The buffers are int32
-    (|W| <= q <= 2^16) and hold the (table, b) rows of one block of
-    _CHUNK_CELLS cells."""
-    pmf_perms = np.ascontiguousarray(pmf_perms, dtype=np.int64)
-    stack = pmf_perms.reshape(-1, q)
+def _walsh_counts(stack, q, bvals):
+    """Unweighted walsh_hist of each table of stack over the b rows
+    bvals, flat."""
     sign = 1 - 2 * _parity_table(q).astype(np.int32)
-    bvals, weight = _rows(q, rows)
     n = stack.shape[0]
     hist = np.zeros((n, 2 * q + 1), dtype=np.int64)
     half = q // 2
@@ -250,6 +361,28 @@ def walsh_hist(pmf_perms, q, rows=None):
             t += per_table
             hist[i:i + k] += np.bincount(
                 t.ravel(), minlength=k * (2 * q + 1)).reshape(k, -1)
+    return hist.ravel()
+
+
+def walsh_hist(pmf_perms, q, rows=None):
+    """Histogram of Walsh transform values over all (a, b != 0); index
+    v + q holds the multiplicity of value v.  pmf_perms is one table or
+    an (n, q) stack of them, as in spectrum_hist, and so is the result;
+    rows selects and weights the b rows as in spectrum_hist.
+
+    Each stage of the transform reads the pairs (2i, 2i + 1) of one
+    buffer and writes their sums to the first half and their
+    differences to the second half of the other; m such stages give the
+    Walsh-Hadamard transform in natural order.  The buffers are int32
+    (|W| <= q <= 2^16) and hold the (table, b) rows of one block of
+    _CHUNK_CELLS cells.  From _FORK_CELLS cells (tables times b rows
+    times q) on, interleaved parts of the b rows are counted on forked
+    processes, as in spectrum_hist."""
+    pmf_perms = np.ascontiguousarray(pmf_perms, dtype=np.int64)
+    stack = pmf_perms.reshape(-1, q)
+    bvals, weight = _rows(q, rows)
+    hist = _split_rows(lambda part: _walsh_counts(stack, q, part), bvals,
+                       stack.shape[0] * bvals.shape[0] * q)
     hist *= weight
     return hist.reshape(pmf_perms.shape[:-1] + (2 * q + 1,))
 

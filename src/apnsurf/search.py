@@ -23,7 +23,6 @@ import hashlib
 import json
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -32,8 +31,8 @@ from .differential import (fingerprint_digest, walsh_fingerprint,
 from .errors import (ApnToolError, BudgetExceeded, CorruptCheckpoint,
                      InvalidParameters)
 from .gf2m import Field, _is_pow2
-from .kernels import (_BATCH_CELLS, _COUNT_CELLS, power_table, scan_range,
-                      scaling_rows, spectrum_hist, value_table)
+from .kernels import (_BATCH_CELLS, _COUNT_CELLS, _fan_out, power_table,
+                      scan_range, scaling_rows, spectrum_hist, value_table)
 from .polyfunc import PolyFunc
 
 DEFAULT_BUDGET = 1 << 30
@@ -301,9 +300,11 @@ def _map_block(field, cands, mults):
 def scan(job, start=0, stop=None, workers=1):
     """Scan candidate indices [start, stop) in ascending order.
 
-    The survivors of the early-abort kernel are verified in stacked
-    passes, each on its own full spectrum and fingerprint.  The hit list
-    is deterministic and independent of worker count.
+    The shards of the range are dealt out to workers processes, all but
+    one forked (kernels._fan_out).  The survivors of the early-abort
+    kernel are verified in stacked passes, each on its own full spectrum
+    and fingerprint.  The hit list is deterministic and independent of
+    worker count.
     When the job's budget cannot cover the range, the covered prefix is
     scanned and BudgetExceeded is raised with the partial result (its
     cursor marks the restart point) attached.
@@ -330,20 +331,18 @@ def scan(job, start=0, stop=None, workers=1):
     shards = [(s, min(s + SHARD, b)) for a, b in ranges
               for s in range(a, b, SHARD)]
 
-    def run(bounds):
-        lo, hi = bounds
-        hits, nh = scan_range(fixed_table, mono_tables, field, lo, hi)
-        if nh > hi - lo:
-            raise ApnToolError("shard [%d, %d) reported %d survivors"
-                               % (lo, hi, nh))
-        return hits
-    parts = [np.zeros(0, dtype=np.int64)]
-    if workers == 1 or len(shards) <= 1:
-        parts += [run(b) for b in shards]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts += pool.map(run, shards)
-    survivors = np.concatenate(parts)
+    def run(group):
+        parts = [np.zeros(0, dtype=np.int64)]
+        for lo, hi in group:
+            hits, nh = scan_range(fixed_table, mono_tables, field, lo, hi)
+            if nh > hi - lo:
+                raise ApnToolError("shard [%d, %d) reported %d survivors"
+                                   % (lo, hi, nh))
+            parts.append(hits)
+        return np.concatenate(parts)
+    p = max(1, min(workers, len(shards)))
+    survivors = np.sort(np.concatenate(
+        _fan_out(lambda i: run(shards[i::p]), p)))
     raw = [survivors[(survivors >= start) & (survivors < eff_stop)]]
     for r_lo, size, mults in maps:
         a, b = np.searchsorted(survivors, (r_lo, r_lo + size))

@@ -1,5 +1,6 @@
 """Each numpy kernel against its scalar loop in tests/oracles.py."""
 
+import os
 import random
 import tracemalloc
 
@@ -7,6 +8,8 @@ import numpy as np
 import pytest
 
 from apnsurf import kernels
+from apnsurf.cli import main
+from apnsurf.errors import ApnToolError
 from apnsurf.gf2m import Field, _parity_table
 from apnsurf.polyfunc import PolyFunc
 from oracles import (candidate_tables_per_digit, evaluate, is_apn_py,
@@ -272,6 +275,180 @@ def test_walsh_full_magnitude_at_m16():
     assert both.shape == (2, 2 * q + 1)
     assert both[0, 2 * q] == 1 and both[1, 0] == 1
     assert (both[:, q] == q - 1).all() and (both.sum(axis=1) == q).all()
+
+
+def _count_forks(monkeypatch):
+    forks = [0]
+    fork = kernels._fork
+
+    def counting(part, i):
+        forks[0] += 1
+        return fork(part, i)
+    monkeypatch.setattr(kernels, "_fork", counting)
+    return forks
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _fan_out_cases(rng):
+    """(kernel, tables, q, rows): one random table at m = 11 over every
+    row, a stack of three maps x^9 + c*x^6 + c'*x^3 at m = 10 over the
+    rows of their scaling group (weight 3), and random stacks at
+    q <= 64."""
+    field = Field(11)
+    tab = kernels.value_table(field, [(rng.randrange(3, field.q),
+                                       rng.randrange(1, field.q))
+                                      for _ in range(3)])
+    yield kernels.spectrum_hist, tab, field.q, None
+    yield kernels.walsh_hist, tab, field.q, None
+    field = Field(10)
+    terms = [[(9, 1), (6, rng.randrange(1, field.q)),
+              (3, rng.randrange(1, field.q))] for _ in range(3)]
+    rows, _ = kernels.scaling_rows(field, terms[0])
+    assert rows[1] == 3
+    tabs = np.stack([kernels.value_table(field, t) for t in terms])
+    yield kernels.spectrum_hist, tabs, field.q, rows
+    yield kernels.walsh_hist, tabs, field.q, rows
+    for q, tabs, perms, row_sets in _stack_cases(rng):
+        for rows, _, _ in row_sets:
+            yield kernels.spectrum_hist, tabs, q, rows
+            yield kernels.walsh_hist, perms, q, rows
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_row_kernels_same_on_forked_processes(monkeypatch, cpus):
+    # forced on for every call, a row kernel splits its rows over cpus
+    # processes (three parts on two CPUs too) and must give the serial
+    # arrays exactly
+    monkeypatch.setattr(kernels, "_CPUS", cpus)
+    forks = _count_forks(monkeypatch)
+    for kernel, tabs, q, rows in _fan_out_cases(random.Random(43)):
+        monkeypatch.setattr(kernels, "_FORK_CELLS", 1 << 62)
+        serial = kernel(tabs, q, rows)
+        assert forks[0] == 0
+        monkeypatch.setattr(kernels, "_FORK_CELLS", 1)
+        forked = kernel(tabs, q, rows)
+        nrows = q - 1 if rows is None else rows[0].shape[0]
+        assert forks[0] == min(cpus, nrows) - 1
+        forks[0] = 0
+        assert forked.dtype == serial.dtype == np.int64
+        assert forked.shape == serial.shape
+        assert np.array_equal(forked, serial)
+        if q > 64:
+            continue
+        walked = np.arange(1, q) if rows is None else rows[0]
+        weight = 1 if rows is None else rows[1]
+        for i, tab in enumerate(tabs):
+            if kernel is kernels.spectrum_hist:
+                ref = spectrum_hist_py(tab, q, walked)
+            else:
+                ref = walsh_hist_py(tab, _parity_table(q).astype(np.int64),
+                                    q, walked)
+            assert np.array_equal(forked[i], weight * ref)
+    _no_child_left()
+
+
+def test_row_split_parts_stay_above_half_the_threshold(monkeypatch):
+    # on many CPUs every row of one map at m = 11, 2047 * 1024 cells,
+    # makes three parts of at least 2^19 cells, not one per CPU
+    field = Field(11)
+    tab = kernels.value_table(field, [(13, 5), (6, 7), (3, 1)])
+    monkeypatch.setattr(kernels, "_FORK_CELLS", 1 << 62)
+    serial = kernels.spectrum_hist(tab, field.q)
+    monkeypatch.setattr(kernels, "_CPUS", 64)
+    monkeypatch.setattr(kernels, "_FORK_CELLS", 1 << 20)
+    forks = _count_forks(monkeypatch)
+    assert np.array_equal(kernels.spectrum_hist(tab, field.q), serial)
+    assert forks[0] == 2
+    _no_child_left()
+
+
+def test_fan_out_child_failure_raises_and_reaps():
+    parent = os.getpid()
+
+    def fails_in_child(i):
+        if os.getpid() != parent:
+            raise ValueError("part %d failed in its child" % i)
+        return np.arange(3)
+    with pytest.raises(ApnToolError,
+                       match="part 2: ValueError: part 2 failed in its child"):
+        kernels._fan_out(fails_in_child, 3)
+    _no_child_left()
+
+    def killed_in_child(i):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), 9)
+        return np.arange(3)
+    with pytest.raises(ApnToolError, match="killed by signal 9"):
+        kernels._fan_out(killed_in_child, 2)
+    _no_child_left()
+
+    # part 0 fails in this process: its error, once the children ended
+    def fails_here(i):
+        if i == 0:
+            raise KeyError("part 0")
+        return np.arange(i)
+    with pytest.raises(KeyError):
+        kernels._fan_out(fails_here, 3)
+    _no_child_left()
+
+    out = kernels._fan_out(lambda i: np.full(i, i, dtype=np.int64), 4)
+    assert [a.tolist() for a in out] == [[], [1], [2, 2], [3, 3, 3]]
+    _no_child_left()
+
+
+def test_fan_out_in_a_child_runs_serially(monkeypatch):
+    def pids(i):
+        inner = kernels._fan_out(
+            lambda j: np.array([os.getpid()], dtype=np.int64), 2)
+        return np.concatenate(inner)
+    here, child = kernels._fan_out(pids, 2)
+    # part 0 runs here and forks its own inner part; part 1's inner
+    # parts both run in part 1's process
+    assert here[0] == os.getpid() != here[1]
+    assert child[0] == child[1] != os.getpid()
+    _no_child_left()
+
+    # parts whose fork fails, or every part where os.fork is missing,
+    # run here
+    def pid(j):
+        return np.array([os.getpid()], dtype=np.int64)
+    forks = [0]
+    fork = os.fork
+
+    def fork_once():
+        forks[0] += 1
+        if forks[0] > 1:
+            raise BlockingIOError("no more processes")
+        return fork()
+    monkeypatch.setattr(os, "fork", fork_once)
+    out = [int(a[0]) for a in kernels._fan_out(pid, 4)]
+    assert out[1] != os.getpid()
+    assert [out[0]] + out[2:] == [os.getpid()] * 3
+    _no_child_left()
+    monkeypatch.delattr(os, "fork")
+    assert [int(a[0]) for a in kernels._fan_out(pid, 3)] == [os.getpid()] * 3
+
+
+def test_child_failure_exits_two(monkeypatch, capsys):
+    # a spectrum part failing in a forked child is an ApnToolError,
+    # which the CLI maps to exit 2
+    parent = os.getpid()
+    count = kernels._spectrum_counts
+
+    def fails_in_child(stack, q, avals):
+        if os.getpid() != parent:
+            raise MemoryError("no room in the child")
+        return count(stack, q, avals)
+    monkeypatch.setattr(kernels, "_spectrum_counts", fails_in_child)
+    monkeypatch.setattr(kernels, "_FORK_CELLS", 1)
+    monkeypatch.setattr(kernels, "_CPUS", 2)
+    assert main(["apn-test", "--m", "4", "--poly", "x^5 + x^3"]) == 2
+    assert "MemoryError: no room in the child" in capsys.readouterr().err
+    _no_child_left()
 
 
 @pytest.mark.parametrize("m", range(1, 7))

@@ -3,11 +3,13 @@
 import ast
 import functools
 import json
+import os
 import random
 
 import numpy as np
 import pytest
 
+import apnsurf.kernels as kernels
 import apnsurf.search as search
 from apnsurf.differential import fingerprint_digest, is_apn, walsh_fingerprint
 from apnsurf.errors import (ApnToolError, BecameZero, BudgetExceeded,
@@ -171,6 +173,36 @@ def test_worker_count_invariance(monkeypatch):
         assert _as_tuples(three.hits) == _as_tuples(one.hits)
         assert _as_tuples(one.hits) == _oracle_range(m, fixed, free, lo, hi)
         assert one.scanned == three.scanned == hi - lo
+
+
+def test_scan_shards_on_forked_processes(monkeypatch):
+    # two workers over ranges that cross representative blocks of
+    # SHORTENED, one shard group in a forked child
+    monkeypatch.setattr(search, "SHARD", 32)
+    forks = []
+    fork = kernels._fork
+    monkeypatch.setattr(kernels, "_fork",
+                        lambda part, i: forks.append(i) or fork(part, i))
+    m, fixed, free = SHORTENED
+    job = SearchJob(Field(m), fixed, free)
+    for lo, hi in ((0, 4096), (200, 3900), (2500, 2600)):
+        forks.clear()
+        res = scan(job, lo, hi, workers=2)
+        assert forks == [1]
+        assert _as_tuples(res.hits) == _oracle_range(m, fixed, free, lo, hi)
+        assert res.scanned == hi - lo and res.cursor == hi
+    # a shard that fails in the child fails the scan
+    parent = os.getpid()
+    kernel = search.scan_range
+
+    def fails_in_child(fixed, monos, field, lo, hi):
+        hits, nh = kernel(fixed, monos, field, lo, hi)
+        return hits, nh + (hi - lo) * (os.getpid() != parent)
+    monkeypatch.setattr(search, "scan_range", fails_in_child)
+    with pytest.raises(ApnToolError, match="part 1: .* survivors"):
+        scan(job, workers=2)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_split_scan_equals_full_scan():
