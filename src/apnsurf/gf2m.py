@@ -139,7 +139,6 @@ class Field:
         self._exp = None
         self._log = None
         self._exp_ext = None
-        self._logzero = None
         self._pair = None
         # scalar tables: log, and the antilog twice over (None for m > 16)
         self._log_list = None
@@ -181,7 +180,6 @@ class Field:
         self._exp = np.array(exp, dtype=np.int64)
         self._log = np.array(log, dtype=np.int64)
         self._exp_ext = ext
-        self._logzero = logzero
 
     def _pow_raw(self, a, e):
         r = 1
@@ -259,20 +257,19 @@ class Field:
     # -- bulk tables for the numeric kernels --
 
     def tables(self):
-        """(exp_ext, log, logzero) numpy arrays for kernel code; m <= 16 only."""
+        """(exp_ext, log) numpy arrays for kernel code; m <= 16 only."""
         if self._log is None:
             raise InvalidParameters(f"no multiplication tables for m = {self.m} > {_TABLE_LIMIT}")
-        return self._exp_ext, self._log, self._logzero
+        return self._exp_ext, self._log
 
     def mul_vec(self, a, b):
         """Elementwise product of two int64 arrays of field elements."""
-        ext, log, _ = self.tables()
+        ext, log = self.tables()
         return ext[log[a] + log[b]]
 
     def pair_table(self):
         """pm[x] with bit i equal to trace(basis_i * x); built lazily, m <= 16."""
         if self._pair is None:
-            ext, log, _ = self.tables()
             xs = np.arange(self.q, dtype=np.int64)
             pm = np.zeros(self.q, dtype=np.int64)
             mask = self._build_trace_mask()

@@ -148,7 +148,7 @@ def power_table(field, e):
         return np.ones(q, dtype=np.int64)
     if q == 2:
         return xs
-    ext, log, _ = field.tables()
+    ext, log = field.tables()
     out = ext[(log[xs] * e) % (q - 1)].copy()
     out[0] = 0
     return out

@@ -1,17 +1,17 @@
 """Polynomial maps on GF(2^m).
 
-A ``PolyFunc`` wraps a univariate polynomial read as a function on the
-field; exponents at or above q are folded back with x^e = x^(1+((e-1) mod
+A ``PolyFunc`` is a map on the field given by its nonzero terms;
+exponents at or above q are folded back with x^e = x^(1+((e-1) mod
 (q-1))), which preserves the induced map.  Normalization strips the parts
 that never affect differential behaviour: the constant term and every
 linearized monomial (exponent a power of two).
 """
 
 import math
+import operator
 
 from .errors import BecameZero, InvalidParameters, ParseError, ZeroScalar
 from .gf2m import _is_pow2
-from .mvpoly import UniPoly
 
 
 def _fold_exponent(e, q):
@@ -21,21 +21,23 @@ def _fold_exponent(e, q):
 
 
 class PolyFunc:
-    """A polynomial map, canonically reduced."""
+    """A polynomial map, canonically reduced: its nonzero (exponent,
+    coefficient) terms, ascending by exponent, with exponents below q."""
 
-    __slots__ = ("field", "poly")
+    __slots__ = ("field", "_terms")
 
     def __init__(self, field, terms):
         """terms: iterable of (exponent, coefficient)."""
         folded = {}
         for e, c in terms:
+            e = operator.index(e)
             if e < 0:
                 raise InvalidParameters(f"negative exponent {e}")
             c = field.check(c)
             e = _fold_exponent(e, field.q)
             folded[e] = folded.get(e, 0) ^ c
         self.field = field
-        self.poly = UniPoly.from_terms(field, folded.items())
+        self._terms = tuple(sorted((e, c) for e, c in folded.items() if c))
 
     @classmethod
     def monomial(cls, field, e, c=1):
@@ -43,27 +45,27 @@ class PolyFunc:
 
     @property
     def degree(self):
-        return self.poly.degree
+        return self._terms[-1][0] if self._terms else float("-inf")
 
     @property
     def is_zero(self):
-        return self.poly.is_zero
+        return not self._terms
 
     def terms(self):
-        return [(i, v) for i, v in enumerate(self.poly.c) if v]
+        return list(self._terms)
 
     def __eq__(self, other):
         return (isinstance(other, PolyFunc) and self.field == other.field
-                and self.poly == other.poly)
+                and self._terms == other._terms)
 
     def __hash__(self):
-        return hash((self.field, self.poly))
+        return hash((self.field, self._terms))
 
     def __repr__(self):
         if self.is_zero:
             return "PolyFunc(0)"
         parts = []
-        for e, c in reversed(self.terms()):
+        for e, c in reversed(self._terms):
             if e == 0:
                 parts.append(f"{c:#x}")
             else:
@@ -212,9 +214,9 @@ def _tokenize(text):
             toks.append(("int", int(text[i:j], 16)))
             i = j
             continue
-        if ch.isdigit():
+        if ch.isdecimal():
             j = i
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and text[j].isdecimal():
                 j += 1
             toks.append(("int", int(text[i:j])))
             i = j
@@ -227,79 +229,64 @@ def _tokenize(text):
     return toks
 
 
-def _parse_terms(text):
-    """Split into additive terms: each is (x_exponent, const_or_None, letter_or_None).
+def _parse(field, text, bindings):
+    """Read the terms of a polynomial expression in one pass.
 
-    A term is a product of factors; factors are x (optionally with ^e), an
-    integer constant, or a single placeholder letter.
+    A term is a product of factors: x (optionally ^e), an integer
+    constant (optionally ^e) and at most one letter; constants and bound
+    letters are multiplied in the field as they are read.  Returns
+    (fixed, free): fixed lists (exponent, coefficient) for each term
+    without an unbound letter, free lists (letter, exponent, coefficient)
+    for each term with one, both in the order of the text.
     """
     toks = _tokenize(text)
     if not toks:
         raise ParseError("empty expression")
-    terms = []
+    fixed, free = [], []
     pos = 0
 
-    def take_power(pos):
+    def power(pos):
+        """The exponent of the factor that ends before pos, and the
+        position after it."""
         if pos < len(toks) and toks[pos][0] == "^":
-            pos += 1
-            if pos >= len(toks) or toks[pos][0] != "int":
+            if pos + 1 >= len(toks) or toks[pos + 1][0] != "int":
                 raise ParseError("expected an integer exponent after '^'")
-            return toks[pos][1], pos + 1
+            return toks[pos + 1][1], pos + 2
         return 1, pos
 
-    while pos < len(toks):
-        xexp = 0
-        const = None
-        letter = None
-        saw = False
+    while True:
+        xexp, c, letter, saw = 0, 1, None, False
         while pos < len(toks) and toks[pos][0] != "+":
             kind, val = toks[pos]
+            pos += 1
             if kind == "*":
-                pos += 1
-                continue
-            if kind == "name" and val in ("x", "X"):
-                pos += 1
-                e, pos = take_power(pos)
-                xexp += e
-                saw = True
                 continue
             if kind == "int":
-                pos += 1
-                e, pos = take_power(pos)
-                if e != 1:
-                    val = ("pow", val, e)
-                const = val if const is None else ("mul", const, val)
-                saw = True
-                continue
-            if kind == "name":
+                e, pos = power(pos)
+                c = field.mul(c, field.pow_(val, e))
+            elif kind == "name" and val in ("x", "X"):
+                e, pos = power(pos)
+                xexp += e
+            elif kind == "name":
                 if letter is not None:
                     raise ParseError("at most one placeholder letter per term")
                 letter = val
-                pos += 1
-                saw = True
-                continue
-            raise ParseError(f"unexpected token {val!r}")
+                if letter in bindings:
+                    c = field.mul(c, bindings[letter])
+            else:
+                raise ParseError(f"unexpected token {val!r}")
+            saw = True
         if not saw:
             raise ParseError("empty term")
-        terms.append((xexp, const, letter))
-        if pos < len(toks):
-            pos += 1  # skip '+'
-            if pos >= len(toks):
-                raise ParseError("trailing '+'")
-    return terms
-
-
-def _eval_const(spec, field):
-    if spec is None:
-        return 1
-    if isinstance(spec, int):
-        return field.check(spec)
-    op = spec[0]
-    if op == "mul":
-        return field.mul(_eval_const(spec[1], field), _eval_const(spec[2], field))
-    if op == "pow":
-        return field.pow_(field.check(spec[1]), spec[2])
-    raise ParseError(f"bad constant expression {spec!r}")
+        if letter is None or letter in bindings:
+            fixed.append((xexp, c))
+        else:
+            free.append((letter, xexp, c))
+        if pos == len(toks):
+            return fixed, free
+        pos += 1  # skip '+'
+        if pos == len(toks):
+            raise ParseError("trailing '+'")
 
 
 def parse_poly(field, text, bindings=None):
@@ -307,16 +294,10 @@ def parse_poly(field, text, bindings=None):
 
     Placeholder letters must all be resolved through ``bindings``.
     """
-    bindings = bindings or {}
-    out = []
-    for xexp, const, letter in _parse_terms(text):
-        c = _eval_const(const, field)
-        if letter is not None:
-            if letter not in bindings:
-                raise ParseError(f"unbound coefficient {letter!r}")
-            c = field.mul(c, field.check(bindings[letter]))
-        out.append((xexp, c))
-    return PolyFunc(field, out)
+    fixed, free = _parse(field, text, bindings or {})
+    if free:
+        raise ParseError(f"unbound coefficient {free[0][0]!r}")
+    return PolyFunc(field, fixed)
 
 
 def parse_family(field, text, bindings=None):
@@ -326,22 +307,12 @@ def parse_family(field, text, bindings=None):
     coefficient) for the bound part, free a list of (letter, exponent) in
     order of first appearance.  Each letter may appear only once.
     """
-    bindings = bindings or {}
-    fixed = []
-    free = []
+    fixed, free = _parse(field, text, bindings or {})
     seen = set()
-    for xexp, const, letter in _parse_terms(text):
-        c = _eval_const(const, field)
-        if letter is not None and letter in bindings:
-            c = field.mul(c, field.check(bindings[letter]))
-            letter = None
-        if letter is None:
-            fixed.append((xexp, c))
-            continue
+    for letter, _, c in free:
         if letter in seen:
             raise ParseError(f"placeholder {letter!r} used twice")
         if c != 1:
             raise ParseError("placeholder terms cannot carry extra constants")
         seen.add(letter)
-        free.append((letter, xexp))
-    return fixed, free
+    return fixed, [(letter, e) for letter, e, _ in free]

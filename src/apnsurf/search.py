@@ -134,13 +134,9 @@ class SearchResult:
 
     cursor is the first index not yet processed; feeding it back as
     start continues the scan with an identical combined hit list.
-    aborted_early counts covered candidates that are not hits, rejected
-    by the early-abort pass directly or through their orbit
-    representative.
     """
 
-    __slots__ = ("job", "start", "cursor", "hits", "scanned",
-                 "aborted_early")
+    __slots__ = ("job", "start", "cursor", "hits", "scanned")
 
     def __init__(self, job, start, cursor, hits, scanned):
         self.job = job
@@ -148,7 +144,6 @@ class SearchResult:
         self.cursor = cursor
         self.hits = hits
         self.scanned = scanned
-        self.aborted_early = scanned - len(hits)
 
     def to_jsonl(self):
         lines = []
@@ -174,34 +169,27 @@ def _uniformities(tables, q, rows=None):
 
 
 def _verify_survivors(job, fixed_table, mono_tables, survivors):
-    """The hits among the ascending survivors, each verified on its own
-    value table, in stacked passes of at most _BATCH_CELLS table cells.
+    """The ascending survivors as hits, each verified on its own value
+    table, in stacked passes of at most _BATCH_CELLS table cells.
 
     A survivor's table is fixed_table xor its digits times mono_tables,
     the value tables of the fixed part and of the free monomials; its
     spectrum walks every nonzero a, since the fixed part's scaling group
-    need not hold once free terms are present.  A zero or q-affine map
-    is dropped, as PolyFunc reads it: a fixed exponent at or above q
-    folds onto a lower degree, possibly a free one.  Any other survivor
-    must have uniformity two, else ApnToolError."""
+    need not hold once free terms are present.  Every survivor must have
+    uniformity two, else ApnToolError: a zero or affine map has every
+    count equal to q, which the early-abort kernel never passes for
+    q >= 4."""
     field = job.field
     q = field.q
-    folded = dict(PolyFunc(field, job.fixed_terms).terms())
-    pinned = [folded.pop(e, 0) for e in job.free_degrees]
-    fixed_affine = all(e == 0 or _is_pow2(e) for e in folded)
+    if q == 2:
+        # every map over GF(2) is affine; its uniformity q reads as two,
+        # but an affine map is never reported
+        return []
     chunk = max(1, _BATCH_CELLS // q)
     hits = []
     for lo in range(0, survivors.shape[0], chunk):
         index = survivors[lo:lo + chunk]
         digits = [index // q ** j % q for j in range(len(job.free_degrees))]
-        if fixed_affine:
-            # affine unless some free coefficient differs from the fixed
-            # one folded onto its degree
-            keep = np.zeros(index.shape, dtype=bool)
-            for d, c in zip(digits, pinned):
-                keep |= d != c
-            index = index[keep]
-            digits = [d[keep] for d in digits]
         tables = np.broadcast_to(fixed_table, (index.shape[0], q)).copy()
         for d, mono in zip(digits, mono_tables):
             tables ^= field.mul_vec(d[:, None], mono[None, :])
@@ -413,11 +401,11 @@ class FamilyScan:
 
     __slots__ = ("label", "free_degrees", "hits", "scanned")
 
-    def __init__(self, label, result):
+    def __init__(self, label, free_degrees, hits, scanned):
         self.label = label
-        self.free_degrees = result.job.free_degrees
-        self.hits = result.hits
-        self.scanned = result.scanned
+        self.free_degrees = free_degrees
+        self.hits = hits
+        self.scanned = scanned
 
     def coeff_maps(self):
         """Hits as degree-keyed dicts, e.g. {"a3": 1, "a6": 9}."""
@@ -431,10 +419,9 @@ class FamilyScan:
         return {"label": self.label,
                 "free_degrees": list(self.free_degrees),
                 "scanned": self.scanned,
-                "hits": [{"coeffs": dict(zip(
-                    ("a%d" % e for e in self.free_degrees), h.coeffs)),
-                    "delta": h.delta, "digest": h.digest}
-                    for h in self.hits]}
+                "hits": [{"coeffs": coeffs, "delta": h.delta,
+                          "digest": h.digest}
+                         for h, coeffs in zip(self.hits, self.coeff_maps())]}
 
 
 class ClassifyReport:
@@ -449,9 +436,6 @@ class ClassifyReport:
         self.reference_digests = reference_digests
         self.notes = notes
 
-    def all_hits(self):
-        return [h for s in self.scans for h in s.hits]
-
     def as_dict(self):
         return {"degree": self.degree, "m": self.m,
                 "scans": [s.as_dict() for s in self.scans],
@@ -460,7 +444,7 @@ class ClassifyReport:
 
     def __repr__(self):
         return "ClassifyReport(degree=%d, m=%d, hits=%d)" % (
-            self.degree, self.m, len(self.all_hits()))
+            self.degree, self.m, sum(len(s.hits) for s in self.scans))
 
 
 def _reference_digest(field, e):
@@ -478,8 +462,9 @@ def classify_degree6(m, workers=1):
             "x^6": _reference_digest(field, 6)}
     notes = [FINGERPRINT_CAVEAT,
              "x^6 is a doubling twist of x^3, so their fingerprints agree"]
-    return ClassifyReport(6, m, [FamilyScan("x^6+a5*x^5+a3*x^3", result)],
-                          refs, notes)
+    scans = [FamilyScan("x^6+a5*x^5+a3*x^3", result.job.free_degrees,
+                        result.hits, result.scanned)]
+    return ClassifyReport(6, m, scans, refs, notes)
 
 
 def classify_degree7(m, workers=1):
@@ -494,8 +479,9 @@ def classify_degree7(m, workers=1):
     if result.hits:
         notes.append("every hit's fingerprint %s that of x^7" %
                      ("matches" if matched else "DOES NOT match"))
-    return ClassifyReport(
-        7, m, [FamilyScan("x^7+a6*x^6+a5*x^5+a3*x^3", result)], refs, notes)
+    scans = [FamilyScan("x^7+a6*x^6+a5*x^5+a3*x^3", result.job.free_degrees,
+                        result.hits, result.scanned)]
+    return ClassifyReport(7, m, scans, refs, notes)
 
 
 def _orbit_coefficients(field, exps, coeffs, d):
@@ -595,7 +581,8 @@ def classify_degree9(m, workers=1):
     scans = []
     for label, fixed, free in families:
         result = scan(SearchJob(field, fixed, free), workers=workers)
-        scans.append(FamilyScan(label, result))
+        scans.append(FamilyScan(label, result.job.free_degrees,
+                                result.hits, result.scanned))
 
     # coupled one-parameter family, nonzero parameter by construction, so
     # every member has the support {3, 6, 9} and its scaling rows
@@ -610,9 +597,8 @@ def classify_degree9(m, workers=1):
         Hit(a, (a,), 2, fingerprint_digest(fp))
         for a, fp in zip(a6[apn].tolist(),
                          walsh_fingerprints(field, tables[apn], walsh_rows))]
-    coupled_job = SearchJob(field, [(9, 1)], (6,))
-    coupled = SearchResult(coupled_job, 0, q, coupled_hits, q - 1)
-    scans.append(FamilyScan("x^9+a6*x^6+a6^2*x^3 (a6 nonzero)", coupled))
+    scans.append(FamilyScan("x^9+a6*x^6+a6^2*x^3 (a6 nonzero)", (6,),
+                            coupled_hits, q - 1))
 
     refs = {"x^3": _reference_digest(field, 3),
             "x^9": _reference_digest(field, 9)}
@@ -625,7 +611,9 @@ def classify_degree9(m, workers=1):
     if m <= 5:
         full = scan(SearchJob(field, [(9, 1)], (3, 5, 6, 7)),
                     workers=workers)
-        scans.append(FamilyScan("x^9+a7*x^7+a6*x^6+a5*x^5+a3*x^3", full))
+        scans.append(FamilyScan("x^9+a7*x^7+a6*x^6+a5*x^5+a3*x^3",
+                                full.job.free_degrees, full.hits,
+                                full.scanned))
         reduced_sets = [
             ((3, 5), (7,), {h.coeffs for h in scans[0].hits}),
             ((3, 6), (5,), {h.coeffs for h in scans[1].hits}),

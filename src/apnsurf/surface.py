@@ -219,14 +219,12 @@ def projective_plane_zeros(curve, field):
             raise FieldMismatch("curve must live over GF(2) or over field")
         curve = TriPoly._of(field, dict(curve.terms))
     q = field.q
-    ext, log, _ = field.tables()
     # chart x0 = 1
     acc = np.zeros((q, q), dtype=np.int64)
     for e, v in curve.terms.items():
-        col = kernels.power_table(field, e[1])
+        col = field.mul_vec(kernels.power_table(field, e[1]), v)
         row = kernels.power_table(field, e[2])
-        scaled = ext[log[col] + log[np.int64(v)]]
-        acc ^= ext[log[scaled[:, None]] + log[row[None, :]]]
+        acc ^= field.mul_vec(col[:, None], row[None, :])
     count = int((acc == 0).sum())
     # line x0 = 0, x1 = 1: the form reads sum of v*w^e2 there
     line = kernels.value_table(

@@ -69,9 +69,13 @@ from apnsurf.surface import infinity_curve
 
 
 def evaluate(f, x):
-    """f(x) for one field element, by Horner's rule on the map's
-    polynomial."""
-    return f.poly.eval_at(x)
+    """f(x) for one field element, the sum of c * x^e over the map's
+    terms."""
+    field = f.field
+    out = 0
+    for e, c in f.terms():
+        out ^= field.mul(c, field.pow_(x, e))
+    return out
 
 
 def candidate(job, index):

@@ -250,6 +250,15 @@ def test_search_json(capsys):
     assert summary["scanned"] == 256
 
 
+def test_search_over_gf2_has_no_hits(capsys):
+    # every map over GF(2) is affine, so none is reported
+    code, out, _ = run(capsys, "--format", "json", "search", "--m", "1",
+                       "--family", "x^3")
+    assert code == 0
+    assert json.loads(out) == {"candidates": 1, "complete": True,
+                               "cursor": 1, "hits": 0, "scanned": 1}
+
+
 def test_search_bind_shrinks_family(capsys):
     code, out, _ = run(capsys, "--format", "json", "search", "--m", "4",
                        "--family", "x^6 + A*x^5 + B*x^3", "--bind", "A=0")

@@ -511,7 +511,7 @@ def test_scan_range_memory_stays_batch_sized():
 def test_scan_backends_agree_and_hits_verify():
     field = F16
     q = field.q
-    ext, log, _ = field.tables()
+    ext, log = field.tables()
     fixed = kernels.value_table(field, [(3, 1)])
     monos = np.stack([kernels.power_table(field, 5),
                       kernels.power_table(field, 6)])
@@ -551,7 +551,7 @@ def test_scan_range_dispatch(monkeypatch):
     # oracle's survivors in the same ascending order, with batches below
     # one run of q candidates, across runs, of one run and of several
     field = F16
-    ext, log, _ = field.tables()
+    ext, log = field.tables()
     fixed = kernels.value_table(field, [(3, 1)])
     monos = np.stack([kernels.power_table(field, e) for e in (6, 5, 9)])
     ref = np.zeros(600, dtype=np.int64)

@@ -1,11 +1,13 @@
 """Function representation: reduction, normalization, transforms, catalogue."""
 
 import random
+import tracemalloc
 
 import pytest
 from oracles import evaluate
 
 from apnsurf.errors import (
+    ApnToolError,
     BecameZero,
     InvalidParameters,
     ParseError,
@@ -33,6 +35,32 @@ def rand_func(field, maxdeg, rng):
     terms = [(rng.randrange(maxdeg + 1), rng.randrange(field.q))
              for _ in range(rng.randrange(1, 6))]
     return PolyFunc(field, terms)
+
+
+def test_map_is_its_sorted_terms():
+    # x^18 folds onto x^3 at q = 16
+    f = PolyFunc(F16, [(9, 3), (18, 2), (0, 5), (3, 1)])
+    assert f.terms() == [(0, 5), (3, 3), (9, 3)] and f.degree == 9
+    assert repr(f) == "PolyFunc(0x3*x^9 + 0x3*x^3 + 0x5)"
+    assert f == PolyFunc(F16, [(0, 5), (9, 3), (3, 3)])
+    assert hash(f) == hash(PolyFunc(F16, [(3, 3), (9, 3), (0, 5)]))
+    zero = PolyFunc(F16, [(3, 1), (18, 1)])
+    assert zero.is_zero and zero.terms() == [] and zero.degree == float("-inf")
+
+
+def test_large_exponent_map_stays_small():
+    # a map keeps its terms only, not a coefficient per degree
+    field = Field(20)
+    tracemalloc.start()
+    try:
+        f = PolyFunc(field, [(2 ** 20 - 2, 1)])
+        assert f.terms() == [(2 ** 20 - 2, 1)]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+    g = PolyFunc(Field(32), [(2 ** 32 - 2, 1), (3, 1)])
+    assert g.degree == 2 ** 32 - 2 and len(g.terms()) == 2
 
 
 def test_exponent_folding_preserves_map():
@@ -235,3 +263,68 @@ def test_parse_family_with_bindings():
     fixed, free = parse_family(F16, "x^7 + A*x^6 + B*x^5", {"A": 3})
     assert fixed == [(7, 1), (6, 3)]
     assert free == [("B", 5)]
+
+
+def test_repr_round_trips_through_parse_poly():
+    rng = random.Random(22)
+    for m in range(1, 9):
+        field = Field(m)
+        for _ in range(40):
+            f = rand_func(field, 3 * field.q, rng)
+            text = repr(f)[len("PolyFunc("):-1]
+            assert parse_poly(field, text) == f, (m, text)
+
+
+# text, parser, bindings, and the terms (parse_poly), the (fixed, free)
+# pair (parse_family) or ParseError: the accepted language over GF(16)
+LANGUAGE = [
+    ("2*3*x", parse_poly, {}, [(1, 6)]),
+    ("2^3*x", parse_poly, {}, [(1, 8)]),
+    ("x**3", parse_poly, {}, [(3, 1)]),
+    ("0xa*x^3 + 1", parse_poly, {}, [(0, 1), (3, 10)]),
+    ("a*x^3 + 2*x*x", parse_poly, {"a": 3}, [(2, 2), (3, 3)]),
+    ("2^15*A*x^3 + a*x^5", parse_family, {"a": 2},
+     ([(5, 2)], [("A", 3)])),
+    # at most one letter per term, bound or free
+    ("a*b*x", parse_poly, {"a": 1, "b": 2}, ParseError),
+    ("a*b*x", parse_family, {"a": 1, "b": 2}, ParseError),
+    ("a*B*x", parse_family, {"a": 1}, ParseError),
+    # a free letter appears once, with no constant other than 1
+    ("2*A*x", parse_family, {}, ParseError),
+    ("A*x^3 + A*x^5", parse_family, {}, ParseError),
+    # parse_poly leaves no letter free
+    ("x^3 + a*x^5", parse_poly, {}, ParseError),
+    ("x^3 + a*x^5", parse_poly, {"b": 1}, ParseError),
+    # a digit int() reads is a digit; a superscript is not
+    ("x^\u0663", parse_poly, {}, [(3, 1)]),
+    ("x^\u00b2", parse_poly, {}, ParseError),
+]
+
+
+@pytest.mark.parametrize("text, parser, bindings, want", LANGUAGE,
+                         ids=[f"{t}-{p.__name__}" for t, p, _, _ in LANGUAGE])
+def test_language(text, parser, bindings, want):
+    if want is ParseError:
+        with pytest.raises(ParseError):
+            parser(F16, text, bindings)
+        return
+    got = parser(F16, text, bindings)
+    assert (got.terms() if parser is parse_poly else got) == want
+
+
+def test_random_token_strings_raise_only_tool_errors():
+    tokens = ["x", "X", "^", "**", "*", "+", "(", ")", "-", "0", "1", "3",
+              "15", "16", "99", "0xa", "0x", "0xZ", "a", "A", "b", " ", "$",
+              "\u00b2"]
+    rng = random.Random(7)
+    accepted = 0
+    for _ in range(3000):
+        text = "".join(rng.choice(tokens) for _ in range(rng.randint(0, 9)))
+        for parse in (lambda: parse_poly(F16, text, {"a": 3, "b": 99}),
+                      lambda: parse_family(F16, text, {"a": 3})):
+            try:
+                parse()
+                accepted += 1
+            except ApnToolError:
+                pass
+    assert accepted > 100

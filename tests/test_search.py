@@ -61,7 +61,6 @@ def test_scan_degree6_m4_frozen():
     assert [h.coeffs for h in res.hits] == [(0, 0)]
     assert res.hits[0].delta == 2
     assert res.scanned == 256 and res.cursor == 256
-    assert res.aborted_early == 255
     x3 = PolyFunc.monomial(F16, 3)
     assert res.hits[0].digest == fingerprint_digest(walsh_fingerprint(x3))
 
@@ -84,7 +83,7 @@ def _oracle_hits(m, fixed, free):
     each survivor."""
     field = Field(m)
     q = field.q
-    ext, log, _ = field.tables()
+    ext, log = field.tables()
     job = SearchJob(field, fixed, free)
     monos = np.array([power_table(field, e) for e in free], dtype=np.int64)
     out = np.zeros(job.candidates, dtype=np.int64)
@@ -296,10 +295,11 @@ def _stacked_against_per_hit(job, survivors):
     return got, want
 
 
-# (m, fixed terms, free degrees) verified on every candidate that is not
-# rejected per hit: an empty fixed part, whose index 0 is the zero map; a
-# constant and a power-of-two term; x^(q+2), which folds onto free degree
-# 3 where a3 = 7 cancels it, alone and beside x^6; and m = 2 and 3
+# (m, fixed terms, free degrees) verified on every candidate the per-hit
+# oracle accepts or rejects: an empty fixed part, whose index 0 is the
+# zero map; a constant and a power-of-two term; x^(q+2), which folds onto
+# free degree 3 where a3 = 7 cancels it, alone and beside x^6; and m = 2
+# and 3
 VERIFY_FAMILIES = [
     (4, (), (3, 5)),
     (4, ((0, 5), (2, 1)), (3, 5)),
@@ -318,18 +318,16 @@ def test_stacked_verification_matches_per_hit(monkeypatch, chunk_cells):
     raised = 0
     for m, fixed, free in VERIFY_FAMILIES:
         job = SearchJob(Field(m), fixed, free)
+        # the zero and affine maps, which no scan hands over, are left out
         accepted, rejected = [], []
         for index in range(job.candidates):
             try:
-                verify_hit_py(job, index)
-                accepted.append(index)
+                if verify_hit_py(job, index) is not None:
+                    accepted.append(index)
             except ApnToolError:
                 rejected.append(index)
         got, want = _stacked_against_per_hit(job, accepted)
         assert got == want and len(want) > 0, (m, fixed, free)
-        if job.free_degrees and job.fixed_terms == ():
-            # index 0 is the zero map, dropped on both paths
-            assert want[0][0] != 0 and accepted[0] == 0
         # the first non-APN survivor raises the same error on both paths
         if rejected:
             mixed = sorted(accepted[:5] + rejected[:2])
@@ -337,6 +335,10 @@ def test_stacked_verification_matches_per_hit(monkeypatch, chunk_cells):
             assert got == want and "has differential uniformity" in got
             raised += 1
     assert raised == len(VERIFY_FAMILIES) - 1
+    # the zero map, fed in directly, raises
+    got, want = _stacked_against_per_hit(SearchJob(Field(4), [], (3, 5)), [0])
+    assert want == [] and got == ("scan survivor 0 has differential "
+                                  "uniformity 16")
     if chunk_cells < 1 << 20:
         return
     # every scan of the nine classifications, on the survivors it verifies
@@ -388,7 +390,6 @@ def test_budget_exceeded_carries_partial_and_resumes():
         assert partial.cursor == start + 700 and partial.scanned == 700
         assert _as_tuples(partial.hits) == _oracle_range(
             m, fixed, free, start, start + 700)
-        assert partial.aborted_early == 700 - len(partial.hits)
 
 
 def test_budget_too_small_for_anything():
@@ -435,9 +436,10 @@ def test_hits_closed_under_scaling():
 def test_classify_degree6():
     for m in (4, 5):
         rep = classify_degree6(m)
-        assert [h.coeffs for h in rep.all_hits()] == [(0, 0)]
+        [fam] = rep.scans
+        assert [h.coeffs for h in fam.hits] == [(0, 0)]
         assert rep.reference_digests["x^3"] == rep.reference_digests["x^6"]
-        assert rep.all_hits()[0].digest == rep.reference_digests["x^3"]
+        assert fam.hits[0].digest == rep.reference_digests["x^3"]
         assert any("necessary but not sufficient" in n for n in rep.notes)
     with pytest.raises(InvalidParameters):
         classify_degree6(2)
@@ -445,9 +447,9 @@ def test_classify_degree6():
 
 def test_classify_degree7_m4_and_m5():
     rep4 = classify_degree7(4)
-    assert rep4.all_hits() == []
+    assert rep4.scans[0].hits == []
     rep5 = classify_degree7(5)
-    hits = rep5.all_hits()
+    hits = rep5.scans[0].hits
     assert hits
     coeffs = {h.coeffs for h in hits}
     assert (0, 0, 0) in coeffs

@@ -8,7 +8,9 @@
   would be a knob that changes nothing;
 - TriPoly.__new__ is called from one function, the unchecked
   constructor: every other TriPoly goes through it or through the
-  checking public constructor.
+  checking public constructor;
+- polyfunc imports from errors and gf2m only: a map is its terms, with
+  no polynomial arithmetic under it.
 
 The repro/ scripts keep the first rule too: their checks guard the
 counts and tables they report.
@@ -108,6 +110,36 @@ def test_tripoly_new_rule_sees_each_form():
            "def b():\n    return TriPoly.__new__(TriPoly)\n"
            "class Other:\n    def c(cls):\n        return cls.__new__(cls)\n")
     assert tri_new_sites(ast.parse(src)) == {"TriPoly.a", "b"}
+
+
+def package_imports(tree):
+    """The apnsurf modules a module imports from, by their names in the
+    package."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            out |= ({node.module} if node.module
+                    else {alias.name for alias in node.names})
+        elif isinstance(node, ast.ImportFrom):
+            if (node.module or "").startswith("apnsurf."):
+                out.add(node.module[len("apnsurf."):])
+        elif isinstance(node, ast.Import):
+            out |= {alias.name[len("apnsurf."):] for alias in node.names
+                    if alias.name.startswith("apnsurf.")}
+    return out
+
+
+def test_polyfunc_imports_from_errors_and_gf2m_only():
+    tree = ast.parse((SRC / "polyfunc.py").read_text())
+    assert package_imports(tree) == {"errors", "gf2m"}
+
+
+def test_package_imports_sees_each_form():
+    src = ("import math\nimport apnsurf.mvpoly\nfrom . import kernels\n"
+           "from .gf2m import Field\nfrom apnsurf.surface import x\n"
+           "def f():\n    from .search import scan\n")
+    assert package_imports(ast.parse(src)) == {
+        "mvpoly", "kernels", "gf2m", "surface", "search"}
 
 
 def exported_names(init_tree):
