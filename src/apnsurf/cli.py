@@ -117,12 +117,10 @@ def cmd_sigma(args):
             _emit(args, {"holds": False},
                   ["derivative divisibility fails"])
             return 1
-        payload = {"holds": True,
-                   "quotients": [_poly_text(p) for p in quotients]}
-        _emit(args, payload,
+        texts = [_poly_text(p) for p in quotients]
+        _emit(args, {"holds": True, "quotients": texts},
               ["derivative divisibility holds"] +
-              ["quotient %d: %s" % (i, _poly_text(p))
-               for i, p in enumerate(quotients)])
+              ["quotient %d: %s" % (i, text) for i, text in enumerate(texts)])
         return 0
     # check-singular
     try:

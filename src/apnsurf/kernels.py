@@ -409,31 +409,32 @@ def count_affine(terms, field):
     return off_locus + on_locus, on_locus
 
 
-def _candidate_tables(fixed_table, mono_tables, field, lo, hi):
-    """Value table of every candidate in [lo, hi), one row each: digit j
-    of the candidate in base q scales mono_tables[j] on top of
-    fixed_table.
+def _candidate_tables(fixed_table, mono_tables, field, lo, hi, runs):
+    """Value table of every candidate at positions [lo, hi) of the runs,
+    one row each: digit j of the candidate in base q scales
+    mono_tables[j] on top of fixed_table.
 
+    Run r holds the q candidates r*q .. r*q + q - 1, and position p is
+    candidate runs[p // q]*q + p % q, runs an ascending int64 array.
     The tables are xors of product rows P_j[d] = d * mono_tables[j].
-    Digit 0 varies fastest, so the candidates of one run r = c // q
-    share an upper row, fixed_table xor the higher digits' rows of r,
-    and candidate c is upper row r xor P_0[c % q].  The upper rows
-    broadcast against one block of P_0: the digits the range uses when
-    it lies in one run, else all of P_0, and the run-aligned result is
-    sliced from lo % q.  A range shorter than q across a run boundary
-    is built as its two one-run parts.  So only the product rows the
-    range uses are built, and no array exceeds 3 * (hi - lo) rows of q
-    cells."""
+    Digit 0 varies fastest, so the candidates of one run share an upper
+    row, fixed_table xor the higher digits' rows of r, and candidate c is
+    upper row r xor P_0[c % q].  The upper rows broadcast against one
+    block of P_0: the digits the range uses when it lies in one run, else
+    all of P_0, and the run-aligned result is sliced from lo % q.  A range
+    shorter than q across a run boundary is built as its two one-run
+    parts.  So only the product rows the range uses are built, and no
+    array exceeds 3 * (hi - lo) rows of q cells."""
     q = field.q
     n = hi - lo
     if n < q and lo // q != (hi - 1) // q:
         wrap = (hi - 1) // q * q
         return np.concatenate([
-            _candidate_tables(fixed_table, mono_tables, field, lo, wrap),
-            _candidate_tables(fixed_table, mono_tables, field, wrap, hi)])
+            _candidate_tables(fixed_table, mono_tables, field, a, b, runs)
+            for a, b in ((lo, wrap), (wrap, hi))])
     if mono_tables.shape[0] == 0:
         mono_tables = np.zeros((1, q), dtype=np.int64)
-    runs = np.arange(lo // q, (hi - 1) // q + 1, dtype=np.int64)
+    runs = runs[lo // q:(hi - 1) // q + 1].copy()
     upper = np.broadcast_to(fixed_table, (runs.shape[0], q)).copy()
     for mono in mono_tables[1:]:
         upper ^= field.mul_vec((runs % q)[:, None], mono[None, :])
@@ -448,10 +449,12 @@ def _candidate_tables(fixed_table, mono_tables, field, lo, hi):
     return tables.reshape(-1, q)[skip:skip + n]
 
 
-def scan_range(fixed_table, mono_tables, field, start, stop):
-    """Scan candidate coefficient vectors in [start, stop); returns the
-    ascending array of candidates that pass the derivative test on every
-    nonzero a, and its length."""
+def scan_range(fixed_table, mono_tables, field, start, stop, runs):
+    """Scan the candidates at positions [start, stop) of the ascending
+    runs (see _candidate_tables); returns the ascending array of
+    candidates that pass the derivative test on every nonzero a, and its
+    length.  Each batch of positions builds the tables of all its runs
+    in one broadcast."""
     q = field.q
     fixed_table = np.ascontiguousarray(fixed_table, dtype=np.int64)
     mono_tables = np.ascontiguousarray(mono_tables, dtype=np.int64)
@@ -462,9 +465,9 @@ def scan_range(fixed_table, mono_tables, field, start, stop):
         hi = min(lo + batch, stop)
         # the batch's tables are passed on, not kept: the survivor filter
         # then holds the only copy and shrinks it as candidates fail
-        alive = _apn_survivors(
-            _candidate_tables(fixed_table, mono_tables, field, lo, hi),
+        alive = lo + _apn_survivors(
+            _candidate_tables(fixed_table, mono_tables, field, lo, hi, runs),
             q, avals)
-        parts.append(lo + alive)
+        parts.append(runs[alive // q] * q + alive % q)
     survivors = np.concatenate(parts)
     return survivors, survivors.shape[0]

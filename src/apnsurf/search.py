@@ -5,13 +5,15 @@ A family is a fixed polynomial part plus free coefficients attached to
 a set of monomial degrees.  Candidates are indexed by little-endian
 base-q integers: digit j of the index is the coefficient of the j-th
 free degree (ascending).  A scan covers a contiguous index range.  The
-early-abort differential kernel runs on one block of candidates per
-scaling orbit of the top free digit; the survivors of the other blocks
-are mapped from it (see _scan_plan).  Every surviving candidate, mapped
-or not, is then verified on a value table built from its own digits,
-with a full spectrum and its Walsh fingerprint, so a reported hit never
-rests on the fast path alone.  The survivors are verified together, in
-stacked kernel passes over chunks of them (_verify_survivors).
+early-abort differential kernel runs on one run of q candidates (all
+values of digit 0) per orbit of the higher digits under the scalings
+x -> lam*x and the Frobenius twists that keep the fixed part; the
+survivors of the other runs are mapped from it (see _scan_plan).  Every
+surviving candidate, mapped or not, is then verified on a value table
+built from its own digits, with a full spectrum and its Walsh
+fingerprint, so a reported hit never rests on the fast path alone.  The
+survivors are verified together, in stacked kernel passes over chunks
+of them (_verify_survivors).
 
 Free degrees may not be powers of two: a linearized summand never
 changes differential behaviour, so scanning over its coefficient would
@@ -205,94 +207,230 @@ def _verify_survivors(job, fixed_table, mono_tables, survivors):
     return hits
 
 
-def _scan_plan(job, lo, hi):
-    """Cover the candidates [lo, hi) by ranges to scan and blocks to map.
+def _frobenius_step(field, fixed_terms):
+    """The least divisor k of m with c^(2^k) = c for every fixed
+    coefficient c: 1 when each is 0 or 1, m when one generates the
+    field."""
+    m, n = field.m, field.q - 1
+    logs = [int(field._log[c]) for _, c in fixed_terms]
+    return next(k for k in range(1, m + 1) if m % k == 0 and all(
+        lg * ((1 << k) - 1) % n == 0 for lg in logs))
 
-    For lam in the scaling group G of the fixed part (kernels.scaling_rows,
-    e0 its least exponent), lam^-e0 * f(lam*x) keeps the fixed part,
-    sends free coefficient a_e to a_e * lam^(e - e0) and keeps the
-    differential uniformity.  With k free digits left, the block of top
-    digit t is [t*B, (t + 1)*B), B = q^(k - 1).  A block the range fully
-    covers with t != 0 is taken from the block of r, the least t * lam^d
-    over G with d = e_top - e0: r's block is scanned, once, and mapped
-    onto t's with the lam for which r * lam^d = t.  The at most two
-    blocks the range partly covers are scanned; block 0 goes down one
-    digit.  So no more is scanned than [lo, hi), and exactly that when
-    no top digit has a nontrivial orbit.
 
-    Returns (ranges, maps): ranges lists the ascending disjoint [a, b)
-    ranges to scan; maps lists (r_lo, size, mults), the block
-    [r_lo, r_lo + size) whose survivors give a covered block once digit
-    j is multiplied by mults[j].
-    """
-    field = job.field
+class _Twists:
+    """The group of pairs (lam, i) that keep a family's fixed part: the
+    pair sends free coefficient a_e to lam^(e - e0) * a_e^(2^i).
+
+    lam runs over the scaling group G of the fixed part
+    (kernels.scaling_rows, order g, e0 the least fixed exponent) and i
+    over the r = m/k multiples f*k of k = _frobenius_step below m, so the
+    group has order g*r.  A pair is held as (log lam, f)."""
+
+    __slots__ = ("field", "g", "r", "pw", "logfrob", "shifts")
+
+    def __init__(self, job):
+        field = job.field
+        n = field.q - 1
+        _, self.g = scaling_rows(field, job.fixed_terms)[0]
+        e0 = job.fixed_terms[0][0] if job.fixed_terms else 0
+        k = _frobenius_step(field, job.fixed_terms)
+        _, log = field.tables()
+        self.field = field
+        self.r = field.m // k
+        self.pw = np.array([pow(2, f * k, n) for f in range(self.r)],
+                           dtype=np.int64)
+        # row f: the log of t^(2^(f*k)), the zero sentinel 2n at t = 0
+        self.logfrob = self.pw[:, None] * log % n
+        self.logfrob[:, 0] = 2 * n
+        self.shifts = [(e - e0) % n for e in job.free_degrees]
+
+    def image(self, lam, f, j, digits):
+        """Values digits of free digit j under the pairs (lam, f), which
+        broadcast against each other."""
+        ext, _ = self.field.tables()
+        n = self.field.q - 1
+        return ext[lam * self.shifts[j] % n + self.logfrob[f, digits]]
+
+
+def _plan_level(tw, level, base, lo, hi, h, ell, ok, last):
+    """One digit of _scan_plan for a block of nodes with level free
+    digits: node i covers [lo[i], hi[i]) of the block at base[i].  Its
+    stabilizer is the union, over the f with ok[i, f], of the cosets
+    alpha^ell[i, f] * K_i of the subgroup K_i of G of order h[i], paired
+    with f.
+
+    With d = e - e0 of the digit, K^d is the subgroup of the field whose
+    logs are the multiples of u = (q - 1)/h * gcd(h, d), so the orbit of
+    t != 0 is the union over f of the cosets d*ell + 2^(f*k)*log t + u*Z,
+    and its least element comes from the minima of the cosets of u.
+    lam = alpha^(ell + (q - 1)/h * x) takes t to t' under f when
+    (d/gcd(h, d))*x = (log t' - 2^(f*k)*log t - d*ell)/u modulo
+    h/gcd(h, d), which is solvable iff u divides the right side; t' = t
+    gives the child's stabilizer, of order gcd(h, d) in G.
+
+    Returns (children, maps): children is (base, lo, hi, h, ell, ok) of
+    the blocks to plan one digit down (the last three None when last),
+    and maps is (src, lam, f): block src gives a covered block under the
+    pair (lam, f)."""
+    field = tw.field
     q = field.q
     n = q - 1
-    degs = job.free_degrees
-    _, g = scaling_rows(field, job.fixed_terms)[0]
-    e0 = job.fixed_terms[0][0] if job.fixed_terms else 0
-    ranges, maps = [], []
-    for k in range(len(degs), 0, -1):
-        size = q ** (k - 1)
-        head = max(lo, size)
-        first, last = -(-head // size), hi // size
-        if first >= last:
-            ranges.append((head, hi))
-        else:
-            ranges += [(head, first * size), (last * size, hi)]
-            # lam^d runs over the subgroup of order s generated by
-            # alpha^w, so column c of orbits is the orbit of alpha^c
-            d = degs[k - 1] - e0
-            h = math.gcd(g, d)
-            s = g // h
-            w = n // s
-            orbits = field._exp.reshape(s, w)
-            low = orbits.argmin(axis=0)
-            step = pow(d // h, -1, s)
-            for t in range(first, last):
-                i, c = divmod(int(field._log[t]), w)
-                r = int(orbits[low[c], c])
-                ranges.append((r * size, (r + 1) * size))
-                if r != t:
-                    # log of the lam = alpha^(j*n/g) with
-                    # lam^d = alpha^(w*(i - low[c])) = t / r
-                    lam = (i - int(low[c])) * step % s * (n // g)
-                    maps.append((r * size, size, [
-                        int(field._exp[lam * (e - e0) % n])
-                        for e in degs[:k]]))
-        hi = min(hi, size)
-    ranges.append((lo, hi))
-    return _merge_ranges(ranges), maps
+    _, log = field.tables()
+    size = q ** (level - 1)
+    d = tw.shifts[level - 1]
+    t = np.arange(q, dtype=np.int64)
+    # per order h of K: the coset size v = h/gcd(h, d), so u = (q - 1)/v,
+    # the minima of the cosets of u, and (d/gcd(h, d))^-1 modulo v
+    hs = sorted(set(h.tolist()))
+    vs = [x // math.gcd(x, d) for x in hs]
+    per = np.searchsorted(hs, h)
+    v = np.array(vs, dtype=np.int64)[per]
+    u = n // v
+    mins = np.concatenate([field._exp.reshape(y, -1).min(axis=0) for y in vs])
+    offset = np.cumsum([0] + [n // y for y in vs[:-1]])[per]
+    inv = np.array([pow(d // (x // y), -1, y) for x, y in zip(hs, vs)],
+                   dtype=np.int64)[per]
+
+    def solve(node, cols, src):
+        """Per f, whether a pair (lam, f) of node's stabilizer takes src to
+        cols (both nonzero), and the lam of one."""
+        rhs = (log[cols][:, None] - tw.pw * log[src][:, None]
+               - d * ell[node]) % n
+        good = ok[node] & (rhs % u[node, None] == 0)
+        x = rhs // u[node, None] * inv[node, None] % v[node, None]
+        return good, (ell[node] + n // h[node, None] * x) % n
+
+    rho = (d * ell[:, :, None] + tw.pw[:, None] * log[1:]) % u[:, None, None]
+    rep = np.zeros((base.shape[0], q), dtype=np.int64)
+    rep[:, 1:] = np.where(ok[:, :, None],
+                          mins[offset[:, None, None] + rho],
+                          q).min(axis=1)
+    clo = np.minimum(np.maximum(lo[:, None] - t * size, 0), size)
+    chi = np.minimum(np.maximum(hi[:, None] - t * size, 0), size)
+    full = chi - clo == size
+    own = rep == t
+    mapped = full & ~own
+    node, col = np.nonzero(mapped)
+    need = np.zeros_like(own)
+    need[node, rep[node, col]] = True
+    keep = own & ((chi > clo) | need) | ~own & (chi > clo) & ~full
+    src = rep[node, col]
+    good, lam = solve(node, col, src)
+    f = good.argmax(axis=1)
+    maps = (base[node] // size + src, lam[np.arange(f.shape[0]), f], f)
+    node, col = np.nonzero(keep)
+    children = [base[node] + col * size, np.where(need, 0, clo)[node, col],
+                np.where(need, size, chi)[node, col], None, None, None]
+    if not last:
+        # t = 0 keeps its node's stabilizer
+        nz = col > 0
+        good, lam = solve(node[nz], col[nz], col[nz])
+        ch, cell, cok = h[node], ell[node], ok[node]
+        ch[nz], cell[nz], cok[nz] = (h // v)[node[nz]], lam, good
+        children[3:] = ch, cell, cok
+    return children, maps
 
 
-def _merge_ranges(ranges):
-    """The union of [a, b) ranges as ascending disjoint ranges."""
-    out = []
-    for a, b in sorted(ranges):
-        if a >= b:
-            continue
-        if out and a <= out[-1][1]:
-            out[-1][1] = max(out[-1][1], b)
-        else:
-            out.append([a, b])
+def _scan_plan(job, tw, lo, hi):
+    """Cover the candidates [lo, hi) by runs to scan and blocks to map.
+
+    tw is the job's _Twists group.  Each pair (lam, i) of it keeps the
+    fixed part, and lam^-e0 * sigma^i(f(lam*x)), sigma(x) = x^2 acting on
+    the coefficients, keeps the differential uniformity, the affine test
+    and the Walsh multiset of f.  A node is a block of the candidates
+    whose digits above its level are fixed, with the stabilizer of those
+    digits; the root is the whole family under the whole group.  In a
+    node with k free digits the block of top digit t is
+    [t*B, (t + 1)*B), B = q^(k - 1).  A block the node's range fully
+    covers, whose t is not the least of its orbit under the stabilizer,
+    is mapped from the block of that least r with a pair taking r to t;
+    r's block is then planned in full, under the stabilizer of r.  The
+    other blocks the range touches are planned over the part of it they
+    hold, under the stabilizer of their t.  Planning stops at digit 1,
+    so each scanned run of q candidates still shares digit 0 in
+    kernels._candidate_tables.  Every scanned block is a partly covered
+    one or the representative of at least one covered block, so no more
+    is scanned than [lo, hi).  The nodes of a level are planned together
+    (_plan_level), in blocks of at most _BATCH_CELLS cells of r*q.
+
+    Returns (runs, parts, maps): runs is the ascending int64 array of runs
+    r to scan in full (candidates r*q .. r*q + q - 1), parts lists the
+    [a, b) ranges inside one run to scan, and maps lists (level, src,
+    lam, f) by ascending level: the survivors of the block src of
+    q^(level - 1) candidates, under the pair (lam, f) applied to their
+    level lowest digits by _map_block, give a covered block.  src is
+    ascending, and a block repeats once per block it gives.
+    """
+    q = job.field.q
+    level = max(len(job.free_degrees), 1)
+    nodes = [np.zeros(1, dtype=np.int64), np.array([lo], dtype=np.int64),
+             np.array([hi], dtype=np.int64),
+             np.array([tw.g], dtype=np.int64),
+             np.zeros((1, tw.r), dtype=np.int64),
+             np.ones((1, tw.r), dtype=bool)]
+    chunk = max(1, _BATCH_CELLS // (tw.r * q))
+    maps = []
+    while level > 1:
+        done = [_plan_level(tw, level, *[x[a:a + chunk] for x in nodes],
+                            level == 2)
+                for a in range(0, nodes[0].shape[0], chunk)]
+        nodes = [None if x is None else np.concatenate(
+            [c[i] for c, _ in done]) for i, x in enumerate(done[0][0])]
+        src, lam, f = (np.concatenate([m[i] for _, m in done])
+                       for i in range(3))
+        order = np.argsort(src, kind="stable")
+        maps.append((level, src[order], lam[order], f[order]))
+        level -= 1
+    base, nlo, nhi = nodes[:3]
+    whole = nhi - nlo == q
+    parts = [(a + b, a + c) for a, b, c in zip(
+        base[~whole].tolist(), nlo[~whole].tolist(), nhi[~whole].tolist())
+        if b < c]
+    return base[whole] // q, parts, maps[::-1]
+
+
+def _map_block(tw, cands, lam, f, level):
+    """The candidates whose digits below level are those of cands under
+    the pairs (lam, f), digit by digit (digit -> mult * digit^(2^i)),
+    with the higher digits kept."""
+    q = tw.field.q
+    out = cands - cands % q ** level
+    for j in range(level):
+        out += tw.image(lam, f, j, cands // q ** j % q) * q ** j
     return out
 
 
-def _map_block(field, cands, mults):
-    """The candidates whose digit j is digit j of cands times mults[j]."""
-    q = field.q
-    return _base_q_index([field.mul_vec(cands // q ** j % q, mu)
-                          for j, mu in enumerate(mults)], q)
+def _mapped(tw, survivors, maps):
+    """survivors together with every candidate the maps give from them,
+    taken by ascending level, so that each source block is complete
+    before it is mapped."""
+    q = tw.field.q
+    for level, src, lam, f in maps:
+        blocks = survivors // q ** (level - 1)
+        a = np.searchsorted(src, blocks)
+        count = np.searchsorted(src, blocks, "right") - a
+        total = int(count.sum())
+        if not total:
+            continue
+        which = np.repeat(np.arange(survivors.shape[0]), count)
+        at = a[which] + np.arange(total) - np.repeat(
+            np.cumsum(count) - count, count)
+        survivors = np.concatenate([survivors, _map_block(
+            tw, survivors[which], lam[at], f[at], level)])
+    return survivors
 
 
 def scan(job, start=0, stop=None, workers=1):
     """Scan candidate indices [start, stop) in ascending order.
 
-    The shards of the range are dealt out to workers processes, all but
-    one forked (kernels._fan_out).  The survivors of the early-abort
-    kernel are verified in stacked passes, each on its own full spectrum
-    and fingerprint.  The hit list is deterministic and independent of
-    worker count.
+    The early-abort kernel runs on the runs and parts of _scan_plan,
+    dealt out as shards of at most SHARD candidates to workers
+    processes, all but one forked (kernels._fan_out); a shard of runs is
+    one scan_range call.  The survivors of the mapped blocks are taken
+    from their representatives (_mapped), and every survivor in the
+    range, mapped or not, is verified in stacked passes, each on its own
+    full spectrum and fingerprint.  The hit list is deterministic and
+    independent of worker count.
     When the job's budget cannot cover the range, the covered prefix is
     scanned and BudgetExceeded is raised with the partial result (its
     cursor marks the restart point) attached.
@@ -315,30 +453,28 @@ def scan(job, start=0, stop=None, workers=1):
     mono_tables = (np.array(monos, dtype=np.int64) if monos
                    else np.zeros((0, q), dtype=np.int64))
 
-    ranges, maps = _scan_plan(job, start, eff_stop)
-    shards = [(s, min(s + SHARD, b)) for a, b in ranges
-              for s in range(a, b, SHARD)]
+    tw = _Twists(job)
+    runs, parts, maps = _scan_plan(job, tw, start, eff_stop)
+    shards = [(a % q, b - a + a % q, np.array([a // q], dtype=np.int64))
+              for a, b in parts]
+    shards += [(s, min(s + SHARD, runs.shape[0] * q), runs)
+               for s in range(0, runs.shape[0] * q, SHARD)]
 
     def run(group):
-        parts = [np.zeros(0, dtype=np.int64)]
-        for lo, hi in group:
-            hits, nh = scan_range(fixed_table, mono_tables, field, lo, hi)
+        out = [np.zeros(0, dtype=np.int64)]
+        for lo, hi, rs in group:
+            hits, nh = scan_range(fixed_table, mono_tables, field, lo, hi, rs)
             if nh > hi - lo:
                 raise ApnToolError("shard [%d, %d) reported %d survivors"
                                    % (lo, hi, nh))
-            parts.append(hits)
-        return np.concatenate(parts)
+            out.append(hits)
+        return np.concatenate(out)
     p = max(1, min(workers, len(shards)))
-    survivors = np.sort(np.concatenate(
-        _fan_out(lambda i: run(shards[i::p]), p)))
-    raw = [survivors[(survivors >= start) & (survivors < eff_stop)]]
-    for r_lo, size, mults in maps:
-        a, b = np.searchsorted(survivors, (r_lo, r_lo + size))
-        if a < b:
-            raw.append(_map_block(field, survivors[a:b], mults))
-
-    hits = _verify_survivors(job, fixed_table, mono_tables,
-                             np.sort(np.concatenate(raw)))
+    survivors = _mapped(tw, np.concatenate(
+        _fan_out(lambda i: run(shards[i::p]), p)), maps)
+    survivors = np.sort(
+        survivors[(survivors >= start) & (survivors < eff_stop)])
+    hits = _verify_survivors(job, fixed_table, mono_tables, survivors)
     result = SearchResult(job, start, eff_stop, hits, eff_stop - start)
     if eff_stop < stop:
         raise BudgetExceeded(

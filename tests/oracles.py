@@ -20,6 +20,12 @@ by the stack (search._orbit_coefficients); reduction_note_brute_force
 builds each hit's PolyFunc and substitutes one (a, b) at a time through
 affine_transform and normalize.
 
+search._scan_plan plans a family scan digit by digit, one block per
+orbit under the stabilizer of the digits above, with the group built
+from the scaling group and the Frobenius step;
+orbit_scan_candidates finds every element of the group by trying it on
+the fixed part and counts the orbits of all upper digit vectors.
+
 The kernels module vectorizes its loops over whole rows and batches of
 tables; spectrum_hist_py, is_apn_py, walsh_hist_py and scan_py walk the
 same sums one element at a time.  kernels._candidate_tables xors rows of
@@ -100,6 +106,47 @@ def trace_py(field, a):
 def frobenius_twist(f):
     """The map x -> f(x)^2 expressed again as a PolyFunc."""
     return PolyFunc(f.field, [(2 * e, f.field.mul(c, c)) for e, c in f.terms()])
+
+
+def coefficient_twist(f, i=1):
+    """sigma^i o f o sigma^-i, sigma(x) = x^2: the map with every
+    coefficient c raised to c^(2^i)."""
+    field = f.field
+    return PolyFunc(field, [(e, field.pow_(c, 1 << i)) for e, c in f.terms()])
+
+
+def orbit_scan_candidates(job):
+    """Kernel candidates of a full-range scan of job that scans one run
+    of q candidates per orbit of the digits above digit 0, by brute force.
+
+    The group is found element by element: every lam != 0 with
+    lam^(e - e0) = 1 for each fixed exponent e (e0 the least), times
+    every i < m with c^(2^i) = c for each fixed coefficient c; the pair
+    sends a_e to lam^(e - e0) * a_e^(2^i).  The orbits are marked by
+    walking every upper digit vector once."""
+    field = job.field
+    q = field.q
+    degs = job.free_degrees
+    if not degs:
+        return 1
+    e0 = job.fixed_terms[0][0] if job.fixed_terms else 0
+    lams = [lam for lam in range(1, q) if all(
+        field.pow_(lam, (e - e0) % (q - 1)) == 1 for e, _ in job.fixed_terms)]
+    frobs = [i for i in range(field.m) if all(
+        field.pow_(c, 1 << i) == c for _, c in job.fixed_terms)]
+    # per element, the image of every value of each upper digit
+    moves = [[[field.mul(field.pow_(lam, (e - e0) % (q - 1)),
+                         field.pow_(a, 1 << i)) for a in range(q)]
+              for e in degs[1:]] for lam in lams for i in frobs]
+    seen = set()
+    orbits = 0
+    for upper in itertools.product(range(q), repeat=len(degs) - 1):
+        if upper in seen:
+            continue
+        orbits += 1
+        seen.update(tuple(move[j][a] for j, a in enumerate(upper))
+                    for move in moves)
+    return orbits * q
 
 
 def uni_is_irreducible(p):

@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from apnsurf import kernels
@@ -13,9 +14,10 @@ from apnsurf.differential import (
     walsh_fingerprint,
 )
 from apnsurf.errors import FieldTooLarge
-from apnsurf.gf2m import Field
+from apnsurf.gf2m import Field, _parity_table
 from apnsurf.polyfunc import PolyFunc, affine_transform
-from oracles import evaluate, frobenius_twist, trace_py
+from oracles import (coefficient_twist, evaluate, frobenius_twist,
+                     spectrum_hist_py, trace_py, walsh_hist_py)
 
 F8 = Field(3)
 F16 = Field(4)
@@ -107,6 +109,37 @@ def test_spectrum_invariant_under_frobenius():
     for _ in range(10):
         f = rand_func(F16, rng)
         assert differential_spectrum(f) == differential_spectrum(frobenius_twist(f))
+
+
+def test_coefficient_twist_keeps_spectrum_and_fingerprint():
+    # sigma o f o sigma^-1, sigma(x) = x^2, squares every coefficient of
+    # f; sigma is a linear bijection, so the twist keeps the derivative
+    # counts and the Walsh multiset, which the family scan relies on
+    rng = random.Random(41)
+    for m in (4, 5, 6):
+        field = Field(m)
+        q = field.q
+        rows = range(1, q)
+        par = _parity_table(q).astype(np.int64)
+        pm = field.pair_table()
+        inv = np.zeros(q, dtype=np.int64)
+        inv[pm] = np.arange(q, dtype=np.int64)
+        for _ in range(3):
+            f = PolyFunc(field, [(rng.randrange(1, q), rng.randrange(1, q))
+                                 for _ in range(4)])
+            hists, digests = [], []
+            for g in (f, coefficient_twist(f)):
+                table = kernels.value_table(field, g.terms())
+                hist = kernels.spectrum_hist(table, q)
+                assert np.array_equal(hist, spectrum_hist_py(table, q, rows))
+                fp = walsh_fingerprint(g)
+                walsh = walsh_hist_py(pm[table[inv]], par, q, rows)
+                nz = np.flatnonzero(walsh)
+                assert fp == dict(zip((nz - q).tolist(), walsh[nz].tolist()))
+                hists.append(hist)
+                digests.append(fingerprint_digest(fp))
+            assert np.array_equal(hists[0], hists[1]), (m, f)
+            assert digests[0] == digests[1], (m, f)
 
 
 def test_field_size_gate():

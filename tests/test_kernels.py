@@ -475,10 +475,23 @@ def test_candidate_tables_match_per_digit_builder(m):
                         rng.integers(1, 2 * q + 1)))))
             run = q * int(rng.integers(0, total // q))
             ranges.append((run + 1, run + q))
+        every = np.arange(-(-total // q), dtype=np.int64)
         for lo, hi in ranges:
-            got = kernels._candidate_tables(fixed, monos, field, lo, hi)
+            got = kernels._candidate_tables(fixed, monos, field, lo, hi,
+                                            every)
             ref = candidate_tables_per_digit(
                 fixed, monos, field, np.arange(lo, hi, dtype=np.int64))
+            assert np.array_equal(got, ref), (nfree, lo, hi)
+        # positions in an ascending subset of the runs, across run
+        # boundaries and inside one run
+        runs = np.flatnonzero(rng.random(max(1, total // q)) < 0.3)
+        cands = (runs[:, None] * q + np.arange(q)).ravel()[:total]
+        for _ in range(6 if cands.shape[0] else 0):
+            lo = int(rng.integers(0, cands.shape[0]))
+            hi = int(rng.integers(lo + 1, cands.shape[0] + 1))
+            got = kernels._candidate_tables(fixed, monos, field, lo, hi, runs)
+            ref = candidate_tables_per_digit(fixed, monos, field,
+                                             cands[lo:hi])
             assert np.array_equal(got, ref), (nfree, lo, hi)
 
 
@@ -493,11 +506,12 @@ def test_scan_range_memory_stays_batch_sized():
     monos = np.stack([kernels.power_table(field, e) for e in (5, 6, 9)])
     lo = 7 * q * q + 3 * q + q - 150
     cands = np.arange(q * q + q - 40, q * q + q + 24, dtype=np.int64)
+    runs = np.arange(8 * q, dtype=np.int64)
     tracemalloc.start()
     try:
-        kernels.scan_range(fixed, monos, field, lo, lo + 300)
+        kernels.scan_range(fixed, monos, field, lo, lo + 300, runs)
         got = kernels._candidate_tables(fixed, monos, field, int(cands[0]),
-                                        int(cands[-1]) + 1)
+                                        int(cands[-1]) + 1, runs)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -517,7 +531,8 @@ def test_scan_backends_agree_and_hits_verify():
                       kernels.power_table(field, 6)])
     hits_ref = np.zeros(q * q, dtype=np.int64)
     nref = scan_py(fixed, monos, q, 2, 0, q * q, ext, log, hits_ref)
-    hits, nh = kernels.scan_range(fixed, monos, field, 0, q * q)
+    hits, nh = kernels.scan_range(fixed, monos, field, 0, q * q,
+                                  np.arange(q, dtype=np.int64))
     assert nh == nref == len(hits)
     assert np.array_equal(hits, hits_ref[:nref])
     # every reported hit is a uniformity-two candidate; spot-check misses too
@@ -539,7 +554,8 @@ def test_scan_range_dispatch(monkeypatch):
     q = field.q
     fixed = kernels.value_table(field, [(5, 1)])  # x^5 on GF(8) is not uniformity two
     monos = np.stack([kernels.power_table(field, 3)])
-    hits, n = kernels.scan_range(fixed, monos, field, 0, q)
+    hits, n = kernels.scan_range(fixed, monos, field, 0, q,
+                                 np.zeros(1, dtype=np.int64))
     # x^5 + c x^3: c = 0 keeps uniformity 4, some c give uniformity two
     got = set(int(h) for h in hits)
     for c in range(q):
@@ -556,12 +572,28 @@ def test_scan_range_dispatch(monkeypatch):
     monos = np.stack([kernels.power_table(field, e) for e in (6, 5, 9)])
     ref = np.zeros(600, dtype=np.int64)
     nref = scan_py(fixed, monos, 16, 3, 37, 637, ext, log, ref)
+    every = np.arange(256, dtype=np.int64)
     for cells in (2 * 16, 7 * 16, 16 * 16, 48 * 16):
         monkeypatch.setattr(kernels, "_BATCH_CELLS", cells)
-        hits, n = kernels.scan_range(fixed, monos, field, 37, 637)
+        hits, n = kernels.scan_range(fixed, monos, field, 37, 637, every)
         assert n == nref > 0
         assert hits.tolist() == ref[:nref].tolist()
-    assert kernels.scan_range(fixed, monos, field, 5, 5)[1] == 0
+    assert kernels.scan_range(fixed, monos, field, 5, 5, every)[1] == 0
+    # positions in 40 scattered runs give the oracle's survivors among
+    # their candidates, ascending
+    runs = np.array(sorted(random.Random(5).sample(range(256), 40)),
+                    dtype=np.int64)
+    cands = (runs[:, None] * 16 + np.arange(16)).ravel()
+    want = []
+    for r in runs.tolist():
+        nr = scan_py(fixed, monos, 16, 3, r * 16, r * 16 + 16, ext, log, ref)
+        want += ref[:nr].tolist()
+    for cells in (2 * 16, 7 * 16, 48 * 16):
+        monkeypatch.setattr(kernels, "_BATCH_CELLS", cells)
+        for lo, hi in ((0, 640), (37, 601), (100, 105)):
+            hits, n = kernels.scan_range(fixed, monos, field, lo, hi, runs)
+            got = [c for c in want if cands[lo] <= c <= cands[hi - 1]]
+            assert hits.tolist() == got and n == len(got), (cells, lo, hi)
 
 
 def test_count_affine_closed_forms():

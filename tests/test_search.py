@@ -20,8 +20,8 @@ from apnsurf.polyfunc import PolyFunc, affine_transform, normalize
 from apnsurf.search import (Hit, SearchJob, SearchResult, checkpoint_resume,
                             checkpoint_save, classify_degree6,
                             classify_degree7, classify_degree9, scan)
-from oracles import (candidate, reduction_note_brute_force, scan_py,
-                     verify_hit_py)
+from oracles import (candidate, orbit_scan_candidates,
+                     reduction_note_brute_force, scan_py, verify_hit_py)
 
 F8 = Field(3)
 F16 = Field(4)
@@ -105,16 +105,23 @@ def _count_kernel_candidates(monkeypatch):
     counted = [0]
     kernel = search.scan_range
 
-    def counting(fixed, monos, field, lo, hi):
+    def counting(fixed, monos, field, lo, hi, runs):
         counted[0] += hi - lo
-        return kernel(fixed, monos, field, lo, hi)
+        return kernel(fixed, monos, field, lo, hi, runs)
     monkeypatch.setattr(search, "scan_range", counting)
     return counted
 
 
+# elements of GF(16) outside GF(2): one in GF(4), and the generator
+W4 = next(c for c in range(2, 16) if F16.pow_(c, 4) == c)
+ALPHA = F16.generator
+
 # (m, fixed terms, free degrees): an empty fixed part, a constant term,
-# two fixed terms with a trivial scaling group, and x^6 + a3*x^3 + a9*x^9
-# at m = 4, whose nonzero top digits fall into three orbits
+# two fixed terms with a trivial scaling group but Frobenius, and
+# x^6 + a3*x^3 + a9*x^9 at m = 4, whose nonzero top digits fall into
+# three orbits; a fixed coefficient in GF(4), so that only the square of
+# Frobenius keeps it, and one that generates the field, so that only
+# the scaling group does
 ORBIT_FAMILIES = [
     (2, ((1, 1),), (3,)),
     (3, (), (3, 5, 6)),
@@ -123,12 +130,16 @@ ORBIT_FAMILIES = [
     (4, ((6, 1),), (3, 9)),
     (4, ((6, 1),), (3, 5, 9)),
     (5, ((3, 1),), (6, 12)),
+    (4, ((3, W4), (6, 1)), (5, 7, 9)),
+    (4, ((3, ALPHA), (6, 1)), (5, 7, 9)),
 ]
 
 
 @pytest.mark.parametrize("m, fixed, free", ORBIT_FAMILIES, ids=[
     "m%d-fixed%s-free%s" % (m, "+".join(str(e) for e, _ in fixed) or "none",
                             "+".join(map(str, free)))
+    + ("-gf4" if (3, W4) in fixed else "-generator" if (3, ALPHA) in fixed
+       else "")
     for m, fixed, free in ORBIT_FAMILIES])
 def test_orbit_scan_matches_direct_scan(m, fixed, free, monkeypatch):
     job = SearchJob(Field(m), fixed, free)
@@ -146,14 +157,15 @@ def test_orbit_scan_matches_direct_scan(m, fixed, free, monkeypatch):
         assert res.scanned == hi - lo and res.cursor == hi
         # never more kernel work than the direct scan
         assert counted[0] <= hi - lo
-    # the full range is shortened unless the scaling group is trivial
+    # the full range runs the kernel on one run per orbit of the upper
+    # digits
     counted[0] = 0
     scan(job)
-    assert (counted[0] < total) == (fixed != ((9, 1), (5, 1)))
+    assert counted[0] == orbit_scan_candidates(job)
 
 
 # x^6 + a3*x^3 + a5*x^5 + a9*x^9 at m = 4: blocks of 256 candidates per
-# top digit, and the kernel runs on 788 of the 4096
+# top digit, and the kernel runs on 144 of the 4096
 SHORTENED = (4, ((6, 1),), (3, 5, 9))
 
 
@@ -194,14 +206,45 @@ def test_scan_shards_on_forked_processes(monkeypatch):
     parent = os.getpid()
     kernel = search.scan_range
 
-    def fails_in_child(fixed, monos, field, lo, hi):
-        hits, nh = kernel(fixed, monos, field, lo, hi)
+    def fails_in_child(fixed, monos, field, lo, hi, runs):
+        hits, nh = kernel(fixed, monos, field, lo, hi, runs)
         return hits, nh + (hi - lo) * (os.getpid() != parent)
     monkeypatch.setattr(search, "scan_range", fails_in_child)
     with pytest.raises(ApnToolError, match="part 1: .* survivors"):
         scan(job, workers=2)
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+# the full degree-9 family at m = 4: its top digit a7 has the orbits {0}
+# and the nonzero values, Frobenius shortens the blocks below, and the
+# kernel runs on 1,264 of the 65,536 candidates
+DEGREE9 = (4, ((9, 1),), (3, 5, 6, 7))
+
+
+def test_budget_resume_and_workers_on_frobenius_family(monkeypatch):
+    m, fixed, free = DEGREE9
+    job = SearchJob(Field(m), fixed, free)
+    full = scan(job)
+    assert full.scanned == full.cursor == job.candidates
+    # stopped inside the representative run of a7 = 0, inside a run and
+    # a block of the representative a7 = 1, and inside a mapped block
+    for cursor in (37, 4100, 5000, 40000):
+        small = SearchJob(Field(m), fixed, free, budget=cursor * 256)
+        with pytest.raises(BudgetExceeded) as err:
+            scan(small)
+        part = err.value.partial
+        assert part.cursor == part.scanned == cursor
+        rest = scan(job, part.cursor)
+        assert _as_tuples(part.hits + rest.hits) == _as_tuples(full.hits)
+        assert part.scanned + rest.scanned == full.scanned
+        assert rest.cursor == full.cursor
+    monkeypatch.setattr(search, "SHARD", 256)
+    for lo, hi in ((0, job.candidates), (4100, 40000)):
+        one = scan(job, lo, hi, workers=1)
+        two = scan(job, lo, hi, workers=2)
+        assert _as_tuples(two.hits) == _as_tuples(one.hits)
+        assert (two.scanned, two.cursor) == (one.scanned, one.cursor)
 
 
 def test_split_scan_equals_full_scan():
@@ -268,9 +311,10 @@ def test_checkpoint_rejects_garbage(tmp_path):
 def test_non_apn_survivor_raises(monkeypatch):
     # every candidate of each shard reaches verification, the non-APN
     # maps among them too
-    monkeypatch.setattr(search, "scan_range",
-                        lambda fixed, monos, field, lo, hi:
-                        (np.arange(lo, hi, dtype=np.int64), hi - lo))
+    def everyone(fixed, monos, field, lo, hi, runs):
+        at = np.arange(lo, hi, dtype=np.int64)
+        return runs[at // field.q] * field.q + at % field.q, hi - lo
+    monkeypatch.setattr(search, "scan_range", everyone)
     with pytest.raises(ApnToolError, match="has differential uniformity"):
         scan(SearchJob(F16, [(6, 1)], (3, 5)))
 
@@ -362,7 +406,7 @@ def test_stacked_verification_matches_per_hit(monkeypatch, chunk_cells):
 
 def test_shard_survivor_overflow_raises(monkeypatch):
     monkeypatch.setattr(search, "scan_range",
-                        lambda fixed, monos, field, lo, hi:
+                        lambda fixed, monos, field, lo, hi, runs:
                         ([], hi - lo + 1))
     with pytest.raises(ApnToolError, match="survivors"):
         scan(SearchJob(F16, [(6, 1)], (3, 5)))
