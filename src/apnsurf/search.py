@@ -7,8 +7,9 @@ base-q integers: digit j of the index is the coefficient of the j-th
 free degree (ascending).  A scan covers a contiguous index range.  The
 early-abort differential kernel runs on one run of q candidates (all
 values of digit 0) per orbit of the higher digits under the scalings
-x -> lam*x and the Frobenius twists that keep the fixed part; the
-survivors of the other runs are mapped from it (see _scan_plan).  Every
+x -> lam*x and the Frobenius twists that keep the fixed part, and on
+one candidate per orbit of digit 0 where the higher digits are all 0;
+the survivors of the others are mapped from them (see _scan_plan).  Every
 surviving candidate, mapped or not, is then verified on a value table
 built from its own digits, with a full spectrum and its Walsh
 fingerprint, so a reported hit never rests on the fast path alone.  The
@@ -23,7 +24,6 @@ multiply the work by q for nothing.
 import contextlib
 import hashlib
 import json
-import math
 import os
 
 import numpy as np
@@ -207,36 +207,29 @@ def _verify_survivors(job, fixed_table, mono_tables, survivors):
     return hits
 
 
-def _frobenius_step(field, fixed_terms):
-    """The least divisor k of m with c^(2^k) = c for every fixed
-    coefficient c: 1 when each is 0 or 1, m when one generates the
-    field."""
-    m, n = field.m, field.q - 1
-    logs = [int(field._log[c]) for _, c in fixed_terms]
-    return next(k for k in range(1, m + 1) if m % k == 0 and all(
-        lg * ((1 << k) - 1) % n == 0 for lg in logs))
-
-
 class _Twists:
     """The group of pairs (lam, i) that keep a family's fixed part: the
     pair sends free coefficient a_e to lam^(e - e0) * a_e^(2^i).
 
     lam runs over the scaling group G of the fixed part
     (kernels.scaling_rows, order g, e0 the least fixed exponent) and i
-    over the r = m/k multiples f*k of k = _frobenius_step below m, so the
-    group has order g*r.  A pair is held as (log lam, f)."""
+    over the r = m/k multiples f*k of k, the least divisor of m with
+    c^(2^k) = c for every fixed coefficient c: k = 1 when each is 0 or 1,
+    m when one generates the field.  A pair is held as (log lam, f)."""
 
     __slots__ = ("field", "g", "r", "pw", "logfrob", "shifts")
 
     def __init__(self, job):
         field = job.field
-        n = field.q - 1
+        m, n = field.m, field.q - 1
         _, self.g = scaling_rows(field, job.fixed_terms)[0]
         e0 = job.fixed_terms[0][0] if job.fixed_terms else 0
-        k = _frobenius_step(field, job.fixed_terms)
         _, log = field.tables()
+        logs = [int(log[c]) for _, c in job.fixed_terms]
+        k = next(k for k in range(1, m + 1) if m % k == 0 and all(
+            lg * ((1 << k) - 1) % n == 0 for lg in logs))
         self.field = field
-        self.r = field.m // k
+        self.r = m // k
         self.pw = np.array([pow(2, f * k, n) for f in range(self.r)],
                            dtype=np.int64)
         # row f: the log of t^(2^(f*k)), the zero sentinel 2n at t = 0
@@ -244,91 +237,106 @@ class _Twists:
         self.logfrob[:, 0] = 2 * n
         self.shifts = [(e - e0) % n for e in job.free_degrees]
 
-    def image(self, lam, f, j, digits):
-        """Values digits of free digit j under the pairs (lam, f), which
-        broadcast against each other."""
+    def group(self):
+        """Every pair of the group, as arrays (lam, f)."""
+        n = self.field.q - 1
+        lam = np.arange(self.g, dtype=np.int64) * (n // self.g)
+        return (np.repeat(lam, self.r),
+                np.tile(np.arange(self.r, dtype=np.int64), self.g))
+
+    def inverse(self, lam, f):
+        """The pairs undoing the pairs (lam, f).  (lam, f) and then
+        (lam', f') send a_e to lam''^(e - e0) * a_e^(2^((f + f')*k)) with
+        lam'' = lam' * lam^(2^(f'*k)), the identity when f' = -f modulo r
+        and lam' = lam^-(2^(f'*k))."""
+        n = self.field.q - 1
+        f = -f % self.r
+        return -lam * self.pw[f] % n, f
+
+    def image(self, lam, f, j, digits=None):
+        """Values digits of free digit j under the pairs (lam, f), all
+        three of one shape; with digits None, the row of the images of
+        every value per pair."""
         ext, _ = self.field.tables()
         n = self.field.q - 1
-        return ext[lam * self.shifts[j] % n + self.logfrob[f, digits]]
+        shift = lam * self.shifts[j] % n
+        if digits is None:
+            return ext[shift[:, None] + self.logfrob[f]]
+        return ext[shift + self.logfrob[f, digits]]
 
 
-def _plan_level(tw, level, base, lo, hi, h, ell, ok, last):
-    """One digit of _scan_plan for a block of nodes with level free
-    digits: node i covers [lo[i], hi[i]) of the block at base[i].  Its
-    stabilizer is the union, over the f with ok[i, f], of the cosets
-    alpha^ell[i, f] * K_i of the subgroup K_i of G of order h[i], paired
-    with f.
+def _plan_level(tw, level, base, lo, hi, own, lam, f, last):
+    """One digit of _scan_plan for nodes with level free digits: node i
+    covers [lo[i], hi[i]) of the block at base[i], and its stabilizer is
+    listed as the pairs (lam[p], f[p]) with own[p] = i, own ascending.
 
-    With d = e - e0 of the digit, K^d is the subgroup of the field whose
-    logs are the multiples of u = (q - 1)/h * gcd(h, d), so the orbit of
-    t != 0 is the union over f of the cosets d*ell + 2^(f*k)*log t + u*Z,
-    and its least element comes from the minima of the cosets of u.
-    lam = alpha^(ell + (q - 1)/h * x) takes t to t' under f when
-    (d/gcd(h, d))*x = (log t' - 2^(f*k)*log t - d*ell)/u modulo
-    h/gcd(h, d), which is solvable iff u divides the right side; t' = t
-    gives the child's stabilizer, of order gcd(h, d) in G.
-
-    Returns (children, maps): children is (base, lo, hi, h, ell, ok) of
-    the blocks to plan one digit down (the last three None when last),
-    and maps is (src, lam, f): block src gives a covered block under the
-    pair (lam, f)."""
-    field = tw.field
-    q = field.q
-    n = q - 1
-    _, log = field.tables()
+    Returns (children, maps): children is (base, lo, hi, own, lam, f) of
+    the blocks to plan one digit down, listed the same way (the pairs
+    None when last), and maps is (src, lam, f): block src gives a
+    covered block under the pair (lam, f)."""
+    q = tw.field.q
     size = q ** (level - 1)
-    d = tw.shifts[level - 1]
     t = np.arange(q, dtype=np.int64)
-    # per order h of K: the coset size v = h/gcd(h, d), so u = (q - 1)/v,
-    # the minima of the cosets of u, and (d/gcd(h, d))^-1 modulo v
-    hs = sorted(set(h.tolist()))
-    vs = [x // math.gcd(x, d) for x in hs]
-    per = np.searchsorted(hs, h)
-    v = np.array(vs, dtype=np.int64)[per]
-    u = n // v
-    mins = np.concatenate([field._exp.reshape(y, -1).min(axis=0) for y in vs])
-    offset = np.cumsum([0] + [n // y for y in vs[:-1]])[per]
-    inv = np.array([pow(d // (x // y), -1, y) for x, y in zip(hs, vs)],
-                   dtype=np.int64)[per]
-
-    def solve(node, cols, src):
-        """Per f, whether a pair (lam, f) of node's stabilizer takes src to
-        cols (both nonzero), and the lam of one."""
-        rhs = (log[cols][:, None] - tw.pw * log[src][:, None]
-               - d * ell[node]) % n
-        good = ok[node] & (rhs % u[node, None] == 0)
-        x = rhs // u[node, None] * inv[node, None] % v[node, None]
-        return good, (ell[node] + n // h[node, None] * x) % n
-
-    rho = (d * ell[:, :, None] + tw.pw[:, None] * log[1:]) % u[:, None, None]
-    rep = np.zeros((base.shape[0], q), dtype=np.int64)
-    rep[:, 1:] = np.where(ok[:, :, None],
-                          mins[offset[:, None, None] + rho],
-                          q).min(axis=1)
+    npairs = own.shape[0]
+    starts = np.searchsorted(own, np.arange(base.shape[0] + 1))
+    # per node and digit t, the least image of t over the node's pairs
+    # and the first pair giving it, as image * npairs + pair
+    img = tw.image(lam, f, level - 1)
+    key = np.minimum.reduceat(img * npairs + np.arange(npairs)[:, None],
+                              starts[:-1])
+    rep = key // npairs
     clo = np.minimum(np.maximum(lo[:, None] - t * size, 0), size)
     chi = np.minimum(np.maximum(hi[:, None] - t * size, 0), size)
     full = chi - clo == size
-    own = rep == t
-    mapped = full & ~own
-    node, col = np.nonzero(mapped)
-    need = np.zeros_like(own)
+    least = rep == t
+    node, col = np.nonzero(full & ~least)
+    need = np.zeros_like(least)
     need[node, rep[node, col]] = True
-    keep = own & ((chi > clo) | need) | ~own & (chi > clo) & ~full
-    src = rep[node, col]
-    good, lam = solve(node, col, src)
-    f = good.argmax(axis=1)
-    maps = (base[node] // size + src, lam[np.arange(f.shape[0]), f], f)
+    keep = least & ((chi > clo) | need) | ~least & (chi > clo) & ~full
+    # the pair taking t to its least undone takes the least to t
+    at = key[node, col] % npairs
+    maps = (base[node] // size + rep[node, col],
+            *tw.inverse(lam[at], f[at]))
     node, col = np.nonzero(keep)
     children = [base[node] + col * size, np.where(need, 0, clo)[node, col],
                 np.where(need, size, chi)[node, col], None, None, None]
     if not last:
-        # t = 0 keeps its node's stabilizer
-        nz = col > 0
-        good, lam = solve(node[nz], col[nz], col[nz])
-        ch, cell, cok = h[node], ell[node], ok[node]
-        ch[nz], cell[nz], cok[nz] = (h // v)[node[nz]], lam, good
-        children[3:] = ch, cell, cok
+        # the block of t keeps the pairs of its node that fix t
+        count = starts[node + 1] - starts[node]
+        child = np.repeat(np.arange(node.shape[0]), count)
+        p = np.arange(child.shape[0]) + np.repeat(
+            starts[node] - np.cumsum(count) + count, count)
+        fix = img[p, col[child]] == col[child]
+        children[3:] = child[fix], lam[p[fix]], f[p[fix]]
     return children, maps
+
+
+def _plan_nodes(tw, level, nodes):
+    """_plan_level over all nodes of a level, in chunks of whole nodes
+    whose pairs times q digits come to at most _BATCH_CELLS cells (a node
+    whose pairs alone come to more is a chunk of its own); the children
+    and maps of the chunks joined in order."""
+    base, lo, hi, own, lam, f = nodes
+    starts = np.searchsorted(own, np.arange(base.shape[0] + 1))
+    limit = max(1, _BATCH_CELLS // tw.field.q)
+    children, maps = [[] for _ in range(6)], [[] for _ in range(3)]
+    a = done = 0
+    while a < base.shape[0]:
+        b = max(a + 1, int(np.searchsorted(starts, starts[a] + limit,
+                                           "right")) - 1)
+        pa, pb = starts[a], starts[b]
+        part, moved = _plan_level(tw, level, base[a:b], lo[a:b], hi[a:b],
+                                  own[pa:pb] - a, lam[pa:pb], f[pa:pb],
+                                  level <= 2)
+        if part[3] is not None:
+            # the chunk's children are numbered after those before it
+            part[3] = part[3] + done
+        done += part[0].shape[0]
+        for out, x in zip(children + maps, part + list(moved)):
+            out.append(x)
+        a = b
+    return ([None if x[0] is None else np.concatenate(x) for x in children],
+            [np.concatenate(x) for x in maps])
 
 
 def _scan_plan(job, tw, lo, hi):
@@ -339,54 +347,62 @@ def _scan_plan(job, tw, lo, hi):
     the coefficients, keeps the differential uniformity, the affine test
     and the Walsh multiset of f.  A node is a block of the candidates
     whose digits above its level are fixed, with the stabilizer of those
-    digits; the root is the whole family under the whole group.  In a
-    node with k free digits the block of top digit t is
-    [t*B, (t + 1)*B), B = q^(k - 1).  A block the node's range fully
+    digits, listed pair by pair; the root is the whole family under the
+    whole group.  In a node with k free digits the block of top digit t
+    is [t*B, (t + 1)*B), B = q^(k - 1).  A block the node's range fully
     covers, whose t is not the least of its orbit under the stabilizer,
     is mapped from the block of that least r with a pair taking r to t;
     r's block is then planned in full, under the stabilizer of r.  The
     other blocks the range touches are planned over the part of it they
     hold, under the stabilizer of their t.  Planning stops at digit 1,
     so each scanned run of q candidates still shares digit 0 in
-    kernels._candidate_tables.  Every scanned block is a partly covered
-    one or the representative of at least one covered block, so no more
-    is scanned than [lo, hi).  The nodes of a level are planned together
-    (_plan_level), in blocks of at most _BATCH_CELLS cells of r*q.
+    kernels._candidate_tables, except in the run whose upper digits are
+    all 0: it keeps the whole group, and digit 0 is planned there too, as
+    one-candidate blocks.  Every scanned block is a partly covered one or
+    the representative of at least one covered block, so no more is
+    scanned than [lo, hi).  The nodes of a level are planned together
+    (_plan_nodes).
 
     Returns (runs, parts, maps): runs is the ascending int64 array of runs
     r to scan in full (candidates r*q .. r*q + q - 1), parts lists the
-    [a, b) ranges inside one run to scan, and maps lists (level, src,
-    lam, f) by ascending level: the survivors of the block src of
-    q^(level - 1) candidates, under the pair (lam, f) applied to their
-    level lowest digits by _map_block, give a covered block.  src is
-    ascending, and a block repeats once per block it gives.
+    ascending [a, b) ranges inside one run to scan, and maps lists
+    (level, src, lam, f) by ascending level: the survivors of the block
+    src of q^(level - 1) candidates, under the pair (lam, f) applied to
+    their level lowest digits by _map_block, give a covered block.  src
+    is ascending, and a block repeats once per block it gives.
     """
     q = job.field.q
-    level = max(len(job.free_degrees), 1)
-    nodes = [np.zeros(1, dtype=np.int64), np.array([lo], dtype=np.int64),
-             np.array([hi], dtype=np.int64),
-             np.array([tw.g], dtype=np.int64),
-             np.zeros((1, tw.r), dtype=np.int64),
-             np.ones((1, tw.r), dtype=bool)]
-    chunk = max(1, _BATCH_CELLS // (tw.r * q))
-    maps = []
-    while level > 1:
-        done = [_plan_level(tw, level, *[x[a:a + chunk] for x in nodes],
-                            level == 2)
-                for a in range(0, nodes[0].shape[0], chunk)]
-        nodes = [None if x is None else np.concatenate(
-            [c[i] for c, _ in done]) for i, x in enumerate(done[0][0])]
-        src, lam, f = (np.concatenate([m[i] for _, m in done])
-                       for i in range(3))
-        order = np.argsort(src, kind="stable")
-        maps.append((level, src[order], lam[order], f[order]))
+    level = len(job.free_degrees)
+    lam, f = tw.group()
+    root = [np.zeros(1, dtype=np.int64), np.array([lo], dtype=np.int64),
+            np.array([hi], dtype=np.int64),
+            np.zeros(lam.shape[0], dtype=np.int64), lam, f]
+    nodes, maps = root, []
+    while level > 1 and nodes[0].shape[0]:
+        nodes, moved = _plan_nodes(tw, level, nodes)
+        maps.append((level, moved))
         level -= 1
     base, nlo, nhi = nodes[:3]
+    if level == 1 and base.shape[0] and base[0] == 0:
+        # the run of upper digits 0, under the root's pairs
+        top, moved = _plan_nodes(tw, 1, [base[:1], nlo[:1], nhi[:1]]
+                                 + root[3:])
+        maps.append((1, moved))
+        base, nlo, nhi = (np.concatenate([x, y[1:]]) for x, y in zip(
+            top, (base, nlo, nhi)))
     whole = nhi - nlo == q
-    parts = [(a + b, a + c) for a, b, c in zip(
-        base[~whole].tolist(), nlo[~whole].tolist(), nhi[~whole].tolist())
-        if b < c]
-    return base[whole] // q, parts, maps[::-1]
+    parts = []
+    for a, b in zip((base + nlo)[~whole].tolist(),
+                    (base + nhi)[~whole].tolist()):
+        if parts and parts[-1][1] == a and a % q:
+            parts[-1][1] = b
+        elif a < b:
+            parts.append([a, b])
+    out = []
+    for level, (src, lam, f) in maps[::-1]:
+        order = np.argsort(src, kind="stable")
+        out.append((level, src[order], lam[order], f[order]))
+    return base[whole] // q, parts, out
 
 
 def _map_block(tw, cands, lam, f, level):

@@ -24,7 +24,8 @@ search._scan_plan plans a family scan digit by digit, one block per
 orbit under the stabilizer of the digits above, with the group built
 from the scaling group and the Frobenius step;
 orbit_scan_candidates finds every element of the group by trying it on
-the fixed part and counts the orbits of all upper digit vectors.
+the fixed part and counts the orbits of all upper digit vectors, and
+of digit 0 where the upper digits are all 0.
 
 The kernels module vectorizes its loops over whole rows and batches of
 tables; spectrum_hist_py, is_apn_py, walsh_hist_py and scan_py walk the
@@ -117,13 +118,15 @@ def coefficient_twist(f, i=1):
 
 def orbit_scan_candidates(job):
     """Kernel candidates of a full-range scan of job that scans one run
-    of q candidates per orbit of the digits above digit 0, by brute force.
+    of q candidates per orbit of the digits above digit 0, except that
+    the run whose upper digits are all 0 scans one candidate per orbit of
+    digit 0, by brute force.
 
     The group is found element by element: every lam != 0 with
     lam^(e - e0) = 1 for each fixed exponent e (e0 the least), times
     every i < m with c^(2^i) = c for each fixed coefficient c; the pair
     sends a_e to lam^(e - e0) * a_e^(2^i).  The orbits are marked by
-    walking every upper digit vector once."""
+    walking every digit vector once."""
     field = job.field
     q = field.q
     degs = job.free_degrees
@@ -134,19 +137,23 @@ def orbit_scan_candidates(job):
         field.pow_(lam, (e - e0) % (q - 1)) == 1 for e, _ in job.fixed_terms)]
     frobs = [i for i in range(field.m) if all(
         field.pow_(c, 1 << i) == c for _, c in job.fixed_terms)]
-    # per element, the image of every value of each upper digit
+    # per element, the image of every value of each digit
     moves = [[[field.mul(field.pow_(lam, (e - e0) % (q - 1)),
                          field.pow_(a, 1 << i)) for a in range(q)]
-              for e in degs[1:]] for lam in lams for i in frobs]
-    seen = set()
-    orbits = 0
-    for upper in itertools.product(range(q), repeat=len(degs) - 1):
-        if upper in seen:
-            continue
-        orbits += 1
-        seen.update(tuple(move[j][a] for j, a in enumerate(upper))
-                    for move in moves)
-    return orbits * q
+              for e in degs] for lam in lams for i in frobs]
+
+    def orbits(digits, vectors):
+        seen = set()
+        count = 0
+        for vector in vectors:
+            if vector not in seen:
+                count += 1
+                seen.update(tuple(move[j][a] for j, a in zip(digits, vector))
+                            for move in moves)
+        return count
+    upper = orbits(range(1, len(degs)),
+                   itertools.product(range(q), repeat=len(degs) - 1))
+    return (upper - 1) * q + orbits([0], ((a,) for a in range(q)))
 
 
 def uni_is_irreducible(p):

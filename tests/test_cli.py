@@ -285,20 +285,22 @@ def test_search_budget_and_resume(capsys, tmp_path):
 
 def test_search_checkpoint_payloads_frozen(capsys, tmp_path):
     # the full degree-9 family at m = 4, stopped inside the representative
-    # block a7 = 1, then inside a mapped block, then finished: the
-    # SHA-256 of each JSON payload, frozen from the scaling-only plan,
-    # which scanned other candidates for the same output
+    # block a7 = 1, then inside a mapped block, then finished, then
+    # resumed once more with nothing left: the SHA-256 of each JSON
+    # payload, frozen from the scaling-only plan, which scanned other
+    # candidates for the same output
     ck = str(tmp_path / "ck")
     family = ["search", "--m", "4", "--family",
               "x^9 + A*x^7 + B*x^6 + C*x^5 + D*x^3", "--checkpoint", ck]
     digests = (
         "665d68298bcbfb90cd0ebb044f718266b42c16320a7eb72d6b12d24fc05b57ec",
         "afb46be5cbfe85087cdf86e4133a922b99b7afc9b757bcd53c3bdfd72e2ad2bb",
-        "67525cf462f8ac76dd3a874300aa1bd6b3717970a10bed2363bb2c95d4b1ba2e")
+        "67525cf462f8ac76dd3a874300aa1bd6b3717970a10bed2363bb2c95d4b1ba2e",
+        "90bcc36344f4f1b7f884fb0f00025b9339038114eb59475ad988a1ca91adde97")
     for (extra, want), digest in zip((
             (["--budget", str(5000 * 256)], 3),
             (["--budget", str(40000 * 256), "--resume"], 3),
-            (["--resume"], 0)), digests):
+            (["--resume"], 0), (["--resume"], 0)), digests):
         code, out, _ = run(capsys, "--format", "json", *family, *extra)
         assert code == want
         assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -150,22 +150,53 @@ def test_orbit_scan_matches_direct_scan(m, fixed, free, monkeypatch):
         lo, hi = sorted(rng.randrange(total + 1) for _ in range(2))
         ranges.append((lo, hi))
     counted = _count_kernel_candidates(monkeypatch)
-    for lo, hi in ranges:
+    # planned in chunks as large as the default allows, then one node
+    # per chunk
+    for cells in (search._BATCH_CELLS, 1):
+        monkeypatch.setattr(search, "_BATCH_CELLS", cells)
+        for lo, hi in ranges:
+            counted[0] = 0
+            res = scan(job, lo, hi)
+            assert _as_tuples(res.hits) == _oracle_range(m, fixed, free,
+                                                         lo, hi)
+            assert res.scanned == hi - lo and res.cursor == hi
+            # never more kernel work than the direct scan
+            assert counted[0] <= hi - lo
+        # the full range runs the kernel on one run per orbit of the
+        # upper digits, one candidate per orbit of digit 0 where they are
+        # all 0
         counted[0] = 0
-        res = scan(job, lo, hi)
-        assert _as_tuples(res.hits) == _oracle_range(m, fixed, free, lo, hi)
-        assert res.scanned == hi - lo and res.cursor == hi
-        # never more kernel work than the direct scan
-        assert counted[0] <= hi - lo
-    # the full range runs the kernel on one run per orbit of the upper
-    # digits
-    counted[0] = 0
+        scan(job)
+        assert counted[0] == orbit_scan_candidates(job)
+
+
+# families with a fixed coefficient that generates the field, so that
+# only the scaling group applies, and the kernel candidates of a
+# full-range scan under the scaling-only plan that normalized the top
+# digit of each level along block 0; where no nonzero digit has a
+# nontrivial stabilizer the plan is the same, and x^6 + alpha*x^3 with
+# a5, a7, a9 also shortens the blocks below a nonzero a9
+GENERATOR_FAMILIES = [
+    (4, ((3, ALPHA), (6, 1)), (5, 9), 246, 246),
+    (5, ((3, Field(5).generator),), (5, 6, 9), 1058, 1058),
+    (6, ((5, Field(6).generator),), (3, 6, 9), 4162, 4162),
+    (4, ((3, ALPHA), (6, 1)), (5, 7, 9), 3926, 1526),
+]
+
+
+@pytest.mark.parametrize("m, fixed, free, scaling_only, want",
+                         GENERATOR_FAMILIES)
+def test_generator_family_keeps_scaling_plan(m, fixed, free, scaling_only,
+                                             want, monkeypatch):
+    job = SearchJob(Field(m), fixed, free)
+    counted = _count_kernel_candidates(monkeypatch)
     scan(job)
-    assert counted[0] == orbit_scan_candidates(job)
+    assert counted[0] == want == orbit_scan_candidates(job)
+    assert want <= scaling_only
 
 
 # x^6 + a3*x^3 + a5*x^5 + a9*x^9 at m = 4: blocks of 256 candidates per
-# top digit, and the kernel runs on 144 of the 4096
+# top digit, and the kernel runs on 131 of the 4096
 SHORTENED = (4, ((6, 1),), (3, 5, 9))
 
 
@@ -218,18 +249,23 @@ def test_scan_shards_on_forked_processes(monkeypatch):
 
 # the full degree-9 family at m = 4: its top digit a7 has the orbits {0}
 # and the nonzero values, Frobenius shortens the blocks below, and the
-# kernel runs on 1,264 of the 65,536 candidates
+# kernel runs on 1,251 of the 65,536 candidates
 DEGREE9 = (4, ((9, 1),), (3, 5, 6, 7))
 
 
-def test_budget_resume_and_workers_on_frobenius_family(monkeypatch):
+@pytest.mark.parametrize("cells", [None, 1])
+def test_budget_resume_and_workers_on_frobenius_family(cells, monkeypatch):
+    if cells:
+        # one node per planning chunk
+        monkeypatch.setattr(search, "_BATCH_CELLS", cells)
     m, fixed, free = DEGREE9
     job = SearchJob(Field(m), fixed, free)
     full = scan(job)
     assert full.scanned == full.cursor == job.candidates
-    # stopped inside the representative run of a7 = 0, inside a run and
-    # a block of the representative a7 = 1, and inside a mapped block
-    for cursor in (37, 4100, 5000, 40000):
+    # stopped inside the run of upper digits 0, where digit 0 is planned
+    # too, inside the representative run of a7 = 0, inside a run and a
+    # block of the representative a7 = 1, and inside a mapped block
+    for cursor in (5, 37, 4100, 5000, 40000):
         small = SearchJob(Field(m), fixed, free, budget=cursor * 256)
         with pytest.raises(BudgetExceeded) as err:
             scan(small)
@@ -239,6 +275,8 @@ def test_budget_resume_and_workers_on_frobenius_family(monkeypatch):
         assert _as_tuples(part.hits + rest.hits) == _as_tuples(full.hits)
         assert part.scanned + rest.scanned == full.scanned
         assert rest.cursor == full.cursor
+    if cells:
+        return
     monkeypatch.setattr(search, "SHARD", 256)
     for lo, hi in ((0, job.candidates), (4100, 40000)):
         one = scan(job, lo, hi, workers=1)
@@ -437,11 +475,27 @@ def test_budget_exceeded_carries_partial_and_resumes():
 
 
 def test_budget_too_small_for_anything():
-    job = SearchJob(F16, [(6, 1)], (3,), budget=10)
-    with pytest.raises(BudgetExceeded) as err:
-        scan(job)
-    assert err.value.partial.cursor == 0
-    assert err.value.partial.scanned == 0
+    # one free degree, and three, where the plan goes below the top digit
+    m, fixed, free = SHORTENED
+    for job in (SearchJob(F16, [(6, 1)], (3,), budget=10),
+                SearchJob(Field(m), fixed, free, budget=100)):
+        with pytest.raises(BudgetExceeded) as err:
+            scan(job)
+        assert err.value.partial.cursor == 0
+        assert err.value.partial.scanned == 0
+        assert err.value.partial.hits == []
+
+
+def test_empty_range_scans_nothing():
+    m, fixed, free = SHORTENED
+    for job in (SearchJob(F16, [(6, 1)], (3,)),
+                SearchJob(Field(m), fixed, free),
+                SearchJob(Field(m), [(9, 1)], (3, 5, 6, 7))):
+        for at in (0, 5, job.candidates):
+            res = scan(job, at, at)
+            assert res.hits == [] and res.scanned == 0 and res.cursor == at
+        res = scan(job, job.candidates)
+        assert res.hits == [] and res.cursor == job.candidates
 
 
 def test_empty_and_fixed_only_families():
