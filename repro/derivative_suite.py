@@ -1,6 +1,8 @@
 """Check the structural surface properties on a batch of random
-polynomials: the x0-derivative is divisible by x1+x2, and for sources
-with a constant diagonal the point (1:1:1:0) is singular.  A surface
+polynomials: each partial derivative of the quotient form is divisible
+by the linear form in the two other variables (the x0-partial by x1+x2,
+the x1-partial by x0+x2, the x2-partial by x0+x1), and for sources with
+a constant diagonal the point (1:1:1:0) is singular.  A surface
 that breaks either property stops the run with exit code 1 and names its
 map on stderr.
 
@@ -50,7 +52,8 @@ def main(argv=None):
             s = build_surface(f)
             total += 1
             if derivative_divisibility(s) is None:
-                return fail("x0-derivative not divisible by x1+x2", f)
+                return fail("a partial derivative not divisible by the "
+                            "linear form in the other two variables", f)
             divisible += 1
             if s.degree < 2:
                 skipped += 1

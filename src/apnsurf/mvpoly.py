@@ -685,6 +685,44 @@ class TriPoly:
                     del rem[ne]
         return TriPoly._of(f, quo)
 
+    def divide_linear(self, i, j):
+        """Exact division by x_i + x_j, i != j, by synthetic division in
+        x_i: with P = sum of P_k*x_i^k, the quotient's levels are
+        Q_(k-1) = P_k + x_j*Q_k from the top level down.  Raises
+        NotDivisible carrying P_0 + x_j*Q_0, which is P with x_j put for
+        x_i and vanishes exactly when x_i + x_j divides P.  Linear in the
+        terms, with no field multiplication: the divisor is monic."""
+        if i == j or not {i, j} <= {0, 1, 2}:
+            raise InvalidParameters(f"x{i} + x{j} is not a linear form "
+                                    f"in two of x0, x1, x2")
+        f = self.field
+        levels = {}
+        for e, v in self.terms.items():
+            levels.setdefault(e[i], []).append((e, v))
+        # a term e of x_i*Q_(k-1) is e/x_i in Q_(k-1), e*x_j/x_i in
+        # x_j*Q_(k-1)
+        down = tuple(-(n == i) for n in range(3))
+        over = tuple((n == j) - (n == i) for n in range(3))
+        quo = {}
+        rem = {}
+        for k in range(max(levels, default=0), -1, -1):
+            # rem holds x_j*Q_k; with P_k added it is x_i*Q_(k-1), or at
+            # k = 0 the remainder
+            for e, v in levels.get(k, ()):
+                w = rem.pop(e, 0) ^ v
+                if w:
+                    rem[e] = w
+            if k:
+                carry = {}
+                for e, v in rem.items():
+                    quo[(e[0] + down[0], e[1] + down[1], e[2] + down[2])] = v
+                    carry[(e[0] + over[0], e[1] + over[1], e[2] + over[2])] = v
+                rem = carry
+        if rem:
+            raise NotDivisible(f"x{i} + x{j} does not divide",
+                               remainder=TriPoly._of(f, rem))
+        return TriPoly._of(f, quo)
+
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda ev: _grlex_key(ev[0]),
                       reverse=True)

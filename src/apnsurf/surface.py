@@ -28,6 +28,12 @@ the diagonal plus the diagonal zeros.
 The histogram walks one derivative row per coset of the scaling group G
 of g (see the differential module), so a count costs O(q^2/|G|) time
 and O(q) memory: O(q) time for a monomial.
+
+Every divisor here is a linear form x_i + x_j, so every division is
+synthetic, level by level in x_i (TriPoly.divide_linear), in time linear
+in the terms: the quotient of x^d's four-point sum is three of them, by
+x0+x1, x1+x2 and x0+x2, and h_k = (dphi/dx_k)/(x_i + x_j), {i, j} the
+two other variables, is one each.
 """
 
 import functools
@@ -54,16 +60,6 @@ def _sum_of_vars(field, slots):
         e[s] = 1
         t[tuple(e)] = 1
     return TriPoly._of(field, t)
-
-
-def _linear_form(field, i, j):
-    return TriPoly.var(field, i) + TriPoly.var(field, j)
-
-
-def triple_locus_product(field):
-    """(x0+x1)(x1+x2)(x0+x2)."""
-    return (_linear_form(field, 0, 1) * _linear_form(field, 1, 2)
-            * _linear_form(field, 0, 2))
 
 
 class Surface:
@@ -120,7 +116,8 @@ def _monomial_quotient(d):
            + _sum_of_vars(_GF2, (0, 1, 2)).pow_(d))
     if num.is_zero:
         raise QAffineInput(f"x^{d} is linearized; no curve at infinity")
-    return tuple(num.exact_divide(triple_locus_product(_GF2)).terms)
+    quo = num.divide_linear(0, 1).divide_linear(1, 2).divide_linear(0, 2)
+    return tuple(e for e, _ in quo.sorted_terms())
 
 
 def infinity_curve(d):
@@ -133,19 +130,13 @@ def infinity_curve(d):
 
 def derivative_divisibility(surface):
     """Each partial of the quotient form is divisible by the linear form
-    in the two other variables; returns the three quotients."""
-    pairs = ((0, 1, 2), (1, 0, 2), (2, 0, 1))
-    out = []
-    for var, i, j in pairs:
-        dp = surface.poly.partial(var)
-        if dp.is_zero:
-            out.append(TriPoly.zero(surface.field))
-            continue
-        try:
-            out.append(dp.exact_divide(_linear_form(surface.field, i, j)))
-        except NotDivisible:
-            return None
-    return out
+    in the two other variables; returns the three quotients, or None when
+    a division leaves a remainder."""
+    try:
+        return [surface.poly.partial(var).divide_linear(i, j)
+                for var, i, j in ((0, 1, 2), (1, 0, 2), (2, 0, 1))]
+    except NotDivisible:
+        return None
 
 
 def _diagonal(poly):

@@ -11,7 +11,9 @@ import pytest
 
 from apnsurf import cli
 from apnsurf.cli import build_parser, main
+from apnsurf.errors import NotDivisible
 from apnsurf.gf2m import Field
+from apnsurf.mvpoly import TriPoly
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -158,6 +160,49 @@ def test_sigma_check_derivative(capsys):
                        "--poly", "x^7")
     assert code == 0
     assert "holds" in out
+
+
+def test_sigma_check_derivative_payloads_frozen(capsys):
+    # the payloads the heap division gave: three quotient texts in full
+    # for degree 13, the SHA-256 of the payload for degree 29
+    code, out, _ = run(capsys, "--format", "json", "sigma",
+                       "check-derivative", "--m", "5",
+                       "--poly", "x^13 + 3*x^7 + 5*x^5 + x^3")
+    assert code == 0
+    assert out == json.dumps({"holds": True, "quotients": [
+        "x0^8 + x0^4*x1^4 + x0^4*x1^3*x2 + x0^4*x1^2*x2^2 + x0^4*x1*x2^3"
+        " + x0^4*x2^4 + x0^2*x1^5*x2 + x0^2*x1^4*x2^2 + x0^2*x1^2*x2^4"
+        " + x0^2*x1*x2^5 + x1^8 + x1^5*x2^3 + x1^4*x2^4 + x1^3*x2^5"
+        " + x2^8 + 0x3*x1*x2 + 0x5",
+        "x0^8 + x0^5*x1^2*x2 + x0^5*x2^3 + x0^4*x1^4 + x0^4*x1^2*x2^2"
+        " + x0^4*x2^4 + x0^3*x1^4*x2 + x0^3*x2^5 + x0^2*x1^4*x2^2"
+        " + x0^2*x1^2*x2^4 + x0*x1^4*x2^3 + x0*x1^2*x2^5 + x1^8"
+        " + x1^4*x2^4 + x2^8 + 0x3*x0*x2 + 0x5",
+        "x0^8 + x0^5*x1^3 + x0^5*x1*x2^2 + x0^4*x1^4 + x0^4*x1^2*x2^2"
+        " + x0^4*x2^4 + x0^3*x1^5 + x0^3*x1*x2^4 + x0^2*x1^4*x2^2"
+        " + x0^2*x1^2*x2^4 + x0*x1^5*x2^2 + x0*x1^3*x2^4 + x1^8"
+        " + x1^4*x2^4 + x2^8 + 0x3*x0*x1 + 0x5"]}, sort_keys=True) + "\n"
+    code, out, _ = run(capsys, "--format", "json", "sigma",
+                       "check-derivative", "--m", "5",
+                       "--poly", "x^29 + x^7 + 7*x^5")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "55346096f40f1b930ded38382f158afa507f30d760587ca44c99cad4d70e64b7")
+
+
+def test_sigma_check_derivative_failure_exits_one(capsys, monkeypatch):
+    # the identity always holds, so a failing division is forced
+    def fail(self, i, j):
+        raise NotDivisible("forced", remainder=self)
+    monkeypatch.setattr(TriPoly, "divide_linear", fail)
+    code, out, _ = run(capsys, "--format", "json", "sigma",
+                       "check-derivative", "--m", "5", "--poly", "x^7")
+    assert code == 1
+    assert out == '{"holds": false}\n'
+    code, out, _ = run(capsys, "sigma", "check-derivative", "--m", "5",
+                       "--poly", "x^7")
+    assert code == 1
+    assert out == "derivative divisibility fails\n"
 
 
 def test_sigma_check_singular(capsys):

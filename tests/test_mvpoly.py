@@ -381,6 +381,58 @@ def test_tri_exact_divide_matches_reference():
     assert failed > 10
 
 
+def _homogeneous(field, deg, rng):
+    return TriPoly(field, {(a, b, deg - a - b): rng.randrange(field.q)
+                           for a in range(deg + 1)
+                           for b in range(deg + 1 - a)})
+
+
+@pytest.mark.parametrize("m", [1, 3, 4, 7])
+def test_divide_linear_matches_heap_and_reference(m):
+    field = Field(m)
+    rng = random.Random(59 + m)
+    one = TriPoly.const(field, 1)
+    pairs = [(i, j) for i in range(3) for j in range(3) if i != j]
+    quotients = [TriPoly.zero(field), TriPoly.const(field, field.q - 1)]
+    quotients += [_homogeneous(field, rng.randrange(1, 6), rng)
+                  for _ in range(6)]
+    quotients += [rand_tri(field, rng.randrange(1, 6), rng, nvars=3)
+                  for _ in range(6)]
+    failed = 0
+    for i, j in pairs:
+        lin = TriPoly.var(field, i) + TriPoly.var(field, j)
+        for a in quotients:
+            num = a * lin
+            assert num.divide_linear(i, j) == a == num.exact_divide(lin)
+            # zero, constants and random terms added: the heap division,
+            # the reference and synthetic division agree on divisibility
+            # and on the quotient
+            for extra in (TriPoly.zero(field), one,
+                          rand_tri(field, 3, rng, nvars=3)):
+                p = num + extra
+                quo, _ = reference_divide(p, lin)
+                try:
+                    heap = p.exact_divide(lin)
+                except NotDivisible:
+                    heap = None
+                assert heap == quo
+                if quo is not None:
+                    assert p.divide_linear(i, j) == quo
+                    continue
+                with pytest.raises(NotDivisible) as ei:
+                    p.divide_linear(i, j)
+                # the remainder is p with x_j put for x_i: nonzero, free
+                # of x_i, and p minus it is a multiple
+                rem = ei.value.remainder
+                assert not rem.is_zero and rem.degree_in(i) == 0
+                assert (p + rem).divide_linear(i, j) * lin == p + rem
+                failed += 1
+    assert failed > 20
+    for i, j in ((0, 0), (1, 3), (-1, 2)):
+        with pytest.raises(InvalidParameters):
+            one.divide_linear(i, j)
+
+
 def test_tri_partial_product_rule():
     rng = random.Random(37)
     for _ in range(20):
@@ -1094,6 +1146,11 @@ def test_computed_coefficients_stay_in_field(m):
         outs += [s.partial(i) for i in range(3)]
         try:
             (s * t + TriPoly.const(field, 1)).exact_divide(t)
+        except NotDivisible as e:
+            outs.append(e.remainder)
+        outs.append((s * (x0 + x1)).divide_linear(0, 1))
+        try:
+            (s * (x0 + x1) + t).divide_linear(1, 0)
         except NotDivisible as e:
             outs.append(e.remainder)
         assert all(_tri_ok(p) for p in outs)

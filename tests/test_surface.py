@@ -1,5 +1,6 @@
 """Quotient surface construction, identities, and point counts."""
 
+import functools
 import random
 
 import pytest
@@ -13,14 +14,21 @@ from apnsurf.errors import (DegreeOutOfRange, DegreeTooSmall,
 from apnsurf.gf2m import Field
 from apnsurf.mvpoly import TriPoly
 from apnsurf.polyfunc import PolyFunc, is_q_affine, normalize
+from apnsurf import surface
 from apnsurf.surface import (Surface, build_surface, count_points,
                              derivative_divisibility,
                              diagonal_infinity_singular, infinity_curve,
-                             projective_plane_zeros, triple_locus_product)
+                             projective_plane_zeros)
 
 F8 = Field(3)
 F16 = Field(4)
 F32 = Field(5)
+
+
+def triple_locus_product(field):
+    """(x0+x1)(x1+x2)(x0+x2)."""
+    x0, x1, x2 = (TriPoly.var(field, i) for i in range(3))
+    return (x0 + x1) * (x1 + x2) * (x0 + x2)
 
 
 def rand_map(field, rng, dmin=3):
@@ -344,6 +352,38 @@ def test_derivative_divisibility_always_holds():
             for (var, i, j), quot in zip(pairs, quots):
                 lin = TriPoly.var(field, i) + TriPoly.var(field, j)
                 assert quot * lin == s.poly.partial(var)
+
+
+def test_monomial_quotient_matches_heap_division():
+    # exponents and their order (grlex-descending) as the heap division
+    # of the four-point sum by the triple-locus product gives them; the
+    # quotient of x^d has every coefficient 1, so any field with d < q
+    # serves
+    field = Field(7)
+    locus = triple_locus_product(field)
+    for d in range(3, 65):
+        if d & (d - 1) == 0:
+            continue
+        num = four_point_sum(PolyFunc(field, [(d, 1)]))
+        heap = num.exact_divide(locus)
+        assert set(heap.terms.values()) == {1}
+        assert surface._monomial_quotient(d) == tuple(heap.terms)
+
+
+def test_linear_divisors_skip_the_heap(monkeypatch):
+    # every divisor on these paths is a linear form: the general heap
+    # division must not run on them
+    def fail(*args):
+        raise AssertionError("heap division by a linear form")
+    monkeypatch.setattr(TriPoly, "exact_divide", fail)
+    monkeypatch.setattr(surface, "_monomial_quotient",
+                        functools.cache(surface._monomial_quotient.__wrapped__))
+    rng = random.Random(61)
+    for field in (F8, F32):
+        for _ in range(4):
+            s = build_surface(rand_map(field, rng))
+            assert derivative_divisibility(s) is not None
+    assert surface._monomial_quotient.cache_info().misses > 0
 
 
 def test_diagonal_point_at_infinity_singular():
