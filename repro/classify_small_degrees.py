@@ -5,7 +5,10 @@ Degree 6 runs at m = 4, 5, 6; degree 7 at m = 4, 5, 6; degree 9 at
 m = 4, 5, 6.  The degree-9 run at m <= 5 includes the full coefficient
 family and the affine-reduction confirmation, so it is the slowest.
 
-Usage: python3 repro/classify_small_degrees.py [--out-dir DIR] [--workers N]
+Usage: python3 repro/classify_small_degrees.py [--out-dir DIR]
+
+Each scan chooses its own processes (apnsurf.kernels._processes); every
+scan here is small enough to run in this process.
 """
 
 import argparse
@@ -16,24 +19,19 @@ import time
 
 from apnsurf.search import classify_degree6, classify_degree7, classify_degree9
 
-RUNS = [(6, (4, 5, 6)), (7, (4, 5, 6)), (9, (4, 5, 6))]
+RUNS = [(6, classify_degree6, (4, 5, 6)), (7, classify_degree7, (4, 5, 6)),
+        (9, classify_degree9, (4, 5, 6))]
 
 
 def main(argv=None):
     ap = argparse.ArgumentParser()
     ap.add_argument("--out-dir", default=os.path.dirname(os.path.abspath(__file__)))
-    ap.add_argument("--workers", type=int, default=1)
     args = ap.parse_args(argv)
 
-    for degree, ms in RUNS:
+    for degree, classify, ms in RUNS:
         for m in ms:
             t0 = time.perf_counter()
-            if degree == 6:
-                rep = classify_degree6(m, workers=args.workers)
-            elif degree == 7:
-                rep = classify_degree7(m, workers=args.workers)
-            else:
-                rep = classify_degree9(m, workers=args.workers)
+            rep = classify(m)
             elapsed = time.perf_counter() - t0
             path = os.path.join(args.out_dir,
                                 "classify_d%d_m%d.json" % (degree, m))

@@ -116,22 +116,22 @@ def excludes_isolated(d, m, form="exact"):
 _EXCLUDERS = {IRREDUCIBLE: excludes_irreducible, ISOLATED: excludes_isolated}
 
 
-def mmax(d, kind=IRREDUCIBLE, form="exact", cap=M_CAP):
-    """Largest m in 1..cap for which (d, m) is not excluded.
+def mmax(d, kind=IRREDUCIBLE, form="exact"):
+    """Largest m in 1..M_CAP for which (d, m) is not excluded.
 
-    The scan runs down from cap and stops at the first m not excluded,
+    The scan runs down from M_CAP and stops at the first m not excluded,
     so every m above the returned value has been checked as excluded
     and a single number faithfully summarizes the whole range.  Returns
-    None when even m = cap is not excluded, i.e. the chosen condition
+    None when even m = M_CAP is not excluded, i.e. the chosen condition
     form establishes no bound below the cap, and 0 when every m is
     excluded.
     """
     if kind not in KINDS:
         raise InvalidParameters("unknown kind %r" % (kind,))
     excl = _EXCLUDERS[kind]
-    for m in range(cap, 0, -1):
+    for m in range(M_CAP, 0, -1):
         if not excl(d, m, form):
-            return None if m == cap else m
+            return None if m == M_CAP else m
     return 0
 
 

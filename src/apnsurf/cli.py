@@ -187,7 +187,7 @@ def cmd_search(args):
         cursor = checkpoint_resume(args.checkpoint, job)
     code = 0
     try:
-        result = scan(job, start=cursor, workers=args.workers)
+        result = scan(job, start=cursor)
     except BudgetExceeded as e:
         result = e.partial
         code = 3
@@ -213,7 +213,7 @@ def cmd_search(args):
 
 def cmd_classify(args):
     fn = {6: classify_degree6, 7: classify_degree7, 9: classify_degree9}
-    report = fn[args.degree](args.m, workers=args.workers)
+    report = fn[args.degree](args.m)
     payload = report.as_dict()
     payload["claim_id"] = "degree%d-classification" % args.degree
     if args.format == "json":
@@ -248,12 +248,9 @@ def build_parser():
                     "GF(2^m)")
     parser.add_argument("--format", choices=("text", "json", "csv"),
                         default="text")
-    parser.add_argument(
-        "--workers", type=int, default=1,
-        help="processes that scan the shards of each family in search and "
-             "classify (default 1).  Spectrum and Walsh passes in large "
-             "fields use every CPU this process may run on, whatever "
-             "this says; taskset limits them")
+    parser.add_argument("--workers", type=int,
+                        help="accepted and ignored: large work runs on "
+                             "every CPU that taskset allows")
     parser.add_argument("--version", action="version",
                         version="apnsurf %s" % __version__)
     sub = parser.add_subparsers(dest="command", required=True)

@@ -4,10 +4,9 @@ Field products go through the padded antilog/log tables of Field.tables(),
 in which log[0] is a sentinel index whose antilog reads as zero.  The
 family scan multiplies only rows of the product tables d * x^e and builds
 each candidate's value table by xoring such rows, so it pays for products
-per row, not per candidate.  Large spectrum and Walsh passes split
-their rows over forked processes (_fan_out), which search.scan also
-deals its shards out with.  Each public kernel is checked against a
-plain scalar loop in tests/oracles.py.
+per row, not per candidate.  Large spectrum and Walsh passes and large
+scans run on forked processes (_processes, _fan_out).  Each public
+kernel is checked against a plain scalar loop in tests/oracles.py.
 """
 
 import math
@@ -31,11 +30,11 @@ _CHUNK_CELLS = 1 << 16
 # (every row of one map: 0.206-0.217 s at 2^15, 0.215-0.249 s at 2^14,
 # 0.209-0.236 s at 2^16)
 _COUNT_CELLS = 1 << 15
-# cells (see spectrum_hist and walsh_hist) from which a row kernel splits
-# its rows over forked processes: on 2 CPUs, serial against forked, the
-# spectrum read 5.8 against 8.0 ms at 2^19, 10.6-10.9 against
-# 10.4-10.7 ms at 2^20 and 20.1-21.1 against 15.4-16.0 ms at 2^21;
-# Walsh broke even at 2^19 and read 19.2-19.4 against 14.7 ms at 2^20
+# cells from which work splits over forked processes (_processes): on 2 CPUs,
+# serial against forked, the spectrum read 5.8 against 8.0 ms at 2^19,
+# 10.6-10.9 against 10.4-10.7 ms at 2^20 and 20.1-21.1 against 15.4-16.0 ms at
+# 2^21; Walsh broke even at 2^19 and read 19.2-19.4 against 14.7 ms at 2^20; a
+# scan lost up to 2^21 and won from 2^21.5
 _FORK_CELLS = 1 << 20
 # the CPUs this process may run on, which taskset narrows
 _CPUS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
@@ -126,14 +125,18 @@ def _fan_out(part, nparts):
     return out
 
 
+def _processes(cells, parts):
+    """Processes for cells cells of work in at most parts parts: one per
+    CPU but at most parts, none with less than _FORK_CELLS / 2 cells."""
+    return max(1, min(_CPUS, parts, 2 * cells // _FORK_CELLS))
+
+
 def _split_rows(count, rows, cells):
-    """count(rows) for a row kernel of cells cells, whose counts add up
-    over any split of its rows: from _FORK_CELLS cells on, the sum of
-    count(rows[i::p]) over p processes (_fan_out), one per CPU but no
-    part below _FORK_CELLS / 2 cells."""
-    if cells < _FORK_CELLS:
+    """count(rows) of a row kernel of cells cells, whose counts add up over
+    any split of its rows: the sum of count(rows[i::p]) over p parts."""
+    p = _processes(cells, rows.shape[0])
+    if p == 1:
         return count(rows)
-    p = min(_CPUS, rows.shape[0], 2 * cells // _FORK_CELLS)
     total, *rest = _fan_out(lambda i: count(rows[i::p]), p)
     for part in rest:
         total += part

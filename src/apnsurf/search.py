@@ -4,7 +4,8 @@ coefficient families.
 A family is a fixed polynomial part plus free coefficients attached to
 a set of monomial degrees.  Candidates are indexed by little-endian
 base-q integers: digit j of the index is the coefficient of the j-th
-free degree (ascending).  A scan covers a contiguous index range.  The
+free degree (ascending).  A scan covers a contiguous index range, on
+forked processes when it is large (kernels._processes).  The
 early-abort differential kernel runs on one run of q candidates (all
 values of digit 0) per orbit of the higher digits under the scalings
 x -> lam*x and the Frobenius twists that keep the fixed part, and on
@@ -33,8 +34,9 @@ from .differential import (fingerprint_digest, walsh_fingerprint,
 from .errors import (ApnToolError, BudgetExceeded, CorruptCheckpoint,
                      InvalidParameters)
 from .gf2m import Field, _is_pow2
-from .kernels import (_BATCH_CELLS, _COUNT_CELLS, _fan_out, power_table,
-                      scan_range, scaling_rows, spectrum_hist, value_table)
+from .kernels import (_BATCH_CELLS, _COUNT_CELLS, _fan_out, _processes,
+                      power_table, scan_range, scaling_rows, spectrum_hist,
+                      value_table)
 from .polyfunc import PolyFunc
 
 DEFAULT_BUDGET = 1 << 30
@@ -436,17 +438,17 @@ def _mapped(tw, survivors, maps):
     return survivors
 
 
-def scan(job, start=0, stop=None, workers=1):
+def scan(job, start=0, stop=None):
     """Scan candidate indices [start, stop) in ascending order.
 
     The early-abort kernel runs on the runs and parts of _scan_plan,
-    dealt out as shards of at most SHARD candidates to workers
-    processes, all but one forked (kernels._fan_out); a shard of runs is
-    one scan_range call.  The survivors of the mapped blocks are taken
-    from their representatives (_mapped), and every survivor in the
-    range, mapped or not, is verified in stacked passes, each on its own
-    full spectrum and fingerprint.  The hit list is deterministic and
-    independent of worker count.
+    dealt out as shards of at most SHARD candidates to the processes
+    kernels._processes gives for their cells, all but one forked; a
+    shard of runs is one scan_range call.  The survivors of the mapped
+    blocks are taken from their representatives (_mapped), and every
+    survivor in the range, mapped or not, is verified in stacked passes,
+    each on its own full spectrum and fingerprint.  The hit list is
+    deterministic and independent of the process count.
     When the job's budget cannot cover the range, the covered prefix is
     scanned and BudgetExceeded is raised with the partial result (its
     cursor marks the restart point) attached.
@@ -457,8 +459,6 @@ def scan(job, start=0, stop=None, workers=1):
     if not 0 <= start <= stop <= total:
         raise InvalidParameters(
             "bad range [%d, %d) for %d candidates" % (start, stop, total))
-    if workers < 1:
-        raise InvalidParameters("workers must be positive")
     field = job.field
     q = field.q
     allowed = job.budget // (q * q)
@@ -485,7 +485,8 @@ def scan(job, start=0, stop=None, workers=1):
                                    % (lo, hi, nh))
             out.append(hits)
         return np.concatenate(out)
-    p = max(1, min(workers, len(shards)))
+    cells = (runs.shape[0] * q + sum(b - a for a, b in parts)) * q
+    p = _processes(cells, len(shards))
     survivors = _mapped(tw, np.concatenate(
         _fan_out(lambda i: run(shards[i::p]), p)), maps)
     survivors = np.sort(
@@ -604,12 +605,12 @@ def _reference_digest(field, e):
     return fingerprint_digest(walsh_fingerprint(f))
 
 
-def classify_degree6(m, workers=1):
+def classify_degree6(m):
     """Scan x^6 + a5*x^5 + a3*x^3 and compare hits against x^3."""
     if not 3 <= m <= 7:
         raise InvalidParameters("degree-6 classification needs 3 <= m <= 7")
     field = Field(m)
-    result = scan(SearchJob(field, [(6, 1)], (3, 5)), workers=workers)
+    result = scan(SearchJob(field, [(6, 1)], (3, 5)))
     refs = {"x^3": _reference_digest(field, 3),
             "x^6": _reference_digest(field, 6)}
     notes = [FINGERPRINT_CAVEAT,
@@ -619,12 +620,12 @@ def classify_degree6(m, workers=1):
     return ClassifyReport(6, m, scans, refs, notes)
 
 
-def classify_degree7(m, workers=1):
+def classify_degree7(m):
     """Scan x^7 + a6*x^6 + a5*x^5 + a3*x^3; compare hits against x^7."""
     if not 3 <= m <= 6:
         raise InvalidParameters("degree-7 classification needs 3 <= m <= 6")
     field = Field(m)
-    result = scan(SearchJob(field, [(7, 1)], (3, 5, 6)), workers=workers)
+    result = scan(SearchJob(field, [(7, 1)], (3, 5, 6)))
     refs = {"x^7": _reference_digest(field, 7)}
     matched = all(h.digest == refs["x^7"] for h in result.hits)
     notes = [FINGERPRINT_CAVEAT]
@@ -712,7 +713,7 @@ def _degree9_reduction_note(job, hits, reduced_hit_sets):
             "affine substitution")
 
 
-def classify_degree9(m, workers=1):
+def classify_degree9(m):
     """Scan the reduced degree-9 families; at m <= 5 also scan the full
     family to confirm the reduction loses no hit.
 
@@ -732,7 +733,7 @@ def classify_degree9(m, workers=1):
     ]
     scans = []
     for label, fixed, free in families:
-        result = scan(SearchJob(field, fixed, free), workers=workers)
+        result = scan(SearchJob(field, fixed, free))
         scans.append(FamilyScan(label, result.job.free_degrees,
                                 result.hits, result.scanned))
 
@@ -761,8 +762,7 @@ def classify_degree9(m, workers=1):
         "both are reported, neither is silently preferred",
     ]
     if m <= 5:
-        full = scan(SearchJob(field, [(9, 1)], (3, 5, 6, 7)),
-                    workers=workers)
+        full = scan(SearchJob(field, [(9, 1)], (3, 5, 6, 7)))
         scans.append(FamilyScan("x^9+a7*x^7+a6*x^6+a5*x^5+a3*x^3",
                                 full.job.free_degrees, full.hits,
                                 full.scanned))

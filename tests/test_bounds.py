@@ -59,11 +59,13 @@ def test_mmax_scans_down_once(monkeypatch):
     assert calls == list(range(M_CAP, 9, -1))
     assert len(calls) == M_CAP - 10 + 1
     calls.clear()
-    assert mmax(7, IRREDUCIBLE, cap=8) is None
+    monkeypatch.setattr(bounds, "M_CAP", 8)
+    assert mmax(7, IRREDUCIBLE) is None
     assert calls == [8]
     calls.clear()
     threshold[0] = 0
-    assert mmax(7, IRREDUCIBLE, cap=5) == 0
+    monkeypatch.setattr(bounds, "M_CAP", 5)
+    assert mmax(7, IRREDUCIBLE) == 0
     assert calls == [5, 4, 3, 2, 1]
 
 

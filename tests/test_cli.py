@@ -351,6 +351,19 @@ def test_search_checkpoint_payloads_frozen(capsys, tmp_path):
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+def test_workers_flag_is_accepted_and_ignored(capsys):
+    # the same bytes with any --workers value, 0 included, and with none
+    for argv in (["search", "--m", "4", "--family",
+                  "x^9 + A*x^7 + B*x^6 + C*x^5 + D*x^3"],
+                 ["classify", "--degree", "6", "--m", "4"]):
+        outs = []
+        for flag in ([], ["--workers", "0"], ["--workers", "3"]):
+            code, out, err = run(capsys, "--format", "json", *flag, *argv)
+            assert (code, err) == (0, "")
+            outs.append(out)
+        assert outs[1] == outs[0] == outs[2]
+
+
 def test_resume_without_checkpoint_is_usage_error(capsys):
     # without a checkpoint file there is no cursor to resume from; the
     # scan must not start over from index 0 as if it had resumed

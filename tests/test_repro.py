@@ -25,8 +25,7 @@ def run_script(name, *args, flags=()):
 
 
 def test_repro_artifacts_regenerate_byte_identical(tmp_path):
-    run_script("classify_small_degrees.py", "--out-dir", str(tmp_path),
-               "--workers", "2")
+    run_script("classify_small_degrees.py", "--out-dir", str(tmp_path))
     run_script("mmax_tables.py", "--out-dir", str(tmp_path))
     committed = sorted(n for n in os.listdir(REPRO)
                        if n.endswith((".json", ".csv")))

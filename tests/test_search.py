@@ -200,27 +200,39 @@ def test_generator_family_keeps_scaling_plan(m, fixed, free, scaling_only,
 SHORTENED = (4, ((6, 1),), (3, 5, 9))
 
 
+def _force_processes(monkeypatch, p):
+    """Make scan deal its shards to p processes whatever their cells; the
+    row kernels keep their own rule (kernels._processes)."""
+    monkeypatch.setattr(search, "_processes",
+                        lambda cells, parts: max(1, min(p, parts)))
+
+
 def test_worker_count_invariance(monkeypatch):
     monkeypatch.setattr(search, "SHARD", 32)
     job = SearchJob(F16, [(6, 1)], (3, 5))
-    one = scan(job, workers=1)
-    three = scan(job, workers=3)
+    one = scan(job)
+    _force_processes(monkeypatch, 3)
+    three = scan(job)
     assert [h.index for h in one.hits] == [h.index for h in three.hits]
     assert one.scanned == three.scanned
     m, fixed, free = SHORTENED
     job = SearchJob(Field(m), fixed, free)
     for lo, hi in ((0, 4096), (77, 3001)):
-        one = scan(job, lo, hi, workers=1)
-        three = scan(job, lo, hi, workers=3)
+        _force_processes(monkeypatch, 1)
+        one = scan(job, lo, hi)
+        _force_processes(monkeypatch, 3)
+        three = scan(job, lo, hi)
         assert _as_tuples(three.hits) == _as_tuples(one.hits)
         assert _as_tuples(one.hits) == _oracle_range(m, fixed, free, lo, hi)
         assert one.scanned == three.scanned == hi - lo
 
 
 def test_scan_shards_on_forked_processes(monkeypatch):
-    # two workers over ranges that cross representative blocks of
-    # SHORTENED, one shard group in a forked child
+    # two processes over ranges that cross representative blocks of
+    # SHORTENED, one shard group in a forked child; the row kernels of
+    # the verification stay in process
     monkeypatch.setattr(search, "SHARD", 32)
+    _force_processes(monkeypatch, 2)
     forks = []
     fork = kernels._fork
     monkeypatch.setattr(kernels, "_fork",
@@ -229,7 +241,7 @@ def test_scan_shards_on_forked_processes(monkeypatch):
     job = SearchJob(Field(m), fixed, free)
     for lo, hi in ((0, 4096), (200, 3900), (2500, 2600)):
         forks.clear()
-        res = scan(job, lo, hi, workers=2)
+        res = scan(job, lo, hi)
         assert forks == [1]
         assert _as_tuples(res.hits) == _oracle_range(m, fixed, free, lo, hi)
         assert res.scanned == hi - lo and res.cursor == hi
@@ -242,9 +254,55 @@ def test_scan_shards_on_forked_processes(monkeypatch):
         return hits, nh + (hi - lo) * (os.getpid() != parent)
     monkeypatch.setattr(search, "scan_range", fails_in_child)
     with pytest.raises(ApnToolError, match="part 1: .* survivors"):
-        scan(job, workers=2)
+        scan(job)
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def test_scan_processes_follow_the_row_kernel_rule(monkeypatch):
+    # scan asks kernels._processes with its planned kernel cells, the
+    # candidates of its runs and parts times q, and its shard count
+    asked = []
+    rule = search._processes
+    monkeypatch.setattr(search, "_processes",
+                        lambda cells, parts: asked.append((cells, parts))
+                        or rule(cells, parts))
+    m, fixed, free = DEGREE9
+    job = SearchJob(Field(m), fixed, free)
+    q = job.field.q
+    for lo, hi in ((0, job.candidates), (5, 37), (4100, 40000)):
+        asked.clear()
+        scan(job, lo, hi)
+        runs, parts, _ = search._scan_plan(job, search._Twists(job), lo, hi)
+        cands = runs.shape[0] * q + sum(b - a for a, b in parts)
+        shards = len(parts) + -(-runs.shape[0] * q // search.SHARD)
+        assert asked == [(cands * q, shards)]
+    monkeypatch.setattr(kernels, "_CPUS", 64)
+    half = kernels._FORK_CELLS // 2
+    assert kernels._processes(2 * half - 1, 100) == 1
+    assert kernels._processes(2 * half, 100) == 2
+    assert kernels._processes(7 * half, 100) == 7
+    assert kernels._processes(7 * half, 3) == 3
+    monkeypatch.setattr(kernels, "_CPUS", 2)
+    assert kernels._processes(1 << 40, 100) == 2
+
+
+def test_classify_scans_stay_in_process(monkeypatch):
+    # every scan of the nine repro/ classifications is below the fork
+    # threshold, on any CPU count, so all its scan_range calls run in
+    # this process, where a trace sees them
+    monkeypatch.setattr(kernels, "_CPUS", 64)
+    nparts = []
+    fan_out = search._fan_out
+    monkeypatch.setattr(search, "_fan_out",
+                        lambda part, n: nparts.append(n) or fan_out(part, n))
+    for classify, ms in ((classify_degree6, (4, 5, 6)),
+                         (classify_degree7, (4, 5, 6)),
+                         (classify_degree9, (4, 5, 6))):
+        for m in ms:
+            classify(m)
+    assert len(nparts) == 20
+    assert set(nparts) == {1}
 
 
 # the full degree-9 family at m = 4: its top digit a7 has the orbits {0}
@@ -279,8 +337,10 @@ def test_budget_resume_and_workers_on_frobenius_family(cells, monkeypatch):
         return
     monkeypatch.setattr(search, "SHARD", 256)
     for lo, hi in ((0, job.candidates), (4100, 40000)):
-        one = scan(job, lo, hi, workers=1)
-        two = scan(job, lo, hi, workers=2)
+        _force_processes(monkeypatch, 1)
+        one = scan(job, lo, hi)
+        _force_processes(monkeypatch, 2)
+        two = scan(job, lo, hi)
         assert _as_tuples(two.hits) == _as_tuples(one.hits)
         assert (two.scanned, two.cursor) == (one.scanned, one.cursor)
 

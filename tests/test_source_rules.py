@@ -6,6 +6,11 @@
 - no read of APNSURF_BACKEND: there is one backend, so nothing to select;
 - no parameter named seed: every result is deterministic, so a seed
   would be a knob that changes nothing;
+- no parameter named workers: how many processes a piece of work runs
+  on follows from its size (kernels._processes), not from a caller;
+- only kernels.py forks or reads the CPU count (os.fork,
+  sched_getaffinity, cpu_count): every fan-out goes through
+  kernels._fan_out and kernels._processes;
 - TriPoly.__new__ is called from one function, the unchecked
   constructor: every other TriPoly goes through it or through the
   checking public constructor;
@@ -47,6 +52,24 @@ def violations(tree):
             yield node.lineno, "APNSURF_BACKEND read"
         elif isinstance(node, ast.arg) and node.arg == "seed":
             yield node.lineno, "seed parameter"
+        elif isinstance(node, ast.arg) and node.arg == "workers":
+            yield node.lineno, "workers parameter"
+
+
+PROCESS_NAMES = {"fork", "sched_getaffinity", "cpu_count"}
+
+
+def process_reads(tree):
+    """Lines that fork or read the CPU count: an attribute, a name or an
+    imported name among PROCESS_NAMES."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in PROCESS_NAMES:
+            yield node.lineno
+        elif isinstance(node, ast.Name) and node.id in PROCESS_NAMES:
+            yield node.lineno
+        elif isinstance(node, ast.ImportFrom):
+            if any(a.name in PROCESS_NAMES for a in node.names):
+                yield node.lineno
 
 
 def test_modules_found():
@@ -69,11 +92,26 @@ def test_repro_scripts_have_no_assert(path):
 def test_rules_catch_each_violation():
     src = ("import os\nimport numba.core\nfrom numba import njit\n"
            "assert True\nos.environ.get('APNSURF_BACKEND')\n"
-           "def f(p, *, seed=0):\n    return lambda seed: p\n")
+           "def f(p, *, seed=0):\n    return lambda seed: p\n"
+           "def g(job, workers=1):\n    return job\n")
     assert sorted(violations(ast.parse(src))) == [
         (2, "numba import"), (3, "numba import"), (4, "assert statement"),
         (5, "APNSURF_BACKEND read"), (6, "seed parameter"),
-        (7, "seed parameter")]
+        (7, "seed parameter"), (8, "workers parameter")]
+
+
+def test_only_kernels_forks_or_reads_the_cpu_count():
+    for path in MODULES:
+        lines = list(process_reads(ast.parse(path.read_text(),
+                                             filename=str(path))))
+        assert bool(lines) == (path.name == "kernels.py"), (path.name, lines)
+
+
+def test_process_rule_catches_each_form():
+    src = ("import os\nfrom os import fork\nfrom os import cpu_count as n\n"
+           "pid = os.fork()\nk = len(os.sched_getaffinity(0))\n"
+           "c = os.cpu_count()\nfork()\nhasattr(os, 'fork')\n")
+    assert sorted(process_reads(ast.parse(src))) == [2, 3, 4, 5, 6, 7]
 
 
 def tri_new_sites(tree):
