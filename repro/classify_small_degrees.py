@@ -3,7 +3,10 @@ reports as JSON, one file per (degree, m).
 
 Degree 6 runs at m = 4, 5, 6; degree 7 at m = 4, 5, 6; degree 9 at
 m = 4, 5, 6.  The degree-9 run at m <= 5 includes the full coefficient
-family and the affine-reduction confirmation, so it is the slowest.
+family, so it is the slowest, and the affine-reduction confirmation,
+which maps each full-family hit by its one forced translation
+x -> x + b and every scaling x -> a*x, the same as trying every
+substitution x -> a*x + b.
 
 Usage: python3 repro/classify_small_degrees.py [--out-dir DIR]
 

@@ -192,7 +192,10 @@ def cmd_search(args):
         result = e.partial
         code = 3
     if args.checkpoint:
-        checkpoint_save(args.checkpoint, job, result.cursor)
+        try:
+            checkpoint_save(args.checkpoint, job, result.cursor)
+        except OSError as e:
+            raise InvalidParameters("cannot write checkpoint: %s" % e)
     summary = {"scanned": result.scanned, "hits": len(result.hits),
                "cursor": result.cursor, "candidates": job.candidates,
                "complete": code == 0}

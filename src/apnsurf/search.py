@@ -34,9 +34,8 @@ from .differential import (fingerprint_digest, walsh_fingerprint,
 from .errors import (ApnToolError, BudgetExceeded, CorruptCheckpoint,
                      InvalidParameters)
 from .gf2m import Field, _is_pow2
-from .kernels import (_BATCH_CELLS, _COUNT_CELLS, _fan_out, _processes,
-                      power_table, scan_range, scaling_rows, spectrum_hist,
-                      value_table)
+from .kernels import (_BATCH_CELLS, _fan_out, _processes, power_table,
+                      scan_range, scaling_rows, spectrum_hist, value_table)
 from .polyfunc import PolyFunc
 
 DEFAULT_BUDGET = 1 << 30
@@ -637,74 +636,44 @@ def classify_degree7(m):
     return ClassifyReport(7, m, scans, refs, notes)
 
 
-def _orbit_coefficients(field, exps, coeffs, d):
-    """Coefficients of a^-d * f_h(a*x + b) for every map f_h of a stack,
-    every a != 0 and every b, in chunks of maps.
-
-    f_h is the sum of coeffs[h, j] * x^exps[j]: coeffs is an int64
-    (H, len(exps)) stack over exponents below q.  Yields (lo, grids) per
-    chunk of maps lo, lo + 1, ...: grids maps each exponent k that
-    normalize keeps (not 0, not a power of two) and some exponent
-    reaches to an int64 array of shape (n, q - 1, q), and
-    grids[k][h, a - 1, b] is the coefficient of x^k in map lo + h.  As
-    in affine_transform, (a*x + b)^e expands over the bit-submasks k of
-    e into (a*x)^k * b^(e - k), so the coefficient of x^k is the row
-    factor a^(k - d) times the column sum of coeff_e * b^(e - k) over
-    the exponents e containing k.  The column sums of the whole stack,
-    one mul_vec per (e, k), and the row factors are taken once; a chunk
-    holds at most _COUNT_CELLS cells per grid.
-    """
-    q = field.q
-    cols = {}
-    for j, e in enumerate(exps):
-        k = e
-        while k:
-            if not _is_pow2(k):
-                col = field.mul_vec(coeffs[:, j, None],
-                                    power_table(field, e - k)[None, :])
-                cols[k] = cols[k] ^ col if k in cols else col
-            k = (k - 1) & e
-    rows = {k: power_table(field, (k - d) % (q - 1))[1:, None] for k in cols}
-    chunk = max(1, _COUNT_CELLS // (q * (q - 1)))
-    for lo in range(0, coeffs.shape[0], chunk):
-        yield lo, {k: field.mul_vec(rows[k], col[lo:lo + chunk, None, :])
-                   for k, col in cols.items()}
-
-
 def _degree9_reduction_note(job, hits, reduced_hit_sets):
-    """Check every hit of the full family job lands in a reduced family
-    under some substitution x -> a*x + b with the output rescaled monic,
-    and report the outcome.
+    """Check every hit of the full family job, x^9 + a7*x^7 + a6*x^6 +
+    a5*x^5 + a3*x^3, lands in a reduced family under some substitution
+    x -> a*x + b with the output rescaled monic, and report the outcome.
 
-    A hit's map is the job's fixed terms plus its coefficients on
-    job.free_degrees.  The hits' (a, b) grids are swept in stacked
-    chunks (_orbit_coefficients): a family accepts a cell when every
-    coefficient outside its shape is 0, every pinned coefficient is 1
-    and the free coefficients, read as the little-endian base-q index
-    of SearchJob.coeff_vector, name one of its hits.  A hit maps in
-    when some family accepts some cell of its grid.
+    By Lucas, x -> x + b keeps a7 and, once normalize drops the affine
+    terms, sends a_k to a_k + a7*b^(7 - k) for k = 6, 5, 3.  A hit with
+    a7 != 0 keeps x^7 under every scaling, so of the reduced families
+    of classify_degree9 only x^9+x^7+a5*x^5+a3*x^3 can take it, and
+    that needs a6 = 0: b = a6/a7.  A translation fixes a hit with
+    a7 = 0.  So trying every (a, b) is the same as translating each hit
+    at its one b (0 when a7 = 0) and trying every scaling x -> a*x,
+    which takes the coefficient of x^k to a^(k - 9) times it.  A family
+    accepts a scaling when every coefficient outside its shape is 0,
+    every pinned coefficient is 1 and the free coefficients, read as the
+    little-endian base-q index of SearchJob.coeff_vector, name one of
+    its hits.
     """
     field = job.field
     q = field.q
-    families = []
+    coef = dict(zip(job.free_degrees, np.array(
+        [h.coeffs for h in hits], dtype=np.int64).reshape(-1, 4).T))
+    b = field.mul_vec(coef[6], power_table(field, q - 2)[coef[7]])
+    for k in (3, 5, 6):
+        coef[k] ^= field.mul_vec(coef[7], power_table(field, 7 - k)[b])
+    grids = {k: field.mul_vec(c[:, None],
+                              power_table(field, (k - 9) % (q - 1))[1:])
+             for k, c in coef.items()}
+    found = np.zeros(len(hits), dtype=bool)
     for degs, ones, hitset in reduced_hit_sets:
         table = np.zeros(q ** len(degs), dtype=bool)
-        for coeffs in hitset:
-            table[_base_q_index(coeffs, q)] = True
-        families.append(({9} | set(degs) | set(ones), degs, ones, table))
-    exps = [e for e, _ in job.fixed_terms] + list(job.free_degrees)
-    coeffs = np.array([[c for _, c in job.fixed_terms] + list(h.coeffs)
-                       for h in hits], dtype=np.int64).reshape(-1, len(exps))
-    found = np.zeros(len(hits), dtype=bool)
-    for lo, grids in _orbit_coefficients(field, exps, coeffs, 9):
-        vanish = {k: grid == 0 for k, grid in grids.items()}
-        for shape, degs, ones, table in families:
-            mask = table[_base_q_index([grids[e] for e in degs], q)]
-            for k in vanish.keys() - shape:
-                mask &= vanish[k]
-            for e in ones:
-                mask &= grids[e] == 1
-            found[lo:lo + mask.shape[0]] |= mask.any(axis=(1, 2))
+        table[[_base_q_index(c, q) for c in hitset]] = True
+        mask = table[_base_q_index([grids[e] for e in degs], q)]
+        for k in grids.keys() - set(degs) - set(ones):
+            mask &= grids[k] == 0
+        for e in ones:
+            mask &= grids[e] == 1
+        found |= mask.any(axis=1)
     escapees = [h.coeffs for h, ok in zip(hits, found.tolist()) if not ok]
     if escapees:
         return ("full-family hits escaping the reduced families: %r"
@@ -717,9 +686,10 @@ def classify_degree9(m):
     """Scan the reduced degree-9 families; at m <= 5 also scan the full
     family to confirm the reduction loses no hit.
 
-    The confirming note tries every full-family hit under every
-    substitution x -> a*x + b with a != 0, output rescaled monic,
-    against the four reduced families, and lists the escapees.
+    The confirming note maps every full-family hit into the four reduced
+    families by its one forced translation x -> x + b and every scaling
+    x -> a*x, output rescaled monic, which is the same as trying every
+    substitution x -> a*x + b, and lists the escapees.
     """
     if not 4 <= m <= 6:
         raise InvalidParameters("degree-9 classification needs 4 <= m <= 6")
@@ -766,12 +736,11 @@ def classify_degree9(m):
         scans.append(FamilyScan("x^9+a7*x^7+a6*x^6+a5*x^5+a3*x^3",
                                 full.job.free_degrees, full.hits,
                                 full.scanned))
+        # a family's pinned ones are its fixed exponents below 9
         reduced_sets = [
-            ((3, 5), (7,), {h.coeffs for h in scans[0].hits}),
-            ((3, 6), (5,), {h.coeffs for h in scans[1].hits}),
-            ((3, 6), (), {h.coeffs for h in scans[2].hits}),
-            ((3, 5), (), {h.coeffs for h in scans[3].hits}),
-        ]
+            (free, tuple(e for e, _ in fixed if e < 9),
+             {h.coeffs for h in s.hits})
+            for (_, fixed, free), s in zip(families, scans)]
         notes.append(_degree9_reduction_note(full.job, full.hits,
                                              reduced_sets))
     return ClassifyReport(9, m, scans, refs, notes)

@@ -14,11 +14,12 @@ value table built from its digits; verify_hit_py verifies one survivor
 at a time from its own PolyFunc, over the rows of the map's scaling
 group.
 
-search._degree9_reduction_note sweeps the (a, b) grids of a stack of
-hits at once, chunk by chunk, from column sums and row factors shared
-by the stack (search._orbit_coefficients); reduction_note_brute_force
-builds each hit's PolyFunc and substitutes one (a, b) at a time through
-affine_transform and normalize.
+search._degree9_reduction_note decides by the one forced translation
+x -> x + b of each hit, in closed form, and every scaling x -> a*x, on
+one grid per exponent for all hits, which is equivalent to trying every
+substitution; reduction_note_brute_force builds each hit's PolyFunc and
+tries every (a, b), one at a time, through affine_transform and
+normalize.
 
 search._scan_plan plans a family scan digit by digit, one block per
 orbit under the stabilizer of the digits above, with the group built

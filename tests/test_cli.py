@@ -374,6 +374,18 @@ def test_resume_without_checkpoint_is_usage_error(capsys):
     assert "--resume needs --checkpoint" in err
 
 
+def test_search_checkpoint_write_failure_is_input_error(capsys, tmp_path):
+    # a checkpoint in a missing directory cannot be written: an error
+    # line and exit 2, not a traceback and exit 1, which means false
+    ck = tmp_path / "missing" / "ck"
+    code, out, err = run(capsys, "search", "--m", "4",
+                         "--family", "x^6 + A*x^5 + B*x^3",
+                         "--checkpoint", str(ck))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cannot write checkpoint: ")
+    assert "Traceback" not in err and not ck.parent.exists()
+
+
 def test_version_matches_pyproject(capsys):
     text = (ROOT / "pyproject.toml").read_text()
     version = re.search(r'^version = "([^"]+)"$', text, re.M).group(1)

@@ -1,6 +1,5 @@
 """Family scans, checkpointing, and the fixed-degree classifications."""
 
-import ast
 import functools
 import json
 import os
@@ -12,8 +11,8 @@ import pytest
 import apnsurf.kernels as kernels
 import apnsurf.search as search
 from apnsurf.differential import fingerprint_digest, is_apn, walsh_fingerprint
-from apnsurf.errors import (ApnToolError, BecameZero, BudgetExceeded,
-                            CorruptCheckpoint, InvalidParameters)
+from apnsurf.errors import (ApnToolError, BudgetExceeded, CorruptCheckpoint,
+                            InvalidParameters)
 from apnsurf.gf2m import Field
 from apnsurf.kernels import power_table, value_table
 from apnsurf.polyfunc import PolyFunc, affine_transform, normalize
@@ -639,68 +638,25 @@ def test_classify_report_dict_roundtrip():
     json.loads(json.dumps(d))
 
 
-def _orbit_grids(field, exps, coeffs):
-    """The whole stack's grids from _orbit_coefficients, its chunks put
-    back together in order."""
-    chunks = list(search._orbit_coefficients(
-        field, exps, np.array(coeffs, dtype=np.int64), 9))
-    step = chunks[1][0] if len(chunks) > 1 else len(coeffs)
-    assert [lo for lo, _ in chunks] == list(range(0, len(coeffs), step))
-    grids = {k: np.concatenate([g[k] for _, g in chunks])
-             for k in chunks[0][1]}
-    assert all(g.shape[0] == len(coeffs) for g in grids.values())
-    return grids
-
-
-def test_orbit_coefficients_match_affine_transform(monkeypatch):
+def test_degree9_translation_closed_form():
+    # x -> x + b on x^9 + a7*x^7 + a6*x^6 + a5*x^5 + a3*x^3 moves a_k by
+    # a7*b^(7 - k) once normalize drops the affine terms (Lucas), the
+    # closed form the reduction note translates by
     rng = random.Random(11)
-    for m in range(2, 7):
+    for m in (4, 5, 6):
         field = Field(m)
         q = field.q
-        maps, wants = [], []
-        for _ in range(4 if m < 6 else 2):
-            f = PolyFunc(field, [(e, rng.randrange(q) if rng.random() < 0.7
-                                  else 0) for e in range(10)])
-            exps, coeffs = zip(*f.terms())
-            grids = _orbit_grids(field, exps, [coeffs])
-            want_f = {}
-            for a in range(1, q):
-                c = field.pow_(field.inv(a), 9)
-                for b in range(q):
-                    try:
-                        want = dict(normalize(
-                            affine_transform(f, a, b, c)).terms())
-                    except BecameZero:
-                        want = {}
-                    got = {k: int(g[0, a - 1, b]) for k, g in grids.items()
-                           if g[0, a - 1, b]}
-                    assert got == want, (m, f, a, b)
-                    want_f[a, b] = want
-            maps.append(dict(f.terms()))
-            wants.append(want_f)
-        # the same maps as one stack over their common exponents, in one
-        # chunk and in chunks of three maps with a partial last one
-        exps = sorted(set().union(*maps))
-        stack = [[t.get(e, 0) for e in exps] for t in maps]
-        for cells in (search._COUNT_CELLS, 3 * q * (q - 1)):
-            monkeypatch.setattr(search, "_COUNT_CELLS", cells)
-            grids = _orbit_grids(field, exps, stack)
-            for h, want_f in enumerate(wants):
-                for (a, b), want in want_f.items():
-                    got = {k: int(g[h, a - 1, b]) for k, g in grids.items()
-                           if g[h, a - 1, b]}
-                    assert got == want, (m, h, a, b)
-            monkeypatch.undo()
-    # an empty stack yields no chunk
-    assert list(search._orbit_coefficients(
-        F16, (9, 3), np.zeros((0, 2), dtype=np.int64), 9)) == []
-
-
-def _escapee_positions(note, hits):
-    """Positions in hits of the escapees a note lists, in its order."""
-    listed = ast.literal_eval(note.split(": ", 1)[1])
-    coeffs = [h.coeffs for h in hits]
-    return [coeffs.index(c) for c in listed]
+        for _ in range(6):
+            a3, a5, a6, a7 = (rng.choice((0, rng.randrange(q)))
+                              for _ in range(4))
+            f = PolyFunc(field, [(9, 1), (7, a7), (6, a6), (5, a5), (3, a3)])
+            for b in range(q):
+                want = dict(normalize(affine_transform(f, 1, b, 1)).terms())
+                got = {9: 1, 7: a7,
+                       6: a6 ^ field.mul(a7, b),
+                       5: a5 ^ field.mul(a7, field.pow_(b, 2)),
+                       3: a3 ^ field.mul(a7, field.pow_(b, 4))}
+                assert {k: c for k, c in got.items() if c} == want, (m, f, b)
 
 
 def test_reduction_note_matches_brute_force(monkeypatch):
@@ -714,13 +670,9 @@ def test_reduction_note_matches_brute_force(monkeypatch):
     for m in (4, 5):
         classify_degree9(m)
     monkeypatch.undo()
+    assert [len(full_hits) for _, full_hits, _ in captured] == [326, 32]
     escaped = 0
-    spread = 0
     for job, full_hits, reduced in captured:
-        q = job.field.q
-        # chunks of seven hits, and of one: 326 and 32 hits leave a
-        # partial last chunk of seven
-        assert len(full_hits) % 7
         # every other hit of x^9+a6*x^6+a3*x^3, none of x^9+a6*x^6+x^5+a3*x^3
         thinned = list(reduced)
         degs, ones, hitset = thinned[2]
@@ -728,26 +680,14 @@ def test_reduction_note_matches_brute_force(monkeypatch):
         degs, ones, _ = thinned[1]
         thinned[1] = (degs, ones, set())
         for sets in (reduced, thinned):
-            want = reduction_note_brute_force(job, full_hits, sets)
             got = note(job, full_hits, sets)
-            assert got == want
-            for hits_per_chunk in (7, 1):
-                monkeypatch.setattr(search, "_COUNT_CELLS",
-                                    hits_per_chunk * q * (q - 1))
-                assert note(job, full_hits, sets) == want
-                monkeypatch.undo()
+            assert got == reduction_note_brute_force(job, full_hits, sets)
             escaped += "escaping" in got
-            if "escaping" in got:
-                chunks = {i // 7 for i in _escapee_positions(got, full_hits)}
-                spread += len(chunks) > 1
     assert escaped == 2
-    # the escapees of a thinned set lie in more than one chunk of seven
-    assert spread >= 1
 
 
-def test_reduction_note_empty_and_zero_coefficients(monkeypatch):
+def test_reduction_note_empty_and_zero_coefficients():
     job = SearchJob(F16, [(9, 1)], (3, 5, 6, 7))
-    q = F16.q
     reduced = [((3, 5), (7,), {(0, 0), (1, 0)}), ((3, 6), (5,), set()),
                ((3, 6), (), {(0, 0)}), ((3, 5), (), {(0, 0), (0, 3)})]
     # x^9 itself, one nonzero coefficient on each free degree, and all
@@ -755,14 +695,11 @@ def test_reduction_note_empty_and_zero_coefficients(monkeypatch):
     hits = [Hit(0, c, 2, "") for c in
             ((0, 0, 0, 0), (5, 0, 0, 0), (0, 5, 0, 0), (0, 0, 5, 0),
              (0, 0, 0, 5), (1, 2, 3, 4))]
-    for cells in (search._COUNT_CELLS, 2 * q * (q - 1)):
-        monkeypatch.setattr(search, "_COUNT_CELLS", cells)
-        assert search._degree9_reduction_note(job, [], reduced) == \
-            reduction_note_brute_force(job, [], reduced)
-        got = search._degree9_reduction_note(job, hits, reduced)
-        assert got == reduction_note_brute_force(job, hits, reduced)
-        assert "escaping" in got and "(0, 0, 0, 0)" not in got
-        monkeypatch.undo()
+    assert search._degree9_reduction_note(job, [], reduced) == \
+        reduction_note_brute_force(job, [], reduced)
+    got = search._degree9_reduction_note(job, hits, reduced)
+    assert got == reduction_note_brute_force(job, hits, reduced)
+    assert "escaping" in got and "(0, 0, 0, 0)" not in got
     assert search._degree9_reduction_note(job, [], []) == (
         "every full-family hit maps into a reduced family under "
         "affine substitution")
@@ -772,15 +709,18 @@ def test_reduction_note_random_hit_sets():
     # dense random hit sets, so the shape and pinned-coefficient tests
     # decide most cells instead of the lookup alone
     rng = random.Random(13)
-    q = F16.q
-    job = SearchJob(F16, [(9, 1)], (3, 5, 6, 7))
-    pairs = [(x, y) for x in range(q) for y in range(q)]
-    for _ in range(4):
-        full_hits = [Hit(0, tuple(rng.choice((0, rng.randrange(q)))
-                                  for _ in range(4)), 2, "")
-                     for _ in range(6)]
-        reduced = [(degs, ones, set(rng.sample(pairs, q * q // 2)))
-                   for degs, ones in (((3, 5), (7,)), ((3, 6), (5,)),
-                                      ((3, 6), ()), ((3, 5), ()))]
-        got = search._degree9_reduction_note(job, full_hits, reduced)
-        assert got == reduction_note_brute_force(job, full_hits, reduced)
+    for m in (4, 5):
+        field = Field(m)
+        q = field.q
+        job = SearchJob(field, [(9, 1)], (3, 5, 6, 7))
+        pairs = [(x, y) for x in range(q) for y in range(q)]
+        for _ in range(4):
+            full_hits = [Hit(0, tuple(rng.choice((0, rng.randrange(q)))
+                                      for _ in range(4)), 2, "")
+                         for _ in range(6)]
+            reduced = [(degs, ones, set(rng.sample(pairs, q * q // 2)))
+                       for degs, ones in (((3, 5), (7,)), ((3, 6), (5,)),
+                                          ((3, 6), ()), ((3, 5), ()))]
+            got = search._degree9_reduction_note(job, full_hits, reduced)
+            assert got == reduction_note_brute_force(job, full_hits,
+                                                     reduced)

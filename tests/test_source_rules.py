@@ -22,6 +22,11 @@ counts and tables they report.
 
 Every name in apnsurf.__all__ has a reader outside the tests: a module
 under src/apnsurf, a repro/ script or a perfbench/ file refers to it.
+
+Every module-level function or class under src/apnsurf whose name starts
+with _ is named in src/apnsurf outside its own definition: a private
+helper that nothing in the package calls is dead code, and __all__ does
+not list it.
 """
 
 import ast
@@ -221,14 +226,31 @@ def referenced_names(node):
     return out
 
 
+def read_names(trees):
+    """Names the trees refer to outside the top-level statement that
+    defines them."""
+    seen = set()
+    for tree in trees:
+        for stmt in tree.body:
+            seen |= referenced_names(stmt) - defined_names(stmt)
+    return seen
+
+
 def unread_exports(init_tree, reader_trees):
     """Names of __all__ that no reader refers to outside the top-level
     statement that defines them."""
-    seen = set()
-    for tree in reader_trees:
-        for stmt in tree.body:
-            seen |= referenced_names(stmt) - defined_names(stmt)
+    seen = read_names(reader_trees)
     return [n for n in exported_names(init_tree) if n not in seen]
+
+
+def unread_private_defs(trees):
+    """Module-level functions and classes named with a leading _ that no
+    tree refers to outside their own definition."""
+    seen = read_names(trees)
+    return [stmt.name for tree in trees for stmt in tree.body
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef))
+            and stmt.name.startswith("_") and stmt.name not in seen]
 
 
 def test_every_export_has_a_reader_outside_the_tests():
@@ -258,3 +280,26 @@ def test_export_rule_sees_each_reference():
         "recursive", "only_in_init"]
     assert unread_exports(init, [module]) == [
         "by_attr", "by_alias", "by_string", "recursive", "only_in_init"]
+
+
+def test_every_private_def_has_a_reader_in_the_package():
+    trees = [ast.parse(p.read_text(), filename=str(p)) for p in MODULES]
+    assert unread_private_defs(trees) == []
+
+
+def test_private_def_rule_sees_each_reference():
+    module = ast.parse(
+        "from .b import _imported\n"
+        "def _by_name():\n    return 0\n"
+        "def _recursive(n):\n    return _recursive(n - 1)\n"
+        "class _Alone:\n    def copy(self):\n        return _Alone()\n"
+        "def _by_attr():\n    return 0\n"
+        "def _in_other_module():\n    return 0\n"
+        "def public():\n    def _nested():\n        return 0\n"
+        "    return _by_name() + mod._by_attr + _nested()\n"
+        "_assigned = 1\n")
+    other = ast.parse("from .a import _in_other_module\n"
+                      "def _imported():\n    return 0\n")
+    assert unread_private_defs([module, other]) == ["_recursive", "_Alone"]
+    assert unread_private_defs([module]) == [
+        "_recursive", "_Alone", "_in_other_module"]
