@@ -1,12 +1,11 @@
 """Rerun the exhaustive small-degree classifications and store the
 reports as JSON, one file per (degree, m).
 
-Degree 6 runs at m = 4, 5, 6; degree 7 at m = 4, 5, 6; degree 9 at
-m = 4, 5, 6.  The degree-9 run at m <= 5 includes the full coefficient
-family, so it is the slowest, and the affine-reduction confirmation,
-which maps each full-family hit by its one forced translation
-x -> x + b and every scaling x -> a*x, the same as trying every
-substitution x -> a*x + b.
+Each report is one scan of the whole family x^d + sum of a_e*x^e, e
+over 3 <= e < d not a power of two (apnsurf.search.classify), at
+m = 4, 5, 6 for each of the degrees 6, 7 and 9.  The scan plan covers
+the family up to scalings, Frobenius twists and translations
+x -> x + b, and every hit is still verified on its own value table.
 
 Usage: python3 repro/classify_small_degrees.py [--out-dir DIR]
 
@@ -20,10 +19,9 @@ import os
 import sys
 import time
 
-from apnsurf.search import classify_degree6, classify_degree7, classify_degree9
+from apnsurf.search import classify
 
-RUNS = [(6, classify_degree6, (4, 5, 6)), (7, classify_degree7, (4, 5, 6)),
-        (9, classify_degree9, (4, 5, 6))]
+RUNS = [(6, (4, 5, 6)), (7, (4, 5, 6)), (9, (4, 5, 6))]
 
 
 def main(argv=None):
@@ -31,10 +29,10 @@ def main(argv=None):
     ap.add_argument("--out-dir", default=os.path.dirname(os.path.abspath(__file__)))
     args = ap.parse_args(argv)
 
-    for degree, classify, ms in RUNS:
+    for degree, ms in RUNS:
         for m in ms:
             t0 = time.perf_counter()
-            rep = classify(m)
+            rep = classify(degree, m)
             elapsed = time.perf_counter() - t0
             path = os.path.join(args.out_dir,
                                 "classify_d%d_m%d.json" % (degree, m))

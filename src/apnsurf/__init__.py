@@ -22,8 +22,7 @@ from .criteria import (absolutely_irreducible, binomial_criterion,
 from .bounds import (IRREDUCIBLE, ISOLATED, curve_exclusion,
                      excludes_irreducible, excludes_isolated, hasse_weil_min,
                      mmax, mmax_table)
-from .search import (SearchJob, checkpoint_resume, checkpoint_save,
-                     classify_degree6, classify_degree7, classify_degree9,
+from .search import (SearchJob, checkpoint_resume, checkpoint_save, classify,
                      scan)
 from . import errors
 
@@ -44,7 +43,7 @@ __all__ = [
     "IRREDUCIBLE", "ISOLATED", "excludes_irreducible", "excludes_isolated",
     "mmax", "mmax_table", "curve_exclusion", "hasse_weil_min",
     "SearchJob", "scan", "checkpoint_save", "checkpoint_resume",
-    "classify_degree6", "classify_degree7", "classify_degree9",
+    "classify",
     "errors",
     "__version__",
 ]

@@ -23,8 +23,7 @@ from .errors import (ApnToolError, BudgetExceeded, DiagonalNotConstant,
 from .gf2m import Field
 from .polyfunc import parse_family, parse_poly
 from .search import (DEFAULT_BUDGET, SearchJob, checkpoint_resume,
-                     checkpoint_save, classify_degree6, classify_degree7,
-                     classify_degree9, scan)
+                     checkpoint_save, classify, scan)
 from .surface import (build_surface, count_points, derivative_divisibility,
                       diagonal_infinity_singular)
 
@@ -185,17 +184,23 @@ def cmd_search(args):
     cursor = 0
     if args.resume and os.path.exists(args.checkpoint):
         cursor = checkpoint_resume(args.checkpoint, job)
+
+    def save(cursor):
+        if args.checkpoint:
+            try:
+                checkpoint_save(args.checkpoint, job, cursor)
+            except OSError as e:
+                raise InvalidParameters("cannot write checkpoint: %s" % e)
+    # the start cursor first, so that an unwritable checkpoint fails
+    # before any scan work
+    save(cursor)
     code = 0
     try:
         result = scan(job, start=cursor)
     except BudgetExceeded as e:
         result = e.partial
         code = 3
-    if args.checkpoint:
-        try:
-            checkpoint_save(args.checkpoint, job, result.cursor)
-        except OSError as e:
-            raise InvalidParameters("cannot write checkpoint: %s" % e)
+    save(result.cursor)
     summary = {"scanned": result.scanned, "hits": len(result.hits),
                "cursor": result.cursor, "candidates": job.candidates,
                "complete": code == 0}
@@ -215,8 +220,7 @@ def cmd_search(args):
 
 
 def cmd_classify(args):
-    fn = {6: classify_degree6, 7: classify_degree7, 9: classify_degree9}
-    report = fn[args.degree](args.m)
+    report = classify(args.degree, args.m)
     payload = report.as_dict()
     payload["claim_id"] = "degree%d-classification" % args.degree
     if args.format == "json":

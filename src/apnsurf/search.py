@@ -8,14 +8,14 @@ free degree (ascending).  A scan covers a contiguous index range, on
 forked processes when it is large (kernels._processes).  The
 early-abort differential kernel runs on one run of q candidates (all
 values of digit 0) per orbit of the higher digits under the scalings
-x -> lam*x and the Frobenius twists that keep the fixed part, and on
-one candidate per orbit of digit 0 where the higher digits are all 0;
-the survivors of the others are mapped from them (see _scan_plan).  Every
-surviving candidate, mapped or not, is then verified on a value table
-built from its own digits, with a full spectrum and its Walsh
-fingerprint, so a reported hit never rests on the fast path alone.  The
-survivors are verified together, in stacked kernel passes over chunks
-of them (_verify_survivors).
+x -> lam*x, the Frobenius twists and the translations x -> x + b that
+keep the family, and on one candidate per orbit of digit 0 where the
+higher digits are all 0; the survivors of the others are mapped from
+them (see _scan_plan).  Every surviving candidate, mapped or not, is
+then verified on a value table built from its own digits, with a full
+spectrum and its Walsh fingerprint, so a reported hit never rests on
+the fast path alone.  The survivors are verified together, in stacked
+kernel passes over chunks of them (_verify_survivors).
 
 Free degrees may not be powers of two: a linearized summand never
 changes differential behaviour, so scanning over its coefficient would
@@ -40,15 +40,6 @@ from .polyfunc import PolyFunc
 
 DEFAULT_BUDGET = 1 << 30
 SHARD = 4096
-
-
-def _base_q_index(digits, q):
-    """Little-endian base-q number with the given digits; the digits may
-    be ints or int64 arrays of equal shape."""
-    index = 0
-    for c in reversed(digits):
-        index = index * q + c
-    return index
 
 
 class SearchJob:
@@ -164,10 +155,10 @@ class SearchResult:
                 % (len(self.hits), self.scanned, self.cursor))
 
 
-def _uniformities(tables, q, rows=None):
+def _uniformities(tables, q):
     """Differential uniformity of each value table in an (n, q) stack:
     the largest solution count in its full spectrum."""
-    hist = spectrum_hist(tables, q, rows)
+    hist = spectrum_hist(tables, q)
     return q - np.argmax(hist[:, ::-1] > 0, axis=1)
 
 
@@ -208,17 +199,62 @@ def _verify_survivors(job, fixed_table, mono_tables, survivors):
     return hits
 
 
+def _eliminate(w, v, m):
+    """Gaussian elimination over F2 of each node's rows w[i] = L(v[i]), L
+    additive, as (w, v, lead): the rows with lead >= 0 are the reduced
+    echelon basis of the span of w, pivot bit lead set in no other row;
+    the labels v of the others, now w = 0, span the kernel of L."""
+    w, v = w.copy(), v.copy()
+    lead = np.full(w.shape, -1, dtype=np.int64)
+    nodes = np.arange(w.shape[0])
+    for p in range(m - 1, -1, -1):
+        bit = (w >> p) & 1
+        free = bit * (lead < 0)
+        node = nodes[free.any(axis=1)]
+        row = np.argmax(free[node], axis=1)
+        bit = bit[node]
+        bit[np.arange(node.shape[0]), row] = 0
+        w[node] ^= bit * w[node, row][:, None]
+        v[node] ^= bit * v[node, row][:, None]
+        lead[node, row] = p
+    return w, v, lead
+
+
+def _reduce(values, rows, cosets):
+    """Each row of values, of the node rows[i], moved to the least of its
+    coset by its node's reduced echelon basis (w, v, lead) of
+    _Twists.cosets; returns (least, b), b the translations doing it."""
+    w, v, lead = cosets
+    least = values.copy()
+    b = np.zeros_like(values)
+    # each pivot bit is set in its basis row alone, so values decides it
+    for i in range(w.shape[1]):
+        flag = (values >> lead[rows, i, None]) & 1
+        least ^= flag * w[rows, i, None]
+        b ^= flag * v[rows, i, None]
+    return least, b
+
+
 class _Twists:
-    """The group of pairs (lam, i) that keep a family's fixed part: the
-    pair sends free coefficient a_e to lam^(e - e0) * a_e^(2^i).
+    """The symmetries of a family the scan plan uses: the pairs (lam, i)
+    that keep its fixed part, and the translations x -> x + b.
 
-    lam runs over the scaling group G of the fixed part
-    (kernels.scaling_rows, order g, e0 the least fixed exponent) and i
-    over the r = m/k multiples f*k of k, the least divisor of m with
-    c^(2^k) = c for every fixed coefficient c: k = 1 when each is 0 or 1,
-    m when one generates the field.  A pair is held as (log lam, f)."""
+    The pair sends free coefficient a_e to lam^(e - e0) * a_e^(2^i).  lam
+    runs over the scaling group G of the fixed part (kernels.scaling_rows,
+    order g, e0 the least fixed exponent) and i over the r = m/k
+    multiples f*k of k, the least divisor of m with c^(2^k) = c for every
+    fixed coefficient c: k = 1 when each is 0 or 1, m when one generates
+    the field.  A pair is held as (log lam, f).
 
-    __slots__ = ("field", "g", "r", "pw", "logfrob", "shifts")
+    levels maps a level, the count of free digits a plan node leaves
+    open, to the exponents whose coefficients its translations must
+    keep, top down: the non-affine ones outside those digits with a
+    term above them (lift).  A level is left out when no translation
+    moves its top digit, or when an open digit lies above a kept
+    exponent, so that only b = 0 keeps the node in the family."""
+
+    __slots__ = ("field", "g", "r", "pw", "logfrob", "shifts", "degs",
+                 "fold", "support", "levels")
 
     def __init__(self, job):
         field = job.field
@@ -237,6 +273,17 @@ class _Twists:
         self.logfrob = self.pw[:, None] * log % n
         self.logfrob[:, 0] = 2 * n
         self.shifts = [(e - e0) % n for e in job.free_degrees]
+        self.degs = degs = job.free_degrees
+        # the fixed coefficients with their exponents folded below q
+        self.fold = dict(PolyFunc(field, job.fixed_terms).terms())
+        self.support = sorted(set(self.fold) | set(degs))
+        self.levels = {}
+        for level in range(1, len(degs) + 1):
+            kept = [j for j in range(n, 2, -1) if not _is_pow2(j)
+                    and j not in degs[:level] and self.above(j)]
+            if self.above(degs[level - 1]) and not any(
+                    e in degs[:level] for j in kept for e in self.above(j)):
+                self.levels[level] = kept
 
     def group(self):
         """Every pair of the group, as arrays (lam, f)."""
@@ -265,25 +312,71 @@ class _Twists:
             return ext[shift[:, None] + self.logfrob[f]]
         return ext[shift + self.logfrob[f, digits]]
 
+    def above(self, k):
+        """The exponents of the family's terms whose bits contain k's."""
+        return [e for e in self.support if e > k and e & k == k]
+
+    def lift(self, k, b, digits):
+        """What x -> x + b adds to the coefficient of x^k, k non-affine,
+        with the affine terms dropped: by Lucas, the sum of C_e*b^(e - k)
+        over above(k), C_e the folded fixed coefficient plus the free
+        digit.  b is an int64 array, and digits[..., j], free digit j of
+        the maps it acts on, broadcasts against it."""
+        field = self.field
+        out = np.zeros_like(b)
+        for e in self.above(k):
+            c = self.fold.get(e, 0) ^ (digits[..., self.degs.index(e)]
+                                       if e in self.degs else 0)
+            out ^= field.mul_vec(c, power_table(field, e - k)[b])
+        return out
+
+    def cosets(self, level, digits):
+        """The moves of free digit level - 1 under the translations T of
+        the nodes at level, one row of free digits per node, as the
+        reduced echelon basis (w, v, lead) of _eliminate, a move w[i] by
+        the translation v[i] and zero rows outside it.
+
+        T keeps the node's block in the family: each kept exponent of
+        levels[level], top down.  A kept coefficient moves with the terms
+        above it only, which the T so far keeps, so the move is additive
+        on that T, and its kernel is the next T, a basis of m rows."""
+        # a level without translations has T = {0}, held as no rows
+        m = self.field.m if level in self.levels else 0
+        v = np.broadcast_to(1 << np.arange(m, dtype=np.int64),
+                            (digits.shape[0], m)).copy()
+        digits = digits[:, None]
+        for j in self.levels.get(level, ()):
+            _, v, lead = _eliminate(self.lift(j, v, digits), v, m)
+            v[lead >= 0] = 0
+        w, v, lead = _eliminate(self.lift(self.degs[level - 1], v, digits),
+                                v, m)
+        w[lead < 0] = v[lead < 0] = 0
+        return w, v, np.maximum(lead, 0)
+
 
 def _plan_level(tw, level, base, lo, hi, own, lam, f, last):
     """One digit of _scan_plan for nodes with level free digits: node i
     covers [lo[i], hi[i]) of the block at base[i], and its stabilizer is
-    listed as the pairs (lam[p], f[p]) with own[p] = i, own ascending.
+    listed as the pairs (lam[p], f[p]) with own[p] = i, own ascending,
+    times the translations of _Twists.cosets.
 
     Returns (children, maps): children is (base, lo, hi, own, lam, f) of
     the blocks to plan one digit down, listed the same way (the pairs
-    None when last), and maps is (src, lam, f): block src gives a
-    covered block under the pair (lam, f)."""
+    None when last), and maps is (src, lam, f, b): block src gives a
+    covered block under the translation b and then the pair (lam, f)."""
     q = tw.field.q
     size = q ** (level - 1)
     t = np.arange(q, dtype=np.int64)
     npairs = own.shape[0]
     starts = np.searchsorted(own, np.arange(base.shape[0] + 1))
-    # per node and digit t, the least image of t over the node's pairs
-    # and the first pair giving it, as image * npairs + pair
+    digits = base[:, None] // q ** np.arange(len(tw.degs)) % q
+    cosets = tw.cosets(level, digits)
+    # per node and digit t, the least element of the cosets of the images
+    # of t over the node's pairs and the first pair giving it, as element
+    # * npairs + pair, and the translations moving each image to its least
     img = tw.image(lam, f, level - 1)
-    key = np.minimum.reduceat(img * npairs + np.arange(npairs)[:, None],
+    coset, moves = _reduce(img, own, cosets)
+    key = np.minimum.reduceat(coset * npairs + np.arange(npairs)[:, None],
                               starts[:-1])
     rep = key // npairs
     clo = np.minimum(np.maximum(lo[:, None] - t * size, 0), size)
@@ -294,10 +387,11 @@ def _plan_level(tw, level, base, lo, hi, own, lam, f, last):
     need = np.zeros_like(least)
     need[node, rep[node, col]] = True
     keep = least & ((chi > clo) | need) | ~least & (chi > clo) & ~full
-    # the pair taking t to its least undone takes the least to t
+    # the pair taking t to the coset of its least, then the translation
+    # taking it to the least, undone take the least to t
     at = key[node, col] % npairs
     maps = (base[node] // size + rep[node, col],
-            *tw.inverse(lam[at], f[at]))
+            *tw.inverse(lam[at], f[at]), moves[at, col])
     node, col = np.nonzero(keep)
     children = [base[node] + col * size, np.where(need, 0, clo)[node, col],
                 np.where(need, size, chi)[node, col], None, None, None]
@@ -320,7 +414,7 @@ def _plan_nodes(tw, level, nodes):
     base, lo, hi, own, lam, f = nodes
     starts = np.searchsorted(own, np.arange(base.shape[0] + 1))
     limit = max(1, _BATCH_CELLS // tw.field.q)
-    children, maps = [[] for _ in range(6)], [[] for _ in range(3)]
+    children, maps = [[] for _ in range(6)], [[] for _ in range(4)]
     a = done = 0
     while a < base.shape[0]:
         b = max(a + 1, int(np.searchsorted(starts, starts[a] + limit,
@@ -346,19 +440,20 @@ def _scan_plan(job, tw, lo, hi):
     tw is the job's _Twists group.  Each pair (lam, i) of it keeps the
     fixed part, and lam^-e0 * sigma^i(f(lam*x)), sigma(x) = x^2 acting on
     the coefficients, keeps the differential uniformity, the affine test
-    and the Walsh multiset of f.  A node is a block of the candidates
-    whose digits above its level are fixed, with the stabilizer of those
-    digits, listed pair by pair; the root is the whole family under the
-    whole group.  In a node with k free digits the block of top digit t
-    is [t*B, (t + 1)*B), B = q^(k - 1).  A block the node's range fully
-    covers, whose t is not the least of its orbit under the stabilizer,
-    is mapped from the block of that least r with a pair taking r to t;
-    r's block is then planned in full, under the stabilizer of r.  The
-    other blocks the range touches are planned over the part of it they
-    hold, under the stabilizer of their t.  Planning stops at digit 1,
-    so each scanned run of q candidates still shares digit 0 in
+    and the Walsh multiset of f; f(x + b) with its affine terms dropped
+    keeps the first two, and every member is verified on its own table.
+    A node is a block of the candidates whose digits above its level are
+    fixed, under the pairs that fix those digits, listed pair by pair,
+    and the translations that keep the block (_Twists.cosets).  In a
+    node with k free digits the block of top digit t is
+    [t*B, (t + 1)*B), B = q^(k - 1).  A block the node's range fully
+    covers, whose t is not the least of its orbit, is mapped from the
+    block of that least r by a translation and a pair taking r to t; r's
+    block is then planned in full.  The other blocks the range touches
+    are planned over the part of it they hold.  Planning stops at digit
+    1, so each scanned run of q candidates still shares digit 0 in
     kernels._candidate_tables, except in the run whose upper digits are
-    all 0: it keeps the whole group, and digit 0 is planned there too, as
+    all 0: it keeps every pair, and digit 0 is planned there too, as
     one-candidate blocks.  Every scanned block is a partly covered one or
     the representative of at least one covered block, so no more is
     scanned than [lo, hi).  The nodes of a level are planned together
@@ -367,10 +462,11 @@ def _scan_plan(job, tw, lo, hi):
     Returns (runs, parts, maps): runs is the ascending int64 array of runs
     r to scan in full (candidates r*q .. r*q + q - 1), parts lists the
     ascending [a, b) ranges inside one run to scan, and maps lists
-    (level, src, lam, f) by ascending level: the survivors of the block
-    src of q^(level - 1) candidates, under the pair (lam, f) applied to
-    their level lowest digits by _map_block, give a covered block.  src
-    is ascending, and a block repeats once per block it gives.
+    (level, src, lam, f, b) by ascending level: the survivors of the
+    block src of q^(level - 1) candidates, under the translation b and
+    then the pair (lam, f) applied to their level lowest digits by
+    _map_block, give a covered block.  src is ascending, and a block
+    repeats once per block it gives.
     """
     q = job.field.q
     level = len(job.free_degrees)
@@ -400,20 +496,22 @@ def _scan_plan(job, tw, lo, hi):
         elif a < b:
             parts.append([a, b])
     out = []
-    for level, (src, lam, f) in maps[::-1]:
-        order = np.argsort(src, kind="stable")
-        out.append((level, src[order], lam[order], f[order]))
+    for level, moved in maps[::-1]:
+        order = np.argsort(moved[0], kind="stable")
+        out.append((level, *(x[order] for x in moved)))
     return base[whole] // q, parts, out
 
 
-def _map_block(tw, cands, lam, f, level):
-    """The candidates whose digits below level are those of cands under
-    the pairs (lam, f), digit by digit (digit -> mult * digit^(2^i)),
-    with the higher digits kept."""
+def _map_block(tw, cands, lam, f, b, level):
+    """The candidates whose digits below level are those of cands moved
+    by the translations b and then by the pairs (lam, f), digit by digit
+    (digit -> mult * digit^(2^i)), with the higher digits kept."""
     q = tw.field.q
+    digits = cands[:, None] // q ** np.arange(len(tw.degs)) % q
     out = cands - cands % q ** level
     for j in range(level):
-        out += tw.image(lam, f, j, cands // q ** j % q) * q ** j
+        moved = digits[:, j] ^ tw.lift(tw.degs[j], b, digits)
+        out += tw.image(lam, f, j, moved) * q ** j
     return out
 
 
@@ -422,7 +520,7 @@ def _mapped(tw, survivors, maps):
     taken by ascending level, so that each source block is complete
     before it is mapped."""
     q = tw.field.q
-    for level, src, lam, f in maps:
+    for level, src, lam, f, b in maps:
         blocks = survivors // q ** (level - 1)
         a = np.searchsorted(src, blocks)
         count = np.searchsorted(src, blocks, "right") - a
@@ -433,7 +531,7 @@ def _mapped(tw, survivors, maps):
         at = a[which] + np.arange(total) - np.repeat(
             np.cumsum(count) - count, count)
         survivors = np.concatenate([survivors, _map_block(
-            tw, survivors[which], lam[at], f[at], level)])
+            tw, survivors[which], lam[at], f[at], b[at], level)])
     return survivors
 
 
@@ -599,148 +697,44 @@ class ClassifyReport:
             self.degree, self.m, sum(len(s.hits) for s in self.scans))
 
 
-def _reference_digest(field, e):
-    f = PolyFunc.monomial(field, e)
-    return fingerprint_digest(walsh_fingerprint(f))
+# degree: (least m, greatest m, reference exponents, notes of the degree)
+_CLASSIFICATIONS = {
+    6: (3, 7, (3, 6),
+        ["x^6 is a doubling twist of x^3, so their fingerprints agree"]),
+    7: (3, 6, (7,), []),
+    9: (4, 6, (3, 9),
+        ["isolated-regime exact bound gives m_max = 9 for degree 9; a "
+         "weaker constant in the same count argument reads as m <= 13; "
+         "both are reported, neither is silently preferred"]),
+}
 
 
-def classify_degree6(m):
-    """Scan x^6 + a5*x^5 + a3*x^3 and compare hits against x^3."""
-    if not 3 <= m <= 7:
-        raise InvalidParameters("degree-6 classification needs 3 <= m <= 7")
+def classify(d, m):
+    """Scan the whole family x^d + sum of a_e*x^e, e over 3 <= e < d not
+    a power of two, and compare its hits with the degree's references.
+
+    A degree with a single reference notes whether every hit's
+    fingerprint matches it."""
+    if d not in _CLASSIFICATIONS:
+        raise InvalidParameters("no classification for degree %d" % d)
+    lo, hi, refs, notes = _CLASSIFICATIONS[d]
+    if not lo <= m <= hi:
+        raise InvalidParameters("degree-%d classification needs %d <= m <= %d"
+                                % (d, lo, hi))
     field = Field(m)
-    result = scan(SearchJob(field, [(6, 1)], (3, 5)))
-    refs = {"x^3": _reference_digest(field, 3),
-            "x^6": _reference_digest(field, 6)}
-    notes = [FINGERPRINT_CAVEAT,
-             "x^6 is a doubling twist of x^3, so their fingerprints agree"]
-    scans = [FamilyScan("x^6+a5*x^5+a3*x^3", result.job.free_degrees,
-                        result.hits, result.scanned)]
-    return ClassifyReport(6, m, scans, refs, notes)
-
-
-def classify_degree7(m):
-    """Scan x^7 + a6*x^6 + a5*x^5 + a3*x^3; compare hits against x^7."""
-    if not 3 <= m <= 6:
-        raise InvalidParameters("degree-7 classification needs 3 <= m <= 6")
-    field = Field(m)
-    result = scan(SearchJob(field, [(7, 1)], (3, 5, 6)))
-    refs = {"x^7": _reference_digest(field, 7)}
-    matched = all(h.digest == refs["x^7"] for h in result.hits)
-    notes = [FINGERPRINT_CAVEAT]
-    if result.hits:
-        notes.append("every hit's fingerprint %s that of x^7" %
-                     ("matches" if matched else "DOES NOT match"))
-    scans = [FamilyScan("x^7+a6*x^6+a5*x^5+a3*x^3", result.job.free_degrees,
-                        result.hits, result.scanned)]
-    return ClassifyReport(7, m, scans, refs, notes)
-
-
-def _degree9_reduction_note(job, hits, reduced_hit_sets):
-    """Check every hit of the full family job, x^9 + a7*x^7 + a6*x^6 +
-    a5*x^5 + a3*x^3, lands in a reduced family under some substitution
-    x -> a*x + b with the output rescaled monic, and report the outcome.
-
-    By Lucas, x -> x + b keeps a7 and, once normalize drops the affine
-    terms, sends a_k to a_k + a7*b^(7 - k) for k = 6, 5, 3.  A hit with
-    a7 != 0 keeps x^7 under every scaling, so of the reduced families
-    of classify_degree9 only x^9+x^7+a5*x^5+a3*x^3 can take it, and
-    that needs a6 = 0: b = a6/a7.  A translation fixes a hit with
-    a7 = 0.  So trying every (a, b) is the same as translating each hit
-    at its one b (0 when a7 = 0) and trying every scaling x -> a*x,
-    which takes the coefficient of x^k to a^(k - 9) times it.  A family
-    accepts a scaling when every coefficient outside its shape is 0,
-    every pinned coefficient is 1 and the free coefficients, read as the
-    little-endian base-q index of SearchJob.coeff_vector, name one of
-    its hits.
-    """
-    field = job.field
-    q = field.q
-    coef = dict(zip(job.free_degrees, np.array(
-        [h.coeffs for h in hits], dtype=np.int64).reshape(-1, 4).T))
-    b = field.mul_vec(coef[6], power_table(field, q - 2)[coef[7]])
-    for k in (3, 5, 6):
-        coef[k] ^= field.mul_vec(coef[7], power_table(field, 7 - k)[b])
-    grids = {k: field.mul_vec(c[:, None],
-                              power_table(field, (k - 9) % (q - 1))[1:])
-             for k, c in coef.items()}
-    found = np.zeros(len(hits), dtype=bool)
-    for degs, ones, hitset in reduced_hit_sets:
-        table = np.zeros(q ** len(degs), dtype=bool)
-        table[[_base_q_index(c, q) for c in hitset]] = True
-        mask = table[_base_q_index([grids[e] for e in degs], q)]
-        for k in grids.keys() - set(degs) - set(ones):
-            mask &= grids[k] == 0
-        for e in ones:
-            mask &= grids[e] == 1
-        found |= mask.any(axis=1)
-    escapees = [h.coeffs for h, ok in zip(hits, found.tolist()) if not ok]
-    if escapees:
-        return ("full-family hits escaping the reduced families: %r"
-                % (escapees,))
-    return ("every full-family hit maps into a reduced family under "
-            "affine substitution")
-
-
-def classify_degree9(m):
-    """Scan the reduced degree-9 families; at m <= 5 also scan the full
-    family to confirm the reduction loses no hit.
-
-    The confirming note maps every full-family hit into the four reduced
-    families by its one forced translation x -> x + b and every scaling
-    x -> a*x, output rescaled monic, which is the same as trying every
-    substitution x -> a*x + b, and lists the escapees.
-    """
-    if not 4 <= m <= 6:
-        raise InvalidParameters("degree-9 classification needs 4 <= m <= 6")
-    field = Field(m)
-    q = field.q
-    families = [
-        ("x^9+x^7+a5*x^5+a3*x^3", [(9, 1), (7, 1)], (3, 5)),
-        ("x^9+a6*x^6+x^5+a3*x^3", [(9, 1), (5, 1)], (3, 6)),
-        ("x^9+a6*x^6+a3*x^3", [(9, 1)], (3, 6)),
-        ("x^9+a5*x^5+a3*x^3", [(9, 1)], (3, 5)),
-    ]
-    scans = []
-    for label, fixed, free in families:
-        result = scan(SearchJob(field, fixed, free))
-        scans.append(FamilyScan(label, result.job.free_degrees,
-                                result.hits, result.scanned))
-
-    # coupled one-parameter family, nonzero parameter by construction, so
-    # every member has the support {3, 6, 9} and its scaling rows
-    a6 = np.arange(1, q, dtype=np.int64)
-    tables = (power_table(field, 9)
-              ^ field.mul_vec(a6[:, None], power_table(field, 6))
-              ^ field.mul_vec(field.mul_vec(a6, a6)[:, None],
-                              power_table(field, 3)))
-    rows, walsh_rows = scaling_rows(field, [(3, 1), (6, 1), (9, 1)])
-    apn = _uniformities(tables, q, rows) == 2
-    coupled_hits = [
-        Hit(a, (a,), 2, fingerprint_digest(fp))
-        for a, fp in zip(a6[apn].tolist(),
-                         walsh_fingerprints(field, tables[apn], walsh_rows))]
-    scans.append(FamilyScan("x^9+a6*x^6+a6^2*x^3 (a6 nonzero)", (6,),
-                            coupled_hits, q - 1))
-
-    refs = {"x^3": _reference_digest(field, 3),
-            "x^9": _reference_digest(field, 9)}
-    notes = [
-        FINGERPRINT_CAVEAT,
-        "isolated-regime exact bound gives m_max = 9 for degree 9; a "
-        "weaker constant in the same count argument reads as m <= 13; "
-        "both are reported, neither is silently preferred",
-    ]
-    if m <= 5:
-        full = scan(SearchJob(field, [(9, 1)], (3, 5, 6, 7)))
-        scans.append(FamilyScan("x^9+a7*x^7+a6*x^6+a5*x^5+a3*x^3",
-                                full.job.free_degrees, full.hits,
-                                full.scanned))
-        # a family's pinned ones are its fixed exponents below 9
-        reduced_sets = [
-            (free, tuple(e for e, _ in fixed if e < 9),
-             {h.coeffs for h in s.hits})
-            for (_, fixed, free), s in zip(families, scans)]
-        notes.append(_degree9_reduction_note(full.job, full.hits,
-                                             reduced_sets))
-    return ClassifyReport(9, m, scans, refs, notes)
+    free = [e for e in range(3, d) if not _is_pow2(e)]
+    # a budget that covers the whole family
+    result = scan(SearchJob(field, [(d, 1)], free,
+                            budget=field.q ** (len(free) + 2)))
+    digests = {"x^%d" % e: fingerprint_digest(walsh_fingerprint(
+        PolyFunc.monomial(field, e))) for e in refs}
+    notes = [FINGERPRINT_CAVEAT] + notes
+    if len(refs) == 1 and result.hits:
+        matched = all(h.digest == digests["x^%d" % refs[0]]
+                      for h in result.hits)
+        notes.append("every hit's fingerprint %s that of x^%d" % (
+            "matches" if matched else "DOES NOT match", refs[0]))
+    label = "x^%d" % d + "".join("+a%d*x^%d" % (e, e) for e in free[::-1])
+    scans = [FamilyScan(label, result.job.free_degrees, result.hits,
+                        result.scanned)]
+    return ClassifyReport(d, m, scans, digests, notes)

@@ -14,19 +14,14 @@ value table built from its digits; verify_hit_py verifies one survivor
 at a time from its own PolyFunc, over the rows of the map's scaling
 group.
 
-search._degree9_reduction_note decides by the one forced translation
-x -> x + b of each hit, in closed form, and every scaling x -> a*x, on
-one grid per exponent for all hits, which is equivalent to trying every
-substitution; reduction_note_brute_force builds each hit's PolyFunc and
-tries every (a, b), one at a time, through affine_transform and
-normalize.
-
 search._scan_plan plans a family scan digit by digit, one block per
-orbit under the stabilizer of the digits above, with the group built
-from the scaling group and the Frobenius step;
-orbit_scan_candidates finds every element of the group by trying it on
-the fixed part and counts the orbits of all upper digit vectors, and
-of digit 0 where the upper digits are all 0.
+orbit under the stabilizer of the digits above, with the pairs built
+from the scaling group and the Frobenius step, and the translations
+x -> x + b of each node held as an echelon basis, their moves from the
+closed form of Lucas's theorem; orbit_scan_candidates finds every pair
+by trying it on the fixed part and every translation of a node by
+trying it, through affine_transform, on the node's members, and counts
+the orbits of each digit value by value.
 
 The kernels module vectorizes its loops over whole rows and batches of
 tables; spectrum_hist_py, is_apn_py, walsh_hist_py and scan_py walk the
@@ -118,16 +113,21 @@ def coefficient_twist(f, i=1):
 
 
 def orbit_scan_candidates(job):
-    """Kernel candidates of a full-range scan of job that scans one run
-    of q candidates per orbit of the digits above digit 0, except that
-    the run whose upper digits are all 0 scans one candidate per orbit of
-    digit 0, by brute force.
+    """Kernel candidates of a full-range scan of job that plans digit by
+    digit from the top: one run of q candidates per orbit of the digits
+    above digit 0, except that the run whose upper digits are all 0 scans
+    one candidate per orbit of digit 0, by brute force.
 
-    The group is found element by element: every lam != 0 with
+    The pairs are found element by element: every lam != 0 with
     lam^(e - e0) = 1 for each fixed exponent e (e0 the least), times
     every i < m with c^(2^i) = c for each fixed coefficient c; the pair
-    sends a_e to lam^(e - e0) * a_e^(2^i).  The orbits are marked by
-    walking every digit vector once."""
+    sends a_e to lam^(e - e0) * a_e^(2^i).  A node, its digits from some
+    level up fixed, keeps the pairs of its parent that fix its top fixed
+    digit, and every b for which x -> x + b, through affine_transform
+    with the affine terms dropped, keeps the node's members in the node:
+    tried on the member with the lower digits 0 and on those with one
+    lower digit 1, since the move is linear.  A digit value's orbit is
+    every pair's image of every value a kept translation moves it to."""
     field = job.field
     q = field.q
     degs = job.free_degrees
@@ -138,23 +138,53 @@ def orbit_scan_candidates(job):
         field.pow_(lam, (e - e0) % (q - 1)) == 1 for e, _ in job.fixed_terms)]
     frobs = [i for i in range(field.m) if all(
         field.pow_(c, 1 << i) == c for _, c in job.fixed_terms)]
-    # per element, the image of every value of each digit
+    # per pair, the image of every value of each digit
     moves = [[[field.mul(field.pow_(lam, (e - e0) % (q - 1)),
                          field.pow_(a, 1 << i)) for a in range(q)]
               for e in degs] for lam in lams for i in frobs]
+    fixed = dict(PolyFunc(field, job.fixed_terms).terms())
 
-    def orbits(digits, vectors):
-        seen = set()
-        count = 0
-        for vector in vectors:
-            if vector not in seen:
-                count += 1
-                seen.update(tuple(move[j][a] for j, a in zip(digits, vector))
-                            for move in moves)
-        return count
-    upper = orbits(range(1, len(degs)),
-                   itertools.product(range(q), repeat=len(degs) - 1))
-    return (upper - 1) * q + orbits([0], ((a,) for a in range(q)))
+    def member(digits):
+        """The non-affine terms of the member with these digits."""
+        f = PolyFunc(field, list(job.fixed_terms) + list(zip(degs, digits)))
+        return {e: c for e, c in f.terms() if e > 2 and e & (e - 1)}
+
+    def translate(terms, b):
+        f = affine_transform(PolyFunc(field, terms.items()), 1, b, 1)
+        return {e: c for e, c in f.terms() if e > 2 and e & (e - 1)}
+
+    def node(digits, level, pairs):
+        # the node's members have the non-affine terms of its member with
+        # the open digits 0, outside the open digits' degrees
+        def closed(terms):
+            return {e: c for e, c in terms.items() if e not in degs[:level]}
+        tests = [member(digits)] + [
+            member(digits[:j] + (1,) + digits[j + 1:]) for j in range(level)]
+        kept = [b for b in range(q) if all(
+            closed(translate(t, b)) == closed(tests[0]) for t in tests)]
+        top = degs[level - 1]
+        reached = {translate(tests[0], b).get(top, 0) ^ fixed.get(top, 0)
+                   for b in kept}
+        seen, reps = set(), []
+        for t in range(q):
+            if t not in seen:
+                reps.append(t)
+                seen.update(moves[p][level - 1][t ^ s]
+                            for p in pairs for s in reached)
+        if level == 1:
+            return len(reps)
+        total = 0
+        for t in reps:
+            below = digits[:level - 1] + (t,) + digits[level:]
+            fixing = [p for p in pairs if moves[p][level - 1][t] == t]
+            if level > 2:
+                total += node(below, level - 1, fixing)
+            elif any(below[1:]):
+                total += q
+            else:
+                total += node(below, 1, fixing)
+        return total
+    return node((0,) * len(degs), len(degs), range(len(moves)))
 
 
 def uni_is_irreducible(p):
@@ -329,41 +359,6 @@ def verify_hit_py(job, index):
                            % (index, spec.delta))
     digest = fingerprint_digest(walsh_fingerprint(f))
     return index, job.coeff_vector(index), spec.delta, digest
-
-
-def reduction_note_brute_force(job, full_hits, reduced_hit_sets):
-    """Check every hit of the full family job lands in a reduced family
-    under some substitution x -> a*x + b with the output rescaled monic,
-    and report the outcome."""
-    field = job.field
-    q = field.q
-    escapees = []
-    for h in full_hits:
-        f = PolyFunc(field, list(job.fixed_terms)
-                     + list(zip(job.free_degrees, h.coeffs)))
-        found = False
-        for a in range(1, q):
-            if found:
-                break
-            c = field.pow_(field.inv(a), 9)
-            for b in range(q):
-                new = dict(normalize(affine_transform(f, a, b, c)).terms())
-                key = set(new)
-                for degs, ones, hitset in reduced_hit_sets:
-                    shape = {9} | set(degs) | set(ones)
-                    if key <= shape and all(new.get(e) == 1 for e in ones):
-                        if tuple(new.get(e, 0) for e in degs) in hitset:
-                            found = True
-                            break
-                if found:
-                    break
-        if not found:
-            escapees.append(h.coeffs)
-    if escapees:
-        return ("full-family hits escaping the reduced families: %r"
-                % (escapees,))
-    return ("every full-family hit maps into a reduced family under "
-            "affine substitution")
 
 
 # ------------------------------------------------------------- scalar loops

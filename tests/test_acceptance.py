@@ -24,8 +24,7 @@ from apnsurf.errors import DiagonalNotConstant
 from apnsurf.gf2m import Field
 from apnsurf.mvpoly import TriPoly
 from apnsurf.polyfunc import PolyFunc, catalogue, known_apn_exponent
-from apnsurf.search import (SearchJob, classify_degree6, classify_degree7,
-                            classify_degree9, scan)
+from apnsurf.search import SearchJob, classify, scan
 from apnsurf.surface import (build_surface, count_points,
                              derivative_divisibility,
                              diagonal_infinity_singular, infinity_curve)
@@ -211,7 +210,7 @@ def test_criterion_08_degree6_classification():
     t0 = time.perf_counter()
     hits = {}
     for m in (4, 5, 6):
-        rep = classify_degree6(m)
+        rep = classify(6, m)
         hits[m] = sorted(h.coeffs for s in rep.scans for h in s.hits)
     assert hits == {4: [(0, 0)], 5: [(0, 0)], 6: [(0, 0)]}
 
@@ -250,10 +249,10 @@ def test_criterion_08_degree6_classification():
 def test_criterion_09_degree7_classification():
     t0 = time.perf_counter()
     for m in (4, 6):
-        rep = classify_degree7(m)
+        rep = classify(7, m)
         assert all(not s.hits for s in rep.scans), "unexpected hits at m=%d" % m
 
-    rep5 = classify_degree7(5)
+    rep5 = classify(7, 5)
     hits5 = [h for s in rep5.scans for h in s.hits]
     assert hits5
     ref = fingerprint_digest(walsh_fingerprint(PolyFunc.monomial(Field(5), 7)))
@@ -275,12 +274,14 @@ def test_criterion_10_degree9_families():
     dillon = [h.coeffs for h in res.hits if all(c != 0 for c in h.coeffs)]
     assert dillon
 
+    # the coupled family x^9 + a6*x^6 + a6^2*x^3, a6 != 0, inside the
+    # full family: a7 = a5 = 0 and a3 = a6^2
     coupled = {}
     for m in (5, 6):
-        rep = classify_degree9(m)
-        fam = [s for s in rep.scans if "a6^2" in s.label]
-        assert len(fam) == 1
-        coupled[m] = [h.coeffs for h in fam[0].hits]
+        field = Field(m)
+        [full] = classify(9, m).scans
+        coupled[m] = [a6 for a3, a5, a6, a7 in (h.coeffs for h in full.hits)
+                      if a6 and a3 == field.mul(a6, a6) and a5 == a7 == 0]
     elapsed = time.perf_counter() - t0
 
     report(10, bool(dillon) and not coupled[5] and not coupled[6],

@@ -386,6 +386,52 @@ def test_search_checkpoint_write_failure_is_input_error(capsys, tmp_path):
     assert "Traceback" not in err and not ck.parent.exists()
 
 
+def test_search_checkpoint_written_before_the_scan(capsys, tmp_path,
+                                                   monkeypatch):
+    # the start cursor is written before any scan work, so an unwritable
+    # checkpoint fails without scanning, and a writable one holds the
+    # start cursor while the scan runs
+    def no_scan(job, start=0, stop=None):
+        raise AssertionError("scan ran before the checkpoint was written")
+    monkeypatch.setattr(cli, "scan", no_scan)
+    ck = tmp_path / "missing" / "ck"
+    code, out, err = run(capsys, "search", "--m", "4",
+                         "--family", "x^6 + A*x^5 + B*x^3",
+                         "--checkpoint", str(ck))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cannot write checkpoint: ")
+    seen = []
+    ck = tmp_path / "ck"
+    monkeypatch.setattr(cli, "scan", lambda job, start=0, stop=None:
+                        seen.append(ck.read_text().split()[1])
+                        or no_scan(job))
+    with pytest.raises(AssertionError):
+        main(["search", "--m", "4", "--family", "x^6 + A*x^5 + B*x^3",
+              "--checkpoint", str(ck)])
+    assert seen == ["0"]
+
+
+def test_classify_degree9_equals_search(capsys):
+    # the degree-9 classification at m = 6 is the search of the whole
+    # family, hit for hit
+    code, out, _ = run(capsys, "--format", "json", "classify",
+                       "--degree", "9", "--m", "6")
+    assert code == 0
+    [full] = json.loads(out)["scans"]
+    code, out, _ = run(capsys, "--format", "json", "search", "--m", "6",
+                       "--budget", str(1 << 60), "--family",
+                       "x^9 + A*x^7 + B*x^6 + C*x^5 + D*x^3")
+    assert code == 0
+    *lines, summary = (json.loads(x) for x in out.strip().split("\n"))
+    assert summary["scanned"] == full["scanned"] == 1 << 24
+    got = [([int(c, 16) for c in h["coeffs"]], h["delta"], h["digest"])
+           for h in lines]
+    want = [([h["coeffs"]["a%d" % e] for e in full["free_degrees"]],
+             h["delta"], h["digest"]) for h in full["hits"]]
+    assert got == want and len(got) == 42
+    assert all(coeffs[3] == 0 for coeffs, _, _ in got)
+
+
 def test_version_matches_pyproject(capsys):
     text = (ROOT / "pyproject.toml").read_text()
     version = re.search(r'^version = "([^"]+)"$', text, re.M).group(1)

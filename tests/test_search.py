@@ -17,10 +17,8 @@ from apnsurf.gf2m import Field
 from apnsurf.kernels import power_table, value_table
 from apnsurf.polyfunc import PolyFunc, affine_transform, normalize
 from apnsurf.search import (Hit, SearchJob, SearchResult, checkpoint_resume,
-                            checkpoint_save, classify_degree6,
-                            classify_degree7, classify_degree9, scan)
-from oracles import (candidate, orbit_scan_candidates,
-                     reduction_note_brute_force, scan_py, verify_hit_py)
+                            checkpoint_save, classify, scan)
+from oracles import candidate, orbit_scan_candidates, scan_py, verify_hit_py
 
 F8 = Field(3)
 F16 = Field(4)
@@ -47,7 +45,6 @@ def test_index_little_endian_roundtrip():
     job = SearchJob(F16, [(6, 1)], (3, 5))
     assert job.candidates == 256
     assert job.coeff_vector(7 + 3 * 16) == (7, 3)
-    assert search._base_q_index((7, 3), 16) == 55
     f = candidate(job, 55)
     assert dict(f.terms()) == {6: 1, 3: 7, 5: 3}
     assert job.coeff_vector(0) == (0, 0)
@@ -120,7 +117,12 @@ ALPHA = F16.generator
 # x^6 + a3*x^3 + a9*x^9 at m = 4, whose nonzero top digits fall into
 # three orbits; a fixed coefficient in GF(4), so that only the square of
 # Frobenius keeps it, and one that generates the field, so that only
-# the scaling group does
+# the scaling group does.  Then families where translations x -> x + b
+# join the plan: x^7 + a6*x^6 + a5*x^5 + a3*x^3, whose a6 moves by b;
+# x^9 + a7*x^7 + a3*x^3, whose translations keep the absent x^6 and x^5
+# only where a7 = 0; x^11 + a10*x^10 + a9*x^9 + a3*x^3, where b moves a3
+# by b^8; and x^22 + x^18 + a6*x^6 + a5*x^5 + a3*x^3, whose fixed
+# exponents fold to 7 and onto the free degree 3
 ORBIT_FAMILIES = [
     (2, ((1, 1),), (3,)),
     (3, (), (3, 5, 6)),
@@ -131,6 +133,10 @@ ORBIT_FAMILIES = [
     (5, ((3, 1),), (6, 12)),
     (4, ((3, W4), (6, 1)), (5, 7, 9)),
     (4, ((3, ALPHA), (6, 1)), (5, 7, 9)),
+    (4, ((7, 1),), (3, 5, 6)),
+    (4, ((9, 1),), (3, 7)),
+    (4, ((11, 1),), (3, 9, 10)),
+    (4, ((18, 1), (22, 1)), (3, 5, 6)),
 ]
 
 
@@ -287,26 +293,26 @@ def test_scan_processes_follow_the_row_kernel_rule(monkeypatch):
 
 
 def test_classify_scans_stay_in_process(monkeypatch):
-    # every scan of the nine repro/ classifications is below the fork
-    # threshold, on any CPU count, so all its scan_range calls run in
-    # this process, where a trace sees them
+    # every scan of the nine repro/ classifications, one per
+    # classification, is below the fork threshold, on any CPU count, so
+    # all its scan_range calls run in this process, where a trace sees
+    # them
     monkeypatch.setattr(kernels, "_CPUS", 64)
     nparts = []
     fan_out = search._fan_out
     monkeypatch.setattr(search, "_fan_out",
                         lambda part, n: nparts.append(n) or fan_out(part, n))
-    for classify, ms in ((classify_degree6, (4, 5, 6)),
-                         (classify_degree7, (4, 5, 6)),
-                         (classify_degree9, (4, 5, 6))):
-        for m in ms:
-            classify(m)
-    assert len(nparts) == 20
+    for d in (6, 7, 9):
+        for m in (4, 5, 6):
+            classify(d, m)
+    assert len(nparts) == 9
     assert set(nparts) == {1}
 
 
 # the full degree-9 family at m = 4: its top digit a7 has the orbits {0}
-# and the nonzero values, Frobenius shortens the blocks below, and the
-# kernel runs on 1,251 of the 65,536 candidates
+# and the nonzero values, translations take a6 to 0 where a7 != 0,
+# Frobenius shortens the blocks below, and the kernel runs on 227 of the
+# 65,536 candidates
 DEGREE9 = (4, ((9, 1),), (3, 5, 6, 7))
 
 
@@ -319,15 +325,21 @@ def test_budget_resume_and_workers_on_frobenius_family(cells, monkeypatch):
     job = SearchJob(Field(m), fixed, free)
     full = scan(job)
     assert full.scanned == full.cursor == job.candidates
+    # the blocks mapped by translations and pairs give the hits of the
+    # scalar scan of every candidate
+    assert _as_tuples(full.hits) == _oracle_hits(m, fixed, free)
     # stopped inside the run of upper digits 0, where digit 0 is planned
-    # too, inside the representative run of a7 = 0, inside a run and a
-    # block of the representative a7 = 1, and inside a mapped block
+    # too, inside the representative run of a7 = 0, inside the
+    # representative block a6 = 0 of a7 = 1 and a block translated from
+    # it, and inside a block mapped by a scaling
     for cursor in (5, 37, 4100, 5000, 40000):
         small = SearchJob(Field(m), fixed, free, budget=cursor * 256)
         with pytest.raises(BudgetExceeded) as err:
             scan(small)
         part = err.value.partial
         assert part.cursor == part.scanned == cursor
+        assert _as_tuples(part.hits) == _oracle_range(m, fixed, free, 0,
+                                                      cursor)
         rest = scan(job, part.cursor)
         assert _as_tuples(part.hits + rest.hits) == _as_tuples(full.hits)
         assert part.scanned + rest.scanned == full.scanned
@@ -491,11 +503,10 @@ def test_stacked_verification_matches_per_hit(monkeypatch, chunk_cells):
         seen.append((job, survivors.tolist(), _as_tuples(hits)))
         return hits
     monkeypatch.setattr(search, "_verify_survivors", capture)
-    for m in (4, 5, 6):
-        classify_degree6(m)
-        classify_degree7(m)
-        classify_degree9(m)
-    assert sum(len(hits) for _, _, hits in seen) == 541
+    for d in (6, 7, 9):
+        for m in (4, 5, 6):
+            classify(d, m)
+    assert sum(len(hits) for _, _, hits in seen) == 435
     for job, survivors, hits in seen:
         assert hits == [h for h in (verify_hit_py(job, i) for i in survivors)
                         if h is not None]
@@ -592,20 +603,23 @@ def test_hits_closed_under_scaling():
 
 def test_classify_degree6():
     for m in (4, 5):
-        rep = classify_degree6(m)
+        rep = classify(6, m)
         [fam] = rep.scans
+        assert fam.label == "x^6+a5*x^5+a3*x^3"
         assert [h.coeffs for h in fam.hits] == [(0, 0)]
         assert rep.reference_digests["x^3"] == rep.reference_digests["x^6"]
         assert fam.hits[0].digest == rep.reference_digests["x^3"]
         assert any("necessary but not sufficient" in n for n in rep.notes)
-    with pytest.raises(InvalidParameters):
-        classify_degree6(2)
+    with pytest.raises(InvalidParameters,
+                       match="degree-6 classification needs 3 <= m <= 7"):
+        classify(6, 2)
 
 
 def test_classify_degree7_m4_and_m5():
-    rep4 = classify_degree7(4)
+    rep4 = classify(7, 4)
     assert rep4.scans[0].hits == []
-    rep5 = classify_degree7(5)
+    assert rep4.scans[0].label == "x^7+a6*x^6+a5*x^5+a3*x^3"
+    rep5 = classify(7, 5)
     hits = rep5.scans[0].hits
     assert hits
     coeffs = {h.coeffs for h in hits}
@@ -616,111 +630,73 @@ def test_classify_degree7_m4_and_m5():
 
 
 def test_classify_degree9_m4():
-    rep = classify_degree9(4)
-    labels = [s.label for s in rep.scans]
-    assert len(labels) == 6
-    assert any("a6^2" in lbl for lbl in labels)
-    by_label = {s.label: s for s in rep.scans}
-    plain = by_label["x^9+a6*x^6+a3*x^3"]
-    assert (0, 0) in {h.coeffs for h in plain.hits}
-    assert any("maps into a reduced family" in n for n in rep.notes)
-    full = by_label["x^9+a7*x^7+a6*x^6+a5*x^5+a3*x^3"]
+    # one scan, the whole family; two references, so no matching note
+    rep = classify(9, 4)
+    [full] = rep.scans
+    assert full.label == "x^9+a7*x^7+a6*x^6+a5*x^5+a3*x^3"
+    assert full.free_degrees == (3, 5, 6, 7)
+    assert full.scanned == 16 ** 4 and len(full.hits) == 326
     assert (0, 0, 0, 0) in {h.coeffs for h in full.hits}
+    assert sorted(rep.reference_digests) == ["x^3", "x^9"]
+    assert len(rep.notes) == 2 and "m_max = 9" in rep.notes[1]
     as_json = json.dumps(rep.as_dict())
     assert "a6" in as_json
 
 
+def test_classify_coupled_hits_are_in_the_full_family():
+    # x^9 + a6*x^6 + a6^2*x^3, a6 != 0, decided map by map, has the hits
+    # of the full family with a7 = a5 = 0 and a3 = a6^2 != 0
+    for m in (4, 5, 6):
+        field = Field(m)
+        want = [a6 for a6 in range(1, field.q) if is_apn(PolyFunc(
+            field, [(9, 1), (6, a6), (3, field.mul(a6, a6))]))]
+        got = [a6 for a3, a5, a6, a7 in (h.coeffs for h in
+                                         classify(9, m).scans[0].hits)
+               if a6 and a3 == field.mul(a6, a6) and a5 == a7 == 0]
+        assert got == want, m
+
+
+def test_classify_guards():
+    for d, m in ((6, 8), (7, 2), (7, 7), (9, 3), (9, 7)):
+        with pytest.raises(InvalidParameters,
+                           match="degree-%d classification needs" % d):
+            classify(d, m)
+    with pytest.raises(InvalidParameters, match="no classification"):
+        classify(8, 4)
+
+
 def test_classify_report_dict_roundtrip():
-    rep = classify_degree6(4)
+    rep = classify(6, 4)
     d = rep.as_dict()
     assert d["degree"] == 6 and d["m"] == 4
     assert d["scans"][0]["hits"][0]["coeffs"] == {"a3": 0, "a5": 0}
     json.loads(json.dumps(d))
 
 
-def test_degree9_translation_closed_form():
-    # x -> x + b on x^9 + a7*x^7 + a6*x^6 + a5*x^5 + a3*x^3 moves a_k by
-    # a7*b^(7 - k) once normalize drops the affine terms (Lucas), the
-    # closed form the reduction note translates by
+# families where translations move the free digits: the first four
+# translation families of ORBIT_FAMILIES, and the full degree-9 family
+TRANSLATION_FAMILIES = ORBIT_FAMILIES[-4:] + [DEGREE9]
+
+
+@pytest.mark.parametrize("m, fixed, free", TRANSLATION_FAMILIES)
+def test_translation_moves_match_affine_transform(m, fixed, free):
+    # x -> x + b moves the coefficient of each non-affine x^k by the
+    # plan's closed form, once normalize drops the affine terms (Lucas),
+    # on random members at every b
+    field = Field(m)
+    job = SearchJob(field, fixed, free)
+    tw = search._Twists(job)
     rng = random.Random(11)
-    for m in (4, 5, 6):
-        field = Field(m)
-        q = field.q
-        for _ in range(6):
-            a3, a5, a6, a7 = (rng.choice((0, rng.randrange(q)))
-                              for _ in range(4))
-            f = PolyFunc(field, [(9, 1), (7, a7), (6, a6), (5, a5), (3, a3)])
-            for b in range(q):
-                want = dict(normalize(affine_transform(f, 1, b, 1)).terms())
-                got = {9: 1, 7: a7,
-                       6: a6 ^ field.mul(a7, b),
-                       5: a5 ^ field.mul(a7, field.pow_(b, 2)),
-                       3: a3 ^ field.mul(a7, field.pow_(b, 4))}
-                assert {k: c for k, c in got.items() if c} == want, (m, f, b)
-
-
-def test_reduction_note_matches_brute_force(monkeypatch):
-    captured = []
-    note = search._degree9_reduction_note
-
-    def capture(job, full_hits, reduced_hit_sets):
-        captured.append((job, full_hits, reduced_hit_sets))
-        return note(job, full_hits, reduced_hit_sets)
-    monkeypatch.setattr(search, "_degree9_reduction_note", capture)
-    for m in (4, 5):
-        classify_degree9(m)
-    monkeypatch.undo()
-    assert [len(full_hits) for _, full_hits, _ in captured] == [326, 32]
-    escaped = 0
-    for job, full_hits, reduced in captured:
-        # every other hit of x^9+a6*x^6+a3*x^3, none of x^9+a6*x^6+x^5+a3*x^3
-        thinned = list(reduced)
-        degs, ones, hitset = thinned[2]
-        thinned[2] = (degs, ones, set(sorted(hitset)[::2]))
-        degs, ones, _ = thinned[1]
-        thinned[1] = (degs, ones, set())
-        for sets in (reduced, thinned):
-            got = note(job, full_hits, sets)
-            assert got == reduction_note_brute_force(job, full_hits, sets)
-            escaped += "escaping" in got
-    assert escaped == 2
-
-
-def test_reduction_note_empty_and_zero_coefficients():
-    job = SearchJob(F16, [(9, 1)], (3, 5, 6, 7))
-    reduced = [((3, 5), (7,), {(0, 0), (1, 0)}), ((3, 6), (5,), set()),
-               ((3, 6), (), {(0, 0)}), ((3, 5), (), {(0, 0), (0, 3)})]
-    # x^9 itself, one nonzero coefficient on each free degree, and all
-    # four at once
-    hits = [Hit(0, c, 2, "") for c in
-            ((0, 0, 0, 0), (5, 0, 0, 0), (0, 5, 0, 0), (0, 0, 5, 0),
-             (0, 0, 0, 5), (1, 2, 3, 4))]
-    assert search._degree9_reduction_note(job, [], reduced) == \
-        reduction_note_brute_force(job, [], reduced)
-    got = search._degree9_reduction_note(job, hits, reduced)
-    assert got == reduction_note_brute_force(job, hits, reduced)
-    assert "escaping" in got and "(0, 0, 0, 0)" not in got
-    assert search._degree9_reduction_note(job, [], []) == (
-        "every full-family hit maps into a reduced family under "
-        "affine substitution")
-
-
-def test_reduction_note_random_hit_sets():
-    # dense random hit sets, so the shape and pinned-coefficient tests
-    # decide most cells instead of the lookup alone
-    rng = random.Random(13)
-    for m in (4, 5):
-        field = Field(m)
-        q = field.q
-        job = SearchJob(field, [(9, 1)], (3, 5, 6, 7))
-        pairs = [(x, y) for x in range(q) for y in range(q)]
-        for _ in range(4):
-            full_hits = [Hit(0, tuple(rng.choice((0, rng.randrange(q)))
-                                      for _ in range(4)), 2, "")
-                         for _ in range(6)]
-            reduced = [(degs, ones, set(rng.sample(pairs, q * q // 2)))
-                       for degs, ones in (((3, 5), (7,)), ((3, 6), (5,)),
-                                          ((3, 6), ()), ((3, 5), ()))]
-            got = search._degree9_reduction_note(job, full_hits, reduced)
-            assert got == reduction_note_brute_force(job, full_hits,
-                                                     reduced)
+    b = np.arange(field.q, dtype=np.int64)
+    for _ in range(6):
+        index = rng.randrange(job.candidates)
+        f = candidate(job, index)
+        digits = np.array([job.coeff_vector(index)] * field.q,
+                          dtype=np.int64)
+        coeff = dict(f.terms())
+        moves = {k: tw.lift(k, b, digits).tolist()
+                 for k in range(3, field.q) if k & (k - 1)}
+        for bb in range(field.q):
+            want = dict(normalize(affine_transform(f, 1, bb, 1)).terms())
+            got = {k: coeff.get(k, 0) ^ mv[bb] for k, mv in moves.items()}
+            assert {k: c for k, c in got.items() if c} == want, (f, bb)
