@@ -673,6 +673,27 @@ def test_classify_report_dict_roundtrip():
     json.loads(json.dumps(d))
 
 
+def test_degree9_translation_closed_form():
+    # x -> x + b on x^9 + a7*x^7 + a6*x^6 + a5*x^5 + a3*x^3 moves a_k by
+    # a7*b^(7 - k) once normalize drops the affine terms (Lucas), the
+    # closed form by which translations take a6 to 0 where a7 != 0
+    rng = random.Random(11)
+    for m in (4, 5, 6):
+        field = Field(m)
+        q = field.q
+        for _ in range(6):
+            a3, a5, a6, a7 = (rng.choice((0, rng.randrange(q)))
+                              for _ in range(4))
+            f = PolyFunc(field, [(9, 1), (7, a7), (6, a6), (5, a5), (3, a3)])
+            for b in range(q):
+                want = dict(normalize(affine_transform(f, 1, b, 1)).terms())
+                got = {9: 1, 7: a7,
+                       6: a6 ^ field.mul(a7, b),
+                       5: a5 ^ field.mul(a7, field.pow_(b, 2)),
+                       3: a3 ^ field.mul(a7, field.pow_(b, 4))}
+                assert {k: c for k, c in got.items() if c} == want, (m, f, b)
+
+
 # families where translations move the free digits: the first four
 # translation families of ORBIT_FAMILIES, and the full degree-9 family
 TRANSLATION_FAMILIES = ORBIT_FAMILIES[-4:] + [DEGREE9]
