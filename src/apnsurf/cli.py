@@ -22,8 +22,8 @@ from .errors import (ApnToolError, BudgetExceeded, DiagonalNotConstant,
                      InvalidParameters)
 from .gf2m import Field
 from .polyfunc import parse_family, parse_poly
-from .search import (DEFAULT_BUDGET, SearchJob, checkpoint_resume,
-                     checkpoint_save, classify, scan)
+from .search import (_CLASSIFICATIONS, DEFAULT_BUDGET, SearchJob,
+                     checkpoint_resume, checkpoint_save, classify, scan)
 from .surface import (build_surface, count_points, derivative_divisibility,
                       diagonal_infinity_singular)
 
@@ -296,7 +296,8 @@ def build_parser():
     sp.set_defaults(func=cmd_search)
 
     sp = sub.add_parser("classify", help="fixed-degree classification runs")
-    sp.add_argument("--degree", type=int, choices=(6, 7, 9), required=True)
+    sp.add_argument("--degree", type=int, choices=sorted(_CLASSIFICATIONS),
+                    required=True)
     sp.add_argument("--m", type=int, required=True)
     sp.set_defaults(func=cmd_classify)
 

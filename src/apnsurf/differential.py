@@ -99,16 +99,20 @@ def walsh_fingerprint(f):
 
 def walsh_fingerprints(field, tables, rows=None):
     """walsh_fingerprint of each value table in an (n, q) stack; rows
-    (default: every nonzero b) must fit every table."""
+    (default: every nonzero b) must fit every table.  Tables with equal
+    histograms share one dict, built once."""
     q = field.q
     pm = field.pair_table()
     inv = np.zeros(q, dtype=np.int64)
     inv[pm] = np.arange(q, dtype=np.int64)
     hists = kernels.walsh_hist(pm[np.take(tables, inv, axis=1)], q, rows)
-    out = []
+    out, seen = [], {}
     for hist in hists:
-        nz = np.flatnonzero(hist)
-        out.append(dict(zip((nz - q).tolist(), hist[nz].tolist())))
+        key = hist.tobytes()
+        if key not in seen:
+            nz = np.flatnonzero(hist)
+            seen[key] = dict(zip((nz - q).tolist(), hist[nz].tolist()))
+        out.append(seen[key])
     return out
 
 

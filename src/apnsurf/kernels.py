@@ -178,36 +178,44 @@ def _block_shape(nrows, q, cells):
 
 def _apn_survivors(tables, q, avals):
     """Indices of the rows of tables (one value table per row) whose
-    derivative solution counts stay below four for every a in avals;
-    each table drops out in the first round with a failing a.
+    derivative solution counts stay below four for every a in avals, in
+    any order; each table drops out in the first round with a failing a.
 
-    A round counts a block of a values in one numpy pass.  The block
-    starts at one a and doubles after every round in which no table
-    fails, while the counted cells (tables times a values times q) stay
-    within _CHUNK_CELLS.  So a lone table takes few round trips, and a
-    batch of fresh candidates, most of which fail on their first a
-    values, is not counted on a values it never needed."""
+    D_a(x) = D_a(x + a), so, as in spectrum_hist, row a walks only the x
+    whose bit at a's top bit is clear, half of them, and counts each
+    solution pair {x, x + a} once: a table fails when a bin reaches two.
+    The a values are sorted, and a round counts a block of them of one
+    top bit in one numpy pass.  The block starts at one a and doubles
+    after every round in which no table fails, while the counted cells
+    (tables times a values times q) stay within _CHUNK_CELLS, and it
+    ends where its top bit's run ends.  So a lone table takes few round
+    trips, and a batch of fresh candidates, most of which fail on their
+    first a values, is not counted on a values it never needed."""
     xs = np.arange(q, dtype=np.int64)
+    avals = np.sort(avals)
     alive = np.arange(tables.shape[0], dtype=np.int64)
     lo, k = 0, 1
     while lo < avals.shape[0] and alive.shape[0]:
-        blk = avals[lo:lo + k]
+        h = int(avals[lo]).bit_length() - 1
+        blk = avals[lo:min(lo + k, int(avals.searchsorted(2 << h)))]
         lo += blk.shape[0]
         n, w = alive.shape[0], blk.shape[0]
+        # the x with bit h clear
+        xs_h = xs.reshape(-1, 2, 1 << h)[:, 0].ravel()
         # take keeps rows contiguous; tables[:, xs ^ a] comes back
         # column-major, which halves the speed of the passes below
-        diffs = np.take(tables, (blk[:, None] ^ xs).ravel(), axis=1)
-        diffs = diffs.reshape(n, w, q)
-        diffs ^= tables[:, None, :]
-        # table i on the j-th a of the block counts its solutions in
+        diffs = np.take(tables, (blk[:, None] ^ xs_h).ravel(), axis=1)
+        diffs = diffs.reshape(n, w, q // 2)
+        diffs ^= tables.take(xs_h, axis=1)[:, None, :]
+        # table i on the j-th a of the block counts its solution pairs in
         # bins (i*w + j)*q .. (i*w + j)*q + q - 1
         diffs += np.arange(0, n * w * q, q, dtype=np.int64).reshape(n, w, 1)
         counts = np.bincount(diffs.ravel(), minlength=n * w * q)
-        if counts.max() >= 4:
-            keep = counts.reshape(n, w * q).max(axis=1) < 4
+        if counts.max() >= 2:
+            keep = counts.reshape(n, w * q).max(axis=1) < 2
             alive = alive[keep]
             tables = tables[keep]
-        elif 2 * diffs.size <= _CHUNK_CELLS:
+        elif 4 * diffs.size <= _CHUNK_CELLS:
             k *= 2
     return alive
 
@@ -331,8 +339,9 @@ def spectrum_hist(tables, q, rows=None):
 
 
 def is_apn_table(table, q, rows=None):
-    """Whether no derivative row a in rows (default: every nonzero a)
-    has a solution count of four or more; the weight is not needed."""
+    """Whether no derivative row a in rows (default: every nonzero a,
+    else in any order) has a solution count of four or more; the weight
+    is not needed."""
     table = np.ascontiguousarray(table, dtype=np.int64)
     avals, _ = _rows(q, rows)
     return _apn_survivors(table[None, :], q, avals).shape[0] == 1

@@ -17,6 +17,12 @@ spectrum and its Walsh fingerprint, so a reported hit never rests on
 the fast path alone.  The survivors are verified together, in stacked
 kernel passes over chunks of them (_verify_survivors).
 
+Each stage does its work once: the plan reduces each digit value once
+per node, not once per pair (_least_images); the kernel walks half of
+each derivative row (kernels._apn_survivors); and verification builds
+one fingerprint per distinct Walsh histogram and one digest per
+distinct fingerprint.
+
 Free degrees may not be powers of two: a linearized summand never
 changes differential behaviour, so scanning over its coefficient would
 multiply the work by q for nothing.
@@ -193,9 +199,13 @@ def _verify_survivors(job, fixed_table, mono_tables, survivors):
             raise ApnToolError(
                 "scan survivor %d has differential uniformity %d"
                 % (index[bad[0]], deltas[bad[0]]))
+        # equal fingerprints are one dict (walsh_fingerprints), digested
+        # once; the list keeps every dict, and so its id, alive
+        digests = {}
         for i, fp in zip(index.tolist(), walsh_fingerprints(field, tables)):
-            hits.append(Hit(i, job.coeff_vector(i), 2,
-                            fingerprint_digest(fp)))
+            if id(fp) not in digests:
+                digests[id(fp)] = fingerprint_digest(fp)
+            hits.append(Hit(i, job.coeff_vector(i), 2, digests[id(fp)]))
     return hits
 
 
@@ -354,6 +364,24 @@ class _Twists:
         return w, v, np.maximum(lead, 0)
 
 
+def _least_images(tw, level, digits, own, lam, f):
+    """(img, coset, moves) of free digit level - 1 at the nodes with the
+    digits digits: img[p, t] is the image of value t under the pair
+    (lam[p], f[p]) of node own[p], coset[p, t] the least element of its
+    coset under that node's translations (_Twists.cosets) and moves[p, t]
+    the translation taking it there.  The least and the translation
+    depend on the node and the value alone, so each node reduces its q
+    values once, and every pair looks up the rows of its images."""
+    q = tw.field.q
+    nodes = digits.shape[0]
+    least, b = _reduce(
+        np.broadcast_to(np.arange(q, dtype=np.int64), (nodes, q)),
+        np.arange(nodes), tw.cosets(level, digits))
+    img = tw.image(lam, f, level - 1)
+    at = own[:, None] * q + img
+    return img, least.take(at), b.take(at)
+
+
 def _plan_level(tw, level, base, lo, hi, own, lam, f, last):
     """One digit of _scan_plan for nodes with level free digits: node i
     covers [lo[i], hi[i]) of the block at base[i], and its stabilizer is
@@ -370,12 +398,10 @@ def _plan_level(tw, level, base, lo, hi, own, lam, f, last):
     npairs = own.shape[0]
     starts = np.searchsorted(own, np.arange(base.shape[0] + 1))
     digits = base[:, None] // q ** np.arange(len(tw.degs)) % q
-    cosets = tw.cosets(level, digits)
+    img, coset, moves = _least_images(tw, level, digits, own, lam, f)
     # per node and digit t, the least element of the cosets of the images
     # of t over the node's pairs and the first pair giving it, as element
-    # * npairs + pair, and the translations moving each image to its least
-    img = tw.image(lam, f, level - 1)
-    coset, moves = _reduce(img, own, cosets)
+    # * npairs + pair
     key = np.minimum.reduceat(coset * npairs + np.arange(npairs)[:, None],
                               starts[:-1])
     rep = key // npairs
@@ -541,11 +567,13 @@ def scan(job, start=0, stop=None):
     The early-abort kernel runs on the runs and parts of _scan_plan,
     dealt out as shards of at most SHARD candidates to the processes
     kernels._processes gives for their cells, all but one forked; a
-    shard of runs is one scan_range call.  The survivors of the mapped
-    blocks are taken from their representatives (_mapped), and every
-    survivor in the range, mapped or not, is verified in stacked passes,
-    each on its own full spectrum and fingerprint.  The hit list is
-    deterministic and independent of the process count.
+    shard of runs is one scan_range call, which walks half of each
+    derivative row.  The survivors of the mapped blocks are taken from
+    their representatives (_mapped), and every survivor in the range,
+    mapped or not, is verified in stacked passes, each on its own full
+    spectrum and fingerprint; survivors with equal fingerprints share
+    one digest, computed once.  The hit list is deterministic and
+    independent of the process count.
     When the job's budget cannot cover the range, the covered prefix is
     scanned and BudgetExceeded is raised with the partial result (its
     cursor marks the restart point) attached.

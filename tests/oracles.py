@@ -21,7 +21,9 @@ x -> x + b of each node held as an echelon basis, their moves from the
 closed form of Lucas's theorem; orbit_scan_candidates finds every pair
 by trying it on the fixed part and every translation of a node by
 trying it, through affine_transform, on the node's members, and counts
-the orbits of each digit value by value.
+the orbits of each digit value by value.  search._least_images reduces
+each digit value once per node and looks the pairs' images up;
+least_images_per_pair reduces every image of every pair on its own.
 
 The kernels module vectorizes its loops over whole rows and batches of
 tables; spectrum_hist_py, is_apn_py, walsh_hist_py and scan_py walk the
@@ -68,6 +70,7 @@ from apnsurf.criteria import CriterionVerdict
 from apnsurf.mvpoly import TriPoly, bi_gcd, bi_squarefree, uni_factor
 from apnsurf.polyfunc import (PolyFunc, affine_transform, is_q_affine,
                               normalize)
+from apnsurf.search import _reduce
 from apnsurf.surface import infinity_curve
 
 
@@ -185,6 +188,14 @@ def orbit_scan_candidates(job):
                 total += node(below, 1, fixing)
         return total
     return node((0,) * len(degs), len(degs), range(len(moves)))
+
+
+def least_images_per_pair(tw, level, digits, own, lam, f):
+    """search._least_images, each pair's row of images reduced by its
+    node's translations as it stands."""
+    img = tw.image(lam, f, level - 1)
+    coset, moves = _reduce(img, own, tw.cosets(level, digits))
+    return img, coset, moves
 
 
 def uni_is_irreducible(p):

@@ -1,5 +1,6 @@
 """Command line behaviour: outputs, formats, exit codes."""
 
+import argparse
 import hashlib
 import json
 import re
@@ -9,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from apnsurf import cli
+from apnsurf import cli, search
 from apnsurf.cli import build_parser, main
 from apnsurf.errors import NotDivisible
 from apnsurf.gf2m import Field
@@ -458,6 +459,36 @@ def test_classify_cli(capsys):
     rec = json.loads(out)
     assert rec["claim_id"] == "degree6-classification"
     assert rec["scans"][0]["hits"][0]["coeffs"] == {"a3": 0, "a5": 0}
+
+
+def test_classify_degrees_are_the_table_rows(capsys, monkeypatch):
+    # the --degree choices are search._CLASSIFICATIONS' degrees, so a
+    # degree needs only a table row: x^5 + a3*x^3 at m = 3, whose hits
+    # all match x^5 (a Gold map there)
+    def degree_choices():
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        return next(a for a in sub.choices["classify"]._actions
+                    if a.dest == "degree").choices
+    assert degree_choices() == sorted(search._CLASSIFICATIONS) == [6, 7, 9]
+    with pytest.raises(SystemExit) as e:
+        main(["classify", "--degree", "5", "--m", "3"])
+    assert e.value.code == 2
+    try:
+        monkeypatch.setitem(search._CLASSIFICATIONS, 5, (3, 4, (5,), []))
+        build_parser.cache_clear()
+        assert degree_choices() == [5, 6, 7, 9]
+        code, out, _ = run(capsys, "--format", "json", "classify",
+                           "--degree", "5", "--m", "3")
+    finally:
+        monkeypatch.undo()
+        build_parser.cache_clear()
+    assert code == 0
+    rec = json.loads(out)
+    assert rec["claim_id"] == "degree5-classification"
+    assert rec["scans"][0]["hits"]
+    assert rec["notes"][-1] == "every hit's fingerprint matches that of x^5"
+    assert degree_choices() == [6, 7, 9]
 
 
 def test_usage_errors_exit_two():

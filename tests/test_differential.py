@@ -12,6 +12,7 @@ from apnsurf.differential import (
     fingerprint_digest,
     is_apn,
     walsh_fingerprint,
+    walsh_fingerprints,
 )
 from apnsurf.errors import FieldTooLarge
 from apnsurf.gf2m import Field, _parity_table
@@ -183,6 +184,24 @@ def test_walsh_invariance_under_equivalence():
         lin = PolyFunc(F16, [(1, rng.randrange(16)), (2, rng.randrange(16)),
                              (4, rng.randrange(16))])
         assert walsh_fingerprint(PolyFunc(F16, f.terms() + lin.terms())) == fp
+
+
+def test_walsh_fingerprints_of_repeated_tables():
+    # a stack that repeats tables, and holds distinct tables with equal
+    # fingerprints (x^6 is a doubling twist of x^3), gives each table
+    # the dict of its map alone; equal histograms share one dict
+    rng = random.Random(41)
+    maps = [PolyFunc.monomial(F16, 3), PolyFunc.monomial(F16, 6),
+            rand_func(F16, rng), rand_func(F16, rng)]
+    stack = [maps[i] for i in (0, 2, 0, 1, 3, 2, 0, 1)]
+    tables = np.stack([kernels.value_table(F16, f.terms()) for f in stack])
+    fps = walsh_fingerprints(F16, tables)
+    assert len(fps) == len(stack)
+    for f, fp in zip(stack, fps):
+        assert fp == walsh_fingerprint(f)
+    assert fps[0] is fps[2] is fps[3] is fps[6] is fps[7]
+    assert len({id(fp) for fp in fps}) == len(
+        {tuple(sorted(fp.items())) for fp in fps}) == 3
 
 
 def scaling_maps(field, rng, reps):

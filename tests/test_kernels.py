@@ -96,6 +96,32 @@ def test_apn_blocks_of_a_values_agree(monkeypatch, chunk_cells):
     assert alive.tolist() == [i for i, r in enumerate(ref) if r]
 
 
+# row sets in no order: a subset, one a of each top bit from the top
+# down, and the derivative rows of scaling_rows for scaling groups of
+# order 1, 3 and 5 (generator powers, so every row in the first)
+UNSORTED_ROWS = [np.array([9, 2, 14], dtype=np.int64),
+                 np.array([14, 3, 5, 1], dtype=np.int64)] + [
+    kernels.scaling_rows(F16, terms)[0][0]
+    for terms in ([(4, 1), (3, 1)], [(6, 1), (3, 1)], [(8, 1), (3, 1)])]
+
+
+def test_apn_early_abort_on_unsorted_rows():
+    # the half rows count pairs {x, x + a} over the x clear at a's top
+    # bit, so a block of a values must not mix top bits; 1,200 tables
+    # at m = 4, 40 stacked at a time as scan_range stacks its batches
+    rng = random.Random(29)
+    tabs = np.stack([rand_table(F16, rng) for _ in range(1200)])
+    for rows in UNSORTED_ROWS:
+        ref = [bool(is_apn_py(tab, 16, rows)) for tab in tabs]
+        assert 0 < sum(ref) < len(ref)
+        assert [kernels.is_apn_table(tab, 16, (rows, 1))
+                for tab in tabs] == ref
+        alive = np.concatenate([
+            lo + kernels._apn_survivors(tabs[lo:lo + 40].copy(), 16, rows)
+            for lo in range(0, len(tabs), 40)])
+        assert alive.tolist() == [i for i, r in enumerate(ref) if r]
+
+
 def _stack_cases(rng):
     """(q, stack, row sets) at q = 2, 4, 16 and 64: value tables for the
     spectrum and permutations for Walsh, 7 of each, with every nonzero

@@ -18,7 +18,8 @@ from apnsurf.kernels import power_table, value_table
 from apnsurf.polyfunc import PolyFunc, affine_transform, normalize
 from apnsurf.search import (Hit, SearchJob, SearchResult, checkpoint_resume,
                             checkpoint_save, classify, scan)
-from oracles import candidate, orbit_scan_candidates, scan_py, verify_hit_py
+from oracles import (candidate, least_images_per_pair, orbit_scan_candidates,
+                     scan_py, verify_hit_py)
 
 F8 = Field(3)
 F16 = Field(4)
@@ -314,6 +315,45 @@ def test_classify_scans_stay_in_process(monkeypatch):
 # Frobenius shortens the blocks below, and the kernel runs on 227 of the
 # 65,536 candidates
 DEGREE9 = (4, ((9, 1),), (3, 5, 6, 7))
+
+
+def _plan_bytes(plan):
+    """A _scan_plan result as bytes, dtypes included."""
+    runs, parts, maps = plan
+    return (runs.dtype.str, runs.tobytes(), parts,
+            [(level, [(x.dtype.str, x.tobytes()) for x in arrays])
+             for level, *arrays in maps])
+
+
+@pytest.mark.parametrize("m, fixed, free",
+                         ORBIT_FAMILIES + [(5,) + DEGREE9[1:]])
+def test_least_images_match_per_pair_reduction(m, fixed, free, monkeypatch):
+    # every level's images, least coset elements and moves equal those
+    # of reducing each pair's images on its own, and so does the plan,
+    # over the full range and over partial ones
+    job = SearchJob(Field(m), fixed, free)
+    tw = search._Twists(job)
+    fast = search._least_images
+    calls = [0]
+
+    def checked(*args):
+        got = fast(*args)
+        want = least_images_per_pair(*args)
+        assert [(x.dtype, x.tolist()) for x in got] == [
+            (x.dtype, x.tolist()) for x in want]
+        calls[0] += 1
+        return got
+    rng = random.Random(job.candidates)
+    ranges = [(0, job.candidates)] + [
+        tuple(sorted(rng.randrange(job.candidates + 1) for _ in range(2)))
+        for _ in range(3)]
+    for lo, hi in ranges:
+        monkeypatch.setattr(search, "_least_images", checked)
+        plan = search._scan_plan(job, tw, lo, hi)
+        monkeypatch.setattr(search, "_least_images", least_images_per_pair)
+        assert _plan_bytes(search._scan_plan(job, tw, lo, hi)) == _plan_bytes(
+            plan)
+    assert calls[0] > 0
 
 
 @pytest.mark.parametrize("cells", [None, 1])
