@@ -9,8 +9,9 @@ x -> x + b, and every hit is still verified on its own value table.
 
 Usage: python3 repro/classify_small_degrees.py [--out-dir DIR]
 
-Each scan chooses its own processes (apnsurf.kernels._processes); every
-scan here is small enough to run in this process.
+Each scan splits its runs over processes by their size
+(apnsurf.kernels._split_rows); every scan here is small enough to run
+in this process.
 """
 
 import argparse

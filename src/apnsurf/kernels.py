@@ -5,8 +5,8 @@ in which log[0] is a sentinel index whose antilog reads as zero.  The
 family scan multiplies only rows of the product tables d * x^e and builds
 each candidate's value table by xoring such rows, so it pays for products
 per row, not per candidate.  Large spectrum and Walsh passes and large
-scans run on forked processes (_processes, _fan_out).  Each public
-kernel is checked against a plain scalar loop in tests/oracles.py.
+scans run on forked processes (_split_rows).  Each public kernel is
+checked against a plain scalar loop in tests/oracles.py.
 """
 
 import math
@@ -19,7 +19,8 @@ from .gf2m import _parity_table
 
 BACKEND = "numpy"
 
-# table cells (candidates times q) that scan_range builds per batch
+# table cells (candidates times q) that scan_range builds per batch, and
+# that search verifies per chunk
 _BATCH_CELLS = 1 << 20
 # cells that walsh_hist transforms per chunk of b rows, and up to which
 # _apn_survivors widens its blocks of a values: small enough to stay in
@@ -132,15 +133,14 @@ def _processes(cells, parts):
 
 
 def _split_rows(count, rows, cells):
-    """count(rows) of a row kernel of cells cells, whose counts add up over
-    any split of its rows: the sum of count(rows[i::p]) over p parts."""
+    """[count(rows[i::p]) for i < p], p = _processes(cells, len(rows)):
+    a row kernel of cells cells over interleaved parts of its rows, all
+    but part 0 on forked processes (_fan_out).  The caller joins the
+    parts, which must give one result for any split: spectrum_hist and
+    walsh_hist sum their histograms, search.scan concatenates its
+    survivors.  Every fan-out goes through here."""
     p = _processes(cells, rows.shape[0])
-    if p == 1:
-        return count(rows)
-    total, *rest = _fan_out(lambda i: count(rows[i::p]), p)
-    for part in rest:
-        total += part
-    return total
+    return _fan_out(lambda i: count(rows[i::p]), p)
 
 
 def power_table(field, e):
@@ -332,8 +332,8 @@ def spectrum_hist(tables, q, rows=None):
     avals, weight = _rows(q, rows)
     avals = np.sort(avals)
     n = stack.shape[0]
-    hist = _split_rows(lambda part: _spectrum_counts(stack, q, part), avals,
-                       n * avals.shape[0] * (q // 2))
+    hist = sum(_split_rows(lambda part: _spectrum_counts(stack, q, part),
+                           avals, n * avals.shape[0] * (q // 2)))
     hist *= weight
     return hist.reshape(tables.shape[:-1] + (q + 1,))
 
@@ -393,8 +393,8 @@ def walsh_hist(pmf_perms, q, rows=None):
     pmf_perms = np.ascontiguousarray(pmf_perms, dtype=np.int64)
     stack = pmf_perms.reshape(-1, q)
     bvals, weight = _rows(q, rows)
-    hist = _split_rows(lambda part: _walsh_counts(stack, q, part), bvals,
-                       stack.shape[0] * bvals.shape[0] * q)
+    hist = sum(_split_rows(lambda part: _walsh_counts(stack, q, part), bvals,
+                           stack.shape[0] * bvals.shape[0] * q))
     hist *= weight
     return hist.reshape(pmf_perms.shape[:-1] + (2 * q + 1,))
 

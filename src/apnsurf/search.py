@@ -4,18 +4,19 @@ coefficient families.
 A family is a fixed polynomial part plus free coefficients attached to
 a set of monomial degrees.  Candidates are indexed by little-endian
 base-q integers: digit j of the index is the coefficient of the j-th
-free degree (ascending).  A scan covers a contiguous index range, on
-forked processes when it is large (kernels._processes).  The
-early-abort differential kernel runs on one run of q candidates (all
-values of digit 0) per orbit of the higher digits under the scalings
-x -> lam*x, the Frobenius twists and the translations x -> x + b that
-keep the family, and on one candidate per orbit of digit 0 where the
-higher digits are all 0; the survivors of the others are mapped from
-them (see _scan_plan).  Every surviving candidate, mapped or not, is
-then verified on a value table built from its own digits, with a full
-spectrum and its Walsh fingerprint, so a reported hit never rests on
-the fast path alone.  The survivors are verified together, in stacked
-kernel passes over chunks of them (_verify_survivors).
+free degree (ascending).  A scan covers a contiguous index range; its
+runs split over forked processes when they are large
+(kernels._split_rows).  The early-abort differential kernel runs on
+one run of q candidates (all values of digit 0) per orbit of the
+higher digits under the scalings x -> lam*x, the Frobenius twists and
+the translations x -> x + b that keep the family, and on one candidate
+per orbit of digit 0 where the higher digits are all 0; the survivors
+of the others are mapped from them (see _scan_plan).  Every surviving
+candidate, mapped or not, is then verified on a value table built from
+its own digits, with a full spectrum and its Walsh fingerprint, so a
+reported hit never rests on the fast path alone.  The survivors are
+verified together, in stacked kernel passes over chunks of them
+(_verify_survivors).
 
 Each stage does its work once: the plan reduces each digit value once
 per node, not once per pair (_least_images); the kernel walks half of
@@ -40,12 +41,11 @@ from .differential import (fingerprint_digest, walsh_fingerprint,
 from .errors import (ApnToolError, BudgetExceeded, CorruptCheckpoint,
                      InvalidParameters)
 from .gf2m import Field, _is_pow2
-from .kernels import (_BATCH_CELLS, _fan_out, _processes, power_table,
-                      scan_range, scaling_rows, spectrum_hist, value_table)
+from .kernels import (_BATCH_CELLS, _split_rows, power_table, scan_range,
+                      scaling_rows, spectrum_hist, value_table)
 from .polyfunc import PolyFunc
 
 DEFAULT_BUDGET = 1 << 30
-SHARD = 4096
 
 
 class SearchJob:
@@ -432,34 +432,6 @@ def _plan_level(tw, level, base, lo, hi, own, lam, f, last):
     return children, maps
 
 
-def _plan_nodes(tw, level, nodes):
-    """_plan_level over all nodes of a level, in chunks of whole nodes
-    whose pairs times q digits come to at most _BATCH_CELLS cells (a node
-    whose pairs alone come to more is a chunk of its own); the children
-    and maps of the chunks joined in order."""
-    base, lo, hi, own, lam, f = nodes
-    starts = np.searchsorted(own, np.arange(base.shape[0] + 1))
-    limit = max(1, _BATCH_CELLS // tw.field.q)
-    children, maps = [[] for _ in range(6)], [[] for _ in range(4)]
-    a = done = 0
-    while a < base.shape[0]:
-        b = max(a + 1, int(np.searchsorted(starts, starts[a] + limit,
-                                           "right")) - 1)
-        pa, pb = starts[a], starts[b]
-        part, moved = _plan_level(tw, level, base[a:b], lo[a:b], hi[a:b],
-                                  own[pa:pb] - a, lam[pa:pb], f[pa:pb],
-                                  level <= 2)
-        if part[3] is not None:
-            # the chunk's children are numbered after those before it
-            part[3] = part[3] + done
-        done += part[0].shape[0]
-        for out, x in zip(children + maps, part + list(moved)):
-            out.append(x)
-        a = b
-    return ([None if x[0] is None else np.concatenate(x) for x in children],
-            [np.concatenate(x) for x in maps])
-
-
 def _scan_plan(job, tw, lo, hi):
     """Cover the candidates [lo, hi) by runs to scan and blocks to map.
 
@@ -482,8 +454,9 @@ def _scan_plan(job, tw, lo, hi):
     all 0: it keeps every pair, and digit 0 is planned there too, as
     one-candidate blocks.  Every scanned block is a partly covered one or
     the representative of at least one covered block, so no more is
-    scanned than [lo, hi).  The nodes of a level are planned together
-    (_plan_nodes).
+    scanned than [lo, hi).  All nodes of a level are planned in one
+    _plan_level call: each level's pair table is about the size of the
+    root's, the whole group times q cells, so the root sets the peak.
 
     Returns (runs, parts, maps): runs is the ascending int64 array of runs
     r to scan in full (candidates r*q .. r*q + q - 1), parts lists the
@@ -502,14 +475,14 @@ def _scan_plan(job, tw, lo, hi):
             np.zeros(lam.shape[0], dtype=np.int64), lam, f]
     nodes, maps = root, []
     while level > 1 and nodes[0].shape[0]:
-        nodes, moved = _plan_nodes(tw, level, nodes)
+        nodes, moved = _plan_level(tw, level, *nodes, level <= 2)
         maps.append((level, moved))
         level -= 1
     base, nlo, nhi = nodes[:3]
     if level == 1 and base.shape[0] and base[0] == 0:
         # the run of upper digits 0, under the root's pairs
-        top, moved = _plan_nodes(tw, 1, [base[:1], nlo[:1], nhi[:1]]
-                                 + root[3:])
+        top, moved = _plan_level(tw, 1, base[:1], nlo[:1], nhi[:1],
+                                 *root[3:], True)
         maps.append((1, moved))
         base, nlo, nhi = (np.concatenate([x, y[1:]]) for x, y in zip(
             top, (base, nlo, nhi)))
@@ -564,16 +537,17 @@ def _mapped(tw, survivors, maps):
 def scan(job, start=0, stop=None):
     """Scan candidate indices [start, stop) in ascending order.
 
-    The early-abort kernel runs on the runs and parts of _scan_plan,
-    dealt out as shards of at most SHARD candidates to the processes
-    kernels._processes gives for their cells, all but one forked; a
-    shard of runs is one scan_range call, which walks half of each
-    derivative row.  The survivors of the mapped blocks are taken from
-    their representatives (_mapped), and every survivor in the range,
-    mapped or not, is verified in stacked passes, each on its own full
-    spectrum and fingerprint; survivors with equal fingerprints share
-    one digest, computed once.  The hit list is deterministic and
-    independent of the process count.
+    The early-abort kernel runs on the runs and parts of _scan_plan in
+    scan_range calls, which walk half of each derivative row.  The
+    parts, ranges inside one run, are scanned in this process.  The runs
+    are dealt by kernels._split_rows, as the rows of a row kernel of
+    runs * q^2 cells: interleaved parts of them, all but one forked when
+    the cells reach the fork threshold.  The survivors of the mapped
+    blocks are taken from their representatives (_mapped), and every
+    survivor in the range, mapped or not, is verified in stacked passes,
+    each on its own full spectrum and fingerprint; survivors with equal
+    fingerprints share one digest, computed once.  The hit list is
+    deterministic and independent of the process count.
     When the job's budget cannot cover the range, the covered prefix is
     scanned and BudgetExceeded is raised with the partial result (its
     cursor marks the restart point) attached.
@@ -596,24 +570,18 @@ def scan(job, start=0, stop=None):
 
     tw = _Twists(job)
     runs, parts, maps = _scan_plan(job, tw, start, eff_stop)
-    shards = [(a % q, b - a + a % q, np.array([a // q], dtype=np.int64))
-              for a, b in parts]
-    shards += [(s, min(s + SHARD, runs.shape[0] * q), runs)
-               for s in range(0, runs.shape[0] * q, SHARD)]
 
-    def run(group):
-        out = [np.zeros(0, dtype=np.int64)]
-        for lo, hi, rs in group:
-            hits, nh = scan_range(fixed_table, mono_tables, field, lo, hi, rs)
-            if nh > hi - lo:
-                raise ApnToolError("shard [%d, %d) reported %d survivors"
-                                   % (lo, hi, nh))
-            out.append(hits)
-        return np.concatenate(out)
-    cells = (runs.shape[0] * q + sum(b - a for a, b in parts)) * q
-    p = _processes(cells, len(shards))
-    survivors = _mapped(tw, np.concatenate(
-        _fan_out(lambda i: run(shards[i::p]), p)), maps)
+    def run(lo, hi, rs):
+        hits, nh = scan_range(fixed_table, mono_tables, field, lo, hi, rs)
+        if nh > hi - lo:
+            raise ApnToolError("scan of [%d, %d) reported %d survivors"
+                               % (lo, hi, nh))
+        return hits
+    found = [run(a % q, b - a + a % q, np.array([a // q], dtype=np.int64))
+             for a, b in parts]
+    found += _split_rows(lambda rs: run(0, rs.shape[0] * q, rs), runs,
+                         runs.shape[0] * q * q)
+    survivors = _mapped(tw, np.concatenate(found), maps)
     survivors = np.sort(
         survivors[(survivors >= start) & (survivors < eff_stop)])
     hits = _verify_survivors(job, fixed_table, mono_tables, survivors)

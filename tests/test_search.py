@@ -156,9 +156,11 @@ def test_orbit_scan_matches_direct_scan(m, fixed, free, monkeypatch):
         lo, hi = sorted(rng.randrange(total + 1) for _ in range(2))
         ranges.append((lo, hi))
     counted = _count_kernel_candidates(monkeypatch)
-    # planned in chunks as large as the default allows, then one node
-    # per chunk
+    # kernel batches and verification chunks as large as the default
+    # allows, then one candidate per kernel batch and one survivor per
+    # verification chunk
     for cells in (search._BATCH_CELLS, 1):
+        monkeypatch.setattr(kernels, "_BATCH_CELLS", cells)
         monkeypatch.setattr(search, "_BATCH_CELLS", cells)
         for lo, hi in ranges:
             counted[0] = 0
@@ -207,14 +209,29 @@ SHORTENED = (4, ((6, 1),), (3, 5, 9))
 
 
 def _force_processes(monkeypatch, p):
-    """Make scan deal its shards to p processes whatever their cells; the
-    row kernels keep their own rule (kernels._processes)."""
-    monkeypatch.setattr(search, "_processes",
-                        lambda cells, parts: max(1, min(p, parts)))
+    """Make scan deal its runs to p processes whatever their cells, but
+    no more than one per run (kernels._split_rows under a fixed rule);
+    the row kernels of verification keep their own (kernels._processes)."""
+    split = kernels._split_rows
+
+    def forced(count, rows, cells):
+        with monkeypatch.context() as patched:
+            patched.setattr(kernels, "_processes",
+                            lambda cells, parts: max(1, min(p, parts)))
+            return split(count, rows, cells)
+    monkeypatch.setattr(search, "_split_rows", forced)
+
+
+def _record_forks(monkeypatch):
+    """The list that kernels._fork appends each forked part's number to."""
+    forks = []
+    fork = kernels._fork
+    monkeypatch.setattr(kernels, "_fork",
+                        lambda part, i: forks.append(i) or fork(part, i))
+    return forks
 
 
 def test_worker_count_invariance(monkeypatch):
-    monkeypatch.setattr(search, "SHARD", 32)
     job = SearchJob(F16, [(6, 1)], (3, 5))
     one = scan(job)
     _force_processes(monkeypatch, 3)
@@ -235,14 +252,10 @@ def test_worker_count_invariance(monkeypatch):
 
 def test_scan_shards_on_forked_processes(monkeypatch):
     # two processes over ranges that cross representative blocks of
-    # SHORTENED, one shard group in a forked child; the row kernels of
+    # SHORTENED, every other run in a forked child; the row kernels of
     # the verification stay in process
-    monkeypatch.setattr(search, "SHARD", 32)
     _force_processes(monkeypatch, 2)
-    forks = []
-    fork = kernels._fork
-    monkeypatch.setattr(kernels, "_fork",
-                        lambda part, i: forks.append(i) or fork(part, i))
+    forks = _record_forks(monkeypatch)
     m, fixed, free = SHORTENED
     job = SearchJob(Field(m), fixed, free)
     for lo, hi in ((0, 4096), (200, 3900), (2500, 2600)):
@@ -251,7 +264,7 @@ def test_scan_shards_on_forked_processes(monkeypatch):
         assert forks == [1]
         assert _as_tuples(res.hits) == _oracle_range(m, fixed, free, lo, hi)
         assert res.scanned == hi - lo and res.cursor == hi
-    # a shard that fails in the child fails the scan
+    # runs that fail in the child fail the scan
     parent = os.getpid()
     kernel = search.scan_range
 
@@ -266,11 +279,12 @@ def test_scan_shards_on_forked_processes(monkeypatch):
 
 
 def test_scan_processes_follow_the_row_kernel_rule(monkeypatch):
-    # scan asks kernels._processes with its planned kernel cells, the
-    # candidates of its runs and parts times q, and its shard count
+    # scan asks kernels._processes, before its verification does, with
+    # the cells of its runs, their candidates times q, and its run count;
+    # the parts stay in process
     asked = []
-    rule = search._processes
-    monkeypatch.setattr(search, "_processes",
+    rule = kernels._processes
+    monkeypatch.setattr(kernels, "_processes",
                         lambda cells, parts: asked.append((cells, parts))
                         or rule(cells, parts))
     m, fixed, free = DEGREE9
@@ -279,10 +293,8 @@ def test_scan_processes_follow_the_row_kernel_rule(monkeypatch):
     for lo, hi in ((0, job.candidates), (5, 37), (4100, 40000)):
         asked.clear()
         scan(job, lo, hi)
-        runs, parts, _ = search._scan_plan(job, search._Twists(job), lo, hi)
-        cands = runs.shape[0] * q + sum(b - a for a, b in parts)
-        shards = len(parts) + -(-runs.shape[0] * q // search.SHARD)
-        assert asked == [(cands * q, shards)]
+        runs, _, _ = search._scan_plan(job, search._Twists(job), lo, hi)
+        assert asked[0] == (runs.shape[0] * q * q, runs.shape[0])
     monkeypatch.setattr(kernels, "_CPUS", 64)
     half = kernels._FORK_CELLS // 2
     assert kernels._processes(2 * half - 1, 100) == 1
@@ -294,20 +306,51 @@ def test_scan_processes_follow_the_row_kernel_rule(monkeypatch):
 
 
 def test_classify_scans_stay_in_process(monkeypatch):
-    # every scan of the nine repro/ classifications, one per
-    # classification, is below the fork threshold, on any CPU count, so
-    # all its scan_range calls run in this process, where a trace sees
-    # them
+    # the runs of every scan of the nine repro/ classifications, one per
+    # classification, are below the fork threshold, on any CPU count, so
+    # they are split into one part, and all its scan_range calls run in
+    # this process, where a trace sees them
     monkeypatch.setattr(kernels, "_CPUS", 64)
     nparts = []
-    fan_out = search._fan_out
-    monkeypatch.setattr(search, "_fan_out",
-                        lambda part, n: nparts.append(n) or fan_out(part, n))
+    split = search._split_rows
+
+    def counted(count, rows, cells):
+        parts = split(count, rows, cells)
+        nparts.append(len(parts))
+        return parts
+    monkeypatch.setattr(search, "_split_rows", counted)
     for d in (6, 7, 9):
         for m in (4, 5, 6):
             classify(d, m)
-    assert len(nparts) == 9
-    assert set(nparts) == {1}
+    assert nparts == [1] * 9
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_runs_dealt_over_forced_processes(monkeypatch, p):
+    # the runs of SHORTENED's ranges, 11 and 5 of them, dealt over p
+    # processes as interleaved parts of unequal length, give the
+    # oracle's hits
+    _force_processes(monkeypatch, p)
+    forks = _record_forks(monkeypatch)
+    m, fixed, free = SHORTENED
+    job = SearchJob(Field(m), fixed, free)
+    tw = search._Twists(job)
+    for lo, hi in ((200, 3900), (1000, 1100)):
+        runs, _, _ = search._scan_plan(job, tw, lo, hi)
+        assert runs.shape[0] % p
+        forks.clear()
+        res = scan(job, lo, hi)
+        assert forks == list(range(1, p))
+        assert _as_tuples(res.hits) == _oracle_range(m, fixed, free, lo, hi)
+    # a range inside one run plans parts only, which stay in process
+    runs, parts, _ = search._scan_plan(job, tw, 83, 91)
+    assert runs.shape[0] == 0 and parts == [[83, 91]]
+    forks.clear()
+    res = scan(job, 83, 91)
+    assert forks == []
+    assert _as_tuples(res.hits) == _oracle_range(m, fixed, free, 83, 91)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 # the full degree-9 family at m = 4: its top digit a7 has the orbits {0}
@@ -359,7 +402,9 @@ def test_least_images_match_per_pair_reduction(m, fixed, free, monkeypatch):
 @pytest.mark.parametrize("cells", [None, 1])
 def test_budget_resume_and_workers_on_frobenius_family(cells, monkeypatch):
     if cells:
-        # one node per planning chunk
+        # one candidate per kernel batch and one survivor per
+        # verification chunk
+        monkeypatch.setattr(kernels, "_BATCH_CELLS", cells)
         monkeypatch.setattr(search, "_BATCH_CELLS", cells)
     m, fixed, free = DEGREE9
     job = SearchJob(Field(m), fixed, free)
@@ -386,7 +431,6 @@ def test_budget_resume_and_workers_on_frobenius_family(cells, monkeypatch):
         assert rest.cursor == full.cursor
     if cells:
         return
-    monkeypatch.setattr(search, "SHARD", 256)
     for lo, hi in ((0, job.candidates), (4100, 40000)):
         _force_processes(monkeypatch, 1)
         one = scan(job, lo, hi)
@@ -458,8 +502,8 @@ def test_checkpoint_rejects_garbage(tmp_path):
 
 
 def test_non_apn_survivor_raises(monkeypatch):
-    # every candidate of each shard reaches verification, the non-APN
-    # maps among them too
+    # every candidate of each scan_range call reaches verification, the
+    # non-APN maps among them too
     def everyone(fixed, monos, field, lo, hi, runs):
         at = np.arange(lo, hi, dtype=np.int64)
         return runs[at // field.q] * field.q + at % field.q, hi - lo

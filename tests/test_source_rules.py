@@ -9,8 +9,9 @@
 - no parameter named workers: how many processes a piece of work runs
   on follows from its size (kernels._processes), not from a caller;
 - only kernels.py forks or reads the CPU count (os.fork,
-  sched_getaffinity, cpu_count): every fan-out goes through
-  kernels._fan_out and kernels._processes;
+  sched_getaffinity, cpu_count), and only kernels.py names
+  kernels._fan_out or kernels._processes: every fan-out goes through
+  kernels._split_rows;
 - TriPoly.__new__ is called from one function, the unchecked
   constructor: every other TriPoly goes through it or through the
   checking public constructor;
@@ -77,6 +78,24 @@ def process_reads(tree):
                 yield node.lineno
 
 
+FAN_OUT_NAMES = {"_fan_out", "_processes"}
+
+
+def fan_out_names(tree):
+    """Lines that name kernels._fan_out or kernels._processes: as a
+    name, an attribute, an imported name or a string."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and node.id in FAN_OUT_NAMES:
+            yield node.lineno
+        elif isinstance(node, ast.Attribute) and node.attr in FAN_OUT_NAMES:
+            yield node.lineno
+        elif isinstance(node, ast.ImportFrom):
+            if any(a.name in FAN_OUT_NAMES for a in node.names):
+                yield node.lineno
+        elif isinstance(node, ast.Constant) and node.value in FAN_OUT_NAMES:
+            yield node.lineno
+
+
 def test_modules_found():
     assert len(MODULES) >= 10
     assert len(REPRO_SCRIPTS) >= 4
@@ -117,6 +136,25 @@ def test_process_rule_catches_each_form():
            "pid = os.fork()\nk = len(os.sched_getaffinity(0))\n"
            "c = os.cpu_count()\nfork()\nhasattr(os, 'fork')\n")
     assert sorted(process_reads(ast.parse(src))) == [2, 3, 4, 5, 6, 7]
+
+
+def test_only_kernels_names_the_fan_out():
+    for path in MODULES:
+        lines = list(fan_out_names(ast.parse(path.read_text(),
+                                             filename=str(path))))
+        assert bool(lines) == (path.name == "kernels.py"), (path.name, lines)
+
+
+def test_fan_out_rule_catches_each_form():
+    src = ("import apnsurf.kernels as kernels\n"
+           "from .kernels import _fan_out\n"
+           "from .kernels import _processes as rule\n"
+           "p = kernels._processes(1 << 20, 2)\n"
+           "out = _fan_out(len, p)\n"
+           "getattr(kernels, '_fan_out')\n"
+           "from .kernels import _split_rows\n"
+           "_split_rows(len, [], 0)\n")
+    assert sorted(fan_out_names(ast.parse(src))) == [2, 3, 4, 5, 6]
 
 
 def tri_new_sites(tree):
