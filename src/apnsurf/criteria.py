@@ -11,9 +11,10 @@ import math
 from .errors import (DegreeCapExceeded, DegreeOutOfRange, InvalidParameters,
                      NoGoodEvaluationPoint)
 from .gf2m import _is_pow2, _prime_factors
-from .mvpoly import (FACTOR_DEGREE_CAP, TriPoly, UniPoly, _partials_gcd,
-                     bi_factor, bi_gcd, bi_resultant, bi_squarefree,
-                     extension, uni_factor, uni_gcd, uni_gcd_many, uni_roots)
+from .mvpoly import (FACTOR_DEGREE_CAP, TriPoly, UniPoly, _bl_gcd,
+                     _bl_partials_gcd, _bl_tdeg, _chart_rows, bi_factor,
+                     bi_resultant, bi_squarefree, bi_to_tri, extension,
+                     uni_factor, uni_gcd, uni_gcd_many, uni_roots)
 from .surface import check_plane_form, infinity_curve
 
 ESTABLISHED = "established"
@@ -363,18 +364,20 @@ def binomial_criterion(d, r):
     cr = infinity_curve(r)
     if min(e[2] for e in cd.terms) and min(e[2] for e in cr.terms):
         return CriterionVerdict(UNKNOWN, name, note="curves share the line x2 = 0")
-    chart_d = cd.dehomogenize()
-    chart_r = cr.dehomogenize()
-    g = bi_gcd(chart_d, chart_r)
-    if g.total_degree > 0:
-        return CriterionVerdict(UNKNOWN, name,
-                                note="curves share a component", witness=g)
+    # each chart x2 = 1 is built once, as rows, for the whole gcd chain
+    f = cd.field
+    chart_d = _chart_rows(cd)
+    chart_r = _chart_rows(cr)
+    g = _bl_gcd(chart_d, chart_r, f)
+    if _bl_tdeg(g) > 0:
+        return CriterionVerdict(UNKNOWN, name, note="curves share a component",
+                                witness=bi_to_tri(g, f))
     # a squarefree layer: x2 divides it at most once, its chart is squarefree
     layers = [(cd, chart_d), (cr, chart_r)]
     if d % 2 == 0:
         layers.reverse()
     if any(min(e[2] for e in cur.terms) <= 1
-           and _partials_gcd(ch).total_degree == 0 for cur, ch in layers):
+           and _bl_tdeg(_bl_partials_gcd(ch, f)) == 0 for cur, ch in layers):
         return CriterionVerdict(ESTABLISHED, name,
                                 note="coprime curves, squarefree layer")
     return CriterionVerdict(UNKNOWN, name, note="no squarefree layer")

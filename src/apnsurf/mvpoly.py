@@ -1,6 +1,7 @@
 """Polynomials over GF(2^m): univariate, and sparse in three variables.
 
-``UniPoly`` is dense (ascending coefficient list).  ``TriPoly`` is a sparse
+``UniPoly`` is dense (ascending coefficient list); over GF(2) it
+multiplies and divides on packed bit masks.  ``TriPoly`` is a sparse
 dict keyed by exponent triples (x0, x1, x2): the quotient surface and its
 curve at infinity are polynomials in these three variables, and
 ``dehomogenize`` takes a form to its chart x2 = 1.  Monomials are ordered
@@ -12,10 +13,14 @@ with coefficients in F[x1], a list of UniPoly rows in x1 indexed by the x0
 exponent.  The resultant eliminates x0 and is a UniPoly in x1.  ``bi_gcd``
 first specializes x1 at one point of a field of at least 2^8 elements and
 skips the remainder sequence when the two images are coprime there, which
-proves the pair shares nothing beyond its contents.  Factorization lifts a
-split of one specialization by Hensel lifting on the same rows, shifted so
-the specialization point sits at w = 0 and truncated below w^n; a subset
-of lifted factors whose product breaks the total-degree bound of a true
+proves the pair shares nothing beyond its contents.  The gcd and the
+squarefree test's chain of gcds with the partials run on rows
+(``_bl_gcd``, ``_bl_partials_gcd``): a caller holding a form builds each
+chart's rows once, straight from the form's terms (``_chart_rows``), and
+converts nothing again.  Factorization lifts a split of one
+specialization by Hensel lifting on the same rows, shifted so the
+specialization point sits at w = 0 and truncated below w^n; a subset of
+lifted factors whose product breaks the total-degree bound of a true
 factor is rejected before any trial division.
 
 Field elements are checked where they enter: ``TriPoly(field, terms)``,
@@ -50,6 +55,20 @@ FACTOR_DEGREE_CAP = 32
 
 
 # ---------------------------------------------------------------- univariate
+
+_TO_DIGITS = bytes.maketrans(b"\0\1", b"01")
+_FROM_DIGITS = bytes.maketrans(b"01", b"\0\1")
+
+
+def _pack_gf2(c):
+    """A GF(2) coefficient list as a bit mask, bit i for x^i."""
+    return int(bytes(c[::-1]).translate(_TO_DIGITS) or b"0", 2)
+
+
+def _unpack_gf2(r):
+    """The coefficient list of the bit mask r, [0] for r = 0."""
+    return list(bin(r)[:1:-1].encode().translate(_FROM_DIGITS))
+
 
 class UniPoly:
     """Dense univariate polynomial; coefficient i of attribute c is for x^i."""
@@ -142,14 +161,14 @@ class UniPoly:
 
     def _mul_gf2(self, other):
         # carry-less multiply on packed bit masks
-        a = sum(v << i for i, v in enumerate(self.c))
-        b = sum(v << i for i, v in enumerate(other.c))
+        a = _pack_gf2(self.c)
+        b = _pack_gf2(other.c)
         r = 0
         while b:
             low = b & -b
             r ^= a << (low.bit_length() - 1)
             b ^= low
-        return UniPoly(self.field, [(r >> i) & 1 for i in range(r.bit_length())])
+        return UniPoly(self.field, _unpack_gf2(r))
 
     def scale(self, v):
         f = self.field
@@ -170,6 +189,8 @@ class UniPoly:
             raise DivisionByZero("division by the zero polynomial")
         if self.degree < other.degree:
             return UniPoly.zero(f), self
+        if f.m == 1:
+            return self._divmod_gf2(other)
         inv_lead = f.inv(other.lead)
         rem = list(self.c)
         db = other.degree
@@ -184,6 +205,19 @@ class UniPoly:
                     if bv:
                         rem[i - db + j] ^= mul(qv, bv)
         return UniPoly(f, qc), UniPoly(f, rem)
+
+    def _divmod_gf2(self, other):
+        # long division on packed bit masks; over GF(2) every nonzero
+        # divisor is monic
+        a = _pack_gf2(self.c)
+        b = _pack_gf2(other.c)
+        db = b.bit_length()
+        q = 0
+        while (n := a.bit_length()) >= db:
+            q |= 1 << (n - db)
+            a ^= b << (n - db)
+        f = self.field
+        return UniPoly(f, _unpack_gf2(q)), UniPoly(f, _unpack_gf2(a))
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -628,7 +662,8 @@ class TriPoly:
         mul = f._mul
         t = {}
         for e, v in self.terms.items():
-            w = mul(v, f.pow_(val, e[var])) if e[var] else v
+            # x_var = 1 leaves every coefficient as it is
+            w = mul(v, f.pow_(val, e[var])) if e[var] and val != 1 else v
             if w:
                 ne = list(e)
                 ne[var] = 0
@@ -748,16 +783,29 @@ class TriPoly:
 def tri_to_bi(p):
     """View a TriPoly in x0 and x1 as a list of UniPoly in x1, indexed by
     the x0 exponent."""
-    rows = [{} for _ in range(max(p.degree_in(0) + 1, 1))]
-    for e, v in p.terms.items():
-        if e[2]:
-            raise InvalidParameters("polynomial touches a variable besides "
-                                    "x0 and x1")
-        rows[e[0]][e[1]] = v
-    out = [UniPoly.from_terms(p.field, r.items()) for r in rows]
+    if any(e[2] for e in p.terms):
+        raise InvalidParameters("polynomial touches a variable besides "
+                                "x0 and x1")
+    return _chart_rows(p)
+
+
+def _chart_rows(p):
+    """The rows of the chart x2 = 1 of a TriPoly, built in one pass over
+    its terms: terms that differ only in x2 add up.  Trailing zero rows
+    are stripped down to one row."""
+    rows = []
+    for (i, j, _), v in p.terms.items():
+        if i >= len(rows):
+            rows.extend([] for _ in range(i + 1 - len(rows)))
+        row = rows[i]
+        if j >= len(row):
+            row.extend([0] * (j + 1 - len(row)))
+        row[j] ^= v
+    f = p.field
+    out = [UniPoly(f, r) for r in rows]
     while len(out) > 1 and out[-1].is_zero:
         out.pop()
-    return out
+    return out or [UniPoly.zero(f)]
 
 
 def bi_to_tri(rows, field):
@@ -811,6 +859,8 @@ def _bl_exact_div_uni(rows, u):
 
 def _bl_primitive(rows):
     c = _bl_content(rows)
+    if c.c == [1]:
+        return c, rows
     return c, _bl_exact_div_uni(rows, c)
 
 
@@ -818,18 +868,21 @@ def _bl_pseudo_rem(a, b, field):
     """lc(b)^(deg a - deg b + 1) * a mod b, all in F[x1][x0].
 
     One scale by lc(b) per step, da - db + 1 steps in all, so the result is
-    the classical pseudo-remainder the subresultant recurrences expect."""
+    the classical pseudo-remainder the subresultant recurrences expect.
+    When lc(b) is the constant 1 the scales are skipped: that
+    pseudo-remainder is the remainder."""
     da, db = _bl_deg(a), _bl_deg(b)
     lb = b[-1]
+    unit = lb.c == [1]
     r = list(a)
     for i in range(da, db - 1, -1):
         dr = _bl_deg(r)
-        scaled = [p * lb for p in r]
+        scaled = r if unit else [p * lb for p in r]
         if dr == i:
             top = r[-1]
             sub = _bl_shift([p * top for p in b], i - db, field)
             r = _bl_strip(_bl_add(scaled, sub))
-        else:
+        elif not unit:
             r = _bl_strip(scaled)
     return r
 
@@ -842,38 +895,64 @@ def _bl_coprime_at_point(a, b, field):
     coefficient dividing both, so it keeps its degree at t0 and divides
     both images: True proves the primitive parts coprime.  The points 0
     and 1 are skipped: on charts with GF(2) coefficients they are often
-    unlucky, giving images with a common factor the pair lacks."""
+    unlucky, giving images with a common factor the pair lacks.
+
+    Only the two leading rows are mapped into the evaluation field, for
+    the search for t0; every row is then evaluated from one table of
+    t0's powers, its coefficients mapped one by one, and a coefficient
+    of 1 adds its power with no product."""
     emb = extension(field, -(-8 // field.m))
-    rows_a = [emb.map_uni(p) for p in a]
-    rows_b = [emb.map_uni(p) for p in b]
-    for t0 in range(2, emb.big.q):
-        if rows_a[-1].eval_at(t0) and rows_b[-1].eval_at(t0):
+    big = emb.big
+    lead_a, lead_b = emb.map_uni(a[-1]), emb.map_uni(b[-1])
+    for t0 in range(2, big.q):
+        if lead_a.eval_at(t0) and lead_b.eval_at(t0):
             break
     else:
         return False
-    ia = UniPoly(emb.big, [p.eval_at(t0) for p in rows_a])
-    ib = UniPoly(emb.big, [p.eval_at(t0) for p in rows_b])
+    mul, emb_map = big._mul, emb._map
+    powers = [1]
+    for _ in range(max(len(p.c) for p in a + b) - 1):
+        powers.append(mul(powers[-1], t0))
+
+    def value(row):
+        acc = 0
+        for v, w in zip(row.c, powers):
+            if v == 1:
+                acc ^= w
+            elif v:
+                acc ^= mul(emb_map(v), w)
+        return acc
+    ia = UniPoly(big, [value(p) for p in a])
+    ib = UniPoly(big, [value(p) for p in b])
     return uni_gcd(ia, ib).degree == 0
 
 
 def bi_gcd(p1, p2):
     """Gcd of two TriPolys in x0 and x1; result normalized so its leading
     x0 coefficient is monic.  A nonzero constant operand gives 1 at once.
-    A pair with coprime images at one point is coprime up to the gcd of
-    its contents; any other pair runs a primitive remainder sequence over
-    F[x1]."""
+    The work is done on rows by ``_bl_gcd``, which callers holding rows
+    already (``binomial_criterion``) call directly."""
     f = common_field(p1.field, p2.field)
     if p1.total_degree == 0 or p2.total_degree == 0:
         return TriPoly.const(f, 1)
-    a = _bl_strip(tri_to_bi(p1))
-    b = _bl_strip(tri_to_bi(p2))
+    return bi_to_tri(_bl_gcd(tri_to_bi(p1), tri_to_bi(p2), f), f)
+
+
+def _bl_gcd(a, b, f):
+    """bi_gcd on rows: the normalized gcd rows, [] when both are zero.
+    A pair with coprime images at one point is coprime up to the gcd of
+    its contents; any other pair runs a primitive remainder sequence over
+    F[x1]."""
+    if any(len(x) == 1 and x[0].degree == 0 for x in (a, b)):
+        return [UniPoly.one(f)]
+    a = _bl_strip(list(a))
+    b = _bl_strip(list(b))
     if not a:
-        return _bi_gcd_normalize(b, f)
+        return _bl_normalize(b, f)
     if not b:
-        return _bi_gcd_normalize(a, f)
+        return _bl_normalize(a, f)
     if _bl_deg(a) >= 1 and _bl_deg(b) >= 1 and _bl_coprime_at_point(a, b, f):
-        cg = uni_gcd_many([p for p in a + b if not p.is_zero])
-        return bi_to_tri([cg], f)
+        return [uni_gcd_many([p for p in a + b if not p.is_zero])]
     ca, a = _bl_primitive(a)
     cb, b = _bl_primitive(b)
     cg = uni_gcd(ca, cb)
@@ -892,18 +971,19 @@ def bi_gcd(p1, p2):
         if r:
             _, r = _bl_primitive(r)
         a, b = b, r
-    g = _bl_scale(g, cg)
-    return _bi_gcd_normalize(g, f)
+    if cg.c != [1]:
+        g = _bl_scale(g, cg)
+    return _bl_normalize(g, f)
 
 
-def _bi_gcd_normalize(rows, field):
-    rows = _bl_strip(list(rows))
+def _bl_normalize(rows, field):
+    """Stripped rows scaled so the leading x0 coefficient is monic."""
     if not rows:
-        return TriPoly.zero(field)
-    lead = rows[-1]
-    inv = field.inv(lead.lead)
-    rows = [p.scale(inv) for p in rows]
-    return bi_to_tri(rows, field)
+        return rows
+    inv = field.inv(rows[-1].lead)
+    if inv == 1:
+        return rows
+    return [p.scale(inv) for p in rows]
 
 
 def bi_resultant(p1, p2):
@@ -956,10 +1036,22 @@ def _partials_gcd(p):
     """gcd(p, dp/dx0, dp/dx1) of a nonzero TriPoly in x0 and x1, or p
     itself when both partials vanish; constant exactly when p is
     squarefree (docs/decisions.md, "Squarefree layer by one gcd chain")."""
-    g = p
-    for d in (p.partial(0), p.partial(1)):
-        if not d.is_zero:
-            g = bi_gcd(g, d)
+    rows = tri_to_bi(p)
+    g = _bl_partials_gcd(rows, p.field)
+    return p if g is rows else bi_to_tri(g, p.field)
+
+
+def _bl_partials_gcd(rows, field):
+    """_partials_gcd on the stripped rows of a nonzero chart, with the
+    partials taken on the rows: the gcd rows, or rows itself when both
+    partials vanish."""
+    zero = UniPoly.zero(field)
+    d0 = [rows[k + 1] if k % 2 == 0 else zero for k in range(len(rows) - 1)]
+    d1 = [p.derivative() for p in rows]
+    g = rows
+    for d in (_bl_strip(d0), _bl_strip(d1)):
+        if d:
+            g = _bl_gcd(g, d, field)
     return g
 
 

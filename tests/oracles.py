@@ -46,6 +46,12 @@ squarefree test at gcd(chart, partials); binomial_criterion_py tests
 the layers in the order (d, r), each by the degree of its whole
 bi_squarefree part.
 
+UniPoly divides over GF(2) on packed bit masks; divmod_gf2_py long
+divides coefficient lists one 0/1 entry at a time.  mvpoly._bl_pseudo_rem
+skips its rescales when the divisor's leading row is 1;
+pseudo_rem_scaled rescales by that row at every step, as the classical
+pseudo-remainder is defined.
+
 Field.pair_table reads absolute traces through a mask of the basis
 elements' traces; trace_py sums the conjugates a + a^2 + ... + a^(2^(m-1))
 of one element through scalar multiplication.
@@ -256,6 +262,43 @@ def binomial_criterion_py(d, r):
             return CriterionVerdict("established", name,
                                     note="coprime curves, squarefree layer")
     return CriterionVerdict("unknown", name, note="no squarefree layer")
+
+
+def divmod_gf2_py(a, b):
+    """Quotient and remainder coefficient lists of a by b over GF(2),
+    ascending, trimmed, by schoolbook long division; b has a nonzero
+    top entry."""
+    rem = list(a)
+    db = len(b) - 1
+    quo = [0] * max(len(rem) - db, 0)
+    for i in range(len(rem) - 1, db - 1, -1):
+        if rem[i]:
+            quo[i - db] = 1
+            for j, v in enumerate(b):
+                rem[i - db + j] ^= v
+    for c in (quo, rem):
+        while c and c[-1] == 0:
+            c.pop()
+    return quo, rem
+
+
+def pseudo_rem_scaled(a, b):
+    """lc(b)^(deg a - deg b + 1) * a mod b for rows over F[x1] (stripped
+    lists of UniPoly, indexed by the x0 exponent): every step scales the
+    whole remainder by lc(b), then cancels its top row when that row is
+    at the step's degree."""
+    db = len(b) - 1
+    lb = b[-1]
+    r = list(a)
+    for i in range(len(a) - 1, db - 1, -1):
+        top = r[-1] if len(r) - 1 == i else None
+        r = [p * lb for p in r]
+        if top is not None:
+            for j, p in enumerate(b):
+                r[i - db + j] = r[i - db + j] + p * top
+        while r and r[-1].is_zero:
+            r.pop()
+    return r
 
 
 def four_point_sum(f):

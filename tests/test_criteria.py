@@ -1,8 +1,10 @@
 """Irreducibility and smoothness criteria, and singular point extraction."""
 
+import hashlib
+
 import pytest
 
-from apnsurf import criteria
+from apnsurf import criteria, mvpoly
 from apnsurf.criteria import (CriterionVerdict, SingularPoint, _extension,
                               absolutely_irreducible, binomial_criterion,
                               congruence_irreducible, congruence_smooth,
@@ -22,6 +24,8 @@ F16 = Field(4)
 
 CONG_IRRED_5_50 = [7, 11, 15, 19, 21, 23, 27, 29, 31, 35, 37, 39, 43, 45, 47]
 SHARED_PAIRS = 66
+PAIR_TABLE_SHA256 = ("ae1c7df1cfd5924c5eb6d6fa813b8aee"
+                     "6d5379d183597aed25f069a4ab8a0e84")
 CONG_SMOOTH_BELOW_100 = [7, 11, 19, 23, 27, 35, 39, 47, 51, 55, 59, 67, 75,
                          83, 87, 95]
 
@@ -277,6 +281,51 @@ def test_binomial_criterion_matches_oracle_on_pair_table():
                     infinity_curve(e).dehomogenize().exact_divide(got.witness)
                 shared += 1
     assert shared == SHARED_PAIRS
+
+
+def test_binomial_pair_table_digest():
+    # the pair table 6 <= d <= 35, 3 <= r < d pinned by a digest, one
+    # line "d<TAB>r<TAB>status<TAB>note<TAB>repr(witness)" per pair,
+    # recorded before the gcd chain moved onto rows: the oracle above
+    # calls bi_gcd, and the digest depends on none of the code it checks
+    lines = []
+    for d in range(6, 36):
+        for r in range(3, d):
+            v = binomial_criterion(d, r)
+            lines.append(f"{d}\t{r}\t{v.status}\t{v.note}\t{v.witness!r}\n")
+    assert hashlib.sha256("".join(lines).encode()).hexdigest() == \
+        PAIR_TABLE_SHA256
+
+
+def test_binomial_criterion_builds_each_chart_once(monkeypatch):
+    # one call builds the rows of each chart once, never converts a
+    # TriPoly chart, and maps only the two leading rows of each
+    # certified pair into the evaluation field
+    def fail(*args):
+        raise AssertionError("chart converted again")
+    counts = {"rows": 0, "maps": 0, "certificates": 0}
+
+    def counter(key, fn):
+        def counted(*args):
+            counts[key] += 1
+            return fn(*args)
+        return counted
+    rows = counter("rows", mvpoly._chart_rows)
+    monkeypatch.setattr(mvpoly, "_chart_rows", rows)
+    monkeypatch.setattr(criteria, "_chart_rows", rows)
+    monkeypatch.setattr(mvpoly.Embedding, "map_uni",
+                        counter("maps", mvpoly.Embedding.map_uni))
+    monkeypatch.setattr(mvpoly, "_bl_coprime_at_point",
+                        counter("certificates", mvpoly._bl_coprime_at_point))
+    monkeypatch.setattr(mvpoly, "tri_to_bi", fail)
+    monkeypatch.setattr(TriPoly, "dehomogenize", fail)
+    assert binomial_criterion(12, 5).established
+    assert counts == {"rows": 2, "maps": 2, "certificates": 1}
+    for d, r in ((13, 7), (14, 9), (21, 11), (22, 12)):
+        counts.update(rows=0, maps=0, certificates=0)
+        binomial_criterion(d, r)
+        assert counts["rows"] == 2, (d, r)
+        assert counts["maps"] == 2 * counts["certificates"] > 0, (d, r)
 
 
 def test_exponent_pair_criterion():

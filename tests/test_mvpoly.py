@@ -38,7 +38,8 @@ from apnsurf.mvpoly import (
 from apnsurf.polyfunc import PolyFunc, parse_family, parse_poly
 from apnsurf.search import SearchJob
 from apnsurf.surface import infinity_curve
-from oracles import bi_is_irreducible, uni_is_irreducible
+from oracles import (bi_is_irreducible, divmod_gf2_py, pseudo_rem_scaled,
+                     uni_is_irreducible)
 
 F2 = Field(1)
 F4 = Field(2)
@@ -113,6 +114,39 @@ def test_uni_divmod_invariant():
         assert r.is_zero or r.degree < b.degree
     with pytest.raises(DivisionByZero):
         divmod(a, UniPoly.zero(F16))
+
+
+def test_uni_divmod_gf2_matches_long_division():
+    # the packed branch, alone and through divmod, against schoolbook
+    # division; a dividend of lower degree, the divisor 1 and the
+    # dividend 0 are among the cases
+    rng = random.Random(29)
+    one = UniPoly.one(F2)
+    cases = [(UniPoly(F2, [1, 1]), UniPoly(F2, [1, 0, 1])),
+             (UniPoly(F2, [1, 0, 1, 1]), one), (one, one),
+             (UniPoly.zero(F2), UniPoly(F2, [0, 1, 1])),
+             (UniPoly.zero(F2), one)]
+    for _ in range(200):
+        a = UniPoly(F2, [rng.randrange(2) for _ in range(rng.randrange(40))])
+        b = UniPoly(F2, [rng.randrange(2) for _ in range(rng.randrange(30))]
+                    + [1])
+        cases.append((a, b))
+    for a, b in cases:
+        want = divmod_gf2_py(a.c, b.c)
+        for q, r in (divmod(a, b), a._divmod_gf2(b)):
+            assert (q.c, r.c) == want, (a, b)
+            assert q * b + r == a
+
+
+def test_gf2_pack_round_trip():
+    rng = random.Random(37)
+    for n in range(1, 80):
+        c = [rng.randrange(2) for _ in range(n - 1)] + [1]
+        r = mvpoly._pack_gf2(c)
+        assert r == sum(v << i for i, v in enumerate(c))
+        assert mvpoly._unpack_gf2(r) == c
+    assert mvpoly._pack_gf2([]) == 0
+    assert mvpoly._unpack_gf2(0) == [0]
 
 
 def test_uni_gcd_properties():
@@ -480,12 +514,42 @@ def test_tri_substitute_const():
     rng = random.Random(53)
     for _ in range(20):
         p = rand_tri(F8, 3, rng, nvars=3)
-        a = rng.randrange(8)
-        s = p.substitute_const(2, a)
-        assert s.degree_in(2) in (NEG_INF, 0)
-        for _ in range(6):
-            x0, x1 = rng.randrange(8), rng.randrange(8)
-            assert s.eval_at((x0, x1, 0)) == p.eval_at((x0, x1, a))
+        for a in (0, 1, rng.randrange(8)):
+            s = p.substitute_const(2, a)
+            assert s.degree_in(2) in (NEG_INF, 0)
+            for _ in range(6):
+                x0, x1 = rng.randrange(8), rng.randrange(8)
+                assert s.eval_at((x0, x1, 0)) == p.eval_at((x0, x1, a))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_chart_rows_match_dehomogenized_rows(m):
+    # the one-pass builder against tri_to_bi of the chart as a TriPoly.
+    # b + h*(x2 + 1) has the chart of b: where h reaches an x0 exponent
+    # that b lacks, the row cancels to zero, and h's rows above b's are
+    # stripped; random forms in three variables add terms that collide
+    # once x2 is dropped
+    field = Field(m)
+    rng = random.Random(300 + m)
+    x0 = TriPoly.var(field, 0)
+    x2_plus_1 = TriPoly.var(field, 2) + TriPoly.const(field, 1)
+    seen = {"collided": 0, "cancelled": 0, "stripped": 0}
+    for _ in range(40):
+        b = rand_tri(field, rng.randrange(4), rng, nvars=3)
+        h = rand_tri(field, rng.randrange(4), rng, nvars=3)
+        for p in (b, b + h * x2_plus_1,
+                  b + h * x0.pow_(rng.randrange(1, 4)) * x2_plus_1):
+            got = mvpoly._chart_rows(p)
+            assert got == tri_to_bi(p.dehomogenize()), p
+            if p.is_zero:
+                continue
+            exps = {e[0] for e in p.terms}
+            seen["collided"] += len({e[:2] for e in p.terms}) < len(p.terms)
+            seen["cancelled"] += any(got[i].is_zero for i in exps
+                                     if i < len(got))
+            seen["stripped"] += len(got) <= max(exps)
+    assert min(seen.values()) >= 5, seen
+    assert mvpoly._chart_rows(TriPoly.zero(field)) == [UniPoly.zero(field)]
 
 
 # ------------------------------------------------------- bivariate operations
@@ -547,6 +611,61 @@ def test_bi_resultant_vs_sylvester_specialization():
             assert res.eval_at(c) == sylvester_resultant(s1, s2, F8)
             checked += 1
     assert checked > 30
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_pseudo_rem_unit_lead_matches_scaled_loop(m):
+    # divisors with leading row 1, random and the odd-r charts, skip
+    # every rescale; the classical loop rescales at every step.  Random
+    # divisors with another leading row take the scaled path
+    field = Field(m)
+    rng = random.Random(500 + m)
+
+    def rand_rows(n, lead):
+        rows = [rand_uni(field, rng.randrange(3), rng) if rng.random() < 0.8
+                else UniPoly.zero(field) for _ in range(n)]
+        return rows + [lead]
+    pairs = []
+    for _ in range(40):
+        b = rand_rows(rng.randrange(1, 4), UniPoly.one(field))
+        a = rand_rows(len(b) - 1 + rng.randrange(4),
+                      rand_uni(field, rng.randrange(3), rng))
+        pairs.append((a, b))
+        pairs.append((a, b[:-1] + [rand_uni(field, rng.randrange(1, 3), rng)]))
+    if m == 1:
+        charts = {d: tri_to_bi(infinity_curve(d).dehomogenize())
+                  for d in (5, 7, 9, 10, 11, 12)}
+        for d, r in ((9, 5), (10, 7), (11, 7), (12, 9), (11, 9)):
+            pairs.append((charts[d], charts[r]))
+    unit = 0
+    for a, b in pairs:
+        unit += b[-1] == UniPoly.one(field)
+        assert mvpoly._bl_pseudo_rem(a, b, field) == pseudo_rem_scaled(a, b)
+    assert unit >= 40
+
+
+def test_bi_resultant_on_odd_charts_vs_sylvester():
+    # the lower chart of each pair has leading row 1, so the first
+    # remainder step runs unscaled; the resultant, read in GF(16), must
+    # agree with the Sylvester determinant of the specialized charts
+    emb = extension(F2, 4)
+    big = emb.big
+    checked = 0
+    for d, r in ((9, 5), (11, 7), (13, 5), (10, 7), (12, 9), (15, 11)):
+        a = infinity_curve(d).dehomogenize()
+        b = infinity_curve(r).dehomogenize()
+        rows_a = [emb.map_uni(p) for p in tri_to_bi(a)]
+        rows_b = [emb.map_uni(p) for p in tri_to_bi(b)]
+        assert rows_b[-1] == UniPoly.one(big)
+        res = emb.map_uni(bi_resultant(a, b))
+        for c in range(big.q):
+            if rows_a[-1].eval_at(c) == 0:
+                continue  # degree drop changes the specialized resultant
+            s1 = UniPoly(big, [p.eval_at(c) for p in rows_a])
+            s2 = UniPoly(big, [p.eval_at(c) for p in rows_b])
+            assert res.eval_at(c) == sylvester_resultant(s1, s2, big), (d, r)
+            checked += 1
+    assert checked > 80
 
 
 def test_bi_resultant_zero_iff_common_factor():
