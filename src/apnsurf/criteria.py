@@ -11,10 +11,11 @@ import math
 from .errors import (DegreeCapExceeded, DegreeOutOfRange, InvalidParameters,
                      NoGoodEvaluationPoint)
 from .gf2m import _is_pow2, _prime_factors
-from .mvpoly import (FACTOR_DEGREE_CAP, TriPoly, UniPoly, _bl_gcd,
+from .mvpoly import (FACTOR_DEGREE_CAP, TriPoly, UniPoly, _bl_partials,
                      _bl_partials_gcd, _bl_tdeg, _chart_rows, bi_factor,
-                     bi_resultant, bi_squarefree, bi_to_tri, extension,
-                     uni_factor, uni_gcd, uni_gcd_many, uni_roots)
+                     bi_gcd, bi_resultant, bi_squarefree, bi_to_tri,
+                     extension, uni_factor, uni_gcd, uni_gcd_many,
+                     uni_roots)
 from .surface import check_plane_form, infinity_curve
 
 ESTABLISHED = "established"
@@ -106,13 +107,6 @@ def congruence_smooth(d):
 
 # ---------------------------------------------------- direct factorization
 
-def _univariate(p, var):
-    """A TriPoly in the single variable x_var as a UniPoly."""
-    if any(x for e in p.terms for i, x in enumerate(e) if i != var):
-        raise InvalidParameters(f"polynomial is not univariate in x{var}")
-    return UniPoly.from_terms(p.field, ((e[var], v) for e, v in p.terms.items()))
-
-
 def _extension(base, k):
     """Embedding of base into its degree-k extension (identity for k = 1)."""
     if base.m * k > EXT_M_CAP:
@@ -121,17 +115,21 @@ def _extension(base, k):
     return extension(base, k)
 
 
-def _chart_factors(chart):
-    """Irreducible factors of a squarefree two-variable chart, as a flat
-    list over the coefficient field, or over the smallest extension
-    GF(2^(m*k)) with enough evaluation points when the field has too few;
-    splitting there still refutes irreducibility over the algebraic
+def _map_rows(emb, rows):
+    return [emb.map_uni(p) for p in rows]
+
+
+def _chart_factors(chart, base):
+    """Irreducible factors of the rows of a squarefree chart over base, as
+    (field, flat list of factor rows): over base, or over the smallest
+    extension GF(2^(m*k)) with enough evaluation points when base has too
+    few; splitting there still refutes irreducibility over the algebraic
     closure."""
-    base = chart.field
     k = 1
     while True:
+        emb = _extension(base, k)
         try:
-            return bi_factor(_extension(base, k).map_tri(chart))[1]
+            return emb.big, bi_factor(_map_rows(emb, chart), emb.big)[1]
         except NoGoodEvaluationPoint:
             k += 1
             if base.m * k > EXT_M_CAP:
@@ -153,24 +151,25 @@ def absolutely_irreducible(curve):
         raise DegreeCapExceeded(f"degree {deg} above cap {FACTOR_DEGREE_CAP}")
     # powers of x2 split off by the chart substitution
     k2 = min(e[2] for e in curve.terms)
-    chart = curve.dehomogenize()
-    if k2 and chart.total_degree > 0:
+    base = curve.field
+    chart = _chart_rows(curve)
+    tdeg = _bl_tdeg(chart)
+    if k2 and tdeg > 0:
         return CriterionVerdict(REFUTED, name, note="x2 divides the form",
-                                witness=TriPoly.var(curve.field, 2))
+                                witness=TriPoly.var(base, 2))
     if k2:
         if k2 == 1:
             return CriterionVerdict(ESTABLISHED, name, note="the line x2 = 0")
         return CriterionVerdict(REFUTED, name, note="repeated factor x2",
-                                witness=TriPoly.var(curve.field, 2))
+                                witness=TriPoly.var(base, 2))
     if deg == 1:
         return CriterionVerdict(ESTABLISHED, name, note="a line")
-    sf = bi_squarefree(chart)
-    if sf.total_degree < chart.total_degree:
+    sf = bi_squarefree(chart, base)
+    if _bl_tdeg(sf) < tdeg:
         return CriterionVerdict(REFUTED, name, note="repeated factor",
-                                witness=_lift(sf))
+                                witness=_lift(sf, base))
     # a chart irreducible over GF(q^j) stays so over each subfield GF(q^t),
     # t | j, so no field is factored twice
-    base = curve.field
     irreducible_over = []
     for t in [1] + _prime_factors(deg):
         if any(j % t == 0 for j in irreducible_over):
@@ -179,22 +178,23 @@ def absolutely_irreducible(curve):
             return CriterionVerdict(
                 UNKNOWN, name,
                 note=f"extension degree {base.m * t} above field cap")
-        facs = _chart_factors(_extension(base, t).map_tri(chart))
+        emb = _extension(base, t)
+        field, facs = _chart_factors(_map_rows(emb, chart), emb.big)
         if len(facs) > 1:
             return CriterionVerdict(
-                REFUTED, name,
-                note=f"splits over GF(2^{facs[0].field.m})",
-                witness=_lift(facs[0]))
-        irreducible_over.append(facs[0].field.m // base.m)
+                REFUTED, name, note=f"splits over GF(2^{field.m})",
+                witness=_lift(facs[0], field))
+        irreducible_over.append(field.m // base.m)
     return CriterionVerdict(ESTABLISHED, name,
                             note="no split over any relevant extension")
 
 
-def _lift(factor):
-    """A factor of the chart x2 = 1 as a form in x0, x1, x2."""
-    n = factor.total_degree
-    t = {(a, b, n - a - b): v for (a, b, _), v in factor.terms.items()}
-    return TriPoly._of(factor.field, t)
+def _lift(rows, field):
+    """The rows of a factor of the chart x2 = 1 as a form in x0, x1, x2."""
+    n = _bl_tdeg(rows)
+    return TriPoly._of(field, {(a, b, n - a - b): v
+                               for a, p in enumerate(rows)
+                               for b, v in enumerate(p.c) if v})
 
 
 # ------------------------------------------------------- singular points
@@ -245,6 +245,13 @@ def _common_roots(cs):
     return uni_gcd_many(nz) if len(nz) > 1 else nz[0].monic()
 
 
+def _on_line(form):
+    """A form at the points (x0 : 1 : 0) of the line x2 = 0, as a UniPoly
+    in x0."""
+    return UniPoly.from_terms(form.field, ((e[0], v) for e, v
+                                           in form.terms.items() if not e[2]))
+
+
 def curve_singular_points(curve):
     """All singular points of a reduced plane curve, over whatever
     extension fields they live in.
@@ -265,15 +272,15 @@ def curve_singular_points(curve):
         sp = SingularPoint(field, _canonical(field, pt))
         found[sp.key()] = sp
 
-    # ---- affine chart x2 = 1
-    c = curve.dehomogenize()
-    cu = c.partial(0)
-    cv = c.partial(1)
-    if cu.is_zero and cv.is_zero:
+    # ---- affine chart x2 = 1, as rows
+    c = _chart_rows(curve)
+    cu, cv = _bl_partials(c, base)
+    if not cu and not cv:
         raise InvalidParameters("every chart point is singular; curve not reduced")
-    if c.degree_in(1) == 0 or c.degree_in(0) == 0:
-        var = 0 if c.degree_in(1) == 0 else 1
-        p = _univariate(c, var)
+    if len(c) == 1 or all(p.degree <= 0 for p in c):
+        # a chart in x1 alone, or in x0 alone
+        p = c[0] if len(c) == 1 else UniPoly(base, [
+            r.c[0] if r.c else 0 for r in c])
         dp = p.derivative()
         g = uni_gcd_many([q for q in (p, dp) if not q.is_zero])
         if g.degree > 0:
@@ -282,11 +289,11 @@ def curve_singular_points(curve):
         # resultants in x0 give the x1 coordinates v0, and for each v0 the
         # common roots in x0 complete the point; two partials free of x0
         # have resultant 1, blind to their common roots: their gcd stands in
-        if cu.degree_in(0) == 0 and cv.degree_in(0) == 0:
-            ruv = uni_gcd(_univariate(cu, 1), _univariate(cv, 1))
+        if len(cu) == 1 and len(cv) == 1:
+            ruv = uni_gcd(cu[0], cv[0])
         else:
-            ruv = bi_resultant(cu, cv)
-        rs = [bi_resultant(c, cu), bi_resultant(c, cv), ruv]
+            ruv = bi_resultant(cu, cv, base)
+        rs = [bi_resultant(c, cu, base), bi_resultant(c, cv, base), ruv]
         rs = [r for r in rs if not r.is_zero]
         if not rs:
             raise InvalidParameters("positive-dimensional singular locus")
@@ -296,10 +303,10 @@ def curve_singular_points(curve):
             for gp, _mult in gfacs:
                 emb = _extension(base, gp.degree)
                 ext = emb.big
-                system = [emb.map_tri(poly) for poly in (c, cu, cv)]
+                system = [_map_rows(emb, rows) for rows in (c, cu, cv)]
                 for v0 in uni_roots(emb.map_uni(gp)):
-                    specs = [_univariate(poly.substitute_const(1, v0), 0)
-                             for poly in system]
+                    specs = [UniPoly(ext, [p.eval_at(v0) for p in rows])
+                             for rows in system]
                     gu = _common_roots(specs)
                     if gu is None:
                         raise InvalidParameters(
@@ -316,19 +323,16 @@ def curve_singular_points(curve):
                         for u0 in uni_roots(emb2.map_uni(up)):
                             push(emb2.big, (u0, v1, 1))
 
-    # ---- the line x2 = 0
+    # ---- the line x2 = 0, at the points (u0 : 1 : 0)
     partials = [curve.partial(i) for i in range(3)]
-    w = curve.substitute_const(1, 1).substitute_const(2, 0)
-    if not w.is_zero and w.total_degree > 0:
-        wp = _univariate(w, 0)
-        _, wfacs = uni_factor(wp)
+    w = _on_line(curve)
+    if w.degree > 0:
+        _, wfacs = uni_factor(w)
         for fp, _mult in wfacs:
-            if fp.degree == 0:
-                continue
             emb = _extension(base, fp.degree)
-            pe = [emb.map_tri(p) for p in partials]
+            pe = [emb.map_uni(_on_line(p)) for p in partials]
             for u0 in uni_roots(emb.map_uni(fp)):
-                if all(p.eval_at((u0, 1, 0)) == 0 for p in pe):
+                if all(p.eval_at(u0) == 0 for p in pe):
                     push(emb.big, (u0, 1, 0))
     elif w.is_zero:
         # the whole line lies on the curve; x2 divides it
@@ -368,7 +372,7 @@ def binomial_criterion(d, r):
     f = cd.field
     chart_d = _chart_rows(cd)
     chart_r = _chart_rows(cr)
-    g = _bl_gcd(chart_d, chart_r, f)
+    g = bi_gcd(chart_d, chart_r, f)
     if _bl_tdeg(g) > 0:
         return CriterionVerdict(UNKNOWN, name, note="curves share a component",
                                 witness=bi_to_tri(g, f))

@@ -2,26 +2,26 @@
 
 ``UniPoly`` is dense (ascending coefficient list); over GF(2) it
 multiplies and divides on packed bit masks.  ``TriPoly`` is a sparse
-dict keyed by exponent triples (x0, x1, x2): the quotient surface and its
-curve at infinity are polynomials in these three variables, and
-``dehomogenize`` takes a form to its chart x2 = 1.  Monomials are ordered
-graded-lex with x0 > x1 > x2.
+dict keyed by exponent triples (x0, x1, x2): the quotient surface, its
+curve at infinity, and the witnesses that refute a criterion are forms
+in these three variables.  Monomials are ordered graded-lex with
+x0 > x1 > x2.
 
-Bivariate helpers (gcd, resultant, squarefree part, factorization) take a
-TriPoly in x0 and x1 and always see it the same way: as a polynomial in x0
-with coefficients in F[x1], a list of UniPoly rows in x1 indexed by the x0
-exponent.  The resultant eliminates x0 and is a UniPoly in x1.  ``bi_gcd``
-first specializes x1 at one point of a field of at least 2^8 elements and
-skips the remainder sequence when the two images are coprime there, which
-proves the pair shares nothing beyond its contents.  The gcd and the
-squarefree test's chain of gcds with the partials run on rows
-(``_bl_gcd``, ``_bl_partials_gcd``): a caller holding a form builds each
-chart's rows once, straight from the form's terms (``_chart_rows``), and
-converts nothing again.  Factorization lifts a split of one
-specialization by Hensel lifting on the same rows, shifted so the
-specialization point sits at w = 0 and truncated below w^n; a subset of
-lifted factors whose product breaks the total-degree bound of a true
-factor is rejected before any trial division.
+The bivariate layer (gcd, resultant, squarefree part, factorization)
+has one representation, which it takes and returns: the rows of a
+chart, a polynomial in x0 with coefficients in F[x1] held as a list of
+UniPoly in x1 indexed by the x0 exponent.  ``_chart_rows`` builds the
+rows of a form's chart x2 = 1 in one pass over its terms, and
+``bi_to_tri`` turns rows back into a TriPoly where a witness needs one.
+The resultant eliminates x0 and is a UniPoly in x1.  ``bi_gcd`` first
+specializes x1 at one point of a field of at least 2^8 elements and
+skips the remainder sequence when the two images are coprime there,
+which proves the pair shares nothing beyond its contents.
+Factorization lifts a split of one specialization by Hensel lifting on
+the same rows, shifted so the specialization point sits at w = 0 and
+truncated below w^n; a subset of lifted factors whose product breaks
+the total-degree bound of a true factor is rejected before any trial
+division.
 
 Field elements are checked where they enter: ``TriPoly(field, terms)``,
 the TriPoly methods that take an element (``const``, ``scale``,
@@ -780,15 +780,6 @@ class TriPoly:
 
 # ------------------------------------------------------- bivariate utilities
 
-def tri_to_bi(p):
-    """View a TriPoly in x0 and x1 as a list of UniPoly in x1, indexed by
-    the x0 exponent."""
-    if any(e[2] for e in p.terms):
-        raise InvalidParameters("polynomial touches a variable besides "
-                                "x0 and x1")
-    return _chart_rows(p)
-
-
 def _chart_rows(p):
     """The rows of the chart x2 = 1 of a TriPoly, built in one pass over
     its terms: terms that differ only in x2 add up.  Trailing zero rows
@@ -840,28 +831,12 @@ def _bl_add(a, b):
     return _bl_strip(out)
 
 
-def _bl_scale(rows, u):
-    return _bl_strip([p * u for p in rows])
-
-
-def _bl_shift(rows, k, field):
-    return [UniPoly.zero(field)] * k + rows
-
-
-def _bl_content(rows):
-    nz = [p for p in rows if not p.is_zero]
-    return uni_gcd_many(nz)
-
-
-def _bl_exact_div_uni(rows, u):
-    return [p.exact_div(u) for p in rows]
-
-
 def _bl_primitive(rows):
-    c = _bl_content(rows)
+    """The content, the gcd of the nonzero rows, and rows divided by it."""
+    c = uni_gcd_many([p for p in rows if not p.is_zero])
     if c.c == [1]:
         return c, rows
-    return c, _bl_exact_div_uni(rows, c)
+    return c, [p.exact_div(c) for p in rows]
 
 
 def _bl_pseudo_rem(a, b, field):
@@ -880,7 +855,7 @@ def _bl_pseudo_rem(a, b, field):
         scaled = r if unit else [p * lb for p in r]
         if dr == i:
             top = r[-1]
-            sub = _bl_shift([p * top for p in b], i - db, field)
+            sub = [UniPoly.zero(field)] * (i - db) + [p * top for p in b]
             r = _bl_strip(_bl_add(scaled, sub))
         elif not unit:
             r = _bl_strip(scaled)
@@ -927,22 +902,12 @@ def _bl_coprime_at_point(a, b, field):
     return uni_gcd(ia, ib).degree == 0
 
 
-def bi_gcd(p1, p2):
-    """Gcd of two TriPolys in x0 and x1; result normalized so its leading
-    x0 coefficient is monic.  A nonzero constant operand gives 1 at once.
-    The work is done on rows by ``_bl_gcd``, which callers holding rows
-    already (``binomial_criterion``) call directly."""
-    f = common_field(p1.field, p2.field)
-    if p1.total_degree == 0 or p2.total_degree == 0:
-        return TriPoly.const(f, 1)
-    return bi_to_tri(_bl_gcd(tri_to_bi(p1), tri_to_bi(p2), f), f)
-
-
-def _bl_gcd(a, b, f):
-    """bi_gcd on rows: the normalized gcd rows, [] when both are zero.
-    A pair with coprime images at one point is coprime up to the gcd of
-    its contents; any other pair runs a primitive remainder sequence over
-    F[x1]."""
+def bi_gcd(a, b, f):
+    """Gcd of two row lists over f, normalized so its leading x0
+    coefficient is monic: [] when both are zero, [1] at once when either
+    is a nonzero constant.  A pair with coprime images at one point is
+    coprime up to the gcd of its contents; any other pair runs a
+    primitive remainder sequence over F[x1]."""
     if any(len(x) == 1 and x[0].degree == 0 for x in (a, b)):
         return [UniPoly.one(f)]
     a = _bl_strip(list(a))
@@ -972,7 +937,7 @@ def _bl_gcd(a, b, f):
             _, r = _bl_primitive(r)
         a, b = b, r
     if cg.c != [1]:
-        g = _bl_scale(g, cg)
+        g = [p * cg for p in g]
     return _bl_normalize(g, f)
 
 
@@ -986,13 +951,12 @@ def _bl_normalize(rows, field):
     return [p.scale(inv) for p in rows]
 
 
-def bi_resultant(p1, p2):
-    """Resultant of two TriPolys in x0 and x1 with respect to x0, as a
-    UniPoly in x1.  Subresultant remainder sequence; characteristic 2
-    makes every sign factor trivial."""
-    f = common_field(p1.field, p2.field)
-    a = _bl_strip(tri_to_bi(p1))
-    b = _bl_strip(tri_to_bi(p2))
+def bi_resultant(a, b, f):
+    """Resultant of two row lists over f with respect to x0, as a UniPoly
+    in x1.  Subresultant remainder sequence; characteristic 2 makes every
+    sign factor trivial."""
+    a = _bl_strip(list(a))
+    b = _bl_strip(list(b))
     if not a or not b:
         return UniPoly.zero(f)
     da, db = _bl_deg(a), _bl_deg(b)
@@ -1032,69 +996,78 @@ def bi_resultant(p1, p2):
     return s.pow_(e).exact_div(h.pow_(e - 1))
 
 
-def _partials_gcd(p):
-    """gcd(p, dp/dx0, dp/dx1) of a nonzero TriPoly in x0 and x1, or p
-    itself when both partials vanish; constant exactly when p is
-    squarefree (docs/decisions.md, "Squarefree layer by one gcd chain")."""
-    rows = tri_to_bi(p)
-    g = _bl_partials_gcd(rows, p.field)
-    return p if g is rows else bi_to_tri(g, p.field)
+def _bl_partials(rows, field):
+    """The partials in x0 and in x1 of rows, each stripped."""
+    zero = UniPoly.zero(field)
+    d0 = [rows[k + 1] if k % 2 == 0 else zero for k in range(len(rows) - 1)]
+    return _bl_strip(d0), _bl_strip([p.derivative() for p in rows])
 
 
 def _bl_partials_gcd(rows, field):
-    """_partials_gcd on the stripped rows of a nonzero chart, with the
-    partials taken on the rows: the gcd rows, or rows itself when both
-    partials vanish."""
-    zero = UniPoly.zero(field)
-    d0 = [rows[k + 1] if k % 2 == 0 else zero for k in range(len(rows) - 1)]
-    d1 = [p.derivative() for p in rows]
+    """gcd(p, dp/dx0, dp/dx1) of the stripped rows of a nonzero p, or rows
+    itself when both partials vanish; constant exactly when p is
+    squarefree (docs/decisions.md, "Squarefree layer by one gcd chain")."""
     g = rows
-    for d in (_bl_strip(d0), _bl_strip(d1)):
+    for d in _bl_partials(rows, field):
         if d:
-            g = _bl_gcd(g, d, field)
+            g = bi_gcd(g, d, field)
     return g
 
 
-def bi_squarefree(p):
-    """Squarefree part of a TriPoly in x0 and x1: each irreducible factor
+def bi_squarefree(rows, f):
+    """Squarefree part of a row list over f: each irreducible factor
     exactly once, normalized so the graded-lex leading coefficient is 1."""
-    f = p.field
-    if p.is_zero:
+    p = _bl_strip(list(rows))
+    if not p:
         raise InvalidParameters("squarefree part of the zero polynomial")
-    if p.total_degree == 0:
-        return TriPoly.const(f, 1)
-    g = _partials_gcd(p)
+    if _bl_tdeg(p) == 0:
+        return [UniPoly.one(f)]
+    g = _bl_partials_gcd(p, f)
     if g is p:  # both partials vanish: p is a square
-        return bi_squarefree(_tri_sqrt(p))
-    if g.total_degree == 0:
-        return _grlex_normalize(p)
-    w = p.exact_divide(g)
+        return bi_squarefree(_bl_sqrt(p), f)
+    if _bl_tdeg(g) == 0:
+        return _bl_grlex_normalize(p, f)
+    w = _bl_exact_div(p, g, f)
     r = g
     while True:
-        c = bi_gcd(r, w)
-        if c.total_degree == 0:
+        c = bi_gcd(r, w, f)
+        if _bl_tdeg(c) == 0:
             break
-        r = r.exact_divide(c)
-    if r.total_degree == 0:
-        return _grlex_normalize(w)
-    return _grlex_normalize(w * bi_squarefree(_tri_sqrt(r)))
+        r = _bl_exact_div(r, c, f)
+    if _bl_tdeg(r) == 0:
+        return _bl_grlex_normalize(w, f)
+    s = bi_squarefree(_bl_sqrt(r), f)
+    # truncated past the product's x1-degree, the product is exact
+    n = _bl_tdeg(w) + _bl_tdeg(s) + 1
+    return _bl_grlex_normalize(_bl_mul_trunc(w, s, n), f)
 
 
-def _tri_sqrt(p):
-    f = p.field
-    t = {}
-    for e, v in p.terms.items():
-        if any(x % 2 for x in e):
-            raise InvalidParameters("polynomial is not a square")
-        t[(e[0] // 2, e[1] // 2, e[2] // 2)] = f.sqrt(v)
-    return TriPoly._of(f, t)
+def _bl_exact_div(a, b, f):
+    q = _bl_try_exact_div(a, b, f)
+    if q is None:
+        raise NotDivisible("bivariate division left a remainder")
+    return q
 
 
-def _grlex_normalize(p):
-    if p.is_zero:
-        return p
-    _, c = p.lead_term()
-    return p.scale(p.field.inv(c))
+def _bl_sqrt(rows):
+    """s with s^2 == rows, for stripped rows."""
+    if any(not p.is_zero for p in rows[1::2]):
+        raise InvalidParameters("polynomial is not a square")
+    return [p.sqrt_even() for p in rows[::2]]
+
+
+def _bl_grlex_lead(rows):
+    """The coefficient of the graded-lex leading term of nonzero rows."""
+    _, i = max((j + p.degree, j) for j, p in enumerate(rows) if not p.is_zero)
+    return rows[i].lead
+
+
+def _bl_grlex_normalize(rows, field):
+    """Nonzero rows scaled so the graded-lex leading coefficient is 1."""
+    inv = field.inv(_bl_grlex_lead(rows))
+    if inv == 1:
+        return rows
+    return [p.scale(inv) for p in rows]
 
 
 # ------------------------------------------------- truncated power series
@@ -1204,48 +1177,44 @@ def _bl_try_exact_div(a, b, f):
             a[i - db + j] = a[i - db + j] + t * b[j]
     if any(not p.is_zero for p in a):
         return None
-    return q
+    return _bl_strip(q)
 
 
 # ------------------------------------------------------------- factorization
 
-def bi_factor(p):
-    """Factor a squarefree TriPoly in x0 and x1 into irreducibles over its
-    coefficient field.
+def bi_factor(rows, f):
+    """Factor a squarefree row list over f into irreducibles over f.
 
-    Returns (unit, factors): a field element and a sorted list of
-    graded-lex-normalized TriPolys whose product scaled by the unit
-    reconstructs p.  Raises NoGoodEvaluationPoint when no specialization
-    of x1 inside the base field is usable; callers may retry after
-    embedding the polynomial into an extension field.
+    Returns (unit, factors): a field element and a list of
+    graded-lex-normalized row lists whose product scaled by the unit
+    reconstructs the input, sorted by total degree, then by the list of
+    (x0, x1) exponents and coefficients of the terms in ascending order.
+    Raises NoGoodEvaluationPoint when no specialization of x1 inside the
+    base field is usable; callers may retry after embedding the rows
+    into an extension field.
     """
-    f = p.field
-    if p.is_zero:
+    p = _bl_strip(list(rows))
+    if not p:
         raise InvalidParameters("cannot factor the zero polynomial")
-    if p.total_degree > FACTOR_DEGREE_CAP:
+    tdeg = _bl_tdeg(p)
+    if tdeg > FACTOR_DEGREE_CAP:
         raise DegreeCapExceeded(
-            f"total degree {p.total_degree} above cap {FACTOR_DEGREE_CAP}")
-    if p.total_degree == 0:
-        return p.terms[(0, 0, 0)], []
+            f"total degree {tdeg} above cap {FACTOR_DEGREE_CAP}")
+    if tdeg == 0:
+        return p[0].c[0], []
     # the content (all of p when p is univariate in x1) factors as a
     # univariate polynomial
-    cont, prim = _bl_primitive(_bl_strip(tri_to_bi(p)))
+    cont, prim = _bl_primitive(p)
     unit, facs = uni_factor(cont)
-    factors = [bi_to_tri([fac], f) for fac, mult in facs for _ in range(mult)]
+    factors = [[fac] for fac, mult in facs for _ in range(mult)]
     if _bl_deg(prim) > 0:
-        prim_factors = _bi_factor_primitive(prim, f)
+        factors.extend(_bi_factor_primitive(prim, f))
         # each factor has grlex leading coefficient 1, and grlex is a
         # monomial order, so their product does too
-        _, oc = bi_to_tri(prim, f).lead_term()
-        unit = f._mul(unit, oc)
-        factors.extend(prim_factors)
-    return unit, _sort_tri_factors(factors)
-
-
-def _sort_tri_factors(factors):
-    def key(t):
-        return (t.total_degree, sorted(t.terms.items()))
-    return sorted(factors, key=key)
+        unit = f._mul(unit, _bl_grlex_lead(prim))
+    return unit, sorted(factors, key=lambda r: (_bl_tdeg(r), [
+        (i, j, v) for i, row in enumerate(r) for j, v in enumerate(row.c)
+        if v]))
 
 
 def _bi_factor_primitive(rows, f):
@@ -1271,8 +1240,7 @@ def _bi_factor_primitive(rows, f):
         raise ApnToolError("specialization at the chosen point is not squarefree")
     local = sorted((fac for fac, _ in sfacs), key=UniPoly.key)
     if len(local) == 1:
-        out = _grlex_normalize(bi_to_tri(rows, f))
-        return [out]
+        return [_bl_grlex_normalize(rows, f)]
     # every row of work has w-degree below n already
     pstar = _bl_mul_trunc(work, [_ser_inv(work[-1], n)], n)
     lifted = _lift_all(pstar, local, n)
@@ -1298,7 +1266,7 @@ def _bi_factor_primitive(rows, f):
     out = []
     for fr in found_shifted:
         back = _bl_strip([p.taylor_shift(a) for p in fr])  # char 2: shift back
-        out.append(_grlex_normalize(bi_to_tri(back, f)))
+        out.append(_bl_grlex_normalize(back, f))
     return out
 
 
@@ -1324,4 +1292,4 @@ def _try_combo(cur, lifted, combo, f, n):
     quo = _bl_try_exact_div(cur, cand, f)
     if quo is None:
         return None
-    return cand, _bl_strip(quo)
+    return cand, quo

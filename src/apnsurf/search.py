@@ -455,8 +455,11 @@ def _scan_plan(job, tw, lo, hi):
     one-candidate blocks.  Every scanned block is a partly covered one or
     the representative of at least one covered block, so no more is
     scanned than [lo, hi).  All nodes of a level are planned in one
-    _plan_level call: each level's pair table is about the size of the
-    root's, the whole group times q cells, so the root sets the peak.
+    _plan_level call, whose arrays hold q cells per node and per listed
+    pair, so the peak follows the widest level's nodes × q.  In the
+    degree-9 and -10 families that is the root's pair table, the whole
+    group times q cells; in families with more free digits a deeper
+    level holds far more nodes and sets it (ROADMAP item 17).
 
     Returns (runs, parts, maps): runs is the ascending int64 array of runs
     r to scan in full (candidates r*q .. r*q + q - 1), parts lists the

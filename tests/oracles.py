@@ -73,7 +73,8 @@ from apnsurf.differential import (differential_spectrum, fingerprint_digest,
 from apnsurf.errors import (ApnToolError, DegreeTooSmall,
                             DiagonalNotConstant, NotDivisible)
 from apnsurf.criteria import CriterionVerdict
-from apnsurf.mvpoly import TriPoly, bi_gcd, bi_squarefree, uni_factor
+from apnsurf.mvpoly import (TriPoly, _chart_rows, bi_gcd, bi_squarefree,
+                            bi_to_tri, uni_factor)
 from apnsurf.polyfunc import (PolyFunc, affine_transform, is_q_affine,
                               normalize)
 from apnsurf.search import _reduce
@@ -212,13 +213,14 @@ def uni_is_irreducible(p):
 
 
 
-def bi_is_irreducible(p):
-    """Irreducibility over the coefficient field of a TriPoly in x0, x1, by
-    trial division.  A reducible p of total degree n has a factor of total
-    degree at most n // 2, and that factor scaled to graded-lex leading
-    coefficient 1 still divides p; so every such candidate is tried.  The
-    work is q^((k+1)(k+2)/2) divisions for k = n // 2: keep n and q small."""
-    field = p.field
+def bi_is_irreducible(rows, field):
+    """Irreducibility over field of the polynomial p in x0, x1 with the
+    given rows, by trial division of p as a TriPoly.  A reducible p of
+    total degree n has a factor of total degree at most n // 2, and that
+    factor scaled to graded-lex leading coefficient 1 still divides p; so
+    every such candidate is tried.  The work is q^((k+1)(k+2)/2) divisions
+    for k = n // 2: keep n and q small."""
+    p = bi_to_tri(rows, field)
     n = p.total_degree
     if n < 1:
         return False
@@ -251,14 +253,16 @@ def binomial_criterion_py(d, r):
     if min(e[2] for e in cd.terms) and min(e[2] for e in cr.terms):
         return CriterionVerdict("unknown", name,
                                 note="curves share the line x2 = 0")
-    chart_d, chart_r = cd.dehomogenize(), cr.dehomogenize()
-    g = bi_gcd(chart_d, chart_r)
+    f = cd.field
+    chart_d, chart_r = _chart_rows(cd), _chart_rows(cr)
+    g = bi_to_tri(bi_gcd(chart_d, chart_r, f), f)
     if g.total_degree > 0:
         return CriterionVerdict("unknown", name,
                                 note="curves share a component", witness=g)
     for cur, ch in ((cd, chart_d), (cr, chart_r)):
         if (min(e[2] for e in cur.terms) <= 1
-                and bi_squarefree(ch).total_degree == ch.total_degree):
+                and bi_to_tri(bi_squarefree(ch, f), f).total_degree
+                == bi_to_tri(ch, f).total_degree):
             return CriterionVerdict("established", name,
                                     note="coprime curves, squarefree layer")
     return CriterionVerdict("unknown", name, note="no squarefree layer")

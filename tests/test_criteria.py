@@ -10,10 +10,10 @@ from apnsurf.criteria import (CriterionVerdict, SingularPoint, _extension,
                               congruence_irreducible, congruence_smooth,
                               curve_singular_points, exponent_pair_criterion,
                               surface_irreducible)
-from apnsurf.errors import (DegreeCapExceeded, DegreeOutOfRange,
-                            InvalidParameters)
+from apnsurf.errors import (ApnToolError, DegreeCapExceeded,
+                            DegreeOutOfRange, InvalidParameters)
 from apnsurf.gf2m import Field
-from apnsurf.mvpoly import TriPoly, extension
+from apnsurf.mvpoly import TriPoly, bi_to_tri, extension
 from apnsurf.polyfunc import PolyFunc
 from apnsurf.surface import build_surface, infinity_curve
 from oracles import binomial_criterion_py
@@ -26,6 +26,8 @@ CONG_IRRED_5_50 = [7, 11, 15, 19, 21, 23, 27, 29, 31, 35, 37, 39, 43, 45, 47]
 SHARED_PAIRS = 66
 PAIR_TABLE_SHA256 = ("ae1c7df1cfd5924c5eb6d6fa813b8aee"
                      "6d5379d183597aed25f069a4ab8a0e84")
+INFINITY_CURVES_SHA256 = ("d799e8261e21552bd8505eb43bb06b1f"
+                          "3853e2df90afaa622b4d508732cb821e")
 CONG_SMOOTH_BELOW_100 = [7, 11, 19, 23, 27, 35, 39, 47, 51, 55, 59, 67, 75,
                          83, 87, 95]
 
@@ -125,10 +127,10 @@ def test_each_field_is_factored_once(monkeypatch):
     seen = []
     chart_factors = criteria._chart_factors
 
-    def recording(chart):
-        facs = chart_factors(chart)
-        seen.append(facs[0].field.m)
-        return facs
+    def recording(chart, base):
+        field, facs = chart_factors(chart, base)
+        seen.append(field.m)
+        return field, facs
     monkeypatch.setattr(criteria, "_chart_factors", recording)
     for d, fields in ((7, [2]), (15, [2, 6])):
         seen.clear()
@@ -165,19 +167,20 @@ def test_chart_factor_counts_and_reconstruction():
     expected = {5: 1, 6: 3, 7: 1, 9: 2, 11: 1, 13: 1}
     for d, n in expected.items():
         chart = infinity_curve(d).substitute_const(2, 1)
-        facs = _chart_factors(chart)
+        fld, facs = _chart_factors(mvpoly._chart_rows(infinity_curve(d)), F2)
         assert len(facs) == n, d
         # factors may come back over an extension when the base field
         # runs out of good evaluation points (d = 13: over GF(8))
-        fld = facs[0].field
+        assert all(p.field == fld for rows in facs for p in rows)
+        forms = [bi_to_tri(rows, fld) for rows in facs]
         target = chart if fld.m == 1 else TriPoly(fld, dict(chart.terms))
         prod = TriPoly.const(fld, 1)
-        for fp in facs:
+        for fp in forms:
             assert fp.total_degree >= 1
             prod = prod * fp
         unit = fld.div(target.lead_term()[1], prod.lead_term()[1])
         assert prod.scale(unit) == target
-        assert sum(fp.total_degree for fp in facs) == chart.total_degree
+        assert sum(fp.total_degree for fp in forms) == chart.total_degree
 
 
 def test_singular_points_cusp():
@@ -317,7 +320,6 @@ def test_binomial_criterion_builds_each_chart_once(monkeypatch):
                         counter("maps", mvpoly.Embedding.map_uni))
     monkeypatch.setattr(mvpoly, "_bl_coprime_at_point",
                         counter("certificates", mvpoly._bl_coprime_at_point))
-    monkeypatch.setattr(mvpoly, "tri_to_bi", fail)
     monkeypatch.setattr(TriPoly, "dehomogenize", fail)
     assert binomial_criterion(12, 5).established
     assert counts == {"rows": 2, "maps": 2, "certificates": 1}
@@ -326,6 +328,50 @@ def test_binomial_criterion_builds_each_chart_once(monkeypatch):
         binomial_criterion(d, r)
         assert counts["rows"] == 2, (d, r)
         assert counts["maps"] == 2 * counts["certificates"] > 0, (d, r)
+
+
+@pytest.mark.parametrize("d", [9, 13, 15])
+def test_curve_criteria_build_the_chart_once(monkeypatch, d):
+    # absolutely_irreducible and curve_singular_points each build the
+    # chart's rows once and work on rows from there: no TriPoly chart, no
+    # TriPoly division, no TriPoly mapped into an extension field
+    def fail(*args):
+        raise AssertionError("TriPoly work on the chart")
+    calls = []
+    real = mvpoly._chart_rows
+
+    def rows(p):
+        calls.append(p)
+        return real(p)
+    monkeypatch.setattr(criteria, "_chart_rows", rows)
+    for name in ("dehomogenize", "exact_divide", "substitute_const"):
+        monkeypatch.setattr(TriPoly, name, fail)
+    monkeypatch.setattr(mvpoly.Embedding, "map_tri", fail)
+    curve = infinity_curve(d)
+    for check in (absolutely_irreducible, curve_singular_points):
+        calls.clear()
+        check(curve)
+        assert calls == [curve], check.__name__
+
+
+def test_infinity_curve_digest():
+    # absolutely_irreducible and curve_singular_points of every infinity
+    # curve 5 <= d <= 35 that is not a power of two, one line
+    # "d<TAB>status<TAB>note<TAB>repr(witness)<TAB>points" per degree,
+    # pinned by a digest recorded before the criteria moved onto rows
+    lines = []
+    for d in range(5, 36):
+        if d & (d - 1) == 0:
+            continue
+        curve = infinity_curve(d)
+        v = absolutely_irreducible(curve)
+        try:
+            pts = repr(curve_singular_points(curve))
+        except ApnToolError as e:
+            pts = f"{type(e).__name__}: {e}"
+        lines.append(f"{d}\t{v.status}\t{v.note}\t{v.witness!r}\t{pts}\n")
+    assert hashlib.sha256("".join(lines).encode()).hexdigest() == \
+        INFINITY_CURVES_SHA256
 
 
 def test_exponent_pair_criterion():

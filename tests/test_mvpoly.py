@@ -28,7 +28,6 @@ from apnsurf.mvpoly import (
     bi_squarefree,
     bi_to_tri,
     extension,
-    tri_to_bi,
     uni_factor,
     uni_gcd,
     uni_gcd_many,
@@ -51,6 +50,27 @@ def rand_uni(field, deg, rng, monic=False):
     c = [rng.randrange(field.q) for _ in range(deg)]
     c.append(1 if monic else rng.randrange(1, field.q))
     return UniPoly(field, c)
+
+
+def _rows(p):
+    """The rows of a TriPoly in x0 and x1, indexed by the x0 exponent."""
+    return mvpoly._chart_rows(p)
+
+
+def _gcd(a, b):
+    """bi_gcd of two TriPolys in x0 and x1, as a TriPoly."""
+    return bi_to_tri(bi_gcd(_rows(a), _rows(b), a.field), a.field)
+
+
+def _squarefree(p):
+    """bi_squarefree of a TriPoly in x0 and x1, as a TriPoly."""
+    return bi_to_tri(bi_squarefree(_rows(p), p.field), p.field)
+
+
+def _factor(p):
+    """bi_factor of a TriPoly in x0 and x1, the factors as TriPolys."""
+    unit, facs = bi_factor(_rows(p), p.field)
+    return unit, [bi_to_tri(t, p.field) for t in facs]
 
 
 def rand_tri(field, deg, rng, nvars=2):
@@ -524,7 +544,8 @@ def test_tri_substitute_const():
 
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_chart_rows_match_dehomogenized_rows(m):
-    # the one-pass builder against tri_to_bi of the chart as a TriPoly.
+    # the one-pass builder against the chart as a TriPoly: the rows
+    # rebuild it, with no zero row on top but for the zero chart's one.
     # b + h*(x2 + 1) has the chart of b: where h reaches an x0 exponent
     # that b lacks, the row cancels to zero, and h's rows above b's are
     # stripped; random forms in three variables add terms that collide
@@ -540,7 +561,9 @@ def test_chart_rows_match_dehomogenized_rows(m):
         for p in (b, b + h * x2_plus_1,
                   b + h * x0.pow_(rng.randrange(1, 4)) * x2_plus_1):
             got = mvpoly._chart_rows(p)
-            assert got == tri_to_bi(p.dehomogenize()), p
+            chart = p.dehomogenize()
+            assert bi_to_tri(got, field) == chart, p
+            assert len(got) == max(1, chart.degree_in(0) + 1), p
             if p.is_zero:
                 continue
             exps = {e[0] for e in p.terms}
@@ -598,11 +621,11 @@ def test_bi_resultant_vs_sylvester_specialization():
         p2 = rand_tri(F8, 3, rng)
         if p1.is_zero or p2.is_zero:
             continue
-        rows1 = tri_to_bi(p1)
-        rows2 = tri_to_bi(p2)
+        rows1 = _rows(p1)
+        rows2 = _rows(p2)
         if len(rows1) < 2 or len(rows2) < 2:
             continue
-        res = bi_resultant(p1, p2)
+        res = bi_resultant(rows1, rows2, F8)
         for c in range(8):
             if rows1[-1].eval_at(c) == 0 or rows2[-1].eval_at(c) == 0:
                 continue  # degree drop changes the specialized resultant
@@ -633,7 +656,7 @@ def test_pseudo_rem_unit_lead_matches_scaled_loop(m):
         pairs.append((a, b))
         pairs.append((a, b[:-1] + [rand_uni(field, rng.randrange(1, 3), rng)]))
     if m == 1:
-        charts = {d: tri_to_bi(infinity_curve(d).dehomogenize())
+        charts = {d: mvpoly._chart_rows(infinity_curve(d))
                   for d in (5, 7, 9, 10, 11, 12)}
         for d, r in ((9, 5), (10, 7), (11, 7), (12, 9), (11, 9)):
             pairs.append((charts[d], charts[r]))
@@ -652,12 +675,12 @@ def test_bi_resultant_on_odd_charts_vs_sylvester():
     big = emb.big
     checked = 0
     for d, r in ((9, 5), (11, 7), (13, 5), (10, 7), (12, 9), (15, 11)):
-        a = infinity_curve(d).dehomogenize()
-        b = infinity_curve(r).dehomogenize()
-        rows_a = [emb.map_uni(p) for p in tri_to_bi(a)]
-        rows_b = [emb.map_uni(p) for p in tri_to_bi(b)]
+        a = mvpoly._chart_rows(infinity_curve(d))
+        b = mvpoly._chart_rows(infinity_curve(r))
+        rows_a = [emb.map_uni(p) for p in a]
+        rows_b = [emb.map_uni(p) for p in b]
         assert rows_b[-1] == UniPoly.one(big)
-        res = emb.map_uni(bi_resultant(a, b))
+        res = emb.map_uni(bi_resultant(a, b, F2))
         for c in range(big.q):
             if rows_a[-1].eval_at(c) == 0:
                 continue  # degree drop changes the specialized resultant
@@ -674,7 +697,7 @@ def test_bi_resultant_zero_iff_common_factor():
     a = g * rand_tri(F8, 2, rng)
     b = g * rand_tri(F8, 2, rng)
     if not a.is_zero and not b.is_zero:
-        assert bi_resultant(a, b).is_zero
+        assert bi_resultant(_rows(a), _rows(b), F8).is_zero
 
 
 def test_bi_resultant_sympy_cross_check():
@@ -691,14 +714,14 @@ def test_bi_resultant_sympy_cross_check():
         if s1 == 0 or s2 == 0:
             continue
         want = sympy.Poly(sympy.resultant(s1, s2, u), v, modulus=2)
-        got = bi_resultant(p1, p2)
+        got = bi_resultant(_rows(p1), _rows(p2), F2)
         got_sym = sympy.Poly(sum(int(c) * v ** i for i, c in enumerate(got.c)) + v * 0,
                              v, modulus=2)
         assert got_sym == want
 
 
 def _content(p):
-    return uni_gcd_many([r for r in tri_to_bi(p) if not r.is_zero])
+    return uni_gcd_many([r for r in _rows(p) if not r.is_zero])
 
 
 def _swap(p):
@@ -713,9 +736,9 @@ def _assert_is_gcd(a, b, got):
     x0 coefficient."""
     ca = a.exact_divide(got)
     cb = b.exact_divide(got)
-    assert not bi_resultant(ca, cb).is_zero
+    assert not bi_resultant(_rows(ca), _rows(cb), a.field).is_zero
     assert uni_gcd(_content(ca), _content(cb)).degree == 0
-    assert tri_to_bi(got)[-1].lead == 1
+    assert _rows(got)[-1].lead == 1
 
 
 def _planted_pair(field, rng):
@@ -740,7 +763,7 @@ def test_bi_gcd_common_factor():
         b = g * rand_tri(F4, 2, rng)
         if a.is_zero or b.is_zero:
             continue
-        got = bi_gcd(a, b)
+        got = _gcd(a, b)
         got.exact_divide(g)  # the planted factor divides the gcd
         _assert_is_gcd(a, b, got)
         checked += 1
@@ -751,7 +774,7 @@ def test_bi_gcd_coprime_is_constant():
     # x0 + x1 and x0 + x1 + 1 share no factor
     a = TriPoly(F2, {(1, 0, 0): 1, (0, 1, 0): 1})
     b = TriPoly(F2, {(1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 0): 1})
-    assert bi_gcd(a, b).total_degree == 0
+    assert bi_gcd(_rows(a), _rows(b), F2) == [UniPoly.one(F2)]
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
@@ -766,7 +789,7 @@ def test_bi_gcd_planted_pairs(m):
         for swap in (False, True):
             if swap:
                 g, a, b = _swap(g), _swap(a), _swap(b)
-            got = bi_gcd(a, b)
+            got = _gcd(a, b)
             got.exact_divide(g)
             _assert_is_gcd(a, b, got)
 
@@ -784,7 +807,7 @@ def test_bi_gcd_planted_contents(m):
         u = rand_tri(field, 2, rng) * x0 + TriPoly.const(field, 1)
         v = rand_tri(field, 2, rng) * x0 + TriPoly.var(field, 1)
         a, b = c * s * u, c * t * v
-        got = bi_gcd(a, b)
+        got = _gcd(a, b)
         got.exact_divide(c)
         _assert_is_gcd(a, b, got)
 
@@ -811,14 +834,14 @@ def test_bi_gcd_sympy_cross_check():
             if other.is_zero:
                 continue
             want = sympy.gcd(_sympy_gf2(sympy, cd), _sympy_gf2(sympy, other))
-            assert _sympy_gf2(sympy, bi_gcd(cd, other)) == want, (d, other)
+            assert _sympy_gf2(sympy, _gcd(cd, other)) == want, (d, other)
             checked += 1
     assert checked > 80
     rng = random.Random(79)
     for _ in range(30):
         _, a, b = _planted_pair(F2, rng)
         want = sympy.gcd(_sympy_gf2(sympy, a), _sympy_gf2(sympy, b))
-        assert _sympy_gf2(sympy, bi_gcd(a, b)) == want, (a, b)
+        assert _sympy_gf2(sympy, _gcd(a, b)) == want, (a, b)
 
 
 def _cert_modulus(field):
@@ -837,8 +860,8 @@ def test_bi_gcd_unlucky_point(m):
     x0 = TriPoly.var(field, 0)
     mu = bi_to_tri([_cert_modulus(field)], field)
     a, b = x0, x0 + mu
-    assert not mvpoly._bl_coprime_at_point(tri_to_bi(a), tri_to_bi(b), field)
-    assert bi_gcd(a, b) == TriPoly.const(field, 1)
+    assert not mvpoly._bl_coprime_at_point(_rows(a), _rows(b), field)
+    assert _gcd(a, b) == TriPoly.const(field, 1)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
@@ -850,7 +873,7 @@ def test_bi_gcd_skips_leading_coefficient_root(m):
     x0 = TriPoly.var(field, 0)
     one = TriPoly.const(field, 1)
     h = bi_to_tri([_cert_modulus(field)], field) * x0 + one
-    assert bi_gcd(h * (x0 + one), h * x0) == h
+    assert _gcd(h * (x0 + one), h * x0) == h
 
 
 def test_bi_gcd_certified_pair_skips_remainder_sequence(monkeypatch):
@@ -858,47 +881,49 @@ def test_bi_gcd_certified_pair_skips_remainder_sequence(monkeypatch):
         raise AssertionError("remainder sequence on a certified pair")
     monkeypatch.setattr(mvpoly, "_bl_pseudo_rem", fail)
     for d, r in ((9, 5), (11, 5), (13, 7), (17, 11)):
-        a = infinity_curve(d).substitute_const(2, 1)
-        b = infinity_curve(r).substitute_const(2, 1)
-        assert bi_gcd(a, b) == TriPoly.const(F2, 1)
+        a = mvpoly._chart_rows(infinity_curve(d))
+        b = mvpoly._chart_rows(infinity_curve(r))
+        assert bi_gcd(a, b, F2) == [UniPoly.one(F2)]
 
 
 def test_bi_gcd_constant_operand_is_one_at_once(monkeypatch):
-    # a nonzero constant shares nothing with any polynomial, zero included;
-    # the answer needs no row conversion
+    # a nonzero constant shares nothing with any polynomial, zero (as
+    # [] or as one zero row) included; the answer needs no work on rows
     def fail(*args):
-        raise AssertionError("rows built for a constant operand")
+        raise AssertionError("rows worked on for a constant operand")
     x0 = TriPoly.var(F4, 0)
     x1 = TriPoly.var(F4, 1)
-    p = (x0 + x1) * (x0 * x1 + TriPoly.const(F4, 1))
-    monkeypatch.setattr(mvpoly, "tri_to_bi", fail)
-    one = TriPoly.const(F4, 1)
-    for c in (TriPoly.const(F4, 1), TriPoly.const(F4, 3)):
-        for other in (p, c, TriPoly.zero(F4)):
-            assert bi_gcd(c, other) == one
-            assert bi_gcd(other, c) == one
+    p = _rows((x0 + x1) * (x0 * x1 + TriPoly.const(F4, 1)))
+    for name in ("_bl_strip", "_bl_primitive", "_bl_coprime_at_point"):
+        monkeypatch.setattr(mvpoly, name, fail)
+    one = [UniPoly.one(F4)]
+    for c in ([UniPoly.one(F4)], [UniPoly.const(F4, 3)]):
+        for other in (p, c, [UniPoly.zero(F4)], []):
+            assert bi_gcd(c, other, F4) == one
+            assert bi_gcd(other, c, F4) == one
 
 
 def test_bivariate_api_fixes_the_variable_order():
     # rows are always indexed by x0; no function chooses its variables
+    # and every function takes and returns rows
     params = {f.__name__: list(inspect.signature(f).parameters)
-              for f in (tri_to_bi, bi_to_tri, bi_gcd, bi_squarefree,
-                        bi_factor, bi_resultant)}
-    assert params == {"tri_to_bi": ["p"], "bi_to_tri": ["rows", "field"],
-                      "bi_gcd": ["p1", "p2"], "bi_squarefree": ["p"],
-                      "bi_factor": ["p"], "bi_resultant": ["p1", "p2"]}
+              for f in (bi_to_tri, bi_gcd, bi_squarefree, bi_factor,
+                        bi_resultant)}
+    assert params == {"bi_to_tri": ["rows", "field"],
+                      "bi_gcd": ["a", "b", "f"],
+                      "bi_squarefree": ["rows", "f"],
+                      "bi_factor": ["rows", "f"],
+                      "bi_resultant": ["a", "b", "f"]}
     x0 = TriPoly.var(F4, 0)
     x1 = TriPoly.var(F4, 1)
     p = x0 * x0 * x1.scale(2) + x1 * x1 + x0
-    rows = tri_to_bi(p)
+    rows = _rows(p)
     assert rows == [UniPoly(F4, [0, 0, 1]), UniPoly(F4, [1]),
                     UniPoly(F4, [0, 2])]
     assert bi_to_tri(rows, F4) == p
     # resultant in x0 of x0 + x1 and x0 + 1 is x1 + 1
-    assert bi_resultant(x0 + x1, x0 + TriPoly.const(F4, 1)) == \
-        UniPoly(F4, [1, 1])
-    with pytest.raises(InvalidParameters):
-        tri_to_bi(TriPoly.var(F4, 2))
+    assert bi_resultant(_rows(x0 + x1), _rows(x0 + TriPoly.const(F4, 1)),
+                        F4) == UniPoly(F4, [1, 1])
 
 
 def test_bi_squarefree_strips_multiplicity():
@@ -909,7 +934,7 @@ def test_bi_squarefree_strips_multiplicity():
     f2 = x0 + x1 + one
     f3 = x0 * x0 + x0 * x1.scale(2) + x1 + one
     p = f1 * f1 * f2 * f3 * f3 * f3
-    sf = bi_squarefree(p)
+    sf = _squarefree(p)
     for f_ in (f1, f2, f3):
         sf.exact_divide(f_)  # raises if not divisible
     assert sf.total_degree == f1.total_degree + f2.total_degree + f3.total_degree
@@ -919,16 +944,16 @@ def test_bi_squarefree_of_square():
     x0 = TriPoly.var(F4, 0)
     x1 = TriPoly.var(F4, 1)
     p = (x0 + x1).square().square()
-    sf = bi_squarefree(p)
+    sf = _squarefree(p)
     assert sf == x0 + x1
 
 
 def _squarefree_by_partials(p):
-    return mvpoly._partials_gcd(p).total_degree == 0
+    return mvpoly._bl_tdeg(mvpoly._bl_partials_gcd(_rows(p), p.field)) == 0
 
 
 def _squarefree_by_part(p):
-    return bi_squarefree(p).total_degree == p.total_degree
+    return _squarefree(p).total_degree == p.total_degree
 
 
 def _nonconstant(field, rng, x0_degree=0):
@@ -960,7 +985,8 @@ def test_squarefree_test_matches_bi_squarefree(m):
             lines = lines * (x0 + x1.scale(a) + TriPoly.const(field, b))
         square = s * s
         assert square.partial(0).is_zero and square.partial(1).is_zero
-        assert mvpoly._partials_gcd(square) is square
+        rows = _rows(square)
+        assert mvpoly._bl_partials_gcd(rows, field) is rows
         for p, planted in ((h * h * k, False), (c * c * k, False),
                            (square, False), (lines, True), (lines * k, None),
                            (h * k, None)):
@@ -990,11 +1016,11 @@ def test_bi_factor_reconstructs():
             p = rand_tri(field, 3, rng)
             if p.is_zero or p.total_degree == 0:
                 continue
-            p = bi_squarefree(p)
+            p = _squarefree(p)
             if p.total_degree == 0:
                 continue
             try:
-                unit, facs = bi_factor(p)
+                unit, facs = _factor(p)
             except Exception as exc:  # NoGoodEvaluationPoint is allowed here
                 from apnsurf.errors import NoGoodEvaluationPoint
 
@@ -1008,7 +1034,7 @@ def test_bi_factor_reconstructs():
             for t in facs:
                 if t.total_degree <= 0:
                     continue
-                _, sub = bi_factor(t)
+                _, sub = _factor(t)
                 assert len(sub) == 1
 
 
@@ -1027,18 +1053,19 @@ def test_bi_factor_matches_trial_division_oracle():
                 if fac.total_degree < 1:
                     continue
                 p = p * fac
-            p = bi_squarefree(p)
+            p = _squarefree(p)
             if p.total_degree < 1:
                 continue
             for q in (p, _swap(p)):
                 try:
-                    unit, facs = bi_factor(q)
+                    unit, facs = bi_factor(_rows(q), field)
                 except NoGoodEvaluationPoint:
                     continue
                 acc = TriPoly.const(field, unit)
                 for t in facs:
-                    acc = acc * t
-                    assert bi_is_irreducible(t), f"{t!r} from {q!r} splits"
+                    acc = acc * bi_to_tri(t, field)
+                    assert bi_is_irreducible(t, field), \
+                        f"{t!r} from {q!r} splits"
                 assert acc == q, f"factors of {q!r} do not rebuild it"
                 checked[field] += 1
     assert min(checked.values()) >= 80, checked
@@ -1075,13 +1102,14 @@ def test_bi_factor_tight_total_degree_bound(m):
         kh = rng.randrange(1, h_top + 1)
         h = _rand_shape(field, rng, kh, kh)
         p = g * h
-        if bi_squarefree(p).total_degree < p.total_degree:
+        if _squarefree(p).total_degree < p.total_degree:
             continue
-        if not (bi_is_irreducible(g) and bi_is_irreducible(h)):
+        if not (bi_is_irreducible(_rows(g), field)
+                and bi_is_irreducible(_rows(h), field)):
             continue
         assert _excess(h) == 0 and _excess(g) == _excess(p) > 0
         try:
-            unit, facs = bi_factor(p)
+            unit, facs = _factor(p)
         except NoGoodEvaluationPoint:
             continue
         want = [t.scale(field.inv(t.lead_term()[1])) for t in (g, h)]
@@ -1099,7 +1127,7 @@ def test_bi_factor_non_monic_split():
     one = TriPoly.const(F4, 1)
     a = x0 * x1 * x1 + x0 + x1
     b = x0.pow_(3) * (x1 * x1 + one) + x0.scale(2) + x1.scale(3) + one.scale(3)
-    assert bi_factor(a * b) == (1, [a, b])
+    assert _factor(a * b) == (1, [a, b])
 
 
 def test_bi_factor_split_example():
@@ -1107,7 +1135,7 @@ def test_bi_factor_split_example():
     x1 = TriPoly.var(F2, 1)
     one = TriPoly.const(F2, 1)
     p = (x0 + x1) * (x0 + x1 + one)
-    unit, facs = bi_factor(p)
+    unit, facs = _factor(p)
     assert unit == 1
     assert len(facs) == 2
     assert sorted(t.total_degree for t in facs) == [1, 1]
@@ -1116,7 +1144,7 @@ def test_bi_factor_split_example():
 def test_bi_factor_degree_cap():
     x0 = TriPoly.var(F2, 0)
     with pytest.raises(DegreeCapExceeded):
-        bi_factor(x0.pow_(33) + TriPoly.var(F2, 1))
+        bi_factor(_rows(x0.pow_(33) + TriPoly.var(F2, 1)), F2)
 
 
 def test_bi_factor_univariate_content():
@@ -1124,7 +1152,7 @@ def test_bi_factor_univariate_content():
     x0 = TriPoly.var(F4, 0)
     x1 = TriPoly.var(F4, 1)
     p = (x1 * x1 + x1) * (x0 + x1)
-    unit, facs = bi_factor(p)
+    unit, facs = _factor(p)
     acc = TriPoly.const(F4, unit)
     for t in facs:
         acc = acc * t
@@ -1154,8 +1182,8 @@ def test_recombination_rejects_by_total_degree(monkeypatch):
     x0 = TriPoly.var(F2, 0)
     x1 = TriPoly.var(F2, 1)
     p = x0.pow_(3) + x0 * x0 * x1 + x0 * x1 * x1 + x0 * x1 + TriPoly.const(F2, 1)
-    assert bi_is_irreducible(p)
-    assert bi_factor(p) == (1, [p])
+    assert bi_is_irreducible(_rows(p), F2)
+    assert _factor(p) == (1, [p])
 
 
 def test_extension_is_one_embedding_per_field_and_degree():
@@ -1194,7 +1222,7 @@ def test_bi_factor_repeated_specialization_raises(monkeypatch):
     x1 = TriPoly.var(F2, 1)
     one = TriPoly.const(F2, 1)
     with pytest.raises(ApnToolError, match="not squarefree"):
-        bi_factor((x0 + x1) * (x0 + x1 + one))
+        _factor((x0 + x1) * (x0 + x1 + one))
 
 
 # ------------------------------------------------- where elements are checked
@@ -1236,6 +1264,11 @@ def _uni_ok(p):
             and (not p.c or p.c[-1] != 0))
 
 
+def _rows_ok(rows):
+    return bool(rows) and all(_uni_ok(p) for p in rows) \
+        and not rows[-1].is_zero
+
+
 def _tri_ok(p):
     return all(type(v) is int and 0 < v < p.field.q and len(e) == 3
                for e, v in p.terms.items())
@@ -1275,11 +1308,13 @@ def test_computed_coefficients_stay_in_field(m):
         assert all(_tri_ok(p) for p in outs)
         u = rand_tri(field, 3, rng) * x0 + x1
         w = rand_tri(field, 2, rng) * x1 + x0
-        assert _tri_ok(bi_gcd(u * w, w * w))
-        assert _uni_ok(bi_resultant(_swap(u), _swap(w)))
+        assert _rows_ok(bi_gcd(_rows(u * w), _rows(w * w), field))
+        assert _uni_ok(bi_resultant(_rows(_swap(u)), _rows(_swap(w)), field))
+        sf = bi_squarefree(_rows(u * w), field)
+        assert _rows_ok(sf)
         try:
-            unit, facs = bi_factor(bi_squarefree(u * w))
+            unit, facs = bi_factor(sf, field)
         except NoGoodEvaluationPoint:
             continue
         assert type(unit) is int and 0 < unit < field.q
-        assert all(_tri_ok(p) for p in facs)
+        assert all(_rows_ok(p) for p in facs)
