@@ -6,6 +6,7 @@ property is proven, refuted means a concrete witness against it was
 found, unknown means the criterion simply does not decide the case.
 """
 
+import itertools
 import math
 
 from .errors import (DegreeCapExceeded, DegreeOutOfRange, InvalidParameters,
@@ -119,23 +120,6 @@ def _map_rows(emb, rows):
     return [emb.map_uni(p) for p in rows]
 
 
-def _chart_factors(chart, base):
-    """Irreducible factors of the rows of a squarefree chart over base, as
-    (field, flat list of factor rows): over base, or over the smallest
-    extension GF(2^(m*k)) with enough evaluation points when base has too
-    few; splitting there still refutes irreducibility over the algebraic
-    closure."""
-    k = 1
-    while True:
-        emb = _extension(base, k)
-        try:
-            return emb.big, bi_factor(_map_rows(emb, chart), emb.big)[1]
-        except NoGoodEvaluationPoint:
-            k += 1
-            if base.m * k > EXT_M_CAP:
-                raise
-
-
 def absolutely_irreducible(curve):
     """Decide absolute irreducibility of a homogeneous form in x0, x1, x2
     by factoring its chart over the base field and over the prime-order
@@ -168,8 +152,10 @@ def absolutely_irreducible(curve):
     if _bl_tdeg(sf) < tdeg:
         return CriterionVerdict(REFUTED, name, note="repeated factor",
                                 witness=_lift(sf, base))
-    # a chart irreducible over GF(q^j) stays so over each subfield GF(q^t),
-    # t | j, so no field is factored twice
+    # each prime t climbs GF(q^t), GF(q^2t), ... until a field has enough
+    # evaluation points; a split there still refutes irreducibility over
+    # the algebraic closure.  A chart irreducible over GF(q^j) stays so
+    # over each subfield GF(q^t), t | j, so no field is factored twice
     irreducible_over = []
     for t in [1] + _prime_factors(deg):
         if any(j % t == 0 for j in irreducible_over):
@@ -179,12 +165,21 @@ def absolutely_irreducible(curve):
                 UNKNOWN, name,
                 note=f"extension degree {base.m * t} above field cap")
         emb = _extension(base, t)
-        field, facs = _chart_factors(_map_rows(emb, chart), emb.big)
+        rows = _map_rows(emb, chart)
+        for k in itertools.count(1):
+            # rows embed through GF(q^t), as a direct embedding into
+            # GF(q^(tk)) may pick another conjugate root
+            up = _extension(emb.big, k)
+            try:
+                facs = bi_factor(_map_rows(up, rows), up.big)[1]
+                break
+            except NoGoodEvaluationPoint:
+                continue
         if len(facs) > 1:
             return CriterionVerdict(
-                REFUTED, name, note=f"splits over GF(2^{field.m})",
-                witness=_lift(facs[0], field))
-        irreducible_over.append(field.m // base.m)
+                REFUTED, name, note=f"splits over GF(2^{up.big.m})",
+                witness=_lift(facs[0], up.big))
+        irreducible_over.append(t * k)
     return CriterionVerdict(ESTABLISHED, name,
                             note="no split over any relevant extension")
 

@@ -17,15 +17,18 @@ The resultant eliminates x0 and is a UniPoly in x1.  ``bi_gcd`` first
 specializes x1 at one point of a field of at least 2^8 elements and
 skips the remainder sequence when the two images are coprime there,
 which proves the pair shares nothing beyond its contents.
-Factorization lifts a split of one specialization by Hensel lifting on
-the same rows, shifted so the specialization point sits at w = 0 and
-truncated below w^n; a subset of lifted factors whose product breaks
-the total-degree bound of a true factor is rejected before any trial
-division.
+Factorization lifts a split of one specialization by Hensel lifting,
+shifted so the specialization point sits at w = 0 and truncated below
+w^n.  The lift holds each factor as its slices, the coefficients of
+w^k (the transpose of the rows, UniPoly in x0), so order k forms each
+product of lower slices it needs once.  Recombination forms each
+subset's product once, from its prefix's, and rejects a subset whose
+product breaks the total-degree bound of a true factor before any
+trial division.
 
 Field elements are checked where they enter: ``TriPoly(field, terms)``,
-the TriPoly methods that take an element (``const``, ``scale``,
-``eval_at``, ``substitute_const``), ``UniPoly.scale``, ``eval_at`` and
+the TriPoly methods that take an element (``const``, ``eval_at``,
+``substitute_const``), ``UniPoly.scale``, ``eval_at`` and
 ``taylor_shift``, ``Embedding.map``, and outside this module ``Field``'s
 own operations, ``PolyFunc`` and the parsers.  Every coefficient computed
 from checked operands of one field is an int in [0, q) already, so
@@ -218,9 +221,6 @@ class UniPoly:
             a ^= b << (n - db)
         f = self.field
         return UniPoly(f, _unpack_gf2(q)), UniPoly(f, _unpack_gf2(a))
-
-    def __floordiv__(self, other):
-        return divmod(self, other)[0]
 
     def __mod__(self, other):
         return divmod(self, other)[1]
@@ -550,9 +550,6 @@ class TriPoly:
     def total_degree(self):
         return max((sum(e) for e in self.terms), default=NEG_INF)
 
-    def degree_in(self, var):
-        return max((e[var] for e in self.terms), default=NEG_INF)
-
     def lead_term(self):
         e = max(self.terms, key=_grlex_key)
         return e, self.terms[e]
@@ -590,14 +587,6 @@ class TriPoly:
                 else:
                     del t[e]
         return TriPoly._of(f, t)
-
-    def scale(self, v):
-        f = self.field
-        f.check(v)
-        if v == 0:
-            return TriPoly.zero(f)
-        mul = f._mul
-        return TriPoly._of(f, {e: mul(v, c) for e, c in self.terms.items()})
 
     def square(self):
         # squaring doubles exponents and squares coefficients
@@ -1090,23 +1079,13 @@ def _bl_mul_trunc(a, b, n):
     return _bl_strip([UniPoly(f, r) for r in out])
 
 
-def _ser_inv(a, n):
-    """Inverse of the series a modulo w^n, by Newton steps: b -> b(2 - ab),
-    which reads a*b^2 in characteristic 2, doubles the correct orders."""
-    f = a.field
-    if a.is_zero or a.c[0] == 0:
-        raise DivisionByZero("series has no inverse")
-    b = UniPoly.const(f, f.inv(a.c[0]))
-    k = 1
-    while k < n:
-        k *= 2
-        b = UniPoly(f, (a * b * b).c[:k])
-    return UniPoly(f, b.c[:n])
-
-
-def _bl_at_order(p, k):
-    """Rows holding the univariate p (in x0) times w^k."""
-    return [UniPoly.const(p.field, v).shift(k) for v in p.c]
+def _transpose(polys, n):
+    """The n polynomials whose coefficient j is coefficient k of polys[j],
+    for k = 0 .. n-1: turns rows into their w-coefficients (slices, each a
+    polynomial in x0) and back."""
+    f = polys[0].field
+    return [UniPoly(f, [p.c[k] if k < len(p.c) else 0 for p in polys])
+            for k in range(n)]
 
 
 def _uni_bezout(a, b):
@@ -1124,26 +1103,24 @@ def _uni_bezout(a, b):
     return s0.scale(f.inv(r0.c[0]))
 
 
-def _hensel_pair(pstar, g0, h0, n):
+def _hensel_pair(pstar, g0, h0):
     """Lift the coprime monic split p*(u, 0) = g0*h0 to monic g, h over the
-    series ring with p* = g*h at truncation order n."""
-    f = g0.field
+    series ring with p* = g*h modulo w^n, all three held as their n slices.
+    Order k needs only the sum of g_i*h_(k-i) over 0 < i < k: each product
+    is formed once."""
     s = _uni_bezout(g0, h0)
-    g = _bl_at_order(g0, 0)
-    h = _bl_at_order(h0, 0)
-    for k in range(1, n):
-        err = _bl_add(pstar, _bl_mul_trunc(g, h, n))  # char 2: difference == sum
-        e = UniPoly(f, [p.c[k] if k < len(p.c) else 0 for p in err])
-        if e.is_zero:
-            continue
+    g, h = [g0], [h0]
+    for k in range(1, len(pstar)):
+        e = pstar[k]  # char 2: difference == sum
+        for i in range(1, k):
+            e = e + g[i] * h[k - i]
         dh = (s * e) % h0
-        dg = (e + g0 * dh).exact_div(h0)
-        g = _bl_add(g, _bl_at_order(dg, k))
-        h = _bl_add(h, _bl_at_order(dh, k))
+        g.append((e + g0 * dh).exact_div(h0))
+        h.append(dh)
     return g, h
 
 
-def _lift_all(pstar, local, n):
+def _lift_all(pstar, local):
     """Lift each monic local factor in turn against the product of the rest."""
     if len(local) == 1:
         return [pstar]
@@ -1151,8 +1128,8 @@ def _lift_all(pstar, local, n):
     h0 = UniPoly.one(g0.field)
     for p in local[1:]:
         h0 = h0 * p
-    g, h = _hensel_pair(pstar, g0, h0, n)
-    return [g] + _lift_all(h, local[1:], n)
+    g, h = _hensel_pair(pstar, g0, h0)
+    return [g] + _lift_all(h, local[1:])
 
 
 def _bl_try_exact_div(a, b, f):
@@ -1241,9 +1218,16 @@ def _bi_factor_primitive(rows, f):
     local = sorted((fac for fac, _ in sfacs), key=UniPoly.key)
     if len(local) == 1:
         return [_bl_grlex_normalize(rows, f)]
-    # every row of work has w-degree below n already
-    pstar = _bl_mul_trunc(work, [_ser_inv(work[-1], n)], n)
-    lifted = _lift_all(pstar, local, n)
+    # the rows made monic modulo w^n, lifted as slices
+    inv = _uni_bezout(work[-1], UniPoly.one(f).shift(n))
+    pstar = _transpose([p * inv for p in work], n)
+    lifted = [_transpose(g, len(g[0].c)) for g in _lift_all(pstar, local)]
+    # each subset's product, formed from its prefix's: sizes ascend, so
+    # the prefix (a smaller degree, never skipped) always comes first.  A
+    # product of the round's largest size is no prefix, and only a hit at
+    # that size ends the round once it is formed, leaving too few factors
+    # for that size again; so it is not kept
+    prods = {(i,): g for i, g in enumerate(lifted)}
     remaining = list(range(len(local)))
     cur = work  # shifted coordinates throughout the recombination
     found_shifted = []
@@ -1253,7 +1237,13 @@ def _bi_factor_primitive(rows, f):
             for size in range(1, len(remaining) // 2 + 1))
         for combo in subsets:
             if sum(_bl_deg(lifted[i]) for i in combo) < _bl_deg(cur):
-                hit = _try_combo(cur, lifted, combo, f, n)
+                prod = prods.get(combo)
+                if prod is None:
+                    prod = _bl_mul_trunc(prods[combo[:-1]],
+                                         lifted[combo[-1]], n)
+                    if len(combo) < len(remaining) // 2:
+                        prods[combo] = prod
+                hit = _try_combo(cur, prod, f, n)
                 if hit is not None:
                     break
         else:
@@ -1270,13 +1260,10 @@ def _bi_factor_primitive(rows, f):
     return out
 
 
-def _try_combo(cur, lifted, combo, f, n):
-    """Build the candidate factor for a subset of lifted local factors and
-    test it by total degree, then by exact division; returns (factor rows,
-    quotient rows) or None."""
-    prod = lifted[combo[0]]
-    for i in combo[1:]:
-        prod = _bl_mul_trunc(prod, lifted[i], n)
+def _try_combo(cur, prod, f, n):
+    """Build the candidate factor from the product of a subset of lifted
+    local factors and test it by total degree, then by exact division;
+    returns (factor rows, quotient rows) or None."""
     # scale the monic candidate by the current leading coefficient and take
     # the primitive part: for a true subset this is exactly the factor
     cand = _bl_mul_trunc(prod, [cur[-1]], n)

@@ -39,7 +39,10 @@ finds the diagonal roots by trying every element.
 
 mvpoly.bi_factor lifts a split of one specialization and recombines the
 lifted factors; bi_is_irreducible instead tries every possible factor of
-at most half the degree by exact division.
+at most half the degree by exact division.  mvpoly._hensel_pair holds
+the lifted pair as slices and forms each product g_i*h_(k-i) once;
+hensel_pair_full holds it as rows and forms the whole truncated product
+g*h again at every order.
 
 criteria.binomial_criterion tests the odd layer first and stops the
 squarefree test at gcd(chart, partials); binomial_criterion_py tests
@@ -73,7 +76,8 @@ from apnsurf.differential import (differential_spectrum, fingerprint_digest,
 from apnsurf.errors import (ApnToolError, DegreeTooSmall,
                             DiagonalNotConstant, NotDivisible)
 from apnsurf.criteria import CriterionVerdict
-from apnsurf.mvpoly import (TriPoly, _chart_rows, bi_gcd, bi_squarefree,
+from apnsurf.mvpoly import (TriPoly, UniPoly, _bl_add, _bl_mul_trunc,
+                            _chart_rows, _uni_bezout, bi_gcd, bi_squarefree,
                             bi_to_tri, uni_factor)
 from apnsurf.polyfunc import (PolyFunc, affine_transform, is_q_affine,
                               normalize)
@@ -236,6 +240,27 @@ def bi_is_irreducible(rows, field):
             continue
         return False
     return True
+
+
+def hensel_pair_full(pstar, g0, h0, n):
+    """mvpoly._hensel_pair on rows truncated below w^n: at every order k
+    the error p* - g*h is formed in full and its w^k coefficient read."""
+    f = g0.field
+    s = _uni_bezout(g0, h0)
+
+    def at_order(p, k):
+        return [UniPoly.const(f, v).shift(k) for v in p.c]
+    g, h = at_order(g0, 0), at_order(h0, 0)
+    for k in range(1, n):
+        err = _bl_add(pstar, _bl_mul_trunc(g, h, n))
+        e = UniPoly(f, [p.c[k] if k < len(p.c) else 0 for p in err])
+        if e.is_zero:
+            continue
+        dh = (s * e) % h0
+        dg = (e + g0 * dh).exact_div(h0)
+        g = _bl_add(g, at_order(dg, k))
+        h = _bl_add(h, at_order(dh, k))
+    return g, h
 
 
 def binomial_criterion_py(d, r):

@@ -120,22 +120,29 @@ def test_refutation_witnesses_divide_their_curves():
     assert refuted == 10
 
 
+def _record_factorizations(monkeypatch):
+    """The (field, factors) of every bi_factor call of the criteria that
+    finds an evaluation point, in call order."""
+    calls = []
+    real = criteria.bi_factor
+
+    def recording(rows, f):
+        unit, facs = real(rows, f)
+        calls.append((f, facs))
+        return unit, facs
+    monkeypatch.setattr(criteria, "bi_factor", recording)
+    return calls
+
+
 def test_each_field_is_factored_once(monkeypatch):
     # d = 7 and d = 15 have too few evaluation points over GF(2), so the
-    # base-field pass already factors over GF(4) and the t = 2 pass is
-    # skipped; for d = 15 the t = 3 pass moves on from GF(8) to GF(64)
-    seen = []
-    chart_factors = criteria._chart_factors
-
-    def recording(chart, base):
-        field, facs = chart_factors(chart, base)
-        seen.append(field.m)
-        return field, facs
-    monkeypatch.setattr(criteria, "_chart_factors", recording)
+    # base-field pass climbs to GF(4) and the t = 2 pass is skipped; for
+    # d = 15 the t = 3 pass climbs from GF(8) to GF(64)
+    calls = _record_factorizations(monkeypatch)
     for d, fields in ((7, [2]), (15, [2, 6])):
-        seen.clear()
+        calls.clear()
         assert absolutely_irreducible(infinity_curve(d)).established
-        assert seen == fields, d
+        assert [f.m for f, _ in calls] == fields, d
 
 
 def test_absolutely_irreducible_matches_exceptional_exponents():
@@ -162,12 +169,16 @@ def test_absolutely_irreducible_strange_conic():
     assert curve_singular_points(h) == []
 
 
-def test_chart_factor_counts_and_reconstruction():
-    from apnsurf.criteria import _chart_factors
+def test_chart_factor_counts_and_reconstruction(monkeypatch):
+    # the first factorization of absolutely_irreducible is the base-field
+    # pass of its ladder
+    calls = _record_factorizations(monkeypatch)
     expected = {5: 1, 6: 3, 7: 1, 9: 2, 11: 1, 13: 1}
     for d, n in expected.items():
         chart = infinity_curve(d).substitute_const(2, 1)
-        fld, facs = _chart_factors(mvpoly._chart_rows(infinity_curve(d)), F2)
+        calls.clear()
+        absolutely_irreducible(infinity_curve(d))
+        fld, facs = calls[0]
         assert len(facs) == n, d
         # factors may come back over an extension when the base field
         # runs out of good evaluation points (d = 13: over GF(8))
@@ -179,7 +190,7 @@ def test_chart_factor_counts_and_reconstruction():
             assert fp.total_degree >= 1
             prod = prod * fp
         unit = fld.div(target.lead_term()[1], prod.lead_term()[1])
-        assert prod.scale(unit) == target
+        assert TriPoly.const(fld, unit) * prod == target
         assert sum(fp.total_degree for fp in forms) == chart.total_degree
 
 

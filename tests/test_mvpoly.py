@@ -37,8 +37,8 @@ from apnsurf.mvpoly import (
 from apnsurf.polyfunc import PolyFunc, parse_family, parse_poly
 from apnsurf.search import SearchJob
 from apnsurf.surface import infinity_curve
-from oracles import (bi_is_irreducible, divmod_gf2_py, pseudo_rem_scaled,
-                     uni_is_irreducible)
+from oracles import (bi_is_irreducible, divmod_gf2_py, hensel_pair_full,
+                     pseudo_rem_scaled, uni_is_irreducible)
 
 F2 = Field(1)
 F4 = Field(2)
@@ -55,6 +55,11 @@ def rand_uni(field, deg, rng, monic=False):
 def _rows(p):
     """The rows of a TriPoly in x0 and x1, indexed by the x0 exponent."""
     return mvpoly._chart_rows(p)
+
+
+def _degree_in(p, var):
+    """The largest exponent of variable var in a TriPoly, -inf for zero."""
+    return max((e[var] for e in p.terms), default=NEG_INF)
 
 
 def _gcd(a, b):
@@ -478,7 +483,7 @@ def test_divide_linear_matches_heap_and_reference(m):
                 # the remainder is p with x_j put for x_i: nonzero, free
                 # of x_i, and p minus it is a multiple
                 rem = ei.value.remainder
-                assert not rem.is_zero and rem.degree_in(i) == 0
+                assert not rem.is_zero and _degree_in(rem, i) == 0
                 assert (p + rem).divide_linear(i, j) * lin == p + rem
                 failed += 1
     assert failed > 20
@@ -507,7 +512,7 @@ def test_tri_dehomogenize_is_chart_x2_one():
                          for i in range(d + 1) for j in range(d + 1 - i)})
         c = h.dehomogenize()
         assert c == h.substitute_const(2, 1)
-        assert c.degree_in(2) in (NEG_INF, 0)
+        assert _degree_in(c, 2) in (NEG_INF, 0)
         x0, x1 = rng.randrange(8), rng.randrange(8)
         assert c.eval_at((x0, x1, 0)) == h.eval_at((x0, x1, 1))
 
@@ -536,7 +541,7 @@ def test_tri_substitute_const():
         p = rand_tri(F8, 3, rng, nvars=3)
         for a in (0, 1, rng.randrange(8)):
             s = p.substitute_const(2, a)
-            assert s.degree_in(2) in (NEG_INF, 0)
+            assert _degree_in(s, 2) in (NEG_INF, 0)
             for _ in range(6):
                 x0, x1 = rng.randrange(8), rng.randrange(8)
                 assert s.eval_at((x0, x1, 0)) == p.eval_at((x0, x1, a))
@@ -563,7 +568,7 @@ def test_chart_rows_match_dehomogenized_rows(m):
             got = mvpoly._chart_rows(p)
             chart = p.dehomogenize()
             assert bi_to_tri(got, field) == chart, p
-            assert len(got) == max(1, chart.degree_in(0) + 1), p
+            assert len(got) == max(1, _degree_in(chart, 0) + 1), p
             if p.is_zero:
                 continue
             exps = {e[0] for e in p.terms}
@@ -916,7 +921,7 @@ def test_bivariate_api_fixes_the_variable_order():
                       "bi_resultant": ["a", "b", "f"]}
     x0 = TriPoly.var(F4, 0)
     x1 = TriPoly.var(F4, 1)
-    p = x0 * x0 * x1.scale(2) + x1 * x1 + x0
+    p = x0 * x0 * TriPoly.const(F4, 2) * x1 + x1 * x1 + x0
     rows = _rows(p)
     assert rows == [UniPoly(F4, [0, 0, 1]), UniPoly(F4, [1]),
                     UniPoly(F4, [0, 2])]
@@ -932,7 +937,7 @@ def test_bi_squarefree_strips_multiplicity():
     one = TriPoly.const(F4, 1)
     f1 = x0 + x1
     f2 = x0 + x1 + one
-    f3 = x0 * x0 + x0 * x1.scale(2) + x1 + one
+    f3 = x0 * x0 + x0 * TriPoly.const(F4, 2) * x1 + x1 + one
     p = f1 * f1 * f2 * f3 * f3 * f3
     sf = _squarefree(p)
     for f_ in (f1, f2, f3):
@@ -961,7 +966,7 @@ def _nonconstant(field, rng, x0_degree=0):
     >= x0_degree."""
     while True:
         p = rand_tri(field, rng.randrange(1, 4), rng)
-        if p.total_degree >= 1 and p.degree_in(0) >= x0_degree:
+        if p.total_degree >= 1 and _degree_in(p, 0) >= x0_degree:
             return p
 
 
@@ -982,7 +987,8 @@ def test_squarefree_test_matches_bi_squarefree(m):
         lines = TriPoly.const(field, 1)
         for ab in rng.sample(range(field.q ** 2), 3):
             a, b = divmod(ab, field.q)
-            lines = lines * (x0 + x1.scale(a) + TriPoly.const(field, b))
+            lines = lines * (x0 + TriPoly.const(field, a) * x1
+                             + TriPoly.const(field, b))
         square = s * s
         assert square.partial(0).is_zero and square.partial(1).is_zero
         rows = _rows(square)
@@ -1078,12 +1084,12 @@ def _rand_shape(field, rng, k, tdeg):
              for j in range(k + 1) for i in range(tdeg - j + 1)
              if rng.random() < 0.5}
         p = TriPoly(field, t)
-        if p.degree_in(0) == k and p.total_degree == tdeg:
+        if _degree_in(p, 0) == k and p.total_degree == tdeg:
             return p
 
 
 def _excess(p):
-    return p.total_degree - p.degree_in(0)
+    return p.total_degree - _degree_in(p, 0)
 
 
 @pytest.mark.parametrize("m", range(1, 5))
@@ -1112,7 +1118,8 @@ def test_bi_factor_tight_total_degree_bound(m):
             unit, facs = _factor(p)
         except NoGoodEvaluationPoint:
             continue
-        want = [t.scale(field.inv(t.lead_term()[1])) for t in (g, h)]
+        want = [TriPoly.const(field, field.inv(t.lead_term()[1])) * t
+                for t in (g, h)]
         assert sorted(facs, key=repr) == sorted(want, key=repr), repr(p)
         assert TriPoly.const(field, unit) * facs[0] * facs[1] == p
         checked += 1
@@ -1126,7 +1133,8 @@ def test_bi_factor_non_monic_split():
     x1 = TriPoly.var(F4, 1)
     one = TriPoly.const(F4, 1)
     a = x0 * x1 * x1 + x0 + x1
-    b = x0.pow_(3) * (x1 * x1 + one) + x0.scale(2) + x1.scale(3) + one.scale(3)
+    c2, c3 = TriPoly.const(F4, 2), TriPoly.const(F4, 3)
+    b = x0.pow_(3) * (x1 * x1 + one) + c2 * x0 + c3 * x1 + c3
     assert _factor(a * b) == (1, [a, b])
 
 
@@ -1171,9 +1179,9 @@ def test_recombination_rejects_by_total_degree(monkeypatch):
     tried = []
     real = mvpoly._try_combo
 
-    def counted(*args):
-        tried.append(args[2])
-        return real(*args)
+    def counted(cur, prod, f, n):
+        tried.append(prod)
+        return real(cur, prod, f, n)
     monkeypatch.setattr(mvpoly, "_bl_try_exact_div", fail)
     monkeypatch.setattr(mvpoly, "_try_combo", counted)
     for d in (15, 19):
@@ -1184,6 +1192,61 @@ def test_recombination_rejects_by_total_degree(monkeypatch):
     p = x0.pow_(3) + x0 * x0 * x1 + x0 * x1 * x1 + x0 * x1 + TriPoly.const(F2, 1)
     assert bi_is_irreducible(_rows(p), F2)
     assert _factor(p) == (1, [p])
+
+
+@pytest.mark.parametrize("field", [F2, F4, F8], ids=lambda f: f"m{f.m}")
+def test_slice_lift_matches_full_product_lift(field):
+    # random coprime monic splits g0*h0 of p*(x0, 0), with random higher
+    # orders in w below w^n and a top row of 1
+    rng = random.Random(500 + field.m)
+    checked = 0
+    while checked < 12:
+        g0 = rand_uni(field, rng.randrange(1, 4), rng, monic=True)
+        h0 = rand_uni(field, rng.randrange(1, 4), rng, monic=True)
+        if uni_gcd(g0, h0).degree != 0:
+            continue
+        n = rng.randrange(2, 8)
+        rows = [UniPoly(field, [v] + [rng.randrange(field.q)
+                                      for _ in range(n - 1)])
+                for v in (g0 * h0).c[:-1]] + [UniPoly.one(field)]
+        g, h = mvpoly._hensel_pair(mvpoly._transpose(rows, n), g0, h0)
+        got = (mvpoly._transpose(g, len(g0.c)),
+               mvpoly._transpose(h, len(h0.c)))
+        assert got == hensel_pair_full(rows, g0, h0, n)
+        checked += 1
+
+
+def test_slice_lift_forms_no_truncated_product(monkeypatch):
+    def fail(*args):
+        raise AssertionError("truncated product in the lift")
+    monkeypatch.setattr(mvpoly, "_bl_mul_trunc", fail)
+    x = UniPoly.x(F4)
+    local = [x, x + UniPoly.one(F4), x + UniPoly.const(F4, 2)]
+    rows = [UniPoly(F4, [0, 1, 3]), UniPoly(F4, [2, 0, 1]),
+            UniPoly(F4, [3, 2]), UniPoly.one(F4)]
+    lifted = mvpoly._lift_all(mvpoly._transpose(rows, 5), local)
+    assert [g[0] for g in lifted] == local
+
+
+def test_bi_factor_forms_each_subset_product_once(monkeypatch):
+    # phi_19 is irreducible over GF(4), so recombination tries every
+    # subset up to half its local factors; distinct subsets of distinct
+    # monic local factors have distinct products, so a repeated product
+    # is a subset formed twice
+    products = []
+    real = mvpoly._bl_mul_trunc
+
+    def recording(a, b, n):
+        out = real(a, b, n)
+        if len(b) > 1:  # not the scaling by the leading row
+            products.append(tuple(tuple(p.c) for p in out))
+        return out
+    monkeypatch.setattr(mvpoly, "_bl_mul_trunc", recording)
+    emb = extension(F2, 2)
+    rows = [emb.map_uni(p) for p in mvpoly._chart_rows(infinity_curve(19))]
+    assert len(bi_factor(rows, F4)[1]) == 1
+    assert len(products) > 600
+    assert len(set(products)) == len(products)
 
 
 def test_extension_is_one_embedding_per_field_and_degree():
@@ -1245,7 +1308,6 @@ ENTRY_POINTS = {
     "SearchJob": lambda v: SearchJob(F8, [(3, v)], [5]),
     "TriPoly": lambda v: TriPoly(F8, {(1, 0, 0): v}),
     "TriPoly.const": lambda v: TriPoly.const(F8, v),
-    "TriPoly.scale": lambda v: X0.scale(v),
     "TriPoly.eval_at": lambda v: X0.eval_at((1, v, 0)),
     "TriPoly.substitute_const": lambda v: X0.substitute_const(1, v),
     "Embedding.map": lambda v: Embedding(F8, F8).map(v),

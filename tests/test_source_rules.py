@@ -23,6 +23,11 @@ counts and tables they report.
 
 Every name in apnsurf.__all__ has a reader outside the tests: a module
 under src/apnsurf, a repro/ script or a perfbench/ file refers to it.
+So does every public method and property of a class under src/apnsurf,
+outside its own def; dunders are exempt.  Both rules match by name, so
+a method whose name two classes share, such as scale (UniPoly.scale is
+read, and a TriPoly.scale would pass on that read), still needs a hand
+check.
 
 Every module-level function or class under src/apnsurf whose name starts
 with _ is named in src/apnsurf outside its own definition: a private
@@ -318,6 +323,55 @@ def test_export_rule_sees_each_reference():
         "recursive", "only_in_init"]
     assert unread_exports(init, [module]) == [
         "by_attr", "by_alias", "by_string", "recursive", "only_in_init"]
+
+
+def member_read_names(trees):
+    """Names the trees refer to outside the statement that defines them,
+    each member of a class counting as a statement of its own."""
+    seen = set()
+    for tree in trees:
+        for stmt in tree.body:
+            for part in (stmt.body if isinstance(stmt, ast.ClassDef)
+                         else [stmt]):
+                seen |= referenced_names(part) - defined_names(part)
+    return seen
+
+
+def unread_members(trees, reader_trees):
+    """Class.name of each public method or property of a class in trees
+    that no reader refers to outside its own def."""
+    seen = member_read_names(reader_trees)
+    return [f"{cls.name}.{fn.name}" for tree in trees for cls in tree.body
+            if isinstance(cls, ast.ClassDef) for fn in cls.body
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not fn.name.startswith("_") and fn.name not in seen]
+
+
+def test_every_public_member_has_a_reader_outside_the_tests():
+    readers = ([p for p in MODULES if p.name != "__init__.py"]
+               + REPRO_SCRIPTS + PERFBENCH_FILES)
+    trees = [ast.parse(p.read_text(), filename=str(p)) for p in MODULES]
+    reader_trees = [ast.parse(p.read_text(), filename=str(p))
+                    for p in readers]
+    assert unread_members(trees, reader_trees) == []
+
+
+def test_member_rule_sees_each_reference():
+    module = ast.parse(
+        "class A:\n"
+        "    def by_call(self):\n        return 0\n"
+        "    def recursive(self):\n        return self.recursive()\n"
+        "    @property\n    def prop(self):\n        return self.by_call()\n"
+        "    def by_string(self):\n        return 0\n"
+        "    def __len__(self):\n        return 0\n"
+        "    def _private(self):\n        return 0\n"
+        "    def unread(self):\n        return 0\n")
+    reader = ast.parse(
+        "def f(a):\n    return a.prop + getattr(a, 'by_string')\n")
+    assert unread_members([module], [module, reader]) == [
+        "A.recursive", "A.unread"]
+    assert unread_members([module], [module]) == [
+        "A.recursive", "A.prop", "A.by_string", "A.unread"]
 
 
 def test_every_private_def_has_a_reader_in_the_package():

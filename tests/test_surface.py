@@ -136,7 +136,8 @@ def test_degree9_section_at_zero_identity():
     for a6, a5, a3 in [(0, 0, 1), (1, 0, 0), (5, 3, 0), (1, 5, 7), (0, 3, 7)]:
         f = PolyFunc(F16, [(9, 1), (6, a6), (5, a5), (3, a3)])
         sec = build_surface(f).poly.substitute_const(2, 0)
-        want = b6 + b3.scale(a6) + b2.scale(a5) + TriPoly.const(F16, a3)
+        want = (b6 + TriPoly.const(F16, a6) * b3 + TriPoly.const(F16, a5) * b2
+                + TriPoly.const(F16, a3))
         assert sec == want
 
 
